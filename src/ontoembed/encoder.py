@@ -131,88 +131,85 @@ def config_from_mapping(mapping: dict[str, str],
     return EncoderConfig(**kwargs)
 
 
-@dataclass
+_TENSOR_NAMES = ("token_table", "w1", "b1", "w2", "b2", "head_w", "head_b")
+
+
+def _tensor(name: str) -> property:
+    """A named view into ``Params.flat``; assigning copies into the view."""
+    def assign(self, value):
+        value, view = np.asarray(value, dtype=float), self._views.get(name)
+        if view is None or value.shape != view.shape:
+            raise ValueError(f"cannot assign shape {value.shape} to {name}")
+        view[...] = value
+    return property(lambda self: self._views.get(name), assign)
+
+
 class Params:
     """The complete parameter set of one encoder instance.
 
-    Tensors appear in canonical flatten order: token_table (row-major), w1,
-    b1, w2, b2, then head_w and head_b when a distillation head is attached.
+    Every tensor is a view into one contiguous float64 vector ``flat``,
+    laid out in canonical flatten order: token_table (row-major), w1, b1,
+    w2, b2, then head_w and head_b when a distillation head is attached.
+    Assigning a tensor copies into its view, so ``flat`` always holds the
+    current values.
     """
 
-    token_table: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    head_w: np.ndarray | None = None
-    head_b: np.ndarray | None = None
+    token_table, w1, b1, w2, b2, head_w, head_b = map(_tensor, _TENSOR_NAMES)
+
+    def __init__(self, token_table, w1, b1, w2, b2, head_w=None, head_b=None):
+        tensors = [np.asarray(t, dtype=float)
+                   for t in (token_table, w1, b1, w2, b2, head_w, head_b) if t is not None]
+        self._bind(np.concatenate([t.ravel() for t in tensors]), [t.shape for t in tensors])
+
+    def _bind(self, flat: np.ndarray, shapes: list[tuple[int, ...]]) -> None:
+        self.flat = flat
+        self._views: dict[str, np.ndarray] = {}
+        pos = 0
+        for name, shape in zip(_TENSOR_NAMES, shapes):
+            n = int(np.prod(shape))
+            self._views[name] = flat[pos:pos + n].reshape(shape)
+            pos += n
+        if pos != flat.size:
+            raise ValueError(f"vector length {flat.size} does not match shapes {shapes}")
+
+    @classmethod
+    def _wrap(cls, flat: np.ndarray, shapes: list[tuple[int, ...]]) -> "Params":
+        """Params whose tensors are views into ``flat`` (no copy)."""
+        out = cls.__new__(cls)
+        out._bind(flat, shapes)
+        return out
+
+    @property
+    def shapes(self) -> list[tuple[int, ...]]:
+        return [view.shape for view in self._views.values()]
 
     @property
     def has_head(self) -> bool:
-        return self.head_w is not None
+        return "head_w" in self._views
 
     @property
     def head_dim(self) -> int | None:
-        return None if self.head_w is None else self.head_w.shape[1]
+        return self.head_w.shape[1] if self.has_head else None
 
     def tensor_items(self) -> list[tuple[str, np.ndarray]]:
-        items = [
-            ("token_table", self.token_table),
-            ("w1", self.w1),
-            ("b1", self.b1),
-            ("w2", self.w2),
-            ("b2", self.b2),
-        ]
-        if self.head_w is not None:
-            items.append(("head_w", self.head_w))
-            items.append(("head_b", self.head_b))
-        return items
+        return list(self._views.items())
 
     def copy(self) -> "Params":
-        return Params(
-            token_table=self.token_table.copy(),
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            head_w=None if self.head_w is None else self.head_w.copy(),
-            head_b=None if self.head_b is None else self.head_b.copy(),
-        )
+        return Params._wrap(self.flat.copy(), self.shapes)
 
     def without_head(self) -> "Params":
-        return Params(
-            token_table=self.token_table,
-            w1=self.w1,
-            b1=self.b1,
-            w2=self.w2,
-            b2=self.b2,
-        )
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(arr).all() for _, arr in self.tensor_items())
+        """The encoder part of these params, sharing their memory."""
+        views = list(self._views.values())[:5]
+        return Params._wrap(self.flat[:sum(v.size for v in views)], [v.shape for v in views])
 
 
 def zeros_like_params(params: Params) -> Params:
-    return Params(
-        token_table=np.zeros_like(params.token_table),
-        w1=np.zeros_like(params.w1),
-        b1=np.zeros_like(params.b1),
-        w2=np.zeros_like(params.w2),
-        b2=np.zeros_like(params.b2),
-        head_w=None if params.head_w is None else np.zeros_like(params.head_w),
-        head_b=None if params.head_b is None else np.zeros_like(params.head_b),
-    )
+    return Params._wrap(np.zeros_like(params.flat), params.shapes)
 
 
 def params_equal(a: Params, b: Params) -> bool:
     """Bit-exact equality of two parameter sets."""
-    items_a, items_b = a.tensor_items(), b.tensor_items()
-    if len(items_a) != len(items_b):
-        return False
-    return all(
-        na == nb and ta.shape == tb.shape and np.array_equal(ta, tb)
-        for (na, ta), (nb, tb) in zip(items_a, items_b)
-    )
+    return a.shapes == b.shapes and np.array_equal(a.flat, b.flat)
 
 
 def _fnv1a64(data: bytes, seed: int) -> int:
@@ -247,24 +244,22 @@ def init_params(config: EncoderConfig) -> Params:
     rng = np.random.default_rng(config.init_seed)
     s = config.init_scale
     v, e, h, o = config.vocab_buckets, config.embed_dim, config.hidden_dim, config.output_dim
-    return Params(
-        token_table=rng.uniform(-s, s, size=(v, e)),
-        w1=rng.uniform(-s, s, size=(e, h)),
-        b1=np.zeros(h),
-        w2=rng.uniform(-s, s, size=(h, o)),
-        b2=np.zeros(o),
-    )
+    # token_table and w1 are adjacent in the flat layout: one draw fills both
+    return unflatten(config, np.concatenate([
+        rng.uniform(-s, s, size=v * e + e * h), np.zeros(h),
+        rng.uniform(-s, s, size=h * o), np.zeros(o),
+    ]))
 
 
 def attach_head(params: Params, config: EncoderConfig, target_dim: int, seed: int) -> Params:
     """Return a copy of ``params`` with a freshly seeded linear head
     (output_dim x target_dim weights, zero bias) attached."""
     rng = np.random.default_rng(seed)
-    out = params.copy()
-    out.head_w = rng.uniform(-config.init_scale, config.init_scale,
-                             size=(config.output_dim, target_dim))
-    out.head_b = np.zeros(target_dim)
-    return out
+    s = config.init_scale
+    return unflatten(config, np.concatenate([
+        params.without_head().flat,
+        rng.uniform(-s, s, size=config.output_dim * target_dim), np.zeros(target_dim),
+    ]))
 
 
 def _pool(params: Params, config: EncoderConfig, text: str) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -344,39 +339,32 @@ def backward_batch(
         output_grads / NORM_GUARD,
     )
 
-    grad_w2 = h.T @ grad_z
-    grad_b2 = grad_z.sum(axis=0)
+    grad = zeros_like_params(params)
+    grad.w2 = h.T @ grad_z
+    grad.b2 = grad_z.sum(axis=0)
     grad_h = grad_z @ params.w2.T
     grad_a = (1.0 - h * h) * grad_h
-    grad_w1 = pooled.T @ grad_a
-    grad_b1 = grad_a.sum(axis=0)
+    grad.w1 = pooled.T @ grad_a
+    grad.b1 = grad_a.sum(axis=0)
     grad_pooled = grad_a @ params.w1.T
 
-    grad_table = np.zeros_like(params.token_table)
     for i, ids in enumerate(id_lists):
         if ids:
-            np.add.at(grad_table, list(ids), grad_pooled[i] / len(ids))
-
-    return Params(
-        token_table=grad_table,
-        w1=grad_w1,
-        b1=grad_b1,
-        w2=grad_w2,
-        b2=grad_b2,
-        head_w=None if params.head_w is None else np.zeros_like(params.head_w),
-        head_b=None if params.head_b is None else np.zeros_like(params.head_b),
-    )
+            np.add.at(grad.token_table, list(ids), grad_pooled[i] / len(ids))
+    return grad
 
 
 def flatten(params: Params) -> np.ndarray:
-    """Concatenate all tensors in canonical order into one float64 vector."""
-    return np.concatenate([arr.ravel() for _, arr in params.tensor_items()])
+    """All tensors in canonical order as one float64 vector: the live
+    ``params.flat`` buffer itself, not a copy."""
+    return params.flat
 
 
 def unflatten(config: EncoderConfig, vector: np.ndarray) -> Params:
-    """Inverse of ``flatten``. The head's presence and width are inferred
-    from the vector length; any other length is rejected."""
-    vector = np.asarray(vector, dtype=float)
+    """Inverse of ``flatten``: wraps ``vector`` without copying it when it is
+    already a contiguous float64 vector. The head's presence and width are
+    inferred from the vector length; any other length is rejected."""
+    vector = np.ascontiguousarray(vector, dtype=float)
     if vector.ndim != 1:
         raise ValueError("expected a 1-d vector")
     base = config.base_param_count()
@@ -392,18 +380,10 @@ def unflatten(config: EncoderConfig, vector: np.ndarray) -> Params:
         head_dim = extra // (o + 1)
 
     v, e, h = config.vocab_buckets, config.embed_dim, config.hidden_dim
-    shapes = [("token_table", (v, e)), ("w1", (e, h)), ("b1", (h,)),
-              ("w2", (h, o)), ("b2", (o,))]
+    shapes = [(v, e), (e, h), (h,), (h, o), (o,)]
     if head_dim is not None:
-        shapes += [("head_w", (o, head_dim)), ("head_b", (head_dim,))]
-
-    fields: dict[str, np.ndarray] = {}
-    pos = 0
-    for name, shape in shapes:
-        n = int(np.prod(shape))
-        fields[name] = vector[pos:pos + n].reshape(shape).copy()
-        pos += n
-    return Params(**fields)
+        shapes += [(o, head_dim), (head_dim,)]
+    return Params._wrap(vector, shapes)
 
 
 @dataclass
@@ -445,8 +425,48 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     buf.write(CHECKPOINT_MAGIC)
     buf.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
     buf.write(b"\n")
-    buf.write(flat.astype("<f8").tobytes())
+    buf.write(flat.astype("<f8", copy=False).tobytes())
     return buf.getvalue()
+
+
+def _config_from_header(header) -> EncoderConfig:
+    """Validate a decoded header's shape, keys and value types against
+    format v1, including that param_count fits the config and head_dim;
+    return its encoder config."""
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise CheckpointFormatError(f"malformed checkpoint header: {what}")
+
+    def is_int(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    require(isinstance(header, dict), "expected a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointVersionError(f"unsupported checkpoint version {header.get('version')} "
+                                     f"(expected {CHECKPOINT_VERSION})")
+    cfg = header.get("config")
+    require(isinstance(cfg, dict) and sorted(cfg) == sorted(ENCODER_CONFIG_KEYS),
+            f"config must be an object with the keys {', '.join(ENCODER_CONFIG_KEYS)}")
+    require(all(is_int(cfg[k]) for k in ENCODER_CONFIG_KEYS if k != "init_scale"),
+            "config sizes and seeds must be integers")
+    scale = cfg["init_scale"]
+    require(is_int(scale) or (isinstance(scale, float) and np.isfinite(scale)),
+            "config init_scale must be a finite number")
+    require(header.get("phase") in PHASES, f"phase must be one of {', '.join(PHASES)}")
+    history = header.get("history", [])
+    require(isinstance(history, list) and all(h in PHASES for h in history),
+            "history must be a list of phase names")
+    head_dim = header.get("head_dim")
+    require(head_dim is None or (is_int(head_dim) and head_dim >= 1),
+            "head_dim must be null or a positive integer")
+    try:
+        config = EncoderConfig.from_dict(cfg)
+    except ValueError as exc:
+        raise CheckpointFormatError(f"malformed checkpoint header: {exc}") from exc
+    expected = config.base_param_count() + (head_dim or 0) * (config.output_dim + 1)
+    require(is_int(header.get("param_count")) and header["param_count"] == expected,
+            f"param_count must be {expected} for this config and head_dim")
+    return config
 
 
 def checkpoint_from_bytes(data: bytes) -> Checkpoint:
@@ -459,13 +479,8 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         header = json.loads(data[len(CHECKPOINT_MAGIC):nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"unreadable checkpoint header: {exc}") from exc
-    version = header.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
-        )
-    config = EncoderConfig.from_dict(header["config"])
-    count = int(header["param_count"])
+    config = _config_from_header(header)
+    count = header["param_count"]
     block = data[nl + 1:]
     if len(block) < 8 * count:
         raise CheckpointTruncatedError(
@@ -473,18 +488,11 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         )
     if len(block) > 8 * count:
         raise CheckpointFormatError("trailing bytes after parameter block")
-    flat = np.frombuffer(block, dtype="<f8").astype(float)
-    params = unflatten(config, flat)
-    expected_head = header.get("head_dim")
-    if params.head_dim != expected_head:
-        raise CheckpointFormatError(
-            f"head_dim mismatch: header says {expected_head}, block implies {params.head_dim}"
-        )
     return Checkpoint(
         config=config,
         phase=header["phase"],
-        params=params,
-        history=tuple(header.get("history", [header["phase"]])),
+        params=unflatten(config, np.frombuffer(block, dtype="<f8").astype(float)),
+        history=tuple(header.get("history", ())),
     )
 
 

@@ -306,17 +306,12 @@ def build_nel_index(model: enc.Checkpoint, kg: onto.KnowledgeGraph) -> NelIndex:
     return NelIndex(embeddings=embeddings, concept_ids=concept_ids, names=names)
 
 
-def _rank_concepts(index: NelIndex, mention_emb: np.ndarray, pooling: str) -> list[str]:
+def _rank_concepts(index: NelIndex, mention_emb: np.ndarray) -> list[str]:
     scores = index.embeddings @ mention_emb
     per_concept: dict[str, list[float]] = {}
     for cid, score in zip(index.concept_ids, scores):
         per_concept.setdefault(cid, []).append(float(score))
-    if pooling == "max":
-        pooled = {cid: max(v) for cid, v in per_concept.items()}
-    elif pooling == "mean":
-        pooled = {cid: sum(v) / len(v) for cid, v in per_concept.items()}
-    else:
-        raise ValueError(f"unknown pooling {pooling!r}")
+    pooled = {cid: max(v) for cid, v in per_concept.items()}
     return sorted(pooled, key=lambda cid: (-pooled[cid], cid))
 
 
@@ -325,11 +320,10 @@ def eval_nel(
     kg: onto.KnowledgeGraph,
     dataset: NelDataset,
     k_list: list[int] = (1,),
-    pooling: str = "max",
 ) -> list[EvalReport]:
     """Top-k linking accuracy, one report per k.
 
-    Concepts are ranked by max (or mean) cosine over their synonyms; ties
+    Concepts are ranked by max cosine over their synonyms; ties
     break toward the smaller concept id, so results are deterministic.
     """
     for _, gold in dataset.rows:
@@ -343,7 +337,7 @@ def eval_nel(
     hits = {k: 0 for k in k_list}
     max_k = k_list[-1]
     for i, (_, gold) in enumerate(dataset.rows):
-        ranking = _rank_concepts(index, mentions[i], pooling)[:max_k]
+        ranking = _rank_concepts(index, mentions[i])[:max_k]
         for k in k_list:
             if gold in ranking[:k]:
                 hits[k] += 1

@@ -1,7 +1,8 @@
 """Optimization machinery and the training regimes.
 
-Four regimes share one loop skeleton: seeded shuffling, batching, analytic
-gradients through the encoder, AdamW with a warmup-linear schedule. Every
+Four regimes share one loop, ``_fit``: each regime plans its seeded,
+shuffled batches and supplies a loss closure with analytic gradients through
+the encoder; ``_fit`` steps AdamW in place with a warmup-linear schedule. Every
 regime is a deterministic function of (inputs, seed): re-running produces
 bit-identical checkpoints. Gradient accumulation is strictly sequential in
 batch order, which is what makes that guarantee hold.
@@ -121,15 +122,26 @@ def train_config_from_mapping(mapping: dict[str, str], prefix: str = "") -> Trai
 
 @dataclass
 class AdamWState:
-    """Optimizer state; ``m`` and ``v`` mirror the Params layout."""
+    """Optimizer state. ``m`` and ``v`` are flat vectors in the params'
+    flatten order; ``decay`` lists the slices of that order that take weight
+    decay; ``scratch`` holds two vectors of the same length that each step
+    writes its intermediates into, so a step allocates nothing of that size."""
 
     step: int
-    m: enc.Params
-    v: enc.Params
+    m: np.ndarray
+    v: np.ndarray
+    decay: list[slice]
+    scratch: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
 def init_adamw(params: enc.Params) -> AdamWState:
-    return AdamWState(step=0, m=enc.zeros_like_params(params), v=enc.zeros_like_params(params))
+    decay, pos = [], 0
+    for name, arr in params.tensor_items():
+        if name not in _NO_DECAY:
+            decay.append(slice(pos, pos + arr.size))
+        pos += arr.size
+    m, v, a, b = (np.zeros_like(params.flat) for _ in range(4))
+    return AdamWState(step=0, m=m, v=v, decay=decay, scratch=(a, b))
 
 
 def warmup_linear(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -> float:
@@ -152,46 +164,44 @@ def adamw_step(
     lr: float,
     weight_decay: float = 0.0,
 ) -> tuple[enc.Params, AdamWState]:
-    """One decoupled-weight-decay Adam update; returns fresh params/state.
+    """One decoupled-weight-decay Adam update of ``params.flat``, ``state.m``
+    and ``state.v`` in place; returns the same (params, state) objects.
 
     theta <- theta - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * theta),
-    with the decay term skipped for bias vectors.
+    with the decay term skipped for bias vectors. Each element sees the same
+    float operations in the same order as the textbook per-tensor update.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    t = state.step + 1
-    new_p: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    param_items = params.tensor_items()
-    grad_items = grads.tensor_items()
-    if [n for n, _ in param_items] != [n for n, _ in grad_items]:
+    if grads.shapes != params.shapes:
         raise ValueError("gradient structure does not match params")
-    for (name, theta), (_, g), (_, m), (_, v) in zip(
-        param_items, grad_items, state.m.tensor_items(), state.v.tensor_items()
-    ):
-        if theta.shape != g.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient for {name}")
-        m2 = BETA1 * m + (1.0 - BETA1) * g
-        v2 = BETA2 * v + (1.0 - BETA2) * (g * g)
-        mhat = m2 / (1.0 - BETA1**t)
-        vhat = v2 / (1.0 - BETA2**t)
-        update = mhat / (np.sqrt(vhat) + EPSILON)
-        if weight_decay != 0.0 and name not in _NO_DECAY:
-            update = update + weight_decay * theta
-        new_p[name] = theta - lr * update
-        new_m[name] = m2
-        new_v[name] = v2
-    has_head = "head_w" in new_p
-    def build(d):
-        return enc.Params(
-            token_table=d["token_table"], w1=d["w1"], b1=d["b1"], w2=d["w2"], b2=d["b2"],
-            head_w=d.get("head_w") if has_head else None,
-            head_b=d.get("head_b") if has_head else None,
-        )
-    return build(new_p), AdamWState(step=t, m=build(new_m), v=build(new_v))
+    g = grads.flat
+    if not np.isfinite(g).all():
+        name = next(n for n, arr in grads.tensor_items() if not np.isfinite(arr).all())
+        raise ValueError(f"non-finite gradient for {name}")
+    t = state.step + 1
+    theta, m, v = params.flat, state.m, state.v
+    a, b = state.scratch
+    np.multiply(m, BETA1, out=m)
+    np.multiply(g, 1.0 - BETA1, out=a)
+    np.add(m, a, out=m)
+    np.multiply(v, BETA2, out=v)
+    np.multiply(g, g, out=a)
+    np.multiply(a, 1.0 - BETA2, out=a)
+    np.add(v, a, out=v)
+    np.divide(m, 1.0 - BETA1**t, out=a)
+    np.divide(v, 1.0 - BETA2**t, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, EPSILON, out=b)
+    np.divide(a, b, out=a)  # the Adam update
+    if weight_decay != 0.0:
+        for s in state.decay:
+            np.multiply(theta[s], weight_decay, out=b[s])
+            np.add(a[s], b[s], out=a[s])
+    np.multiply(a, lr, out=a)
+    np.subtract(theta, a, out=theta)
+    state.step = t
+    return params, state
 
 
 @dataclass
@@ -343,6 +353,29 @@ def _require_no_head(params: enc.Params, regime: str) -> None:
         raise TrainError(f"{regime} expects a head-free base; strip the head first")
 
 
+def _fit(params, plans, loss_and_grads, cfg: TrainConfig, full_loss=None) -> TrainStats:
+    """The one training loop: walk ``plans`` (one list of batches per epoch)
+    in order, and for each batch take ``loss, grad = loss_and_grads(batch)``
+    and one AdamW step on ``params`` (in place) at the warmup-linear rate.
+
+    Epoch losses are the mean batch loss of each epoch, or, when
+    ``full_loss`` is given, ``full_loss()`` before training and after each
+    epoch.
+    """
+    total_steps = sum(len(plan) for plan in plans)
+    state = init_adamw(params)
+    epoch_losses = [] if full_loss is None else [full_loss()]
+    for plan in plans:
+        batch_losses = []
+        for batch in plan:
+            loss, grad = loss_and_grads(batch)
+            lr = warmup_linear(state.step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
+            adamw_step(params, grad, state, lr, cfg.weight_decay)
+            batch_losses.append(loss)
+        epoch_losses.append(float(np.mean(batch_losses)) if full_loss is None else full_loss())
+    return TrainStats(state.step, epoch_losses)
+
+
 def train_contrastive(
     base: enc.Checkpoint,
     corpus: list[onto.TrainingPair],
@@ -364,46 +397,32 @@ def train_contrastive(
 
     config = base.config
     rng = np.random.default_rng(cfg.seed)
-    plans: list[list[list[int]]] = []
-    hn_seeds: list[list[int]] = []
+    plans = []  # batches are (pair indices, hard-negative seed)
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(corpus))
-        plan = _dedup_batches(corpus, order, cfg.batch_size)
-        plans.append(plan)
+        plan = _dedup_batches(corpus, rng.permutation(len(corpus)), cfg.batch_size)
         if cfg.hard_negatives_per_batch > 0:
-            hn_seeds.append([int(rng.integers(0, 2**63)) for _ in plan])
+            plans.append([(batch, int(rng.integers(0, 2**63))) for batch in plan])
         else:
-            hn_seeds.append([0] * len(plan))
-    total_steps = sum(len(p) for p in plans)
-    if total_steps == 0:
-        return enc.derive(base, base.params.copy(), "contrastive"), TrainStats(0, [])
-
+            plans.append([(batch, 0) for batch in plan])
     params = base.params.copy()
-    state = init_adamw(params)
-    step = 0
-    epoch_losses: list[float] = []
-    for epoch, plan in enumerate(plans):
-        batch_losses = []
-        for batch_idx, batch in enumerate(plan):
-            anchors_text = [corpus[i].anchor.text for i in batch]
-            positives_text = [corpus[i].positive.text for i in batch]
-            extra_texts = _draw_hard_negative_names(
-                kg, [corpus[i].concept_id for i in batch],
-                cfg.hard_negatives_per_batch, hn_seeds[epoch][batch_idx],
-            )
-            a = enc.encode_batch(params, config, anchors_text)
-            p = enc.encode_batch(params, config, positives_text)
-            x = enc.encode_batch(params, config, extra_texts) if extra_texts else None
-            loss, ga, gp, gx = losses.info_nce(a, p, x, cfg.info_nce, check_inputs=False)
-            texts = anchors_text + positives_text + extra_texts
-            grads_out = np.vstack([ga, gp] + ([gx] if gx is not None else []))
-            grad = enc.backward_batch(params, config, texts, grads_out)
-            lr = warmup_linear(step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
-            params, state = adamw_step(params, grad, state, lr, cfg.weight_decay)
-            step += 1
-            batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)))
-    return enc.derive(base, params, "contrastive"), TrainStats(step, epoch_losses)
+
+    def loss_and_grads(batch):
+        indices, hn_seed = batch
+        anchors_text = [corpus[i].anchor.text for i in indices]
+        positives_text = [corpus[i].positive.text for i in indices]
+        extra_texts = _draw_hard_negative_names(
+            kg, [corpus[i].concept_id for i in indices], cfg.hard_negatives_per_batch, hn_seed,
+        )
+        a = enc.encode_batch(params, config, anchors_text)
+        p = enc.encode_batch(params, config, positives_text)
+        x = enc.encode_batch(params, config, extra_texts) if extra_texts else None
+        loss, ga, gp, gx = losses.info_nce(a, p, x, cfg.info_nce, check_inputs=False)
+        texts = anchors_text + positives_text + extra_texts
+        grads_out = np.vstack([ga, gp] + ([gx] if gx is not None else []))
+        return loss, enc.backward_batch(params, config, texts, grads_out)
+
+    stats = _fit(params, plans, loss_and_grads, cfg)
+    return enc.derive(base, params, "contrastive"), stats
 
 
 def _draw_hard_negative_names(
@@ -445,30 +464,19 @@ def adapt_sts(model, sts_train, cfg: TrainConfig) -> tuple[enc.Checkpoint, Train
     rng = np.random.default_rng(cfg.seed)
     orders = [rng.permutation(len(rows)) for _ in range(cfg.epochs)]
     plans = [_chunk_batches(len(rows), cfg.batch_size, order) for order in orders]
-    total_steps = sum(len(p) for p in plans)
-    if total_steps == 0:
-        return enc.derive(model, model.params.copy(), "sts_adapted"), TrainStats(0, [])
-
     params = model.params.copy()
-    state = init_adamw(params)
-    step = 0
-    epoch_losses: list[float] = []
-    for plan in plans:
-        batch_losses = []
-        for batch in plan:
-            texts_a = [rows[i][0] for i in batch]
-            texts_b = [rows[i][1] for i in batch]
-            gold = np.array([rows[i][2] for i in batch]) / 5.0
-            u = enc.encode_batch(params, config, texts_a)
-            v = enc.encode_batch(params, config, texts_b)
-            loss, gu, gv = losses.cosine_regression(u, v, gold, check_inputs=False)
-            grad = enc.backward_batch(params, config, texts_a + texts_b, np.vstack([gu, gv]))
-            lr = warmup_linear(step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
-            params, state = adamw_step(params, grad, state, lr, cfg.weight_decay)
-            step += 1
-            batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)))
-    return enc.derive(model, params, "sts_adapted"), TrainStats(step, epoch_losses)
+
+    def loss_and_grads(batch):
+        texts_a = [rows[i][0] for i in batch]
+        texts_b = [rows[i][1] for i in batch]
+        gold = np.array([rows[i][2] for i in batch]) / 5.0
+        u = enc.encode_batch(params, config, texts_a)
+        v = enc.encode_batch(params, config, texts_b)
+        loss, gu, gv = losses.cosine_regression(u, v, gold, check_inputs=False)
+        return loss, enc.backward_batch(params, config, texts_a + texts_b, np.vstack([gu, gv]))
+
+    stats = _fit(params, plans, loss_and_grads, cfg)
+    return enc.derive(model, params, "sts_adapted"), stats
 
 
 def _distill_examples(
@@ -525,29 +533,20 @@ def train_self_distill(
     plans = [
         _chunk_batches(n, cfg.batch_size, rng.permutation(n)) for _ in range(cfg.epochs)
     ]
-    total_steps = sum(len(p) for p in plans)
-    epoch_losses = [_distill_full_loss(params, config, texts, target_matrix)]
-    if total_steps == 0:
-        out = enc.derive(base, params, "self_distilled")
-        return out, TrainStats(0, epoch_losses)
 
-    state = init_adamw(params)
-    step = 0
-    for plan in plans:
-        for batch in plan:
-            batch_texts = [texts[i] for i in batch]
-            batch_targets = target_matrix[batch]
-            e = enc.encode_batch(params, config, batch_texts)
-            y = e @ params.head_w + params.head_b
-            _, gy = losses.mse(y, batch_targets)
-            grad = enc.backward_batch(params, config, batch_texts, gy @ params.head_w.T)
-            grad.head_w = e.T @ gy
-            grad.head_b = gy.sum(axis=0)
-            lr = warmup_linear(step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
-            params, state = adamw_step(params, grad, state, lr, cfg.weight_decay)
-            step += 1
-        epoch_losses.append(_distill_full_loss(params, config, texts, target_matrix))
-    return enc.derive(base, params, "self_distilled"), TrainStats(step, epoch_losses)
+    def loss_and_grads(batch):
+        batch_texts = [texts[i] for i in batch]
+        e = enc.encode_batch(params, config, batch_texts)
+        y = e @ params.head_w + params.head_b
+        loss, gy = losses.mse(y, target_matrix[batch])
+        grad = enc.backward_batch(params, config, batch_texts, gy @ params.head_w.T)
+        grad.head_w = e.T @ gy
+        grad.head_b = gy.sum(axis=0)
+        return loss, grad
+
+    stats = _fit(params, plans, loss_and_grads, cfg,
+                 full_loss=lambda: _distill_full_loss(params, config, texts, target_matrix))
+    return enc.derive(base, params, "self_distilled"), stats
 
 
 def train_xlingual(
@@ -581,37 +580,22 @@ def train_xlingual(
     plans = [
         _chunk_batches(n, cfg.batch_size, rng.permutation(n)) for _ in range(cfg.epochs)
     ]
-    total_steps = sum(len(p) for p in plans)
-    if total_steps == 0:
-        return (
-            enc.Checkpoint(config=student_cfg, phase="xlingual_student", params=params),
-            TrainStats(0, []),
+
+    def loss_and_grads(batch):
+        texts_e = [pairs[i].source_text for i in batch]
+        texts_f = [pairs[i].target_text for i in batch]
+        t = np.array([teacher_emb[x] for x in texts_e])
+        se = enc.encode_batch(params, student_cfg, texts_e)
+        sf = enc.encode_batch(params, student_cfg, texts_f)
+        b = len(batch)
+        de, df = se - t, sf - t
+        loss = 0.5 * float((de * de).sum() + (df * df).sum()) / b
+        return loss, enc.backward_batch(
+            params, student_cfg, texts_e + texts_f, np.vstack([de, df]) / b
         )
 
-    state = init_adamw(params)
-    step = 0
-    epoch_losses: list[float] = []
-    for plan in plans:
-        batch_losses = []
-        for batch in plan:
-            texts_e = [pairs[i].source_text for i in batch]
-            texts_f = [pairs[i].target_text for i in batch]
-            t = np.array([teacher_emb[x] for x in texts_e])
-            se = enc.encode_batch(params, student_cfg, texts_e)
-            sf = enc.encode_batch(params, student_cfg, texts_f)
-            b = len(batch)
-            de, df = se - t, sf - t
-            loss = 0.5 * float((de * de).sum() + (df * df).sum()) / b
-            grad = enc.backward_batch(
-                params, student_cfg, texts_e + texts_f, np.vstack([de, df]) / b
-            )
-            lr = warmup_linear(step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
-            params, state = adamw_step(params, grad, state, lr, cfg.weight_decay)
-            step += 1
-            batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)))
-    ckpt = enc.Checkpoint(config=student_cfg, phase="xlingual_student", params=params)
-    return ckpt, TrainStats(step, epoch_losses)
+    stats = _fit(params, plans, loss_and_grads, cfg)
+    return enc.Checkpoint(config=student_cfg, phase="xlingual_student", params=params), stats
 
 
 def translation_gap(

@@ -107,3 +107,26 @@ def brute_greedy_soup(values, scores, labels, evaluate):
             pool.append(i)
             current = tentative
     return [labels[i] for i in pool], avg(pool)
+
+
+def adamw_reference(tensors, grads, m, v, step, lr, weight_decay):
+    """One functional AdamW step, tensor by tensor, on fresh arrays.
+
+    tensors, grads, m, v: lists of (name, array) in the same order; step is
+    the 1-based step number. Returns (new tensors, new m, new v) as lists of
+    (name, array). The bias tensors b1, b2 and head_b skip weight decay.
+    """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    new_p, new_m, new_v = [], [], []
+    for (name, theta), (_, g), (_, m0), (_, v0) in zip(tensors, grads, m, v):
+        m2 = beta1 * m0 + (1.0 - beta1) * g
+        v2 = beta2 * v0 + (1.0 - beta2) * (g * g)
+        mhat = m2 / (1.0 - beta1**step)
+        vhat = v2 / (1.0 - beta2**step)
+        update = mhat / (np.sqrt(vhat) + eps)
+        if weight_decay != 0.0 and name not in ("b1", "b2", "head_b"):
+            update = update + weight_decay * theta
+        new_p.append((name, theta - lr * update))
+        new_m.append((name, m2))
+        new_v.append((name, v2))
+    return new_p, new_m, new_v

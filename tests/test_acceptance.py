@@ -193,7 +193,7 @@ def test_criterion_4_metric_oracles():
         index = ev.NelIndex(embeddings=np.array([v for _, v in names]),
                             concept_ids=[c for c, _ in names],
                             names=[f"n{i}" for i in range(len(names))])
-        got = ev._rank_concepts(index, mention, "max")[:k]
+        got = ev._rank_concepts(index, mention)[:k]
         assert got == expected
 
     for _ in range(200):

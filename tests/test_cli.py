@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -360,6 +362,47 @@ def test_embed_rejects_tab_in_input(small_world, tmp_path):
     infile.write_text("bad\ttext\n")
     assert run(["embed", "--model", ckpt_path, "--in", str(infile),
                 "--out", str(tmp_path / "e.tsv")]) == 2
+
+
+def _drop(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+def _with_config(key, value):
+    return lambda header: {**header, "config": {**header["config"], key: value}}
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop("config"),
+    _drop("phase"),
+    _with_config("colour", 1),
+    _with_config("vocab_buckets", "64"),
+    lambda header: {**header, "history": 5},
+    lambda header: [header],
+], ids=["missing-config", "missing-phase", "unknown-config-key",
+        "string-vocab-buckets", "non-list-history", "list-header"])
+def test_embed_malformed_checkpoint_header_exits_2(tmp_path, mutate):
+    # run the real command in a child process so a traceback would show on stderr
+    cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
+    data = enc.checkpoint_to_bytes(
+        enc.Checkpoint(config=cfg, phase="base", params=enc.init_params(cfg)))
+    nl = data.index(b"\n")
+    header = json.loads(data[len(enc.CHECKPOINT_MAGIC):nl])
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(enc.CHECKPOINT_MAGIC + json.dumps(mutate(header)).encode() + data[nl:])
+    infile = write_text(tmp_path / "texts.txt", "some text\n")
+    out = tmp_path / "e.tsv"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ontoembed.cli", "embed", "--model", str(bad),
+         "--in", infile, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

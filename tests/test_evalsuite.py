@@ -266,14 +266,6 @@ def test_nel_unresolvable_gold_id(nel_kg):
         ev.eval_nel(_model(), nel_kg, ev.NelDataset(rows=(("x", "zzz"),)), [1])
 
 
-def test_nel_mean_pooling_option(nel_kg):
-    model = _model()
-    dataset = ev.NelDataset(rows=(("sweet tart", "c1"),))
-    assert ev.eval_nel(model, nel_kg, dataset, [1], pooling="mean")[0].value in (0.0, 1.0)
-    with pytest.raises(ValueError):
-        ev.eval_nel(model, nel_kg, dataset, [1], pooling="median")
-
-
 # ---------------------------------------------------------------------------
 # NLI triplets
 

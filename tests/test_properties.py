@@ -1,0 +1,87 @@
+"""Property tests over random small encoder configs, with and without a
+distillation head: the flat parameter layout, checkpoint round trips and
+uniform soups of identical models."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ontoembed import encoder as enc  # noqa: E402
+from ontoembed import soup  # noqa: E402
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def models(draw):
+    """(config, params) with random weights; a head is attached or not."""
+    config = enc.EncoderConfig(
+        vocab_buckets=draw(st.integers(1, 16)),
+        embed_dim=draw(st.integers(1, 4)),
+        hidden_dim=draw(st.integers(1, 4)),
+        output_dim=draw(st.integers(1, 4)),
+        hash_seed=draw(st.integers(0, 2**32)),
+        init_seed=draw(st.integers(0, 2**32)),
+    )
+    params = enc.init_params(config)
+    head_dim = draw(st.none() | st.integers(1, 3))
+    if head_dim is not None:
+        params = enc.attach_head(params, config, head_dim, seed=draw(st.integers(0, 2**32)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    params.flat[:] = rng.normal(size=params.flat.size)
+    return config, params
+
+
+@PROPERTY_SETTINGS
+@given(models())
+def test_unflatten_of_flatten_is_identity_and_shares_memory(model):
+    config, params = model
+    back = enc.unflatten(config, enc.flatten(params))
+    assert enc.params_equal(back, params)
+    assert back.head_dim == params.head_dim
+    assert np.shares_memory(back.flat, params.flat)
+    for (_, view), (_, original) in zip(back.tensor_items(), params.tensor_items()):
+        assert np.shares_memory(view, original)
+
+
+@PROPERTY_SETTINGS
+@given(models(), st.sampled_from(enc.PHASES))
+def test_checkpoint_bytes_round_trip_bit_exact(model, phase):
+    config, params = model
+    data = enc.checkpoint_to_bytes(enc.Checkpoint(config=config, phase=phase, params=params))
+    loaded = enc.checkpoint_from_bytes(data)
+    assert enc.params_equal(loaded.params, params)
+    assert loaded.config == config and loaded.phase == phase
+    assert enc.checkpoint_to_bytes(loaded) == data
+
+
+@PROPERTY_SETTINGS
+@given(models(), st.data())
+def test_assigning_a_tensor_writes_through_to_flat(model, data):
+    _, params = model
+    names = [name for name, _ in params.tensor_items()]
+    name = data.draw(st.sampled_from(names))
+    view = getattr(params, name)
+    value = np.arange(view.size, dtype=float).reshape(view.shape) + 0.5
+    setattr(params, name, value)
+    assert getattr(params, name) is view
+    start = sum(arr.size for n, arr in params.tensor_items()[:names.index(name)])
+    assert np.array_equal(params.flat[start:start + view.size], value.ravel())
+
+    before = params.flat.copy()
+    with pytest.raises(ValueError):
+        setattr(params, name, np.zeros(view.shape + (2,)))
+    assert np.array_equal(params.flat, before)
+
+
+@PROPERTY_SETTINGS
+@given(models(), st.integers(1, 5))
+def test_uniform_soup_of_identical_models_is_that_model(model, k):
+    config, params = model
+    ckpt = enc.Checkpoint(config=config, phase="self_distilled", params=params)
+    candidates = [soup.SoupCandidate(ckpt, 0.0, f"m{i}") for i in range(k)]
+    out = soup.uniform_soup(candidates)
+    assert enc.params_equal(out.params, params.without_head())

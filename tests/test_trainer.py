@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ import pytest
 from ontoembed import encoder as enc
 from ontoembed import evalsuite as ev
 from ontoembed import ontology as onto
+from ontoembed import soup
 from ontoembed import trainer
 
 from conftest import write_jsonl
+from oracles import adamw_reference
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +74,11 @@ def _scalarish_params():
 
 def test_adamw_zero_grads_zero_decay_is_identity(tiny_config):
     params = enc.init_params(tiny_config)
+    before = params.copy()
     state = trainer.init_adamw(params)
     new_params, new_state = trainer.adamw_step(
         params, enc.zeros_like_params(params), state, lr=0.1, weight_decay=0.0)
-    assert enc.params_equal(new_params, params)
+    assert enc.params_equal(new_params, before)
     assert new_state.step == 1
 
 
@@ -82,11 +87,12 @@ def test_adamw_first_step_is_sign_step():
     grads = _scalarish_params()
     for _, g in grads.tensor_items():
         g.fill(0.37)
+    before = params.copy()
     state = trainer.init_adamw(params)
     lr = 0.01
     new_params, _ = trainer.adamw_step(params, grads, state, lr=lr, weight_decay=0.0)
     expected_update = lr * 0.37 / (0.37 + trainer.EPSILON)
-    for (_, old), (_, new) in zip(params.tensor_items(), new_params.tensor_items()):
+    for (_, old), (_, new) in zip(before.tensor_items(), new_params.tensor_items()):
         assert np.allclose(old - new, expected_update, atol=1e-12)
 
 
@@ -95,6 +101,7 @@ def test_adamw_decoupled_decay_only():
     state = trainer.init_adamw(params)
     new_params, _ = trainer.adamw_step(
         params, enc.zeros_like_params(params), state, lr=0.1, weight_decay=0.01)
+    assert new_params is params  # updated in place
     assert new_params.token_table[0, 0] == pytest.approx(0.999, abs=1e-15)
     assert new_params.w1[0, 0] == pytest.approx(0.999, abs=1e-15)
     # bias vectors are exempt from decay
@@ -108,6 +115,51 @@ def test_adamw_rejects_nonfinite_grads(tiny_config):
     grads.w1[0, 0] = np.inf
     with pytest.raises(ValueError):
         trainer.adamw_step(params, grads, trainer.init_adamw(params), lr=0.1)
+
+
+def _demo_sized_params_and_grads(rng):
+    # the demo encoder shape (4096 buckets) with a 64-wide distillation head;
+    # like a real batch, the gradient is zero on all but a few token rows
+    config = enc.EncoderConfig(vocab_buckets=4096, embed_dim=48, hidden_dim=96,
+                               output_dim=96, init_seed=3)
+    params = enc.attach_head(enc.init_params(config), config, 64, seed=4)
+    grads = enc.unflatten(config, rng.normal(size=params.flat.size))
+    keep = rng.choice(config.vocab_buckets, size=10, replace=False)
+    rows = np.zeros(config.vocab_buckets, dtype=bool)
+    rows[keep] = True
+    grads.token_table[~rows] = 0.0
+    return params, grads
+
+
+def test_adamw_matches_per_tensor_reference_bit_exact():
+    rng = np.random.default_rng(12)
+    params, _ = _demo_sized_params_and_grads(rng)
+    state = trainer.init_adamw(params)
+    tensors = [(n, a.copy()) for n, a in params.tensor_items()]
+    m = [(n, np.zeros_like(a)) for n, a in tensors]
+    v = [(n, np.zeros_like(a)) for n, a in tensors]
+    for step in range(1, 6):
+        _, grads = _demo_sized_params_and_grads(rng)
+        lr = 1e-3 * step
+        trainer.adamw_step(params, grads, state, lr, weight_decay=0.01)
+        tensors, m, v = adamw_reference(tensors, grads.tensor_items(), m, v, step, lr, 0.01)
+        assert state.step == step
+        assert np.array_equal(params.flat, np.concatenate([a.ravel() for _, a in tensors]))
+        assert np.array_equal(state.m, np.concatenate([a.ravel() for _, a in m]))
+        assert np.array_equal(state.v, np.concatenate([a.ravel() for _, a in v]))
+
+
+def test_adamw_step_allocates_no_full_length_temporaries():
+    params, grads = _demo_sized_params_and_grads(np.random.default_rng(13))
+    state = trainer.init_adamw(params)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        trainer.adamw_step(params, grads, state, 1e-3, weight_decay=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.flat.nbytes / 4
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +598,34 @@ def test_distill_deterministic_per_seed(four_concept_kg):
     a, _ = trainer.train_self_distill(teacher, targets, four_concept_kg, cfg)
     b, _ = trainer.train_self_distill(teacher, targets, four_concept_kg, cfg)
     assert enc.checkpoint_to_bytes(a) == enc.checkpoint_to_bytes(b)
+
+
+def test_no_regime_mutates_its_inputs(small_setup, small_datasets):
+    # AdamW updates in place, so each regime must train on its own copy and
+    # the soup must average into a fresh vector
+    kg, corpus, base = small_setup
+    snapshot = enc.checkpoint_to_bytes(base)
+    cfg = trainer.TrainConfig(learning_rate=2e-3, epochs=1, batch_size=32, seed=0)
+    adapted, stats = trainer.adapt_sts(base, small_datasets["sts_train"], cfg)
+    assert stats.steps > 0
+    assert enc.checkpoint_to_bytes(base) == snapshot
+    _, stats = trainer.train_contrastive(base, corpus[:64], kg, cfg)
+    assert stats.steps > 0
+    assert enc.checkpoint_to_bytes(base) == snapshot
+
+    _, targets = trainer.build_targets(adapted, kg, k=4)
+    candidates = []
+    for seed in (0, 1, 2):
+        distilled, stats = trainer.train_self_distill(
+            base, targets, kg, dataclasses.replace(cfg, seed=seed))
+        assert stats.steps > 0
+        candidates.append(soup.candidate_from_checkpoint(distilled, float(seed), f"d{seed}"))
+    assert enc.checkpoint_to_bytes(base) == snapshot
+
+    before = [enc.checkpoint_to_bytes(c.checkpoint) for c in candidates]
+    _, kept = soup.greedy_soup(candidates, lambda ckpt: 0.0)
+    assert len(kept) == 3  # a constant metric admits every candidate
+    assert [enc.checkpoint_to_bytes(c.checkpoint) for c in candidates] == before
 
 
 # ---------------------------------------------------------------------------
