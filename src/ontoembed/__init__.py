@@ -12,8 +12,8 @@ from .encoder import (  # noqa: F401
     Checkpoint,
     EncoderConfig,
     Params,
-    encode,
-    encode_backward,
+    backward_batch,
+    encode_batch,
     flatten,
     init_params,
     load_checkpoint,

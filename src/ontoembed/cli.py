@@ -11,6 +11,7 @@ validation failure, 64 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -35,6 +36,9 @@ EXIT_IO = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
+# ``embed`` encodes and writes this many texts at a time.
+EMBED_CHUNK = 1024
+
 
 class UsageError(Exception):
     pass
@@ -49,18 +53,27 @@ class _Parser(argparse.ArgumentParser):
 # Small helpers
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_output(path: str):
+    """Yield a binary file handle on a temporary file next to ``path``; the
+    file is renamed onto ``path`` when the block succeeds and deleted when
+    it raises."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def _atomic_write_bytes(path: str, data: bytes) -> None:
+    with _atomic_output(path) as fh:
+        fh.write(data)
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -333,16 +346,17 @@ def cmd_embed(args) -> int:
     model = enc.load_checkpoint(args.model)
     with open(args.infile, encoding="utf-8") as fh:
         texts = [line.rstrip("\n") for line in fh]
-    out_lines = []
-    for text in texts:
-        if "\t" in text:
-            raise ValueError("input texts must not contain tab characters")
-        emb = enc.encode(model.params, model.config, text)
-        out_lines.append(text + "\t" + ",".join(_fmt_float(x) for x in emb))
-    _atomic_write_text(args.out, "".join(line + "\n" for line in out_lines))
+    if any("\t" in text for text in texts):
+        raise ValueError("input texts must not contain tab characters")
+    with _atomic_output(args.out) as fh:
+        for i in range(0, len(texts), EMBED_CHUNK):
+            chunk = texts[i:i + EMBED_CHUNK]
+            emb = enc.encode_batch(model.params, model.config, chunk)
+            fh.write("".join(text + "\t" + ",".join(map(_fmt_float, row)) + "\n"
+                             for text, row in zip(chunk, emb)).encode("utf-8"))
     _write_manifest(args.out, "embed", vars_snapshot(args), [args.model, args.infile],
-                    None, [args.out], started, {"rows": len(out_lines)})
-    print(f"embedded {len(out_lines)} texts -> {args.out}")
+                    None, [args.out], started, {"rows": len(texts)})
+    print(f"embedded {len(texts)} texts -> {args.out}")
     return EXIT_OK
 
 
@@ -363,9 +377,28 @@ def _phase_cfg(mapping: dict[str, str], prefix: str, seed: int) -> trainer.Train
     return cfg
 
 
+# The pipeline's choice keys and their allowed values, default first.
+PIPELINE_CHOICES = {
+    "second_adapt": ("before_distill", "none"),
+    "distill_teacher": ("adapted", "contrastive"),
+    "soup_strategy": ("greedy", "uniform"),
+}
+
+
+def _pipeline_choice(mapping: dict[str, str], key: str) -> str:
+    allowed = PIPELINE_CHOICES[key]
+    value = mapping.get(key, allowed[0])
+    if value not in allowed:
+        raise UsageError(f"{key} must be {' or '.join(allowed)}, got {value!r}")
+    return value
+
+
 def cmd_pipeline(args) -> int:
     started = time.time()
     mapping = trainer.parse_kv_file(args.config)
+    # checked before anything is trained or written
+    second_adapt, teacher_choice, strategy = [
+        _pipeline_choice(mapping, key) for key in PIPELINE_CHOICES]
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out_dir or mapping.get("out_dir", "pipeline_out")
     os.makedirs(out_dir, exist_ok=True)
@@ -421,23 +454,12 @@ def cmd_pipeline(args) -> int:
     save("contrastive.ckpt", contrastive)
     log.info("contrastive done: %d steps, final loss %.4f", stats.steps, stats.final_loss)
 
-    second_adapt = mapping.get("second_adapt", "before_distill")
+    readapted = contrastive
     if second_adapt == "before_distill":
         readapted, _ = trainer.adapt_sts(
             contrastive, sts_train, _phase_cfg(mapping, "readapt_", seed))
         save("readapted.ckpt", readapted)
-    elif second_adapt == "none":
-        readapted = contrastive
-    else:
-        raise UsageError(f"second_adapt must be before_distill or none, got {second_adapt!r}")
-
-    teacher_choice = mapping.get("distill_teacher", "adapted")
-    if teacher_choice == "adapted":
-        teacher = readapted
-    elif teacher_choice == "contrastive":
-        teacher = contrastive
-    else:
-        raise UsageError(f"distill_teacher must be adapted or contrastive, got {teacher_choice!r}")
+    teacher = readapted if teacher_choice == "adapted" else contrastive
 
     pca_dim = int(mapping.get("pca_dim", 64))
     _, targets = trainer.build_targets(teacher, kg, k=pca_dim)
@@ -458,14 +480,11 @@ def cmd_pipeline(args) -> int:
         log.info("%s: val pearson %.4f", label, val)
 
     soup_metric_fn = lambda ckpt: ev.eval_sts(ckpt, sts_val).value  # noqa: E731
-    strategy = mapping.get("soup_strategy", "greedy")
     if strategy == "greedy":
         souped, kept = soup_mod.greedy_soup(candidates, soup_metric_fn)
-    elif strategy == "uniform":
+    else:
         souped = soup_mod.uniform_soup(candidates)
         kept = sorted(c.label for c in candidates)
-    else:
-        raise UsageError(f"soup_strategy must be greedy or uniform, got {strategy!r}")
     save("soup.ckpt", souped)
 
     best_idx = int(np.argmax([c.validation_score for c in candidates]))

@@ -6,7 +6,7 @@ deterministic, and the backward pass is written out analytically so gradients
 can be checked against finite differences.
 
 An optional linear head (used only while regressing onto distillation
-targets) rides along inside ``Params``; ``encode`` ignores it.
+targets) rides along inside ``Params``; ``encode_batch`` ignores it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -262,95 +263,93 @@ def attach_head(params: Params, config: EncoderConfig, target_dim: int, seed: in
     ]))
 
 
-def _pool(params: Params, config: EncoderConfig, text: str) -> tuple[np.ndarray, tuple[int, ...]]:
-    ids = _token_ids(config.vocab_buckets, config.hash_seed, text)
-    if not ids:
-        return np.zeros(config.embed_dim), ids
-    return params.token_table[list(ids)].mean(axis=0), ids
+@dataclass
+class _Forward:
+    """One batch's forward pass: the output rows plus what the backward pass
+    reads. ``ids`` concatenates every text's token ids, ``rows`` names the
+    text each id belongs to, and ``counts`` is tokens per text, at least 1."""
+
+    out: np.ndarray
+    ids: np.ndarray
+    rows: np.ndarray
+    counts: np.ndarray
+    pooled: np.ndarray
+    h: np.ndarray
+    raw_norms: np.ndarray
+    norms: np.ndarray
 
 
-def encode(params: Params, config: EncoderConfig, text: str) -> np.ndarray:
-    """Embed one text as a unit vector of length output_dim.
+def _matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` with each row rounded the same whatever the batch size.
+    numpy hands a one-row ``x`` to BLAS gemv, which sums in a different order
+    from the gemm taller batches get, so a lone row is computed as two."""
+    return x @ w if len(x) != 1 else (np.vstack([x, x]) @ w)[:1]
 
-    Empty text (no tokens, zero biases) is the one permitted non-unit
-    output: the zero vector, produced by the 1e-8 norm guard.
+
+def _forward(params: Params, config: EncoderConfig, texts: list[str]) -> _Forward:
+    """The network's one forward pass over a batch of texts.
+
+    Mean pooling is one gather of token rows and one sequential ``np.add.at``
+    scatter, divided by the token counts: the same additions, in the same
+    order, as each text's ``token_table[ids].mean(axis=0)``.
     """
-    pooled, _ = _pool(params, config, text)
-    h = np.tanh(pooled @ params.w1 + params.b1)
-    z = h @ params.w2 + params.b2
-    return z / max(float(np.linalg.norm(z)), NORM_GUARD)
+    id_lists = [_token_ids(config.vocab_buckets, config.hash_seed, t) for t in texts]
+    lengths = np.fromiter(map(len, id_lists), dtype=np.intp, count=len(texts))
+    ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.intp, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(len(texts)), lengths)
+    counts = np.maximum(lengths, 1)
+    pooled = np.zeros((len(texts), config.embed_dim))
+    np.add.at(pooled, rows, params.token_table[ids])
+    pooled /= counts[:, None]
+    h = np.tanh(_matmul_rows(pooled, params.w1) + params.b1)
+    z = _matmul_rows(h, params.w2) + params.b2
+    raw_norms = np.linalg.norm(z, axis=1)
+    norms = np.maximum(raw_norms, NORM_GUARD)
+    return _Forward(z / norms[:, None], ids, rows, counts, pooled, h, raw_norms, norms)
 
 
 def encode_batch(params: Params, config: EncoderConfig, texts: list[str]) -> np.ndarray:
-    """Embed a list of texts as rows of a (len(texts), output_dim) matrix."""
-    b = len(texts)
-    pooled = np.zeros((b, config.embed_dim))
-    for i, text in enumerate(texts):
-        pooled[i], _ = _pool(params, config, text)
-    h = np.tanh(pooled @ params.w1 + params.b1)
-    z = h @ params.w2 + params.b2
-    norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), NORM_GUARD)
-    return z / norms
+    """Embed a list of texts as unit rows of a (len(texts), output_dim) matrix.
 
-
-def encode_backward(
-    params: Params, config: EncoderConfig, text: str, output_grad: np.ndarray
-) -> Params:
-    """Exact gradient of ``encode(...) . output_grad`` w.r.t. every parameter.
-
-    Rows of the token table for absent tokens stay exactly zero. When the
-    params carry a head, its gradient slots are returned as zeros (the head
-    does not participate in ``encode``).
+    Each row depends only on its own text, bit for bit, so a list may be
+    encoded whole or in any split. Empty text (no tokens, zero biases) is
+    the one permitted non-unit output: the zero vector, produced by the
+    1e-8 norm guard. A distillation head in ``params`` is ignored.
     """
-    grads = backward_batch(params, config, [text], np.asarray(output_grad)[None, :])
-    return grads
+    return _forward(params, config, texts).out
 
 
 def backward_batch(
     params: Params, config: EncoderConfig, texts: list[str], output_grads: np.ndarray
 ) -> Params:
-    """Sum of per-text encode gradients, accumulated in row order."""
+    """Exact gradient of ``sum(encode_batch(...) * output_grads)`` w.r.t.
+    every parameter. Token-table rows of absent tokens stay exactly zero, and
+    so do the head's slots when ``params`` carry one."""
     output_grads = np.asarray(output_grads, dtype=float)
     if output_grads.shape != (len(texts), config.output_dim):
         raise ValueError("output_grads shape must be (len(texts), output_dim)")
     if not np.isfinite(output_grads).all():
         raise ValueError("output_grads must be finite")
-
-    b = len(texts)
-    pooled = np.zeros((b, config.embed_dim))
-    id_lists: list[tuple[int, ...]] = []
-    for i, text in enumerate(texts):
-        pooled[i], ids = _pool(params, config, text)
-        id_lists.append(ids)
-
-    a = pooled @ params.w1 + params.b1
-    h = np.tanh(a)
-    z = h @ params.w2 + params.b2
-    raw_norms = np.linalg.norm(z, axis=1)
-    norms = np.maximum(raw_norms, NORM_GUARD)
-    out = z / norms[:, None]
+    f = _forward(params, config, texts)
 
     # d(out . g)/dz: through z/||z|| when above the guard, else z/1e-8 is
     # linear in z so the gradient is g / guard.
-    dot = np.sum(out * output_grads, axis=1)
+    dot = np.sum(f.out * output_grads, axis=1)
     grad_z = np.where(
-        (raw_norms > NORM_GUARD)[:, None],
-        (output_grads - out * dot[:, None]) / norms[:, None],
+        (f.raw_norms > NORM_GUARD)[:, None],
+        (output_grads - f.out * dot[:, None]) / f.norms[:, None],
         output_grads / NORM_GUARD,
     )
 
     grad = zeros_like_params(params)
-    grad.w2 = h.T @ grad_z
+    grad.w2 = f.h.T @ grad_z
     grad.b2 = grad_z.sum(axis=0)
     grad_h = grad_z @ params.w2.T
-    grad_a = (1.0 - h * h) * grad_h
-    grad.w1 = pooled.T @ grad_a
+    grad_a = (1.0 - f.h * f.h) * grad_h
+    grad.w1 = f.pooled.T @ grad_a
     grad.b1 = grad_a.sum(axis=0)
     grad_pooled = grad_a @ params.w1.T
-
-    for i, ids in enumerate(id_lists):
-        if ids:
-            np.add.at(grad.token_table, list(ids), grad_pooled[i] / len(ids))
+    np.add.at(grad.token_table, f.ids, (grad_pooled / f.counts[:, None])[f.rows])
     return grad
 
 

@@ -220,19 +220,6 @@ def data_digest(rows) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def kg_digest(kg: onto.KnowledgeGraph) -> str:
-    parts = []
-    for cid in sorted(kg.concept_ids):
-        c = kg.get(cid)
-        parts.append(
-            [c.id, list(c.names), c.semantic_type, list(c.parents),
-             [list(r) for r in c.relations],
-             [[d.text, d.source, d.language] for d in c.definitions]]
-        )
-    payload = json.dumps(parts, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Evaluations
 

@@ -571,14 +571,6 @@ def all_descriptions(kg: KnowledgeGraph, concept_id: str) -> list[Description]:
     return out
 
 
-def save_corpus(path, pairs: list[TrainingPair]) -> None:
-    """Write training pairs as JSONL, one pair per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(corpus_line(pair))
-            fh.write("\n")
-
-
 def corpus_line(pair: TrainingPair) -> str:
     row = {
         "concept_id": pair.concept_id,

@@ -299,13 +299,10 @@ def build_targets(
     ids = kg.concept_ids
     if not ids:
         raise ValueError("empty knowledge graph")
-    raws = np.zeros((len(ids), teacher.config.output_dim))
-    for i, cid in enumerate(ids):
-        concept = kg.get(cid)
-        name_emb = enc.encode(teacher.params, teacher.config, concept.canonical_name)
-        def_emb = enc.encode(teacher.params, teacher.config,
-                             onto.canonical_definition(kg, cid))
-        raws[i] = 0.5 * (name_emb + def_emb)
+    texts = [kg.get(cid).canonical_name for cid in ids]
+    texts += [onto.canonical_definition(kg, cid) for cid in ids]
+    emb = enc.encode_batch(teacher.params, teacher.config, texts)
+    raws = 0.5 * (emb[:len(ids)] + emb[len(ids):])
     model = pca_fit(raws, k)
     projected = pca_project(model, raws)
     targets = [DistillTarget(cid, projected[i].copy()) for i, cid in enumerate(ids)]
@@ -413,11 +410,10 @@ def train_contrastive(
         extra_texts = _draw_hard_negative_names(
             kg, [corpus[i].concept_id for i in indices], cfg.hard_negatives_per_batch, hn_seed,
         )
-        a = enc.encode_batch(params, config, anchors_text)
-        p = enc.encode_batch(params, config, positives_text)
-        x = enc.encode_batch(params, config, extra_texts) if extra_texts else None
-        loss, ga, gp, gx = losses.info_nce(a, p, x, cfg.info_nce, check_inputs=False)
         texts = anchors_text + positives_text + extra_texts
+        e, b = enc.encode_batch(params, config, texts), len(indices)
+        loss, ga, gp, gx = losses.info_nce(e[:b], e[b:2 * b], e[2 * b:], cfg.info_nce,
+                                           check_inputs=False)
         grads_out = np.vstack([ga, gp] + ([gx] if gx is not None else []))
         return loss, enc.backward_batch(params, config, texts, grads_out)
 
@@ -470,10 +466,11 @@ def adapt_sts(model, sts_train, cfg: TrainConfig) -> tuple[enc.Checkpoint, Train
         texts_a = [rows[i][0] for i in batch]
         texts_b = [rows[i][1] for i in batch]
         gold = np.array([rows[i][2] for i in batch]) / 5.0
-        u = enc.encode_batch(params, config, texts_a)
-        v = enc.encode_batch(params, config, texts_b)
-        loss, gu, gv = losses.cosine_regression(u, v, gold, check_inputs=False)
-        return loss, enc.backward_batch(params, config, texts_a + texts_b, np.vstack([gu, gv]))
+        texts = texts_a + texts_b
+        e = enc.encode_batch(params, config, texts)
+        loss, gu, gv = losses.cosine_regression(e[:len(batch)], e[len(batch):], gold,
+                                                check_inputs=False)
+        return loss, enc.backward_batch(params, config, texts, np.vstack([gu, gv]))
 
     stats = _fit(params, plans, loss_and_grads, cfg)
     return enc.derive(model, params, "sts_adapted"), stats
@@ -567,12 +564,8 @@ def train_xlingual(
     if student_cfg.output_dim != teacher.config.output_dim:
         raise TrainError("student output_dim must match the teacher's")
 
-    teacher_emb: dict[str, np.ndarray] = {}
-    for p in pairs:
-        if p.source_text not in teacher_emb:
-            teacher_emb[p.source_text] = enc.encode(
-                teacher.params, teacher.config, p.source_text
-            )
+    sources = list(dict.fromkeys(p.source_text for p in pairs))
+    teacher_emb = dict(zip(sources, enc.encode_batch(teacher.params, teacher.config, sources)))
 
     params = enc.init_params(student_cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -585,14 +578,11 @@ def train_xlingual(
         texts_e = [pairs[i].source_text for i in batch]
         texts_f = [pairs[i].target_text for i in batch]
         t = np.array([teacher_emb[x] for x in texts_e])
-        se = enc.encode_batch(params, student_cfg, texts_e)
-        sf = enc.encode_batch(params, student_cfg, texts_f)
-        b = len(batch)
-        de, df = se - t, sf - t
+        texts, b = texts_e + texts_f, len(batch)
+        s = enc.encode_batch(params, student_cfg, texts)
+        de, df = s[:b] - t, s[b:] - t
         loss = 0.5 * float((de * de).sum() + (df * df).sum()) / b
-        return loss, enc.backward_batch(
-            params, student_cfg, texts_e + texts_f, np.vstack([de, df]) / b
-        )
+        return loss, enc.backward_batch(params, student_cfg, texts, np.vstack([de, df]) / b)
 
     stats = _fit(params, plans, loss_and_grads, cfg)
     return enc.Checkpoint(config=student_cfg, phase="xlingual_student", params=params), stats
@@ -605,10 +595,6 @@ def translation_gap(
     teacher embeddings of the pivot texts."""
     if not pairs:
         raise ValueError("no pairs")
-    total = 0.0
-    for p in pairs:
-        t = enc.encode(teacher.params, teacher.config, p.source_text)
-        s = enc.encode(student.params, student.config, p.target_text)
-        d = s - t
-        total += float(d @ d)
-    return total / len(pairs)
+    t = enc.encode_batch(teacher.params, teacher.config, [p.source_text for p in pairs])
+    s = enc.encode_batch(student.params, student.config, [p.target_text for p in pairs])
+    return float(((s - t) ** 2).sum()) / len(pairs)

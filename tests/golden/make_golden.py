@@ -44,7 +44,7 @@ def main():
     params = enc.init_params(GOLDEN_CONFIG)
     enc.save_checkpoint(CKPT_PATH, enc.Checkpoint(config=GOLDEN_CONFIG, phase="base", params=params))
     ckpt = enc.load_checkpoint(CKPT_PATH)
-    got = [(text, enc.encode(ckpt.params, ckpt.config, text)) for text in GOLDEN_TEXTS]
+    got = list(zip(GOLDEN_TEXTS, enc.encode_batch(ckpt.params, ckpt.config, GOLDEN_TEXTS)))
 
     if not os.path.exists(TSV_PATH):
         with open(TSV_PATH, "w", encoding="utf-8") as fh:

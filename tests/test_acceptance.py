@@ -81,9 +81,9 @@ def test_criterion_1_gradient_correctness():
         params.b2 = rng.normal(0, 0.05, params.b2.shape)
         text = texts[trial % len(texts)]
         g = rng.normal(size=cfg.output_dim)
-        analytic = enc.flatten(enc.encode_backward(params, cfg, text, g))
+        analytic = enc.flatten(enc.backward_batch(params, cfg, [text], g[None]))
         numeric = fd_gradient(
-            lambda v: float(enc.encode(enc.unflatten(cfg, v), cfg, text) @ g),
+            lambda v: float(enc.encode_batch(enc.unflatten(cfg, v), cfg, [text])[0] @ g),
             enc.flatten(params))
         assert rel_error(analytic, numeric) < tol
 
@@ -414,7 +414,7 @@ def test_criterion_9_checkpoint_and_golden(tmp_path):
         for line in fh:
             text, vec = line.rstrip("\n").split("\t")
             expected = np.array([float(x) for x in vec.split(",")])
-            got = enc.encode(golden.params, golden.config, text)
+            got = enc.encode_batch(golden.params, golden.config, [text])[0]
             worst = max(worst, float(np.max(np.abs(got - expected))))
     assert worst < 1e-12
     _ok("9", f"(round trip bit-exact; golden embeddings worst abs err {worst:.2e})")

@@ -10,6 +10,7 @@ from ontoembed import cli
 from ontoembed import encoder as enc
 from ontoembed import evalsuite as ev
 from ontoembed import ontology as onto
+from ontoembed import trainer
 
 from conftest import write_jsonl, write_text
 
@@ -350,18 +351,38 @@ def test_embed_roundtrip(small_world, tmp_path):
         col_text, col_vec = line.split("\t")
         assert col_text == text
         vec = np.array([float(x) for x in col_vec.split(",")])
-        expected = enc.encode(model.params, model.config, text)
+        expected = enc.encode_batch(model.params, model.config, [text])[0]
         assert np.max(np.abs(vec - expected)) < 1e-12
         norm = np.linalg.norm(vec)
         assert norm == 0.0 if text == "" else abs(norm - 1.0) < 1e-9
 
 
 def test_embed_rejects_tab_in_input(small_world, tmp_path):
+    # a tab on the last of three lines: exit 2, and neither the output nor a
+    # temporary file is left behind
     ckpt_path = _three_seed_models(tmp_path, phase="base")[0]
     infile = tmp_path / "texts.txt"
-    infile.write_text("bad\ttext\n")
+    infile.write_text("fever\npeptic ulcer\nbad\ttext\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
     assert run(["embed", "--model", ckpt_path, "--in", str(infile),
-                "--out", str(tmp_path / "e.tsv")]) == 2
+                "--out", str(out_dir / "e.tsv")]) == 2
+    assert os.listdir(out_dir) == []
+
+
+def test_embed_rows_equal_encode_batch_across_chunks(small_world, tmp_path):
+    ckpt_path = _three_seed_models(tmp_path, phase="base")[0]
+    model = enc.load_checkpoint(ckpt_path)
+    words = ["fever", "peptic", "ulcer", "chronic"]
+    texts = [" ".join(words[:i % 5]) for i in range(cli.EMBED_CHUNK + 3)]  # "" every 5th
+    infile = tmp_path / "texts.txt"
+    infile.write_text("".join(t + "\n" for t in texts))
+    out = tmp_path / "emb.tsv"
+    assert run(["embed", "--model", ckpt_path, "--in", str(infile), "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in out.read_text().splitlines()]
+    assert [text for text, _ in rows] == texts
+    got = np.array([[float(x) for x in vec.split(",")] for _, vec in rows])
+    assert np.array_equal(got, enc.encode_batch(model.params, model.config, texts))
 
 
 def _drop(key):
@@ -437,6 +458,19 @@ def _mini_pipeline_cfg(small_world, tmp_path, **overrides):
     return str(path)
 
 
+@pytest.mark.parametrize("key", ["second_adapt", "distill_teacher", "soup_strategy"])
+def test_pipeline_rejects_bad_choice_before_training(fixtures_dir, tmp_path, key):
+    # the demo config with one bad choice exits 64 before anything is trained
+    mapping = trainer.parse_kv_file(os.path.join(fixtures_dir, "demo.cfg"))
+    for k, v in mapping.items():
+        if os.path.isfile(os.path.join(fixtures_dir, v)):
+            mapping[k] = os.path.join(fixtures_dir, v)
+    mapping[key] = "bogus"
+    cfg = write_text(tmp_path / "bad.cfg", "".join(f"{k} = {v}\n" for k, v in mapping.items()))
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 64
+    assert list(tmp_path.rglob("*.ckpt")) == []
+
+
 def test_pipeline_report_structure_and_guarantee(small_world, tmp_path):
     cfg = _mini_pipeline_cfg(small_world, tmp_path)
     out_dir = tmp_path / "run"
@@ -488,5 +522,5 @@ def test_golden_checkpoint_reproduces_committed_embeddings():
         for line in fh:
             text, vec_str = line.rstrip("\n").split("\t")
             expected = np.array([float(x) for x in vec_str.split(",")])
-            got = enc.encode(ckpt.params, ckpt.config, text)
+            got = enc.encode_batch(ckpt.params, ckpt.config, [text])[0]
             assert np.max(np.abs(got - expected)) < 1e-12

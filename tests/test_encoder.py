@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from ontoembed import encoder as enc
+from ontoembed.cli import EMBED_CHUNK
 
 from oracles import fd_gradient, rel_error
 
@@ -72,57 +75,91 @@ def test_init_biases_zero_and_weights_bounded(tiny_config):
 
 
 # ---------------------------------------------------------------------------
-# encode
+# encode_batch
 
 
 def test_encode_output_is_unit_norm(tiny_config):
     params = enc.init_params(tiny_config)
     for text in ("fever", "peptic ulcer disease", "a b c d e f g"):
-        norm = np.linalg.norm(enc.encode(params, tiny_config, text))
+        norm = np.linalg.norm(enc.encode_batch(params, tiny_config, [text])[0])
         assert abs(norm - 1.0) < 1e-12
 
 
 def test_encode_empty_text_is_zero_vector(tiny_config):
     params = enc.init_params(tiny_config)  # biases are zero
-    out = enc.encode(params, tiny_config, "")
+    out = enc.encode_batch(params, tiny_config, [""])[0]
     assert np.all(out == 0.0)
 
 
 def test_encode_duplicate_tokens_equal_single(tiny_config):
     params = enc.init_params(tiny_config)
-    assert np.array_equal(enc.encode(params, tiny_config, "flu flu"),
-                          enc.encode(params, tiny_config, "flu"))
+    assert np.array_equal(enc.encode_batch(params, tiny_config, ["flu flu"])[0],
+                          enc.encode_batch(params, tiny_config, ["flu"])[0])
 
 
 def test_encode_permutation_invariant(tiny_config):
     params = enc.init_params(tiny_config)
-    a = enc.encode(params, tiny_config, "alpha beta gamma")
-    b = enc.encode(params, tiny_config, "gamma alpha beta")
+    a = enc.encode_batch(params, tiny_config, ["alpha beta gamma"])[0]
+    b = enc.encode_batch(params, tiny_config, ["gamma alpha beta"])[0]
     assert np.allclose(a, b, atol=1e-15)
 
 
-def test_encode_batch_matches_single(tiny_config):
-    params = enc.init_params(tiny_config)
-    texts = ["fever", "", "peptic ulcer", "alpha beta gamma delta"]
-    batch = enc.encode_batch(params, tiny_config, texts)
-    for i, text in enumerate(texts):
-        assert np.allclose(batch[i], enc.encode(params, tiny_config, text), atol=1e-12)
+def test_encode_batch_matches_single():
+    # each row depends on its own text alone, bit for bit: the whole list,
+    # one text at a time and any other split (the embed chunk boundary
+    # included) give equal rows; empty texts are mixed in
+    cfg = enc.EncoderConfig(vocab_buckets=512, embed_dim=16, hidden_dim=24,
+                            output_dim=20, hash_seed=5, init_seed=2)
+    params = enc.init_params(cfg)
+    rng = np.random.default_rng(3)
+    params.flat[:] += rng.normal(0, 0.01, params.flat.size)  # non-zero biases
+    words = ["fever", "peptic", "ulcer", "chronic", "lungs", "alpha", "beta"]
+    texts = [" ".join(rng.choice(words, size=rng.integers(0, 6)))
+             for _ in range(EMBED_CHUNK + 5)]
+    texts[3] = texts[EMBED_CHUNK] = ""
+    whole = enc.encode_batch(params, cfg, texts)
+    for size in (1, 2, 7, EMBED_CHUNK):
+        parts = [enc.encode_batch(params, cfg, texts[i:i + size])
+                 for i in range(0, len(texts), size)]
+        assert np.array_equal(np.vstack(parts), whole), f"split into {size}s"
+    assert np.array_equal(enc.encode_batch(params, cfg, texts[EMBED_CHUNK - 1:]),
+                          whole[EMBED_CHUNK - 1:])
+
+
+def test_batch_pooling_equals_per_text_mean_bit_exact():
+    cfg = enc.EncoderConfig(vocab_buckets=512, embed_dim=16, hidden_dim=24,
+                            output_dim=20, hash_seed=5, init_seed=2)
+    params = enc.init_params(cfg)
+    words = ["fever", "peptic", "ulcer", "chronic", "lungs", "alpha", "beta", "gamma"]
+    texts = [" ".join(words[i % 3:i % 3 + n]) for i, n in enumerate((3, 0, 8, 5, 1, 7))]
+    pooled = enc._forward(params, cfg, texts).pooled
+    for text, row in zip(texts, pooled):
+        ids = enc.tokenize(cfg, text)
+        assert np.array_equal(row, params.token_table[ids].mean(axis=0) if ids else 0.0 * row)
+
+
+def test_batch_entry_points_keep_their_leading_parameters():
+    # perfbench/tracer.py reads config and texts as positional arguments 1
+    # and 2 of both functions to count the texts encoded
+    assert list(inspect.signature(enc.encode_batch).parameters) == ["params", "config", "texts"]
+    assert list(inspect.signature(enc.backward_batch).parameters)[:4] == [
+        "params", "config", "texts", "output_grads"]
 
 
 # ---------------------------------------------------------------------------
-# encode_backward
+# backward_batch
 
 
 def test_backward_zero_grad_gives_zero(tiny_config):
     params = enc.init_params(tiny_config)
-    grads = enc.encode_backward(params, tiny_config, "fever", np.zeros(6))
+    grads = enc.backward_batch(params, tiny_config, ["fever"], np.zeros(6)[None])
     assert all(np.all(arr == 0.0) for _, arr in grads.tensor_items())
 
 
 def test_backward_absent_token_rows_are_zero(tiny_config):
     params = enc.init_params(tiny_config)
     rng = np.random.default_rng(0)
-    grads = enc.encode_backward(params, tiny_config, "fever", rng.normal(size=6))
+    grads = enc.backward_batch(params, tiny_config, ["fever"], rng.normal(size=6)[None])
     present = set(enc.tokenize(tiny_config, "fever"))
     for row in range(tiny_config.vocab_buckets):
         if row not in present:
@@ -140,11 +177,11 @@ def test_backward_matches_finite_differences(tiny_config):
         params.b2 = rng.normal(0, 0.05, params.b2.shape)
         text = texts[trial % len(texts)]
         out_grad = rng.normal(size=cfg.output_dim)
-        analytic = enc.encode_backward(params, cfg, text, out_grad)
+        analytic = enc.backward_batch(params, cfg, [text], out_grad[None])
 
         def f(flat_vec):
             p = enc.unflatten(cfg, flat_vec)
-            return float(enc.encode(p, cfg, text) @ out_grad)
+            return float(enc.encode_batch(p, cfg, [text])[0] @ out_grad)
 
         numeric = enc.unflatten(cfg, fd_gradient(f, enc.flatten(params)))
         # agreement must hold tensor by tensor, not just in aggregate

@@ -125,8 +125,8 @@ def test_eval_sts_matches_hand_pearson():
     report = ev.eval_sts(model, dataset)
     cos = []
     for a, b, _ in rows:
-        ea = enc.encode(model.params, model.config, a)
-        eb = enc.encode(model.params, model.config, b)
+        ea = enc.encode_batch(model.params, model.config, [a])[0]
+        eb = enc.encode_batch(model.params, model.config, [b])[0]
         cos.append(float(ea @ eb))
     expected = scipy.stats.pearsonr(cos, [g for _, _, g in rows]).statistic
     assert report.value == pytest.approx(expected, abs=1e-12)
@@ -156,8 +156,8 @@ def test_eval_bcr_matches_independent_rank_pipeline():
     report = ev.eval_bcr(model, dataset)
     cos = []
     for a, b, _ in rows:
-        ea = enc.encode(model.params, model.config, a)
-        eb = enc.encode(model.params, model.config, b)
+        ea = enc.encode_batch(model.params, model.config, [a])[0]
+        eb = enc.encode_batch(model.params, model.config, [b])[0]
         cos.append(float(ea @ eb))
     expected = scipy.stats.spearmanr(cos, [g for _, _, g in rows]).statistic
     assert report.value == pytest.approx(expected, abs=1e-12)
@@ -172,8 +172,8 @@ def test_eval_bcr_monotone_fixtures():
              ("aaa bbb", "ccc ddd")]
     cos = []
     for a, b in pairs:
-        ea = enc.encode(model.params, model.config, a)
-        eb = enc.encode(model.params, model.config, b)
+        ea = enc.encode_batch(model.params, model.config, [a])[0]
+        eb = enc.encode_batch(model.params, model.config, [b])[0]
         cos.append(float(ea @ eb))
     order = np.argsort(cos)
     rows = tuple((pairs[i][0], pairs[i][1], float(rank))
@@ -243,12 +243,12 @@ def test_nel_matches_brute_force_ranking(small_kg, small_datasets):
     for cid in small_kg.concept_ids:
         for name in small_kg.get(cid).names:
             name_embeddings.append(
-                (cid, enc.encode(model.params, model.config, name)))
+                (cid, enc.encode_batch(model.params, model.config, [name])[0]))
     for k in (1, 5):
         report = ev.eval_nel(model, small_kg, dataset, [k])[0]
         hits = 0
         for mention, gold in dataset.rows:
-            memb = enc.encode(model.params, model.config, mention)
+            memb = enc.encode_batch(model.params, model.config, [mention])[0]
             if gold in brute_topk_concepts(name_embeddings, memb, k):
                 hits += 1
         assert report.value == pytest.approx(hits / len(dataset.rows), abs=1e-12)
@@ -291,9 +291,9 @@ def test_nli_matches_scripted_oracle():
     report = ev.eval_nli_triplets(model, dataset)
     triples = []
     for a, e, c in rows:
-        triples.append((enc.encode(model.params, model.config, a),
-                        enc.encode(model.params, model.config, e),
-                        enc.encode(model.params, model.config, c)))
+        triples.append((enc.encode_batch(model.params, model.config, [a])[0],
+                        enc.encode_batch(model.params, model.config, [e])[0],
+                        enc.encode_batch(model.params, model.config, [c])[0]))
     assert report.value == pytest.approx(brute_nli_accuracy(triples), abs=1e-15)
 
 
@@ -304,13 +304,14 @@ def test_nli_matches_scripted_oracle():
 def test_evaluations_are_read_only(small_kg, small_datasets):
     model = _model(5)
     before_model = ev.model_digest(model)
-    before_kg = ev.kg_digest(small_kg)
+    before_concepts, before_templates = small_kg.concepts(), small_kg.templates
     ev.eval_sts(model, small_datasets["sts_test"])
     ev.eval_bcr(model, small_datasets["bcr"])
     ev.eval_nel(model, small_kg, small_datasets["nel"], [1, 5])
     ev.eval_nli_triplets(model, small_datasets["nli"])
     assert ev.model_digest(model) == before_model
-    assert ev.kg_digest(small_kg) == before_kg
+    assert small_kg.concepts() == before_concepts
+    assert small_kg.templates == before_templates
 
 
 def test_report_json_shape():

@@ -271,7 +271,7 @@ def test_corpus_serialization_is_deterministic(three_node_tree, four_relation_kg
 def test_corpus_roundtrip_through_file(three_node_tree, tmp_path):
     pairs = onto.build_corpus(three_node_tree, 1, 3)
     path = tmp_path / "corpus.jsonl"
-    onto.save_corpus(path, pairs)
+    path.write_text("".join(onto.corpus_line(p) + "\n" for p in pairs), encoding="utf-8")
     assert onto.load_corpus(path) == pairs
 
 

@@ -296,12 +296,13 @@ def test_build_targets_rejects_base_phase(four_concept_kg, tiny_config):
 
 def test_build_targets_name_equals_definition(tmp_path, tiny_config):
     # concepts without definitions fall back to the canonical name, so the
-    # averaged teacher embedding is exactly encode(name)
+    # averaged teacher embedding is exactly the name's embedding
     rows = [{"id": c, "names": [f"{c} thing"]} for c in ("a", "b", "c")]
     kg = onto.load_ontology(write_jsonl(tmp_path / "kg.jsonl", rows))
     teacher = _adapted(tiny_config)
     model, targets = trainer.build_targets(teacher, kg, k=2)
-    raws = np.array([enc.encode(teacher.params, tiny_config, kg.get(c).canonical_name)
+    raws = np.array([enc.encode_batch(teacher.params, tiny_config,
+                                      [kg.get(c).canonical_name])[0]
                      for c in kg.concept_ids])
     expected = trainer.pca_project(model, raws)
     for i, t in enumerate(targets):
@@ -319,8 +320,8 @@ def test_build_targets_matches_independent_pipeline(four_concept_kg):
     raws = []
     for cid in four_concept_kg.concept_ids:
         concept = four_concept_kg.get(cid)
-        name_emb = enc.encode(teacher.params, config, concept.canonical_name)
-        def_emb = enc.encode(teacher.params, config, concept.definitions[0].text)
+        name_emb = enc.encode_batch(teacher.params, config, [concept.canonical_name])[0]
+        def_emb = enc.encode_batch(teacher.params, config, [concept.definitions[0].text])[0]
         raws.append(0.5 * (name_emb + def_emb))
     x = np.array(raws)
     mu = x.mean(axis=0)
@@ -530,7 +531,7 @@ def test_distill_initial_loss_and_convergence(four_concept_kg):
                               batch_size=8, seed=0)
     distilled, stats = trainer.train_self_distill(teacher, targets, four_concept_kg, cfg)
 
-    # initial loss is exactly mse(head0(encode(text)), target)
+    # initial loss is exactly mse(head0(encode_batch(texts)), targets)
     head_seed = int(np.random.default_rng(cfg.seed).integers(0, 2**63))
     params0 = enc.attach_head(teacher.params, config, 3, head_seed)
     texts, tmat = trainer._distill_examples(four_concept_kg, targets)
