@@ -11,10 +11,12 @@ __version__ = "0.1.0"
 from .encoder import (  # noqa: F401
     Checkpoint,
     EncoderConfig,
+    Gradient,
     Params,
     backward_batch,
     encode_batch,
     flatten,
+    forward_batch,
     init_params,
     load_checkpoint,
     save_checkpoint,

@@ -382,7 +382,18 @@ PIPELINE_CHOICES = {
     "second_adapt": ("before_distill", "none"),
     "distill_teacher": ("adapted", "contrastive"),
     "soup_strategy": ("greedy", "uniform"),
+    "soup_metric": ("pearson",),
 }
+
+# Every key a pipeline config may set; training keys apply to every phase,
+# or to one phase behind its prefix.
+PIPELINE_KEYS = frozenset(
+    ("ontology", "templates", "glossary", "sts_train", "sts_val", "sts_test", "bcr", "nel",
+     "nli", "out_dir", "seed", "per_concept_templated", "distill_runs", "pca_dim")
+    + tuple(PIPELINE_CHOICES) + enc.ENCODER_CONFIG_KEYS + trainer.TRAIN_CONFIG_KEYS
+    + tuple(phase + key for phase in ("adapt_", "contrastive_", "readapt_", "distill_")
+            for key in trainer.TRAIN_CONFIG_KEYS)
+)
 
 
 def _pipeline_choice(mapping: dict[str, str], key: str) -> str:
@@ -397,7 +408,10 @@ def cmd_pipeline(args) -> int:
     started = time.time()
     mapping = trainer.parse_kv_file(args.config)
     # checked before anything is trained or written
-    second_adapt, teacher_choice, strategy = [
+    unknown = sorted(set(mapping) - PIPELINE_KEYS)
+    if unknown:
+        raise UsageError(f"unknown pipeline config key(s): {', '.join(unknown)}")
+    second_adapt, teacher_choice, strategy, _ = [
         _pipeline_choice(mapping, key) for key in PIPELINE_CHOICES]
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out_dir or mapping.get("out_dir", "pipeline_out")

@@ -204,10 +204,6 @@ class Params:
         return Params._wrap(self.flat[:sum(v.size for v in views)], [v.shape for v in views])
 
 
-def zeros_like_params(params: Params) -> Params:
-    return Params._wrap(np.zeros_like(params.flat), params.shapes)
-
-
 def params_equal(a: Params, b: Params) -> bool:
     """Bit-exact equality of two parameter sets."""
     return a.shapes == b.shapes and np.array_equal(a.flat, b.flat)
@@ -263,15 +259,34 @@ def attach_head(params: Params, config: EncoderConfig, target_dim: int, seed: in
     ]))
 
 
+class Gradient(Params):
+    """A gradient over ``Params`` with a row-sparse token table.
+
+    The ``token_table`` view holds only the rows of the buckets that ``rows``
+    lists, ascending; every other tensor is dense, laid out in ``flat`` as in
+    ``Params``. A ``rows`` listing every bucket is the dense gradient.
+    """
+
+    rows: np.ndarray
+
+    @classmethod
+    def zeros(cls, params: Params, rows: np.ndarray) -> "Gradient":
+        """The zero gradient of ``params`` over the token rows ``rows``."""
+        shapes = [(len(rows), params.token_table.shape[1])] + params.shapes[1:]
+        grad = cls._wrap(np.zeros(sum(int(np.prod(s)) for s in shapes)), shapes)
+        grad.rows = np.asarray(rows, dtype=np.intp)
+        return grad
+
+
 @dataclass
-class _Forward:
+class Forward:
     """One batch's forward pass: the output rows plus what the backward pass
-    reads. ``ids`` concatenates every text's token ids, ``rows`` names the
+    reads. ``ids`` concatenates every text's token ids, ``text_of`` names the
     text each id belongs to, and ``counts`` is tokens per text, at least 1."""
 
     out: np.ndarray
     ids: np.ndarray
-    rows: np.ndarray
+    text_of: np.ndarray
     counts: np.ndarray
     pooled: np.ndarray
     h: np.ndarray
@@ -286,26 +301,34 @@ def _matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w if len(x) != 1 else (np.vstack([x, x]) @ w)[:1]
 
 
-def _forward(params: Params, config: EncoderConfig, texts: list[str]) -> _Forward:
+def _row_sums(index: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """``out[index[i]] += values[i]`` for each i in order, on a zero
+    (count, width) matrix: the additions ``np.add.at`` makes, in its order,
+    as one ``np.bincount`` over (row, column) bins."""
+    width = values.shape[1]
+    bins = (index[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(bins, weights=values.ravel(), minlength=count * width)
+    return sums.astype(float, copy=False).reshape(count, width)  # int when index is empty
+
+
+def forward_batch(params: Params, config: EncoderConfig, texts: list[str]) -> Forward:
     """The network's one forward pass over a batch of texts.
 
-    Mean pooling is one gather of token rows and one sequential ``np.add.at``
-    scatter, divided by the token counts: the same additions, in the same
-    order, as each text's ``token_table[ids].mean(axis=0)``.
+    Mean pooling is one gather of token rows summed per text by
+    ``_row_sums``, divided by the token counts: the same additions, in the
+    same order, as each text's ``token_table[ids].mean(axis=0)``.
     """
     id_lists = [_token_ids(config.vocab_buckets, config.hash_seed, t) for t in texts]
     lengths = np.fromiter(map(len, id_lists), dtype=np.intp, count=len(texts))
     ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.intp, count=int(lengths.sum()))
-    rows = np.repeat(np.arange(len(texts)), lengths)
+    text_of = np.repeat(np.arange(len(texts)), lengths)
     counts = np.maximum(lengths, 1)
-    pooled = np.zeros((len(texts), config.embed_dim))
-    np.add.at(pooled, rows, params.token_table[ids])
-    pooled /= counts[:, None]
+    pooled = _row_sums(text_of, params.token_table[ids], len(texts)) / counts[:, None]
     h = np.tanh(_matmul_rows(pooled, params.w1) + params.b1)
     z = _matmul_rows(h, params.w2) + params.b2
     raw_norms = np.linalg.norm(z, axis=1)
     norms = np.maximum(raw_norms, NORM_GUARD)
-    return _Forward(z / norms[:, None], ids, rows, counts, pooled, h, raw_norms, norms)
+    return Forward(z / norms[:, None], ids, text_of, counts, pooled, h, raw_norms, norms)
 
 
 def encode_batch(params: Params, config: EncoderConfig, texts: list[str]) -> np.ndarray:
@@ -316,21 +339,26 @@ def encode_batch(params: Params, config: EncoderConfig, texts: list[str]) -> np.
     the one permitted non-unit output: the zero vector, produced by the
     1e-8 norm guard. A distillation head in ``params`` is ignored.
     """
-    return _forward(params, config, texts).out
+    return forward_batch(params, config, texts).out
 
 
 def backward_batch(
-    params: Params, config: EncoderConfig, texts: list[str], output_grads: np.ndarray
-) -> Params:
-    """Exact gradient of ``sum(encode_batch(...) * output_grads)`` w.r.t.
-    every parameter. Token-table rows of absent tokens stay exactly zero, and
-    so do the head's slots when ``params`` carry one."""
+    params: Params, config: EncoderConfig, texts: list[str], output_grads: np.ndarray,
+    forward: Forward,
+) -> Gradient:
+    """Exact gradient of ``sum(forward.out * output_grads)`` w.r.t. every
+    parameter, backpropagated from ``forward``, the ``forward_batch`` of the
+    same params and texts. The token table's gradient holds only the rows
+    of the tokens in ``texts``; the head's slots stay zero when ``params``
+    carry one."""
     output_grads = np.asarray(output_grads, dtype=float)
     if output_grads.shape != (len(texts), config.output_dim):
         raise ValueError("output_grads shape must be (len(texts), output_dim)")
+    if len(forward.out) != len(texts):
+        raise ValueError("forward must be the forward pass of texts")
     if not np.isfinite(output_grads).all():
         raise ValueError("output_grads must be finite")
-    f = _forward(params, config, texts)
+    f = forward
 
     # d(out . g)/dz: through z/||z|| when above the guard, else z/1e-8 is
     # linear in z so the gradient is g / guard.
@@ -341,7 +369,8 @@ def backward_batch(
         output_grads / NORM_GUARD,
     )
 
-    grad = zeros_like_params(params)
+    rows, row_of = np.unique(f.ids, return_inverse=True)
+    grad = Gradient.zeros(params, rows)
     grad.w2 = f.h.T @ grad_z
     grad.b2 = grad_z.sum(axis=0)
     grad_h = grad_z @ params.w2.T
@@ -349,7 +378,7 @@ def backward_batch(
     grad.w1 = f.pooled.T @ grad_a
     grad.b1 = grad_a.sum(axis=0)
     grad_pooled = grad_a @ params.w1.T
-    np.add.at(grad.token_table, f.ids, (grad_pooled / f.counts[:, None])[f.rows])
+    grad.token_table = _row_sums(row_of, (grad_pooled / f.counts[:, None])[f.text_of], len(rows))
     return grad
 
 

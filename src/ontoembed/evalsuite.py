@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -271,11 +271,26 @@ def eval_bcr(model: enc.Checkpoint, dataset: BcrDataset) -> EvalReport:
 
 @dataclass
 class NelIndex:
-    """Exact-search synonym index: one embedding per (concept, name)."""
+    """Exact-search synonym index: one embedding per (concept, name).
+
+    ``concepts`` holds the distinct concept ids in ascending order; the rows
+    taken in ``order`` group the rows by concept, the group of
+    ``concepts[j]`` starting at ``starts[j]``.
+    """
 
     embeddings: np.ndarray
     concept_ids: list[str]
     names: list[str]
+    concepts: np.ndarray = field(init=False, repr=False)  # of str objects
+    order: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.concepts = np.array(sorted(set(self.concept_ids)), dtype=object)
+        position = {cid: j for j, cid in enumerate(self.concepts)}
+        group = np.array([position[cid] for cid in self.concept_ids], dtype=np.intp)
+        self.order = np.argsort(group, kind="stable")
+        self.starts = np.searchsorted(group[self.order], np.arange(len(self.concepts)))
 
 
 def build_nel_index(model: enc.Checkpoint, kg: onto.KnowledgeGraph) -> NelIndex:
@@ -294,12 +309,11 @@ def build_nel_index(model: enc.Checkpoint, kg: onto.KnowledgeGraph) -> NelIndex:
 
 
 def _rank_concepts(index: NelIndex, mention_emb: np.ndarray) -> list[str]:
+    """Concept ids by descending max cosine over their names, ties to the
+    smaller id."""
     scores = index.embeddings @ mention_emb
-    per_concept: dict[str, list[float]] = {}
-    for cid, score in zip(index.concept_ids, scores):
-        per_concept.setdefault(cid, []).append(float(score))
-    pooled = {cid: max(v) for cid, v in per_concept.items()}
-    return sorted(pooled, key=lambda cid: (-pooled[cid], cid))
+    best = np.maximum.reduceat(scores[index.order], index.starts)
+    return index.concepts[np.argsort(-best, kind="stable")].tolist()
 
 
 def eval_nel(

@@ -95,6 +95,13 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
+# The keys ``train_config_from_mapping`` reads.
+TRAIN_CONFIG_KEYS = (
+    "learning_rate", "weight_decay", "warmup_fraction", "epochs", "batch_size", "seed",
+    "hard_negatives_per_batch", "info_nce_scale", "info_nce_symmetric",
+)
+
+
 def train_config_from_mapping(mapping: dict[str, str], prefix: str = "") -> TrainConfig:
     """Build a TrainConfig from string key-value pairs; keys match the field
     names (nested InfoNCE fields are flattened as info_nce_scale and
@@ -159,7 +166,7 @@ def warmup_linear(step: int, total_steps: int, base_lr: float, warmup_fraction: 
 
 def adamw_step(
     params: enc.Params,
-    grads: enc.Params,
+    grads: enc.Gradient,
     state: AdamWState,
     lr: float,
     weight_decay: float = 0.0,
@@ -169,26 +176,45 @@ def adamw_step(
 
     theta <- theta - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * theta),
     with the decay term skipped for bias vectors. Each element sees the same
-    float operations in the same order as the textbook per-tensor update.
+    float operations in the same order as the textbook per-tensor update
+    over the dense gradient, which is zero outside ``grads.rows``.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    if grads.shapes != params.shapes:
+    table, rows = params.token_table, grads.rows
+    if (grads.shapes[1:] != params.shapes[1:] or grads.token_table.shape[1:] != table.shape[1:]
+            or (rows.size and (rows[0] < 0 or rows[-1] >= len(table)
+                               or (np.diff(rows) <= 0).any()))):
         raise ValueError("gradient structure does not match params")
     g = grads.flat
     if not np.isfinite(g).all():
-        name = next(n for n, arr in grads.tensor_items() if not np.isfinite(arr).all())
-        raise ValueError(f"non-finite gradient for {name}")
+        name, arr = next((n, a) for n, a in grads.tensor_items() if not np.isfinite(a).all())
+        where = ""
+        if name == "token_table":
+            where = f" row {rows[np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]]}"
+        raise ValueError(f"non-finite gradient for {name}{where}")
+    # flat positions of g: the touched token rows, then every later tensor
+    width = table.shape[1]
+    touched = np.concatenate([(rows[:, None] * width + np.arange(width)).ravel(),
+                              np.arange(table.size, params.flat.size)])
     t = state.step + 1
     theta, m, v = params.flat, state.m, state.v
     a, b = state.scratch
+    ga, gb = a[:g.size], b[:g.size]
+    # The gradient terms are added only where g is stored. Elsewhere g is
+    # +0.0, and the dense update would add +0.0 to m * beta1 and v * beta2,
+    # which changes a value only if it is -0.0. That never happens: m and v
+    # start at +0.0, a sum is -0.0 only when both addends are, and with
+    # beta1, beta2 > 0.5 a nonzero value times beta never rounds to zero.
     np.multiply(m, BETA1, out=m)
-    np.multiply(g, 1.0 - BETA1, out=a)
-    np.add(m, a, out=m)
+    np.take(m, touched, out=gb)
+    np.multiply(g, 1.0 - BETA1, out=ga)
+    m[touched] = np.add(gb, ga, out=gb)
     np.multiply(v, BETA2, out=v)
-    np.multiply(g, g, out=a)
-    np.multiply(a, 1.0 - BETA2, out=a)
-    np.add(v, a, out=v)
+    np.take(v, touched, out=gb)
+    np.multiply(g, g, out=ga)
+    np.multiply(ga, 1.0 - BETA2, out=ga)
+    v[touched] = np.add(gb, ga, out=gb)
     np.divide(m, 1.0 - BETA1**t, out=a)
     np.divide(v, 1.0 - BETA2**t, out=b)
     np.sqrt(b, out=b)
@@ -350,10 +376,13 @@ def _require_no_head(params: enc.Params, regime: str) -> None:
         raise TrainError(f"{regime} expects a head-free base; strip the head first")
 
 
-def _fit(params, plans, loss_and_grads, cfg: TrainConfig, full_loss=None) -> TrainStats:
+def _fit(params, plans, loss_and_grads, cfg: TrainConfig, regime: str,
+         full_loss=None) -> TrainStats:
     """The one training loop: walk ``plans`` (one list of batches per epoch)
     in order, and for each batch take ``loss, grad = loss_and_grads(batch)``
     and one AdamW step on ``params`` (in place) at the warmup-linear rate.
+    A ValueError in a step, such as a non-finite gradient, is raised again as
+    a TrainError naming ``regime``, the epoch and the step (both from 1).
 
     Epoch losses are the mean batch loss of each epoch, or, when
     ``full_loss`` is given, ``full_loss()`` before training and after each
@@ -362,12 +391,16 @@ def _fit(params, plans, loss_and_grads, cfg: TrainConfig, full_loss=None) -> Tra
     total_steps = sum(len(plan) for plan in plans)
     state = init_adamw(params)
     epoch_losses = [] if full_loss is None else [full_loss()]
-    for plan in plans:
+    for epoch, plan in enumerate(plans, 1):
         batch_losses = []
         for batch in plan:
-            loss, grad = loss_and_grads(batch)
             lr = warmup_linear(state.step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
-            adamw_step(params, grad, state, lr, cfg.weight_decay)
+            try:
+                loss, grad = loss_and_grads(batch)
+                adamw_step(params, grad, state, lr, cfg.weight_decay)
+            except ValueError as exc:
+                raise TrainError(f"{regime} training failed at epoch {epoch}, "
+                                 f"step {state.step + 1}: {exc}") from exc
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)) if full_loss is None else full_loss())
     return TrainStats(state.step, epoch_losses)
@@ -411,13 +444,14 @@ def train_contrastive(
             kg, [corpus[i].concept_id for i in indices], cfg.hard_negatives_per_batch, hn_seed,
         )
         texts = anchors_text + positives_text + extra_texts
-        e, b = enc.encode_batch(params, config, texts), len(indices)
+        f, b = enc.forward_batch(params, config, texts), len(indices)
+        e = f.out
         loss, ga, gp, gx = losses.info_nce(e[:b], e[b:2 * b], e[2 * b:], cfg.info_nce,
                                            check_inputs=False)
         grads_out = np.vstack([ga, gp] + ([gx] if gx is not None else []))
-        return loss, enc.backward_batch(params, config, texts, grads_out)
+        return loss, enc.backward_batch(params, config, texts, grads_out, f)
 
-    stats = _fit(params, plans, loss_and_grads, cfg)
+    stats = _fit(params, plans, loss_and_grads, cfg, "contrastive")
     return enc.derive(base, params, "contrastive"), stats
 
 
@@ -467,12 +501,12 @@ def adapt_sts(model, sts_train, cfg: TrainConfig) -> tuple[enc.Checkpoint, Train
         texts_b = [rows[i][1] for i in batch]
         gold = np.array([rows[i][2] for i in batch]) / 5.0
         texts = texts_a + texts_b
-        e = enc.encode_batch(params, config, texts)
-        loss, gu, gv = losses.cosine_regression(e[:len(batch)], e[len(batch):], gold,
+        f = enc.forward_batch(params, config, texts)
+        loss, gu, gv = losses.cosine_regression(f.out[:len(batch)], f.out[len(batch):], gold,
                                                 check_inputs=False)
-        return loss, enc.backward_batch(params, config, texts, np.vstack([gu, gv]))
+        return loss, enc.backward_batch(params, config, texts, np.vstack([gu, gv]), f)
 
-    stats = _fit(params, plans, loss_and_grads, cfg)
+    stats = _fit(params, plans, loss_and_grads, cfg, "sts")
     return enc.derive(model, params, "sts_adapted"), stats
 
 
@@ -533,15 +567,15 @@ def train_self_distill(
 
     def loss_and_grads(batch):
         batch_texts = [texts[i] for i in batch]
-        e = enc.encode_batch(params, config, batch_texts)
-        y = e @ params.head_w + params.head_b
+        f = enc.forward_batch(params, config, batch_texts)
+        y = f.out @ params.head_w + params.head_b
         loss, gy = losses.mse(y, target_matrix[batch])
-        grad = enc.backward_batch(params, config, batch_texts, gy @ params.head_w.T)
-        grad.head_w = e.T @ gy
+        grad = enc.backward_batch(params, config, batch_texts, gy @ params.head_w.T, f)
+        grad.head_w = f.out.T @ gy
         grad.head_b = gy.sum(axis=0)
         return loss, grad
 
-    stats = _fit(params, plans, loss_and_grads, cfg,
+    stats = _fit(params, plans, loss_and_grads, cfg, "self-distill",
                  full_loss=lambda: _distill_full_loss(params, config, texts, target_matrix))
     return enc.derive(base, params, "self_distilled"), stats
 
@@ -579,12 +613,12 @@ def train_xlingual(
         texts_f = [pairs[i].target_text for i in batch]
         t = np.array([teacher_emb[x] for x in texts_e])
         texts, b = texts_e + texts_f, len(batch)
-        s = enc.encode_batch(params, student_cfg, texts)
-        de, df = s[:b] - t, s[b:] - t
+        f = enc.forward_batch(params, student_cfg, texts)
+        de, df = f.out[:b] - t, f.out[b:] - t
         loss = 0.5 * float((de * de).sum() + (df * df).sum()) / b
-        return loss, enc.backward_batch(params, student_cfg, texts, np.vstack([de, df]) / b)
+        return loss, enc.backward_batch(params, student_cfg, texts, np.vstack([de, df]) / b, f)
 
-    stats = _fit(params, plans, loss_and_grads, cfg)
+    stats = _fit(params, plans, loss_and_grads, cfg, "xlingual")
     return enc.Checkpoint(config=student_cfg, phase="xlingual_student", params=params), stats
 
 

@@ -7,6 +7,8 @@ indexed lookups, scipy instead of the package's own correlation code.
 
 import numpy as np
 
+from ontoembed import encoder as enc
+
 
 def fd_gradient(fn, x, h=1e-6):
     """Central finite differences of a scalar function over an array."""
@@ -83,6 +85,18 @@ def brute_topk_concepts(name_embeddings, mention_emb, k):
     return ranked[:k]
 
 
+def rank_concepts_reference(index, mention_emb):
+    """NEL ranking by a dict loop over the index rows: each concept's max
+    score over its names, concepts by descending max, ties to the smaller
+    id."""
+    scores = index.embeddings @ mention_emb
+    per_concept = {}
+    for cid, score in zip(index.concept_ids, scores):
+        per_concept.setdefault(cid, []).append(float(score))
+    pooled = {cid: max(v) for cid, v in per_concept.items()}
+    return sorted(pooled, key=lambda cid: (-pooled[cid], cid))
+
+
 def brute_nli_accuracy(triples):
     """triples: list of (anchor_vec, entailed_vec, contradicted_vec)."""
     wins = 0
@@ -130,3 +144,44 @@ def adamw_reference(tensors, grads, m, v, step, lr, weight_decay):
         new_m.append((name, m2))
         new_v.append((name, v2))
     return new_p, new_m, new_v
+
+
+def scatter_gradient(grad, params):
+    """The dense form of a row-sparse ``encoder.Gradient``: its token rows
+    written into a zero table shaped like ``params.token_table``."""
+    tensors = [arr.copy() for _, arr in grad.tensor_items()]
+    table = np.zeros_like(params.token_table)
+    table[grad.rows] = tensors[0]
+    return enc.Params(table, *tensors[1:])
+
+
+def backward_reference(params, config, texts, output_grads):
+    """Dense gradient of ``sum(encode_batch(texts) * output_grads)`` with the
+    batch arithmetic of the encoder, but with pooling and the token-table
+    gradient scattered by ``np.add.at`` into zero arrays. Returns a dict of
+    tensor name -> array."""
+    def matmul_rows(x, w):  # a lone row is computed as two, as in the encoder
+        return x @ w if len(x) != 1 else (np.vstack([x, x]) @ w)[:1]
+
+    id_lists = [enc.tokenize(config, text) for text in texts]
+    ids = np.array([i for id_list in id_lists for i in id_list], dtype=np.intp)
+    lengths = np.array([len(id_list) for id_list in id_lists], dtype=np.intp)
+    text_of = np.repeat(np.arange(len(texts)), lengths)
+    counts = np.maximum(lengths, 1)
+    pooled = np.zeros((len(texts), config.embed_dim))
+    np.add.at(pooled, text_of, params.token_table[ids])
+    pooled /= counts[:, None]
+    h = np.tanh(matmul_rows(pooled, params.w1) + params.b1)
+    z = matmul_rows(h, params.w2) + params.b2
+    raw_norms = np.linalg.norm(z, axis=1)
+    norms = np.maximum(raw_norms, enc.NORM_GUARD)
+    out = z / norms[:, None]
+    dot = np.sum(out * output_grads, axis=1)
+    grad_z = np.where((raw_norms > enc.NORM_GUARD)[:, None],
+                      (output_grads - out * dot[:, None]) / norms[:, None],
+                      output_grads / enc.NORM_GUARD)
+    grad_a = (1.0 - h * h) * (grad_z @ params.w2.T)
+    table = np.zeros_like(params.token_table)
+    np.add.at(table, ids, ((grad_a @ params.w1.T) / counts[:, None])[text_of])
+    return {"token_table": table, "w1": pooled.T @ grad_a, "b1": grad_a.sum(axis=0),
+            "w2": h.T @ grad_z, "b2": grad_z.sum(axis=0)}

@@ -24,7 +24,7 @@ from ontoembed import trainer
 
 from conftest import FIXTURES_DIR
 from oracles import (brute_nli_accuracy, brute_topk_concepts, fd_gradient,
-                     rel_error)
+                     rel_error, scatter_gradient)
 
 
 def _ok(criterion: str, detail: str = ""):
@@ -81,7 +81,9 @@ def test_criterion_1_gradient_correctness():
         params.b2 = rng.normal(0, 0.05, params.b2.shape)
         text = texts[trial % len(texts)]
         g = rng.normal(size=cfg.output_dim)
-        analytic = enc.flatten(enc.backward_batch(params, cfg, [text], g[None]))
+        grad = enc.backward_batch(params, cfg, [text], g[None],
+                                  enc.forward_batch(params, cfg, [text]))
+        analytic = enc.flatten(scatter_gradient(grad, params))
         numeric = fd_gradient(
             lambda v: float(enc.encode_batch(enc.unflatten(cfg, v), cfg, [text])[0] @ g),
             enc.flatten(params))

@@ -9,6 +9,7 @@ import pytest
 from ontoembed import cli
 from ontoembed import encoder as enc
 from ontoembed import evalsuite as ev
+from ontoembed import fixtures
 from ontoembed import ontology as onto
 from ontoembed import trainer
 
@@ -122,6 +123,32 @@ def test_train_sts_deterministic_checkpoints(small_world, tmp_path):
     assert outs[0] == outs[1]
     loaded = enc.checkpoint_from_bytes(outs[0])
     assert loaded.phase == "sts_adapted"
+
+
+def test_train_divergence_names_regime_epoch_and_step(small_world, tmp_path, capsys,
+                                                       monkeypatch):
+    # the loss closure's gradient has a NaN in its last token row at step 3
+    real_backward = trainer.enc.backward_batch
+    bad_rows = []
+
+    def nan_at_third_step(*args):
+        grad = real_backward(*args)
+        bad_rows.append(int(grad.rows[-1]))
+        if len(bad_rows) == 3:
+            grad.token_table[-1, 0] = np.nan
+        return grad
+
+    monkeypatch.setattr(trainer.enc, "backward_batch", nan_at_third_step)
+    data = os.path.join(small_world, "sts_train.tsv")
+    assert len(ev.load_sts_dataset(data).rows) > 2 * 16  # step 3 falls in epoch 1
+    out = tmp_path / "sts.ckpt"
+    code = run(["train", "sts", "--data", data, "--config", _mini_train_cfg(tmp_path),
+                "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: sts training failed at epoch 1, step 3: "
+        f"non-finite gradient for token_table row {bad_rows[2]}"]
+    assert not out.exists()
 
 
 def test_train_contrastive_fresh_base_and_seed_flag(small_world, tmp_path):
@@ -458,7 +485,8 @@ def _mini_pipeline_cfg(small_world, tmp_path, **overrides):
     return str(path)
 
 
-@pytest.mark.parametrize("key", ["second_adapt", "distill_teacher", "soup_strategy"])
+@pytest.mark.parametrize("key", ["second_adapt", "distill_teacher", "soup_strategy",
+                                 "soup_metric"])
 def test_pipeline_rejects_bad_choice_before_training(fixtures_dir, tmp_path, key):
     # the demo config with one bad choice exits 64 before anything is trained
     mapping = trainer.parse_kv_file(os.path.join(fixtures_dir, "demo.cfg"))
@@ -469,6 +497,22 @@ def test_pipeline_rejects_bad_choice_before_training(fixtures_dir, tmp_path, key
     cfg = write_text(tmp_path / "bad.cfg", "".join(f"{k} = {v}\n" for k, v in mapping.items()))
     assert run(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 64
     assert list(tmp_path.rglob("*.ckpt")) == []
+
+
+def test_pipeline_rejects_unknown_key_before_creating_output(small_world, tmp_path, capsys):
+    # a typo for contrastive_epochs used to train silently for the default 1 epoch
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, contrastive_epoch=40)
+    out_dir = tmp_path / "run"
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(out_dir)]) == 64
+    assert "contrastive_epoch" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_pipeline_keys_cover_the_demo_configs(fixtures_dir, tmp_path):
+    # the bundled demo.cfg and the one fixtures.write_fixtures generates
+    bundled = trainer.parse_kv_file(os.path.join(fixtures_dir, "demo.cfg"))
+    generated = trainer.parse_kv_file(write_text(tmp_path / "demo.cfg", fixtures.DEMO_CONFIG))
+    assert set(bundled) | set(generated) <= cli.PIPELINE_KEYS
 
 
 def test_pipeline_report_structure_and_guarantee(small_world, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from ontoembed import encoder as enc
 from ontoembed.cli import EMBED_CHUNK
 
-from oracles import fd_gradient, rel_error
+from oracles import backward_reference, fd_gradient, rel_error, scatter_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_batch_pooling_equals_per_text_mean_bit_exact():
     params = enc.init_params(cfg)
     words = ["fever", "peptic", "ulcer", "chronic", "lungs", "alpha", "beta", "gamma"]
     texts = [" ".join(words[i % 3:i % 3 + n]) for i, n in enumerate((3, 0, 8, 5, 1, 7))]
-    pooled = enc._forward(params, cfg, texts).pooled
+    pooled = enc.forward_batch(params, cfg, texts).pooled
     for text, row in zip(texts, pooled):
         ids = enc.tokenize(cfg, text)
         assert np.array_equal(row, params.token_table[ids].mean(axis=0) if ids else 0.0 * row)
@@ -150,16 +150,22 @@ def test_batch_entry_points_keep_their_leading_parameters():
 # backward_batch
 
 
+def _backward(params, config, texts, output_grads):
+    return enc.backward_batch(params, config, texts, output_grads,
+                              enc.forward_batch(params, config, texts))
+
+
 def test_backward_zero_grad_gives_zero(tiny_config):
     params = enc.init_params(tiny_config)
-    grads = enc.backward_batch(params, tiny_config, ["fever"], np.zeros(6)[None])
+    grads = _backward(params, tiny_config, ["fever"], np.zeros(6)[None])
     assert all(np.all(arr == 0.0) for _, arr in grads.tensor_items())
 
 
 def test_backward_absent_token_rows_are_zero(tiny_config):
     params = enc.init_params(tiny_config)
     rng = np.random.default_rng(0)
-    grads = enc.backward_batch(params, tiny_config, ["fever"], rng.normal(size=6)[None])
+    grads = scatter_gradient(
+        _backward(params, tiny_config, ["fever"], rng.normal(size=6)[None]), params)
     present = set(enc.tokenize(tiny_config, "fever"))
     for row in range(tiny_config.vocab_buckets):
         if row not in present:
@@ -177,7 +183,7 @@ def test_backward_matches_finite_differences(tiny_config):
         params.b2 = rng.normal(0, 0.05, params.b2.shape)
         text = texts[trial % len(texts)]
         out_grad = rng.normal(size=cfg.output_dim)
-        analytic = enc.backward_batch(params, cfg, [text], out_grad[None])
+        analytic = scatter_gradient(_backward(params, cfg, [text], out_grad[None]), params)
 
         def f(flat_vec):
             p = enc.unflatten(cfg, flat_vec)
@@ -188,6 +194,35 @@ def test_backward_matches_finite_differences(tiny_config):
         for (name, got), (_, want) in zip(analytic.tensor_items(),
                                           numeric.tensor_items()):
             assert rel_error(got, want) < 1e-4, f"{name} gradient off (trial {trial})"
+
+
+@pytest.mark.parametrize("texts", [
+    ["alpha beta alpha", "beta gamma", "alpha", "gamma gamma gamma beta"],
+    ["", "fever fever", "", "ulcer fever", ""],
+    ["", " .,; "],
+    [],
+], ids=["duplicates-within-and-across", "with-empty-texts", "only-empty-texts", "no-texts"])
+def test_backward_token_rows_equal_dense_add_at_bit_exact(texts):
+    cfg = enc.EncoderConfig(vocab_buckets=16, embed_dim=5, hidden_dim=7, output_dim=6,
+                            hash_seed=3, init_seed=4)
+    params = enc.init_params(cfg)
+    rng = np.random.default_rng(5)
+    params.flat[:] += rng.normal(0, 0.05, params.flat.size)
+    output_grads = rng.normal(size=(len(texts), cfg.output_dim))
+    grad = _backward(params, cfg, texts, output_grads)
+    want = backward_reference(params, cfg, texts, output_grads)
+    ids = [i for text in texts for i in enc.tokenize(cfg, text)]
+    assert grad.rows.tolist() == sorted(set(ids))
+    assert grad.token_table.shape == (len(set(ids)), cfg.embed_dim)
+    for name, got in scatter_gradient(grad, params).tensor_items():
+        assert got.tobytes() == want[name].tobytes(), name
+
+
+def test_backward_takes_the_forward_it_is_given(tiny_config):
+    params = enc.init_params(tiny_config)
+    forward = enc.forward_batch(params, tiny_config, ["fever", "ulcer"])
+    with pytest.raises(ValueError):
+        enc.backward_batch(params, tiny_config, ["fever"], np.zeros((1, 6)), forward)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from ontoembed import evalsuite as ev
 from ontoembed import ontology as onto
 
 from conftest import write_jsonl, write_text
-from oracles import brute_nli_accuracy, brute_topk_concepts
+from oracles import brute_nli_accuracy, brute_topk_concepts, rank_concepts_reference
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +264,53 @@ def test_nel_topk_monotone_in_k(small_kg, small_datasets):
 def test_nel_unresolvable_gold_id(nel_kg):
     with pytest.raises(ev.EvalError):
         ev.eval_nel(_model(), nel_kg, ev.NelDataset(rows=(("x", "zzz"),)), [1])
+
+
+class _FixedScores:
+    """Stands in for an index's embedding matrix: ``@`` returns set scores,
+    so a test can choose them exactly, signed zeros included."""
+
+    def __init__(self, scores):
+        self.scores = np.asarray(scores, dtype=float)
+
+    def __matmul__(self, mention):
+        return self.scores.copy()
+
+
+# concept ids that are not contiguous, with each concept's rows scattered
+_SCATTERED_IDS = ["c07", "c02", "c07", "c13", "c02", "c40", "c13", "c40", "c02", "c100"]
+
+
+def test_rank_concepts_matches_dict_loop_on_exact_and_signed_zero_ties():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        scores = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=len(_SCATTERED_IDS))
+        index = ev.NelIndex(embeddings=_FixedScores(scores), concept_ids=_SCATTERED_IDS,
+                            names=[f"n{i}" for i in range(len(_SCATTERED_IDS))])
+        assert ev._rank_concepts(index, None) == rank_concepts_reference(index, None)
+    ties = ev.NelIndex(embeddings=_FixedScores([-0.0, 0.0, 0.0, -0.0]),
+                       concept_ids=["z", "y", "x", "w"], names=["a", "b", "c", "d"])
+    assert ev._rank_concepts(ties, None) == ["w", "x", "y", "z"]
+
+
+def test_rank_concepts_matches_dict_loop_on_real_scores():
+    rng = np.random.default_rng(22)
+    # grid vectors give exact dot products, so ties survive any summation order
+    grid = rng.choice([-1.0, 0.0, 1.0], size=(len(_SCATTERED_IDS), 4))
+    index = ev.NelIndex(embeddings=grid, concept_ids=_SCATTERED_IDS,
+                        names=[f"n{i}" for i in range(len(_SCATTERED_IDS))])
+    for mention in rng.choice([-1.0, 0.0, 1.0], size=(200, 4)):
+        assert ev._rank_concepts(index, mention) == rank_concepts_reference(index, mention)
+    # one surface string shared by several concepts ties them exactly
+    model = _model()
+    names = ["shared name", "alpha", "shared name", "beta gamma", "shared name", "delta"]
+    index = ev.NelIndex(embeddings=enc.encode_batch(model.params, model.config, names),
+                        concept_ids=["k9", "k1", "k1", "k5", "k30", "k5"], names=names)
+    mentions = enc.encode_batch(model.params, model.config,
+                                ["shared name", "alpha", "beta", "name", ""])
+    for mention in mentions:
+        assert ev._rank_concepts(index, mention) == rank_concepts_reference(index, mention)
+    assert ev._rank_concepts(index, mentions[0])[:3] == ["k1", "k30", "k9"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Property tests over random small encoder configs, with and without a
-distillation head: the flat parameter layout, checkpoint round trips and
-uniform soups of identical models."""
+distillation head: the flat parameter layout, checkpoint round trips,
+uniform soups of identical models and the row-sparse AdamW step."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,17 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ontoembed import encoder as enc  # noqa: E402
 from ontoembed import soup  # noqa: E402
+from ontoembed import trainer  # noqa: E402
+
+from oracles import adamw_reference, scatter_gradient  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
 
 @st.composite
-def models(draw):
-    """(config, params) with random weights; a head is attached or not."""
+def models(draw, head_dims=st.none() | st.integers(1, 3)):
+    """(config, params) with random weights; a head of a width drawn from
+    ``head_dims`` is attached, or none when it draws None."""
     config = enc.EncoderConfig(
         vocab_buckets=draw(st.integers(1, 16)),
         embed_dim=draw(st.integers(1, 4)),
@@ -27,7 +31,7 @@ def models(draw):
         init_seed=draw(st.integers(0, 2**32)),
     )
     params = enc.init_params(config)
-    head_dim = draw(st.none() | st.integers(1, 3))
+    head_dim = draw(head_dims)
     if head_dim is not None:
         params = enc.attach_head(params, config, head_dim, seed=draw(st.integers(0, 2**32)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -85,3 +89,37 @@ def test_uniform_soup_of_identical_models_is_that_model(model, k):
     candidates = [soup.SoupCandidate(ckpt, 0.0, f"m{i}") for i in range(k)]
     out = soup.uniform_soup(candidates)
     assert enc.params_equal(out.params, params.without_head())
+
+
+ADAMW_STEPS = 220
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01], ids=["no-decay", "decay"])
+@pytest.mark.parametrize("head_dims", [st.none(), st.integers(1, 3)], ids=["no-head", "head"])
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32), touch=st.floats(0.0, 1.0))
+def test_sparse_adamw_equals_dense_reference_bit_for_bit(weight_decay, head_dims, data,
+                                                         seed, touch):
+    # every row is touched at the first step; row 0 is never touched again,
+    # the others each with probability ``touch``; a fifth of the gradient
+    # entries are 0.0 and a fifth -0.0
+    config, params = data.draw(models(head_dims))
+    rng = np.random.default_rng(seed)
+    state = trainer.init_adamw(params)
+    tensors = [(name, arr.copy()) for name, arr in params.tensor_items()]
+    m = [(name, np.zeros_like(arr)) for name, arr in tensors]
+    v = [(name, np.zeros_like(arr)) for name, arr in tensors]
+    for step in range(1, ADAMW_STEPS + 1):
+        touched = (rng.random(config.vocab_buckets) < touch) | (step == 1)
+        touched[0] = step == 1
+        grads = enc.Gradient.zeros(params, np.flatnonzero(touched))
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        pick = rng.random(grads.flat.size)
+        grads.flat[pick < 0.2] = 0.0
+        grads.flat[(0.2 <= pick) & (pick < 0.4)] = -0.0
+        lr = float(rng.uniform(1e-4, 1e-1))
+        dense = scatter_gradient(grads, params).tensor_items()
+        trainer.adamw_step(params, grads, state, lr, weight_decay)
+        tensors, m, v = adamw_reference(tensors, dense, m, v, step, lr, weight_decay)
+        for got, want in ((params.flat, tensors), (state.m, m), (state.v, v)):
+            assert got.tobytes() == np.concatenate([a.ravel() for _, a in want]).tobytes()

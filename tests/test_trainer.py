@@ -13,7 +13,7 @@ from ontoembed import soup
 from ontoembed import trainer
 
 from conftest import write_jsonl
-from oracles import adamw_reference
+from oracles import adamw_reference, scatter_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -72,19 +72,24 @@ def _scalarish_params():
     )
 
 
+def _dense_zero_gradient(params):
+    # a Gradient over every token row: the dense case
+    return enc.Gradient.zeros(params, np.arange(len(params.token_table)))
+
+
 def test_adamw_zero_grads_zero_decay_is_identity(tiny_config):
     params = enc.init_params(tiny_config)
     before = params.copy()
     state = trainer.init_adamw(params)
     new_params, new_state = trainer.adamw_step(
-        params, enc.zeros_like_params(params), state, lr=0.1, weight_decay=0.0)
+        params, _dense_zero_gradient(params), state, lr=0.1, weight_decay=0.0)
     assert enc.params_equal(new_params, before)
     assert new_state.step == 1
 
 
 def test_adamw_first_step_is_sign_step():
     params = _scalarish_params()
-    grads = _scalarish_params()
+    grads = _dense_zero_gradient(params)
     for _, g in grads.tensor_items():
         g.fill(0.37)
     before = params.copy()
@@ -100,7 +105,7 @@ def test_adamw_decoupled_decay_only():
     params = _scalarish_params()
     state = trainer.init_adamw(params)
     new_params, _ = trainer.adamw_step(
-        params, enc.zeros_like_params(params), state, lr=0.1, weight_decay=0.01)
+        params, _dense_zero_gradient(params), state, lr=0.1, weight_decay=0.01)
     assert new_params is params  # updated in place
     assert new_params.token_table[0, 0] == pytest.approx(0.999, abs=1e-15)
     assert new_params.w1[0, 0] == pytest.approx(0.999, abs=1e-15)
@@ -111,23 +116,46 @@ def test_adamw_decoupled_decay_only():
 
 def test_adamw_rejects_nonfinite_grads(tiny_config):
     params = enc.init_params(tiny_config)
-    grads = enc.zeros_like_params(params)
+    grads = _dense_zero_gradient(params)
     grads.w1[0, 0] = np.inf
     with pytest.raises(ValueError):
         trainer.adamw_step(params, grads, trainer.init_adamw(params), lr=0.1)
 
 
+def test_adamw_nonfinite_error_names_tensor_and_bucket_row(tiny_config):
+    params = enc.init_params(tiny_config)
+    grads = enc.Gradient.zeros(params, np.array([3, 17, 40]))
+    grads.token_table[1, 2] = np.nan
+    before = params.flat.copy()
+    with pytest.raises(ValueError, match=r"non-finite gradient for token_table row 17$"):
+        trainer.adamw_step(params, grads, trainer.init_adamw(params), lr=0.1)
+    assert np.array_equal(params.flat, before)
+    grads = enc.Gradient.zeros(params, np.array([3]))
+    grads.b2[0] = -np.inf
+    with pytest.raises(ValueError, match=r"non-finite gradient for b2$"):
+        trainer.adamw_step(params, grads, trainer.init_adamw(params), lr=0.1)
+
+
+@pytest.mark.parametrize("rows", [[5, 5], [7, 3], [-1], [64]],
+                         ids=["repeated", "descending", "negative", "past-the-table"])
+def test_adamw_rejects_bad_gradient_rows(tiny_config, rows):
+    params = enc.init_params(tiny_config)
+    grads = enc.Gradient.zeros(params, np.array(rows))
+    with pytest.raises(ValueError, match="structure"):
+        trainer.adamw_step(params, grads, trainer.init_adamw(params), lr=0.1)
+
+
 def _demo_sized_params_and_grads(rng):
     # the demo encoder shape (4096 buckets) with a 64-wide distillation head;
-    # like a real batch, the gradient is zero on all but a few token rows
+    # like a real batch, the gradient holds only a few token rows
     config = enc.EncoderConfig(vocab_buckets=4096, embed_dim=48, hidden_dim=96,
                                output_dim=96, init_seed=3)
     params = enc.attach_head(enc.init_params(config), config, 64, seed=4)
-    grads = enc.unflatten(config, rng.normal(size=params.flat.size))
-    keep = rng.choice(config.vocab_buckets, size=10, replace=False)
-    rows = np.zeros(config.vocab_buckets, dtype=bool)
-    rows[keep] = True
-    grads.token_table[~rows] = 0.0
+    dense = enc.unflatten(config, rng.normal(size=params.flat.size))
+    keep = np.sort(rng.choice(config.vocab_buckets, size=10, replace=False))
+    grads = enc.Gradient.zeros(params, keep)
+    grads.token_table = dense.token_table[keep]
+    grads.flat[grads.token_table.size:] = dense.flat[dense.token_table.size:]
     return params, grads
 
 
@@ -142,7 +170,8 @@ def test_adamw_matches_per_tensor_reference_bit_exact():
         _, grads = _demo_sized_params_and_grads(rng)
         lr = 1e-3 * step
         trainer.adamw_step(params, grads, state, lr, weight_decay=0.01)
-        tensors, m, v = adamw_reference(tensors, grads.tensor_items(), m, v, step, lr, 0.01)
+        dense = scatter_gradient(grads, params).tensor_items()
+        tensors, m, v = adamw_reference(tensors, dense, m, v, step, lr, 0.01)
         assert state.step == step
         assert np.array_equal(params.flat, np.concatenate([a.ravel() for _, a in tensors]))
         assert np.array_equal(state.m, np.concatenate([a.ravel() for _, a in m]))
@@ -443,9 +472,9 @@ def test_contrastive_batches_audited_during_training(small_setup, monkeypatch):
     seen_batches = []
     real_backward = trainer.enc.backward_batch
 
-    def spy_backward(params, config, texts, grads):
+    def spy_backward(params, config, texts, grads, forward):
         seen_batches.append(list(texts))
-        return real_backward(params, config, texts, grads)
+        return real_backward(params, config, texts, grads, forward)
 
     monkeypatch.setattr(trainer.enc, "backward_batch", spy_backward)
     cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=2, batch_size=16, seed=1)
@@ -755,3 +784,55 @@ def test_train_config_validation():
         trainer.TrainConfig(warmup_fraction=1.5)
     with pytest.raises(ValueError):
         trainer.TrainConfig(epochs=-1)
+
+
+# ---------------------------------------------------------------------------
+# one forward pass per optimizer step
+
+
+@pytest.mark.parametrize("regime", ["contrastive", "sts", "self-distill", "xlingual"])
+def test_each_step_runs_the_forward_once(regime, small_setup, small_world, tmp_path,
+                                         monkeypatch):
+    kg, corpus, base = small_setup
+    cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=2, batch_size=16, seed=1)
+    # forward passes outside the steps: the full-set loss before training and
+    # after each epoch (self-distillation), the teacher table (xlingual)
+    extra = {"self-distill": cfg.epochs + 1, "xlingual": 1}.get(regime, 0)
+    if regime == "contrastive":
+        run = lambda: trainer.train_contrastive(base, corpus[:64], kg, cfg)  # noqa: E731
+    elif regime == "sts":
+        sts = ev.load_sts_dataset(os.path.join(small_world, "sts_train.tsv"))
+        run = lambda: trainer.adapt_sts(base, sts, cfg)  # noqa: E731
+    elif regime == "self-distill":
+        teacher = enc.Checkpoint(config=base.config, phase="sts_adapted", params=base.params)
+        _, targets = trainer.build_targets(teacher, kg, k=4)
+        run = lambda: trainer.train_self_distill(base, targets, kg, cfg)  # noqa: E731
+    else:
+        teacher, pairs = _teacher_and_pairs(tmp_path)
+        student_cfg = enc.EncoderConfig(vocab_buckets=512, embed_dim=16, hidden_dim=24,
+                                        output_dim=20, init_seed=77)
+        run = lambda: trainer.train_xlingual(teacher, student_cfg, pairs, cfg)  # noqa: E731
+
+    calls = []
+    real_forward, real_backward = enc.forward_batch, enc.backward_batch
+
+    def spy_forward(*args):
+        calls.append("forward")
+        return real_forward(*args)
+
+    def spy_backward(*args):
+        calls.append("backward")
+        grad = real_backward(*args)
+        calls.append("backward returned")
+        return grad
+
+    monkeypatch.setattr(enc, "forward_batch", spy_forward)
+    monkeypatch.setattr(enc, "backward_batch", spy_backward)
+    _, stats = run()
+    assert stats.steps > 0
+    assert calls.count("forward") == stats.steps + extra
+    assert calls.count("backward") == stats.steps
+    # the backward pass reuses the step's forward and never runs its own
+    for i, call in enumerate(calls):
+        if call == "backward":
+            assert calls[i - 1] == "forward" and calls[i + 1] == "backward returned"
