@@ -2,10 +2,10 @@
 
 Subcommands: verbalize, train (contrastive | sts | self-distill | xlingual),
 soup, eval, embed, pipeline. Every command writes its outputs atomically
-(temp file + rename) and, on success, drops a run manifest next to each
-primary output with the config snapshot, seed and input digests needed to
-re-run it bit-identically. Exit codes: 0 success, 1 I/O, 2 domain or
-validation failure, 64 usage.
+(temp file + rename; ``pipeline`` stages a whole directory) and, on success,
+drops a run manifest next to each primary output with the config snapshot,
+seed and input digests needed to re-run it bit-identically. Exit codes: 0
+success, 1 I/O, 2 domain or validation failure, 64 usage or config file.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -28,6 +29,7 @@ from . import evalsuite as ev
 from . import ontology as onto
 from . import soup as soup_mod
 from . import trainer
+from .config import ConfigError, build_config, config_keys, read_config
 
 log = logging.getLogger("ontoembed")
 
@@ -152,34 +154,30 @@ def vars_snapshot(args) -> dict:
 # train
 
 
-def _train_cfg_from_args(args) -> trainer.TrainConfig:
-    mapping = trainer.parse_kv_file(args.config) if args.config else {}
-    cfg = trainer.train_config_from_mapping(mapping)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
-
-
-def _base_checkpoint(args, mapping: dict[str, str]) -> enc.Checkpoint:
+def _base_checkpoint(args, config: enc.EncoderConfig) -> enc.Checkpoint:
     if args.base:
         return enc.load_checkpoint(args.base)
-    config = enc.config_from_mapping(mapping)
     return enc.Checkpoint(config=config, phase="base", params=enc.init_params(config))
 
 
 def cmd_train(args) -> int:
     started = time.time()
-    mapping = trainer.parse_kv_file(args.config) if args.config else {}
-    cfg = _train_cfg_from_args(args)
+    # every key is read and checked before anything is loaded or trained
+    mapping = read_config(args.config, TRAIN_KEYS) if args.config else {}
+    cfg = build_config(trainer.TrainConfig, mapping, args.config)
+    enc_cfg = enc.config_from_mapping(mapping, source=args.config)
+    overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.epochs is not None:
+        overrides["epochs"] = args.epochs
+    cfg = dataclasses.replace(cfg, **overrides) if overrides else cfg
     inputs = [p for p in (args.config,) if p]
 
     if args.phase == "contrastive":
         if not args.corpus:
             raise UsageError("train contrastive requires --corpus")
-        base = _base_checkpoint(args, mapping)
+        base = _base_checkpoint(args, enc_cfg)
         corpus = onto.load_corpus(args.corpus)
         kg, _ = _load_kg(args.ontology, args.templates) if args.ontology \
             else (onto.KnowledgeGraph({}), None)
@@ -190,7 +188,7 @@ def cmd_train(args) -> int:
     elif args.phase == "sts":
         if not args.data:
             raise UsageError("train sts requires --data")
-        base = _base_checkpoint(args, mapping)
+        base = _base_checkpoint(args, enc_cfg)
         dataset = ev.load_sts_dataset(args.data)
         ckpt, stats = trainer.adapt_sts(base, dataset, cfg)
         inputs += [p for p in (args.base, args.data) if p]
@@ -211,7 +209,7 @@ def cmd_train(args) -> int:
             raise UsageError("train xlingual requires --teacher and --pairs")
         teacher = enc.load_checkpoint(args.teacher)
         pairs = onto.load_parallel_pairs(args.pairs)
-        student_cfg = enc.config_from_mapping(mapping, defaults=teacher.config)
+        student_cfg = enc.config_from_mapping(mapping, teacher.config, args.config)
         ckpt, stats = trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
         inputs += [args.teacher, args.pairs]
     else:  # pragma: no cover - argparse restricts choices
@@ -364,137 +362,165 @@ def cmd_embed(args) -> int:
 # pipeline
 
 
-def _resolve(base_dir: str, path: str) -> str:
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
+@dataclasses.dataclass(frozen=True)
+class PipelineConfig:
+    """The pipeline's own keys. Dataset paths are resolved relative to the
+    config file; all but ``glossary`` are required."""
+
+    ontology: str | None = None
+    templates: str | None = None
+    glossary: str | None = None
+    sts_train: str | None = None
+    sts_val: str | None = None
+    sts_test: str | None = None
+    bcr: str | None = None
+    nel: str | None = None
+    nli: str | None = None
+    out_dir: str = "pipeline_out"
+    seed: int = 7
+    per_concept_templated: int = 2
+    distill_runs: int = 7
+    pca_dim: int = 64
+    second_adapt: str = "before_distill"
+    distill_teacher: str = "adapted"
+    soup_strategy: str = "greedy"
+    soup_metric: str = "pearson"
+
+    def __post_init__(self):
+        for name in ("seed", "per_concept_templated"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("distill_runs", "pca_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name, allowed in (("second_adapt", ("before_distill", "none")),
+                              ("distill_teacher", ("adapted", "contrastive")),
+                              ("soup_strategy", ("greedy", "uniform")),
+                              ("soup_metric", ("pearson",))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be {' or '.join(allowed)}, "
+                                 f"got {getattr(self, name)!r}")
 
 
-def _phase_cfg(mapping: dict[str, str], prefix: str, seed: int) -> trainer.TrainConfig:
-    """Phase config from prefixed keys; the pipeline-derived seed applies
-    unless the config pins one explicitly for this phase."""
-    cfg = trainer.train_config_from_mapping(mapping, prefix=prefix)
-    if prefix + "seed" not in mapping:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg
-
-
-# The pipeline's choice keys and their allowed values, default first.
-PIPELINE_CHOICES = {
-    "second_adapt": ("before_distill", "none"),
-    "distill_teacher": ("adapted", "contrastive"),
-    "soup_strategy": ("greedy", "uniform"),
-    "soup_metric": ("pearson",),
-}
-
-# Every key a pipeline config may set; training keys apply to every phase,
-# or to one phase behind its prefix.
+# ``train`` takes the encoder and training keys; ``pipeline`` also takes its
+# own keys, and each training key behind a phase prefix, for that phase.
+TRAIN_KEYS = enc.ENCODER_CONFIG_KEYS + trainer.TRAIN_CONFIG_KEYS
 PIPELINE_KEYS = frozenset(
-    ("ontology", "templates", "glossary", "sts_train", "sts_val", "sts_test", "bcr", "nel",
-     "nli", "out_dir", "seed", "per_concept_templated", "distill_runs", "pca_dim")
-    + tuple(PIPELINE_CHOICES) + enc.ENCODER_CONFIG_KEYS + trainer.TRAIN_CONFIG_KEYS
+    config_keys(PipelineConfig) + TRAIN_KEYS
     + tuple(phase + key for phase in ("adapt_", "contrastive_", "readapt_", "distill_")
             for key in trainer.TRAIN_CONFIG_KEYS)
 )
+_DATASETS = ("ontology", "templates", "sts_train", "sts_val", "sts_test", "bcr", "nel", "nli")
 
 
-def _pipeline_choice(mapping: dict[str, str], key: str) -> str:
-    allowed = PIPELINE_CHOICES[key]
-    value = mapping.get(key, allowed[0])
-    if value not in allowed:
-        raise UsageError(f"{key} must be {' or '.join(allowed)}, got {value!r}")
-    return value
+class PipelinePlan:
+    """What ``pipeline`` reads and checks before it trains: the config file
+    at ``path`` and every input it names. Building a plan writes nothing; a
+    bad config raises ConfigError. ``train`` maps each training phase
+    (``adapt``, ``contrastive``, ``readapt``, ``distill_01``, ...) to its
+    config."""
+
+    def __init__(self, path: str):
+        self.mapping = mapping = read_config(path, PIPELINE_KEYS)
+        self.cfg = cfg = build_config(PipelineConfig, mapping, path)
+        self.encoder = enc.config_from_mapping(mapping, source=path)
+        # a phase is seeded with the pipeline seed unless the file sets
+        # <phase>_seed; distillation run i (from 0) adds i to its seed
+        self.train = {phase: build_config(trainer.TrainConfig, mapping, path, phase + "_",
+                                          trainer.TrainConfig(seed=cfg.seed))
+                      for phase in ("adapt", "contrastive", "readapt", "distill")}
+        distill = self.train.pop("distill")
+        for i in range(cfg.distill_runs):
+            self.train[f"distill_{i + 1:02d}"] = dataclasses.replace(distill,
+                                                                     seed=distill.seed + i)
+
+        paths = {key: os.path.join(os.path.dirname(os.path.abspath(path)), getattr(cfg, key))
+                 for key in _DATASETS + ("glossary",) if getattr(cfg, key) is not None}
+        for key in _DATASETS:
+            if key not in paths:
+                raise ConfigError(f"{path}: missing the {key!r} path")
+        self.inputs = list(paths.values())
+        self.kg, gloss_stats = _load_kg(paths["ontology"], paths["templates"],
+                                        paths.get("glossary"))
+        self.glossary_added = gloss_stats.added if gloss_stats else 0
+        limit = min(len(self.kg) - 1, self.encoder.output_dim)
+        if cfg.pca_dim > limit:
+            raise ConfigError(f"{path}: pca_dim: must be at most {limit} with output_dim "
+                              f"{self.encoder.output_dim} and {len(self.kg)} concepts")
+        self.corpus = onto.build_corpus(self.kg, cfg.per_concept_templated, cfg.seed)
+        self.data = {
+            "sts_train": ev.load_sts_dataset(paths["sts_train"]),
+            "sts_val": ev.load_sts_dataset(paths["sts_val"]),
+            "sts_test": ev.load_sts_dataset(paths["sts_test"]),
+            "bcr": ev.load_bcr_dataset(paths["bcr"]),
+            "nel": ev.load_nel_dataset(paths["nel"]),
+            "nli": ev.load_nli_dataset(paths["nli"]),
+        }
 
 
-def cmd_pipeline(args) -> int:
-    started = time.time()
-    mapping = trainer.parse_kv_file(args.config)
-    # checked before anything is trained or written
-    unknown = sorted(set(mapping) - PIPELINE_KEYS)
-    if unknown:
-        raise UsageError(f"unknown pipeline config key(s): {', '.join(unknown)}")
-    second_adapt, teacher_choice, strategy, _ = [
-        _pipeline_choice(mapping, key) for key in PIPELINE_CHOICES]
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    out_dir = args.out_dir or mapping.get("out_dir", "pipeline_out")
-    os.makedirs(out_dir, exist_ok=True)
-
-    def path_of(key: str) -> str:
-        if key not in mapping:
-            raise UsageError(f"pipeline config is missing the {key!r} path")
-        return _resolve(base_dir, mapping[key])
-
-    seed = int(mapping.get("seed", 7))
-    kg, gloss_stats = _load_kg(
-        path_of("ontology"), path_of("templates"),
-        _resolve(base_dir, mapping["glossary"]) if "glossary" in mapping else None,
-    )
-    corpus = onto.build_corpus(kg, int(mapping.get("per_concept_templated", 2)), seed)
-    sts_train = ev.load_sts_dataset(path_of("sts_train"))
-    sts_val = ev.load_sts_dataset(path_of("sts_val"))
-    sts_test = ev.load_sts_dataset(path_of("sts_test"))
-    bcr = ev.load_bcr_dataset(path_of("bcr"))
-    nel = ev.load_nel_dataset(path_of("nel"))
-    nli = ev.load_nli_dataset(path_of("nli"))
-    inputs = [path_of(k) for k in ("ontology", "templates", "sts_train", "sts_val",
-                                   "sts_test", "bcr", "nel", "nli")]
-    if "glossary" in mapping:
-        inputs.append(_resolve(base_dir, mapping["glossary"]))
+def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) -> dict:
+    """Train, evaluate and report as ``plan`` says, writing every output into
+    the directory ``stage``; the manifest lists them under ``out_dir``."""
+    cfg, kg, data = plan.cfg, plan.kg, plan.data
+    written = ["report.json"]
 
     def benchmarks(ckpt: enc.Checkpoint) -> dict[str, ev.EvalReport]:
         return {
-            "sts_val": ev.eval_sts(ckpt, sts_val),
-            "sts_test": ev.eval_sts(ckpt, sts_test),
-            "bcr": ev.eval_bcr(ckpt, bcr),
-            "nel": ev.eval_nel(ckpt, kg, nel, [1])[0],
-            "nli": ev.eval_nli_triplets(ckpt, nli),
+            "sts_val": ev.eval_sts(ckpt, data["sts_val"]),
+            "sts_test": ev.eval_sts(ckpt, data["sts_test"]),
+            "bcr": ev.eval_bcr(ckpt, data["bcr"]),
+            "nel": ev.eval_nel(ckpt, kg, data["nel"], [1])[0],
+            "nli": ev.eval_nli_triplets(ckpt, data["nli"]),
         }
 
-    def save(name: str, ckpt: enc.Checkpoint) -> str:
-        path = os.path.join(out_dir, name)
-        _save_checkpoint(path, ckpt)
-        return path
+    def save(name: str, ckpt: enc.Checkpoint) -> None:
+        _save_checkpoint(os.path.join(stage, name), ckpt)
+        written.append(name)
 
-    enc_cfg = enc.config_from_mapping(mapping)
-    log.info("pipeline: %d concepts, %d training pairs", len(kg), len(corpus))
+    def train(phase: str, regime, *args):
+        try:
+            return regime(*args, plan.train[phase])
+        except trainer.TrainError as exc:
+            raise trainer.TrainError(f"{phase}: {exc}") from exc
 
-    base = enc.Checkpoint(config=enc_cfg, phase="base", params=enc.init_params(enc_cfg))
+    log.info("pipeline: %d concepts, %d training pairs", len(kg), len(plan.corpus))
+
+    base = enc.Checkpoint(config=plan.encoder, phase="base",
+                          params=enc.init_params(plan.encoder))
     save("base.ckpt", base)
 
-    adapted, _ = trainer.adapt_sts(base, sts_train, _phase_cfg(mapping, "adapt_", seed))
+    adapted, _ = train("adapt", trainer.adapt_sts, base, data["sts_train"])
     save("adapted.ckpt", adapted)
     log.info("adaptation done")
 
-    contrastive, stats = trainer.train_contrastive(
-        adapted, corpus, kg, _phase_cfg(mapping, "contrastive_", seed))
+    contrastive, stats = train("contrastive", trainer.train_contrastive,
+                               adapted, plan.corpus, kg)
     save("contrastive.ckpt", contrastive)
     log.info("contrastive done: %d steps, final loss %.4f", stats.steps, stats.final_loss)
 
     readapted = contrastive
-    if second_adapt == "before_distill":
-        readapted, _ = trainer.adapt_sts(
-            contrastive, sts_train, _phase_cfg(mapping, "readapt_", seed))
+    if cfg.second_adapt == "before_distill":
+        readapted, _ = train("readapt", trainer.adapt_sts, contrastive, data["sts_train"])
         save("readapted.ckpt", readapted)
-    teacher = readapted if teacher_choice == "adapted" else contrastive
+    teacher = readapted if cfg.distill_teacher == "adapted" else contrastive
 
-    pca_dim = int(mapping.get("pca_dim", 64))
-    _, targets = trainer.build_targets(teacher, kg, k=pca_dim)
+    _, targets = trainer.build_targets(teacher, kg, k=cfg.pca_dim)
 
-    runs = int(mapping.get("distill_runs", 7))
     candidates = []
     distill_detail = []
-    for i in range(runs):
-        run_cfg = _phase_cfg(mapping, "distill_", seed + i)
-        distilled, dstats = trainer.train_self_distill(adapted, targets, kg, run_cfg)
+    for i in range(cfg.distill_runs):
         label = f"distill_{i + 1:02d}"
+        distilled, dstats = train(label, trainer.train_self_distill, adapted, targets, kg)
         save(label + ".ckpt", distilled)
-        val = ev.eval_sts(distilled, sts_val).value
+        val = ev.eval_sts(distilled, data["sts_val"]).value
         candidates.append(soup_mod.candidate_from_checkpoint(distilled, val, label))
-        distill_detail.append({"label": label, "seed": seed + i,
+        distill_detail.append({"label": label, "seed": plan.train[label].seed,
                                "val_pearson": val,
                                "final_loss": dstats.final_loss})
         log.info("%s: val pearson %.4f", label, val)
 
-    soup_metric_fn = lambda ckpt: ev.eval_sts(ckpt, sts_val).value  # noqa: E731
-    if strategy == "greedy":
+    soup_metric_fn = lambda ckpt: ev.eval_sts(ckpt, data["sts_val"]).value  # noqa: E731
+    if cfg.soup_strategy == "greedy":
         souped, kept = soup_mod.greedy_soup(candidates, soup_metric_fn)
     else:
         souped = soup_mod.uniform_soup(candidates)
@@ -510,7 +536,7 @@ def cmd_pipeline(args) -> int:
         ("self_distilled", best_single.checkpoint),
         ("souped", souped),
     ]
-    if second_adapt == "before_distill":
+    if cfg.second_adapt == "before_distill":
         phases.insert(3, ("readapted", readapted))
 
     rows = []
@@ -525,37 +551,55 @@ def cmd_pipeline(args) -> int:
             })
 
     report = {
-        "seed": seed,
+        "seed": cfg.seed,
         "concepts": len(kg),
-        "training_pairs": len(corpus),
-        "glossary_added": gloss_stats.added if gloss_stats else 0,
+        "training_pairs": len(plan.corpus),
+        "glossary_added": plan.glossary_added,
         "phases": [name for name, _ in phases],
         "rows": rows,
         "distill_runs": distill_detail,
         "soup": {
-            "strategy": strategy,
+            "strategy": cfg.soup_strategy,
             "kept": kept,
             "validation_pearson": soup_metric_fn(souped),
             "best_single_label": best_single.label,
             "best_single_validation": best_single.validation_score,
         },
     }
-    report_path = os.path.join(out_dir, "report.json")
+    report_path = os.path.join(stage, "report.json")
     _atomic_write_text(report_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_manifest(report_path, "pipeline", dict(sorted(plan.mapping.items())),
+                    plan.inputs, cfg.seed, [os.path.join(out_dir, name) for name in written],
+                    started, {"soup_validation_pearson": report["soup"]["validation_pearson"]})
+    return report
 
-    outputs = [report_path] + [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))
-                               if f.endswith(".ckpt")]
-    _write_manifest(report_path, "pipeline", dict(sorted(mapping.items())),
-                    inputs, seed, outputs, started,
-                    {"soup_validation_pearson": report["soup"]["validation_pearson"]})
+
+def cmd_pipeline(args) -> int:
+    started = time.time()
+    plan = PipelinePlan(args.config)
+    out_dir = os.path.abspath(args.out_dir or plan.cfg.out_dir)
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise NotADirectoryError(f"output directory {out_dir} is not a directory")
+    # Every output is written into a fresh directory next to out_dir, on the
+    # same file system, and moved into out_dir only when the run succeeds.
+    os.makedirs(os.path.dirname(out_dir), exist_ok=True)
+    stage = tempfile.mkdtemp(dir=os.path.dirname(out_dir), prefix=".pipeline-")
+    try:
+        report = _run_pipeline(plan, stage, out_dir, started)
+        os.makedirs(out_dir, exist_ok=True)
+        for name in os.listdir(stage):
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
     print(f"{'phase':<16} {'benchmark':<10} {'metric':<16} value")
-    for row in rows:
+    for row in report["rows"]:
         print(f"{row['phase']:<16} {row['benchmark']:<10} {row['metric']:<16} "
               f"{row['value']:+.4f}")
-    print(f"soup kept {len(kept)}/{len(candidates)} ingredients; "
-          f"validation pearson {report['soup']['validation_pearson']:.4f} "
-          f"(best single {best_single.validation_score:.4f})")
+    soup = report["soup"]
+    print(f"soup kept {len(soup['kept'])}/{len(report['distill_runs'])} ingredients; "
+          f"validation pearson {soup['validation_pearson']:.4f} "
+          f"(best single {soup['best_single_validation']:.4f})")
     return EXIT_OK
 
 
@@ -636,7 +680,7 @@ def main(argv=None) -> int:
         if args.verbose:
             logging.getLogger().setLevel(logging.INFO)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (onto.OntologyError, ev.EvalError, trainer.TrainError, soup_mod.SoupError,

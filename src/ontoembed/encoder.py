@@ -14,11 +14,13 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
 
 import numpy as np
+
+from .config import build_config, config_keys
 
 CHECKPOINT_MAGIC = b"OEMBCKPT"
 CHECKPOINT_VERSION = 1
@@ -80,56 +82,29 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.init_scale < 0:
             raise ValueError("init_scale must be >= 0")
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be >= 0")
 
     def soup_compatible(self, other: "EncoderConfig") -> bool:
-        return (
-            self.vocab_buckets == other.vocab_buckets
-            and self.embed_dim == other.embed_dim
-            and self.hidden_dim == other.hidden_dim
-            and self.output_dim == other.output_dim
-            and self.hash_seed == other.hash_seed
-            and self.init_scale == other.init_scale
-        )
+        return replace(self, init_seed=other.init_seed) == other
 
     def base_param_count(self) -> int:
         v, e, h, o = self.vocab_buckets, self.embed_dim, self.hidden_dim, self.output_dim
         return v * e + e * h + h + h * o + o
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_buckets": self.vocab_buckets,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "output_dim": self.output_dim,
-            "hash_seed": self.hash_seed,
-            "init_seed": self.init_seed,
-            "init_scale": self.init_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
+        return asdict(self)
 
 
-ENCODER_CONFIG_KEYS = (
-    "vocab_buckets", "embed_dim", "hidden_dim", "output_dim",
-    "hash_seed", "init_seed", "init_scale",
-)
+ENCODER_CONFIG_KEYS = config_keys(EncoderConfig)
 
 
-def config_from_mapping(mapping: dict[str, str],
-                        defaults: "EncoderConfig | None" = None) -> "EncoderConfig":
-    """Build an EncoderConfig from string key-value pairs (config files);
-    keys match the field names, missing keys fall back to ``defaults``."""
-    base = defaults or EncoderConfig()
-    kwargs = {}
-    for key in ENCODER_CONFIG_KEYS:
-        if key in mapping:
-            cast = float if key == "init_scale" else int
-            kwargs[key] = cast(mapping[key])
-        else:
-            kwargs[key] = getattr(base, key)
-    return EncoderConfig(**kwargs)
+def config_from_mapping(mapping: dict[str, str], defaults: "EncoderConfig | None" = None,
+                        source="config") -> "EncoderConfig":
+    """The EncoderConfig that the encoder keys of a config file's ``mapping``
+    set; keys it lacks keep their value in ``defaults`` (the field defaults
+    when None), and other keys are ignored."""
+    return build_config(EncoderConfig, mapping, source, base=defaults)
 
 
 _TENSOR_NAMES = ("token_table", "w1", "b1", "w2", "b2", "head_w", "head_b")
@@ -488,7 +463,7 @@ def _config_from_header(header) -> EncoderConfig:
     require(head_dim is None or (is_int(head_dim) and head_dim >= 1),
             "head_dim must be null or a positive integer")
     try:
-        config = EncoderConfig.from_dict(cfg)
+        config = EncoderConfig(**cfg)
     except ValueError as exc:
         raise CheckpointFormatError(f"malformed checkpoint header: {exc}") from exc
     expected = config.base_param_count() + (head_dim or 0) * (config.output_dim + 1)

@@ -19,6 +19,7 @@ import numpy as np
 from . import encoder as enc
 from . import losses
 from . import ontology as onto
+from .config import config_keys, parse_kv_file  # noqa: F401 (read as trainer.parse_kv_file)
 
 log = logging.getLogger(__name__)
 
@@ -68,63 +69,12 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.hard_negatives_per_batch < 0:
             raise ValueError("hard_negatives_per_batch must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
-def parse_kv_file(path) -> dict[str, str]:
-    """Parse a plain-text ``key = value`` config file. '#' starts a comment;
-    blank lines are skipped."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{line_no}: expected key = value")
-            key, value = stripped.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
-def _parse_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
-
-
-# The keys ``train_config_from_mapping`` reads.
-TRAIN_CONFIG_KEYS = (
-    "learning_rate", "weight_decay", "warmup_fraction", "epochs", "batch_size", "seed",
-    "hard_negatives_per_batch", "info_nce_scale", "info_nce_symmetric",
-)
-
-
-def train_config_from_mapping(mapping: dict[str, str], prefix: str = "") -> TrainConfig:
-    """Build a TrainConfig from string key-value pairs; keys match the field
-    names (nested InfoNCE fields are flattened as info_nce_scale and
-    info_nce_symmetric). Keys may carry a phase prefix such as
-    ``contrastive_``."""
-    def pick(key, cast, default):
-        value = mapping.get(prefix + key, mapping.get(key))
-        return default if value is None else cast(value)
-
-    nce = losses.InfoNCEConfig(
-        scale=pick("info_nce_scale", float, 20.0),
-        symmetric=pick("info_nce_symmetric", _parse_bool, False),
-    )
-    return TrainConfig(
-        learning_rate=pick("learning_rate", float, 2e-5),
-        weight_decay=pick("weight_decay", float, 0.01),
-        warmup_fraction=pick("warmup_fraction", float, 0.05),
-        epochs=pick("epochs", int, 1),
-        batch_size=pick("batch_size", int, 128),
-        seed=pick("seed", int, 0),
-        hard_negatives_per_batch=pick("hard_negatives_per_batch", int, 0),
-        info_nce=nce,
-    )
+# Every key a training config file may set.
+TRAIN_CONFIG_KEYS = config_keys(TrainConfig)
 
 
 @dataclass

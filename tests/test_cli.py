@@ -554,6 +554,131 @@ def test_pipeline_without_second_adapt(small_world, tmp_path):
     assert "readapted" not in report["phases"]
 
 
+# The cheapest pipeline that still runs every phase.
+_FAST = dict(adapt_epochs=1, contrastive_epochs=1, readapt_epochs=1, distill_epochs=1,
+             distill_runs=2)
+
+
+def _no_training(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a bad config reached training")
+    monkeypatch.setattr(trainer, "_fit", fail)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("readapt_epochs", "fifteen"), ("distill_batch_size", "0"), ("distill_runs", "0"),
+    ("pca_dim", "0"), ("pca_dim", "49"), ("info_nce_symmetric", "maybe"),
+    ("contrastive_learning_rate", "nan"), ("seed", "-1"),
+])
+def test_pipeline_bad_value_exits_64_naming_the_key_before_training(
+        small_world, tmp_path, capsys, monkeypatch, key, value):
+    # pca_dim 49 exceeds output_dim 48; each of these used to fail only
+    # once its phase started, leaving checkpoints behind
+    _no_training(monkeypatch)
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, **{key: value})
+    out_dir = tmp_path / "run"
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(out_dir)]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{cfg}: {key}: " in err[0]
+    assert sorted(os.listdir(tmp_path)) == ["demo.cfg"]
+
+
+@pytest.mark.parametrize("typo", ["epoch", "learnig_rate"])
+def test_train_rejects_unknown_key_before_training(small_world, tmp_path, capsys,
+                                                   monkeypatch, typo):
+    # a typo used to train silently with the default value
+    _no_training(monkeypatch)
+    cfg = _mini_train_cfg(tmp_path, **{typo: "3"})
+    out = tmp_path / "sts.ckpt"
+    assert run(["train", "sts", "--data", os.path.join(small_world, "sts_train.tsv"),
+                "--config", cfg, "--out", str(out)]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and typo in err[0]
+    assert sorted(os.listdir(tmp_path)) == ["train.cfg"]
+
+
+def test_pipeline_out_dir_that_is_a_file_exits_1_before_training(small_world, tmp_path,
+                                                                 monkeypatch):
+    _no_training(monkeypatch)
+    cfg = _mini_pipeline_cfg(small_world, tmp_path)
+    (tmp_path / "run").write_text("a file\n")
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 1
+    assert sorted(os.listdir(tmp_path)) == ["demo.cfg", "run"]
+
+
+def test_pipeline_training_error_names_the_phase(small_world, tmp_path, capsys, monkeypatch):
+    # every gradient of the second adaptation pass is non-finite
+    real_adapt, real_backward = trainer.adapt_sts, trainer.enc.backward_batch
+    adapt_calls = []
+
+    def nan_backward(*args):
+        grad = real_backward(*args)
+        grad.w1[0, 0] = np.nan
+        return grad
+
+    def adapt(*args):
+        adapt_calls.append(args)
+        if len(adapt_calls) == 2:
+            monkeypatch.setattr(trainer.enc, "backward_batch", nan_backward)
+        return real_adapt(*args)
+
+    monkeypatch.setattr(trainer, "adapt_sts", adapt)
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, **_FAST)
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: readapt: sts training failed at epoch 1, step 1: non-finite gradient for w1"]
+
+
+def test_pipeline_failure_leaves_out_dir_as_it_was(small_world, tmp_path, capsys,
+                                                   monkeypatch):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "base.ckpt").write_bytes(b"an earlier run")
+    (out_dir / "notes.txt").write_text("kept\n")
+    real_distill = trainer.train_self_distill
+    distill_calls = []
+
+    def distill(*args):
+        distill_calls.append(args)
+        if len(distill_calls) == 2:
+            raise trainer.TrainError("self-distill training failed at epoch 1, step 1: boom")
+        return real_distill(*args)
+
+    monkeypatch.setattr(trainer, "train_self_distill", distill)
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, **_FAST)
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(out_dir)]) == 2
+    assert "distill_02: self-distill training failed" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["demo.cfg", "run"]
+    assert sorted(os.listdir(out_dir)) == ["base.ckpt", "notes.txt"]
+    assert (out_dir / "base.ckpt").read_bytes() == b"an earlier run"
+
+
+def test_pipeline_manifest_lists_only_this_runs_outputs(small_world, tmp_path):
+    # a 2-run pipeline into the directory of a 3-run one replaces the files
+    # it writes, leaves distill_03.ckpt alone, and lists only its own files
+    out_dir = tmp_path / "run"
+    for runs in (3, 2):
+        cfg = _mini_pipeline_cfg(small_world, tmp_path, **{**_FAST, "distill_runs": runs})
+        assert run(["pipeline", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "report.json.manifest.json").read_text())
+    names = ["report.json", "base.ckpt", "adapted.ckpt", "contrastive.ckpt",
+             "readapted.ckpt", "distill_01.ckpt", "distill_02.ckpt", "soup.ckpt"]
+    assert manifest["outputs"] == [str(out_dir / name) for name in names]
+    assert (out_dir / "distill_03.ckpt").exists()
+    assert [r["label"] for r in json.loads((out_dir / "report.json").read_text())
+            ["distill_runs"]] == ["distill_01", "distill_02"]
+
+
+def test_pipeline_distill_seed_offsets_each_run(small_world, tmp_path):
+    # distill_seed = 4 used to give every run seed 4 while the report said 5, 6
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, **_FAST, distill_seed=4)
+    out_dir = tmp_path / "run"
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert [r["seed"] for r in report["distill_runs"]] == [4, 5]
+    assert (out_dir / "distill_01.ckpt").read_bytes() != (out_dir / "distill_02.ckpt").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # golden checkpoint
 

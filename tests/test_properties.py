@@ -1,6 +1,10 @@
 """Property tests over random small encoder configs, with and without a
 distillation head: the flat parameter layout, checkpoint round trips,
-uniform soups of identical models and the row-sparse AdamW step."""
+uniform soups of identical models and the row-sparse AdamW step; and over
+mutated pipeline config files."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from ontoembed import cli  # noqa: E402
+from ontoembed import config  # noqa: E402
 from ontoembed import encoder as enc  # noqa: E402
 from ontoembed import soup  # noqa: E402
 from ontoembed import trainer  # noqa: E402
@@ -123,3 +129,69 @@ def test_sparse_adamw_equals_dense_reference_bit_for_bit(weight_decay, head_dims
         tensors, m, v = adamw_reference(tensors, dense, m, v, step, lr, weight_decay)
         for got, want in ((params.flat, tensors), (state.m, m), (state.v, v)):
             assert got.tobytes() == np.concatenate([a.ravel() for _, a in want]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# pipeline config files
+
+_PATH_KEYS = ("ontology", "templates", "glossary", "sts_train", "sts_val", "sts_test",
+              "bcr", "nel", "nli")
+_VALUE_KEYS = sorted(set(cli.PIPELINE_KEYS) - set(_PATH_KEYS))
+# Values without decimal digits, plus a few numeric edge cases; a long digit
+# string could ask the plan for billions of distillation runs.
+_GARBAGE = st.sampled_from(["-1", "0", "1", "3", "2.5", "nan", "inf", "1e400", "true",
+                            "maybe", ""]) | st.text(
+    st.characters(blacklist_categories=("Cs", "Nd"), blacklist_characters="\n\r"),
+    max_size=10)
+
+
+@st.composite
+def pipeline_config_lines(draw, base: dict):
+    """The lines of ``base`` as a config file, mutated one to three times:
+    a garbage value, an unknown key, a line without '=', a duplicated line,
+    or a dropped path key."""
+    lines = [f"{k} = {v}" for k, v in base.items()]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["value", "unknown", "no_equals", "duplicate", "drop"]))
+        if kind == "value":
+            lines.append(f"{draw(st.sampled_from(_VALUE_KEYS))} = {draw(_GARBAGE)}")
+        elif kind == "unknown":
+            key = draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
+                       .filter(lambda k: k not in cli.PIPELINE_KEYS))
+            lines.append(f"{key} = 1")
+        elif kind == "no_equals":
+            lines.append(draw(st.text(st.characters(blacklist_categories=("Cs",),
+                                                    blacklist_characters="=\n\r"),
+                                      max_size=10)))
+        elif kind == "duplicate":
+            lines.append(draw(st.sampled_from(lines)))
+        else:
+            drop = draw(st.sampled_from(_PATH_KEYS))
+            lines = [line for line in lines if not line.startswith(drop + " =")]
+    return lines
+
+
+@pytest.fixture(scope="module")
+def pipeline_base(small_world):
+    paths = {k: os.path.join(small_world, f"{k}.jsonl" if k in ("ontology", "glossary")
+                             else f"{k}.tsv") for k in _PATH_KEYS}
+    return {**paths, "seed": "5", "vocab_buckets": "256", "embed_dim": "8",
+            "hidden_dim": "8", "output_dim": "8", "pca_dim": "4", "distill_runs": "2",
+            "contrastive_epochs": "1", "distill_batch_size": "16"}
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_mutated_pipeline_configs_plan_or_fail_in_one_line(pipeline_base, data):
+    # Building the plan trains nothing: each file either plans or raises the
+    # one-line config error that names it, and no output directory appears.
+    lines = data.draw(pipeline_config_lines(pipeline_base))
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "p.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines + [f"out_dir = {work}/out"]))
+        try:
+            cli.PipelinePlan(path)
+        except config.ConfigError as exc:
+            assert str(exc).startswith(path) and "\n" not in str(exc)
+        assert os.listdir(work) == ["p.cfg"]

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ontoembed import config
 from ontoembed import encoder as enc
 from ontoembed import evalsuite as ev
 from ontoembed import ontology as onto
@@ -753,7 +754,7 @@ def test_parse_kv_file_and_train_config(tmp_path):
         "seed = 42  # trailing comment\n"
     )
     mapping = trainer.parse_kv_file(path)
-    cfg = trainer.train_config_from_mapping(mapping)
+    cfg = config.build_config(trainer.TrainConfig, mapping)
     assert cfg.learning_rate == 0.004
     assert cfg.epochs == 3
     assert cfg.batch_size == 16
@@ -772,7 +773,7 @@ def test_parse_kv_file_rejects_garbage(tmp_path):
 def test_phase_prefixed_keys(tmp_path):
     mapping = {"learning_rate": "0.1", "contrastive_learning_rate": "0.5",
                "epochs": "2"}
-    cfg = trainer.train_config_from_mapping(mapping, prefix="contrastive_")
+    cfg = config.build_config(trainer.TrainConfig, mapping, prefix="contrastive_")
     assert cfg.learning_rate == 0.5
     assert cfg.epochs == 2
 
