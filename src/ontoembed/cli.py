@@ -245,6 +245,20 @@ def _metric_fn(metric: str, args):
     raise UsageError(f"unknown metric {metric!r}")
 
 
+def _read_listing(path: str) -> list[tuple[str, float, str]]:
+    """The (path, score, label) candidates of a ``soup --manifest`` listing,
+    ``{"candidates": [{"path": str, "score": number, "label": str}, ...]}``;
+    a missing label is ""."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            listing = json.load(fh)
+        return [(onto.json_field(entry, "path"), float(onto.json_field(entry, "score", float)),
+                 onto.json_field(entry, "label", default=""))
+                for entry in onto.json_field(listing, "candidates", (dict,))]
+    except (OverflowError, RecursionError, TypeError, ValueError) as exc:
+        raise soup_mod.SoupError(f"{path}: {exc}") from exc
+
+
 def cmd_soup(args) -> int:
     started = time.time()
     if args.strategy == "greedy" and not args.val:
@@ -254,15 +268,12 @@ def cmd_soup(args) -> int:
     candidates: list[soup_mod.SoupCandidate] = []
 
     if args.manifest:
-        with open(args.manifest, encoding="utf-8") as fh:
-            listing = json.load(fh)
         inputs.append(args.manifest)
-        for entry in listing["candidates"]:
-            ckpt = enc.load_checkpoint(entry["path"])
-            inputs.append(entry["path"])
-            label = entry.get("label") or os.path.basename(entry["path"])
+        for path, score, label in _read_listing(args.manifest):
+            ckpt = enc.load_checkpoint(path)
+            inputs.append(path)
             candidates.append(soup_mod.candidate_from_checkpoint(
-                ckpt, float(entry["score"]), label))
+                ckpt, score, label or os.path.basename(path)))
     elif args.models:
         if evaluate is None:
             raise UsageError("--val is required when candidates carry no scores")
@@ -384,7 +395,6 @@ class PipelineConfig:
     second_adapt: str = "before_distill"
     distill_teacher: str = "adapted"
     soup_strategy: str = "greedy"
-    soup_metric: str = "pearson"
 
     def __post_init__(self):
         for name in ("seed", "per_concept_templated"):
@@ -395,8 +405,7 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be >= 1")
         for name, allowed in (("second_adapt", ("before_distill", "none")),
                               ("distill_teacher", ("adapted", "contrastive")),
-                              ("soup_strategy", ("greedy", "uniform")),
-                              ("soup_metric", ("pearson",))):
+                              ("soup_strategy", ("greedy", "uniform"))):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be {' or '.join(allowed)}, "
                                  f"got {getattr(self, name)!r}")
@@ -429,6 +438,9 @@ class PipelinePlan:
         self.train = {phase: build_config(trainer.TrainConfig, mapping, path, phase + "_",
                                           trainer.TrainConfig(seed=cfg.seed))
                       for phase in ("adapt", "contrastive", "readapt", "distill")}
+        if self.train["contrastive"].batch_size < 2:
+            key = "contrastive_batch_size" if "contrastive_batch_size" in mapping else "batch_size"
+            raise ConfigError(f"{path}: {key}: must be >= 2 for the in-batch objective")
         distill = self.train.pop("distill")
         for i in range(cfg.distill_runs):
             self.train[f"distill_{i + 1:02d}"] = dataclasses.replace(distill,

@@ -5,7 +5,7 @@ All evaluations are read-only over the model and graph, row order is
 canonical (file order), and every metric has an independently implemented
 oracle in the test suite that it must match to 1e-12.
 
-Dataset files (UTF-8 TSV):
+Dataset files, TSVs read through ``ontology.read_records``:
   STS / BCR  text_a <TAB> text_b <TAB> gold
   NEL        mention <TAB> concept_id
   NLI        anchor <TAB> entailed <TAB> contradicted
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -98,45 +98,37 @@ def _check_pair_rows(rows) -> None:
         raise DatasetError("gold scores have zero variance")
 
 
-def _read_tsv(path, n_cols: int) -> list[list[str]]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_cols:
-                raise DatasetError(
-                    f"{path}:{line_no}: expected {n_cols} columns, got {len(parts)}"
-                )
-            rows.append(parts)
-    return rows
+def _load(dataset_cls, path, columns: int, row=lambda *fields: fields):
+    """``dataset_cls`` over the rows ``row`` makes from the lines of the TSV
+    at ``path``; every error names the file, and a malformed line its line."""
+    try:
+        rows = onto.read_records(path, row, columns)
+    except onto.ParseError as exc:
+        raise DatasetError(str(exc)) from exc
+    try:
+        return dataset_cls(rows=tuple(rows))
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
+
+
+def _scored(a: str, b: str, gold: str) -> tuple[str, str, float]:
+    return a, b, float(gold)
 
 
 def load_sts_dataset(path) -> StsDataset:
-    rows = [(a, b, _parse_gold(path, i, g)) for i, (a, b, g) in enumerate(_read_tsv(path, 3), 1)]
-    return StsDataset(rows=tuple(rows))
+    return _load(StsDataset, path, 3, _scored)
 
 
 def load_bcr_dataset(path) -> BcrDataset:
-    rows = [(a, b, _parse_gold(path, i, g)) for i, (a, b, g) in enumerate(_read_tsv(path, 3), 1)]
-    return BcrDataset(rows=tuple(rows))
+    return _load(BcrDataset, path, 3, _scored)
 
 
 def load_nel_dataset(path) -> NelDataset:
-    return NelDataset(rows=tuple((m, c) for m, c in _read_tsv(path, 2)))
+    return _load(NelDataset, path, 2)
 
 
 def load_nli_dataset(path) -> NliTripleDataset:
-    return NliTripleDataset(rows=tuple((a, e, c) for a, e, c in _read_tsv(path, 3)))
-
-
-def _parse_gold(path, line_no: int, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise DatasetError(f"{path}:{line_no}: gold score {raw!r} is not a number") from None
+    return _load(NliTripleDataset, path, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +189,7 @@ class EvalReport:
     data_digest: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "benchmark": self.benchmark,
-                "metric": self.metric,
-                "value": self.value,
-                "n": self.n,
-                "model_digest": self.model_digest,
-                "data_digest": self.data_digest,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def model_digest(ckpt: enc.Checkpoint) -> str:
@@ -237,36 +218,31 @@ def _cosine_rows(model: enc.Checkpoint, pairs) -> np.ndarray:
     return cos
 
 
+def _reports(benchmark: str, model: enc.Checkpoint, rows, values: dict[str, float]
+             ) -> list[EvalReport]:
+    """One report per ``metric: value`` of ``values``, all on ``rows``."""
+    digests = model_digest(model), data_digest(rows)
+    return [EvalReport(benchmark, metric, value, len(rows), *digests)
+            for metric, value in values.items()]
+
+
+def _eval_correlation(model: enc.Checkpoint, rows, benchmark: str, metric: str,
+                      correlation) -> EvalReport:
+    preds = _cosine_rows(model, [(a, b) for a, b, _ in rows])
+    gold = np.array([g for _, _, g in rows])
+    if preds.max() == preds.min():
+        raise DegenerateModelError(f"constant predictions on the {benchmark.upper()} dataset")
+    return _reports(benchmark, model, rows, {metric: correlation(preds, gold)})[0]
+
+
 def eval_sts(model: enc.Checkpoint, dataset: StsDataset) -> EvalReport:
     """Pearson correlation between embedding cosines and gold similarity."""
-    preds = _cosine_rows(model, [(a, b) for a, b, _ in dataset.rows])
-    gold = np.array([g for _, _, g in dataset.rows])
-    if preds.max() == preds.min():
-        raise DegenerateModelError("constant predictions on the STS dataset")
-    return EvalReport(
-        benchmark="sts",
-        metric="pearson",
-        value=pearson(preds, gold),
-        n=len(dataset.rows),
-        model_digest=model_digest(model),
-        data_digest=data_digest(dataset.rows),
-    )
+    return _eval_correlation(model, dataset.rows, "sts", "pearson", pearson)
 
 
 def eval_bcr(model: enc.Checkpoint, dataset: BcrDataset) -> EvalReport:
     """Spearman correlation between embedding cosines and gold relatedness."""
-    preds = _cosine_rows(model, [(a, b) for a, b, _ in dataset.rows])
-    gold = np.array([g for _, _, g in dataset.rows])
-    if preds.max() == preds.min():
-        raise DegenerateModelError("constant predictions on the BCR dataset")
-    return EvalReport(
-        benchmark="bcr",
-        metric="spearman",
-        value=spearman(preds, gold),
-        n=len(dataset.rows),
-        model_digest=model_digest(model),
-        data_digest=data_digest(dataset.rows),
-    )
+    return _eval_correlation(model, dataset.rows, "bcr", "spearman", spearman)
 
 
 @dataclass
@@ -343,19 +319,7 @@ def eval_nel(
             if gold in ranking[:k]:
                 hits[k] += 1
     n = len(dataset.rows)
-    digest_model = model_digest(model)
-    digest_data = data_digest(dataset.rows)
-    return [
-        EvalReport(
-            benchmark="nel",
-            metric=f"top{k}_accuracy",
-            value=hits[k] / n,
-            n=n,
-            model_digest=digest_model,
-            data_digest=digest_data,
-        )
-        for k in k_list
-    ]
+    return _reports("nel", model, dataset.rows, {f"top{k}_accuracy": hits[k] / n for k in k_list})
 
 
 def eval_nli_triplets(model: enc.Checkpoint, dataset: NliTripleDataset) -> EvalReport:
@@ -367,11 +331,4 @@ def eval_nli_triplets(model: enc.Checkpoint, dataset: NliTripleDataset) -> EvalR
     pos = np.sum(anchors * entailed, axis=1)
     neg = np.sum(anchors * contradicted, axis=1)
     wins = int(np.sum(pos > neg))
-    return EvalReport(
-        benchmark="nli",
-        metric="triplet_accuracy",
-        value=wins / len(dataset.rows),
-        n=len(dataset.rows),
-        model_digest=model_digest(model),
-        data_digest=data_digest(dataset.rows),
-    )
+    return _reports("nli", model, dataset.rows, {"triplet_accuracy": wins / len(dataset.rows)})[0]

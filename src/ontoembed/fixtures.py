@@ -384,7 +384,6 @@ pca_dim = 64
 second_adapt = before_distill
 distill_teacher = adapted
 soup_strategy = greedy
-soup_metric = pearson
 weight_decay = 0.01
 warmup_fraction = 0.05
 """

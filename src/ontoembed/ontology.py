@@ -6,10 +6,11 @@ threads. Surface text comes out of the graph in four flavours (names, human
 definitions, generated definitions, templated relation descriptions), and
 the corpus builder turns those into anchor/positive training pairs.
 
-File formats (all UTF-8):
+File formats, each read through ``read_records``:
   ontology JSONL  one concept object per line, see ``load_ontology``
   templates TSV   relation_type <TAB> template with {SOURCE} and {TARGET}
   glossary JSONL  {"id": ..., "definition": ...}
+  corpus JSONL    one training pair per line, see ``corpus_line``
   parallel TSV    source_text <TAB> target_text <TAB> language
 """
 
@@ -62,6 +63,70 @@ class UnknownConceptError(OntologyError):
     def __init__(self, concept_id: str):
         super().__init__(f"unknown concept id {concept_id!r}")
         self.concept_id = concept_id
+
+
+def read_records(path, parse, columns: int | None = None) -> list:
+    """The records of the UTF-8 line file at ``path``, in file order.
+
+    With ``columns`` set the file is a TSV: each line must split into exactly
+    that many tab-separated fields, and ``parse(*fields)`` makes its record;
+    a line is blank only when it is empty. Otherwise the file is JSONL:
+    ``parse(value)`` makes a record from each line's JSON value, and a line
+    of whitespace is blank. Blank lines are skipped. A line that is not
+    UTF-8, not valid (JSON nested too deep to decode included), or that
+    ``parse`` rejects with KeyError, TypeError or ValueError raises
+    ParseError naming ``path`` and the line.
+    """
+    with open(path, "rb") as fh:
+        # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
+        lines = fh.read().splitlines()
+    records = []
+    for line_no, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8")
+            if columns is None:
+                line = line.strip()
+                if line:
+                    records.append(parse(json.loads(line)))
+            elif line:
+                fields = line.split("\t")
+                if len(fields) != columns:
+                    raise ValueError(f"expected {columns} tab-separated columns, "
+                                     f"got {len(fields)}")
+                records.append(parse(*fields))
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            reason = f"invalid JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError) \
+                else str(exc)
+            raise ParseError(path, line_no, reason) from exc
+    return records
+
+
+_REQUIRED = object()
+_JSON_KINDS = {str: "a string", dict: "an object", float: "a number",
+               (str,): "a list of strings", (dict,): "a list of objects"}
+
+
+def _is_kind(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return type(value) is list and all(type(v) is kind[0] for v in value)
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def json_field(obj, key: str, kind=str, default=_REQUIRED):
+    """``obj[key]`` of the decoded JSON object ``obj``, which must be of
+    ``kind``: ``str``, ``dict``, ``float`` for any number, or ``(str,)`` and
+    ``(dict,)`` for a list of strings or objects. A missing key gives
+    ``default``, or ValueError when there is none; a value of another kind
+    raises TypeError. Nothing is coerced."""
+    if type(obj) is not dict:
+        raise TypeError("expected a JSON object")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"missing {key!r}")
+        return default
+    if not _is_kind(obj[key], kind):
+        raise TypeError(f"{key!r} must be {_JSON_KINDS[kind]}")
+    return obj[key]
 
 
 @dataclass(frozen=True)
@@ -155,8 +220,8 @@ class ParallelPair:
     target_language: str
 
     def __post_init__(self):
-        if not self.source_text or not self.target_text:
-            raise ValueError("parallel pair texts must be non-empty")
+        if not self.source_text or not self.target_text or not self.target_language:
+            raise ValueError("parallel pair texts and language must be non-empty")
 
 
 class KnowledgeGraph:
@@ -220,53 +285,19 @@ class KnowledgeGraph:
         return KnowledgeGraph(self._concepts, templates)
 
 
-def _parse_concept(obj: dict, path, line_no: int) -> Concept:
-    def bad(msg: str) -> ParseError:
-        return ParseError(path, line_no, msg)
-
-    if not isinstance(obj, dict):
-        raise bad("expected a JSON object")
-    cid = obj.get("id")
-    if not isinstance(cid, str) or not cid:
-        raise bad("missing or empty 'id'")
-    names = obj.get("names")
-    if not isinstance(names, list) or not names:
-        raise bad(f"concept {cid!r}: 'names' must be a non-empty list")
-    cleaned = []
-    for n in names:
-        if not isinstance(n, str) or not n.strip():
-            raise bad(f"concept {cid!r}: names must be non-empty strings")
-        cleaned.append(n.strip())
-    parents = obj.get("parents", [])
-    relations_raw = obj.get("relations", [])
-    relations = []
-    for rel in relations_raw:
-        if not isinstance(rel, dict) or "type" not in rel or "target" not in rel:
-            raise bad(f"concept {cid!r}: relations need 'type' and 'target'")
-        relations.append((str(rel["type"]), str(rel["target"])))
-    definitions = []
-    for d in obj.get("definitions", []):
-        try:
-            definitions.append(
-                Definition(
-                    text=d["text"],
-                    source=d.get("source", "human"),
-                    language=d.get("language", "en"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise bad(f"concept {cid!r}: bad definition: {exc}") from exc
-    try:
-        return Concept(
-            id=cid,
-            names=tuple(cleaned),
-            semantic_type=str(obj.get("semantic_type", "")),
-            parents=tuple(str(p) for p in parents),
-            relations=tuple(relations),
-            definitions=tuple(definitions),
-        )
-    except ValueError as exc:
-        raise bad(str(exc)) from exc
+def _parse_concept(obj: dict) -> Concept:
+    return Concept(
+        id=json_field(obj, "id"),
+        names=tuple(n.strip() for n in json_field(obj, "names", (str,))),
+        semantic_type=json_field(obj, "semantic_type", default=""),
+        parents=tuple(json_field(obj, "parents", (str,), ())),
+        relations=tuple((json_field(r, "type"), json_field(r, "target"))
+                        for r in json_field(obj, "relations", (dict,), ())),
+        definitions=tuple(Definition(json_field(d, "text"),
+                                     json_field(d, "source", default="human"),
+                                     json_field(d, "language", default="en"))
+                          for d in json_field(obj, "definitions", (dict,), ())),
+    )
 
 
 def _find_cycle(concepts: dict[str, Concept]) -> list[str] | None:
@@ -316,20 +347,11 @@ def load_ontology(path) -> KnowledgeGraph:
     subgraph. Templates are attached separately via ``load_templates``.
     """
     concepts: dict[str, Concept] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            concept = _parse_concept(obj, path, line_no)
-            if concept.id in concepts:
-                raise ValidationError(f"duplicate concept id {concept.id!r}",
-                                      concept_id=concept.id)
-            concepts[concept.id] = concept
+    for concept in read_records(path, _parse_concept):
+        if concept.id in concepts:
+            raise ValidationError(f"duplicate concept id {concept.id!r}",
+                                  concept_id=concept.id)
+        concepts[concept.id] = concept
 
     for concept in concepts.values():
         for parent in concept.parents:
@@ -357,21 +379,13 @@ def load_ontology(path) -> KnowledgeGraph:
 def load_templates(path) -> dict[str, RelationTemplate]:
     """Load relation templates from a two-column TSV."""
     templates: dict[str, RelationTemplate] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, f"expected 2 tab-separated columns, got {len(parts)}")
-            rtype, template = parts
-            if rtype in templates:
-                raise ParseError(path, line_no, f"duplicate template for relation {rtype!r}")
-            try:
-                templates[rtype] = RelationTemplate(rtype, template)
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
+
+    def add(rtype: str, template: str) -> None:
+        if rtype in templates:
+            raise ValueError(f"duplicate template for relation {rtype!r}")
+        templates[rtype] = RelationTemplate(rtype, template)
+
+    read_records(path, add, columns=2)
     return templates
 
 
@@ -379,6 +393,11 @@ def load_templates(path) -> dict[str, RelationTemplate]:
 class GlossaryMergeStats:
     added: int
     skipped_unknown: int
+
+
+def _glossary_entry(obj: dict) -> tuple[str, Definition]:
+    return json_field(obj, "id"), Definition(json_field(obj, "definition"), "generated",
+                                             json_field(obj, "language", default="en"))
 
 
 def merge_glossary(kg: KnowledgeGraph, path) -> tuple[KnowledgeGraph, GlossaryMergeStats]:
@@ -390,28 +409,11 @@ def merge_glossary(kg: KnowledgeGraph, path) -> tuple[KnowledgeGraph, GlossaryMe
     """
     extra: dict[str, list[Definition]] = {}
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "definition" not in obj:
-                raise ParseError(path, line_no, "expected {\"id\": ..., \"definition\": ...}")
-            cid = str(obj["id"])
-            text = str(obj["definition"])
-            if not text:
-                raise ParseError(path, line_no, f"empty definition for {cid!r}")
-            if cid not in kg:
-                skipped += 1
-                continue
-            extra.setdefault(cid, []).append(
-                Definition(text=text, source="generated",
-                           language=str(obj.get("language", "en")))
-            )
+    for cid, definition in read_records(path, _glossary_entry):
+        if cid in kg:
+            extra.setdefault(cid, []).append(definition)
+        else:
+            skipped += 1
 
     added = sum(len(v) for v in extra.values())
     if skipped:
@@ -520,19 +522,7 @@ def sample_hard_negatives(
 
 def load_parallel_pairs(path) -> list[ParallelPair]:
     """Load a 3-column TSV of (source_text, target_text, language) rows."""
-    pairs: list[ParallelPair] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected 3 tab-separated columns, got {len(parts)}")
-            src, tgt, lang = parts
-            if not src or not tgt or not lang:
-                raise ParseError(path, line_no, "empty field in parallel pair")
-            pairs.append(ParallelPair(src, tgt, lang))
+    pairs = read_records(path, ParallelPair, columns=3)
     counts = language_counts(pairs)
     log.info("loaded %d parallel pairs from %s (%s)", len(pairs), path,
              ", ".join(f"{k}: {v}" for k, v in sorted(counts.items())))
@@ -583,20 +573,14 @@ def corpus_line(pair: TrainingPair) -> str:
 
 
 def load_corpus(path) -> list[TrainingPair]:
-    pairs: list[TrainingPair] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                cid = row["concept_id"]
-                anchor = Description(cid, row["anchor"]["text"], row["anchor"]["kind"],
-                                     row["anchor"].get("language", "en"))
-                positive = Description(cid, row["positive"]["text"], row["positive"]["kind"],
-                                       row["positive"].get("language", "en"))
-                pairs.append(TrainingPair(anchor=anchor, positive=positive))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(path, line_no, f"bad corpus row: {exc}") from exc
-    return pairs
+    """Load training pairs written one per line by ``corpus_line``."""
+
+    def pair(obj: dict) -> TrainingPair:
+        cid = json_field(obj, "concept_id")
+        anchor, positive = (
+            Description(cid, json_field(d, "text"), json_field(d, "kind"),
+                        json_field(d, "language", default="en"))
+            for d in (json_field(obj, "anchor", dict), json_field(obj, "positive", dict)))
+        return TrainingPair(anchor=anchor, positive=positive)
+
+    return read_records(path, pair)

@@ -58,6 +58,73 @@ def test_invalid_ontology_exits_2(tmp_path):
     assert not out.exists()
 
 
+_CONCEPT = '{"id": "R", "names": ["root"]}\n'
+_PAIR = {"concept_id": "R", "anchor": {"text": "root", "kind": "name"},
+         "positive": {"text": "the root", "kind": "human_definition"}}
+
+
+def _bad_corpus(**change):
+    return json.dumps(_PAIR) + "\n" + json.dumps({**_PAIR, "concept_id": "S", **change}) + "\n"
+
+
+# (command, the input it reads from the bad file, file name, bytes, line named)
+_MALFORMED = {
+    "ontology-parents-number": ("verbalize", "--ontology", "kg.jsonl",
+                                _CONCEPT + '{"id": "A", "names": ["a"], "parents": 5}\n', 2),
+    "ontology-relations-number": ("verbalize", "--ontology", "kg.jsonl",
+                                  _CONCEPT + '{"id": "A", "names": ["a"], "relations": 5}\n', 2),
+    "ontology-definitions-number": ("verbalize", "--ontology", "kg.jsonl",
+                                    _CONCEPT + '{"id": "A", "names": ["a"], "definitions": 5}\n',
+                                    2),
+    "ontology-nested-too-deep": ("verbalize", "--ontology", "kg.jsonl",
+                                 _CONCEPT + "[" * 100000 + "\n", 2),
+    "ontology-parents-string": ("verbalize", "--ontology", "kg.jsonl",
+                                _CONCEPT + '{"id": "A", "names": ["a"], "parents": "R"}\n', 2),
+    "corpus-text-number": ("contrastive", "--corpus", "corpus.jsonl",
+                           _bad_corpus(anchor={"text": 5, "kind": "name"}), 2),
+    "corpus-concept-id-list": ("contrastive", "--corpus", "corpus.jsonl",
+                               _bad_corpus(concept_id=["x"]), 2),
+    "glossary-definition-null": ("verbalize", "--glossary", "glossary.jsonl",
+                                 '{"id": "R", "definition": null}\n', 1),
+    "templates-not-utf8": ("verbalize", "--templates", "templates.tsv",
+                           b"is_a\t{SOURCE} is a {TARGET}\npart_\xff\t{SOURCE} in {TARGET}\n", 2),
+    "sts-not-utf8": ("sts", "--data", "sts.tsv", b"a\tb\t1\nc\td\xe9\t4\n", 2),
+    "manifest-without-candidates": ("soup", "--manifest", "cands.json", '{"cands": []}', None),
+    "manifest-not-an-object": ("soup", "--manifest", "cands.json", "[1, 2]", None),
+    "manifest-entry-without-path": ("soup", "--manifest", "cands.json",
+                                    '{"candidates": [{"score": 0.5}]}', None),
+    "manifest-nested-too-deep": ("soup", "--manifest", "cands.json", "[" * 100000, None),
+    "manifest-score-string": ("soup", "--manifest", "cands.json",
+                              '{"candidates": [{"path": "m.ckpt", "score": "0.5"}]}', None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_exits_2_with_one_line_naming_it(small_world, tmp_path, capsys, case):
+    # each of these used to end in a traceback, in a later failure, in a
+    # message without the file, or was accepted
+    command, flag, name, content, line_no = _MALFORMED[case]
+    bad = tmp_path / name
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    world = {"--ontology": os.path.join(small_world, "ontology.jsonl"),
+             "--templates": os.path.join(small_world, "templates.tsv"), flag: str(bad)}
+    out = str(tmp_path / "out" / "result")
+    argv = {
+        "verbalize": ["verbalize"] + [a for k, v in world.items() for a in (k, v)],
+        "contrastive": ["train", "contrastive", "--corpus", str(bad),
+                        "--config", _mini_train_cfg(tmp_path)],
+        "sts": ["train", "sts", "--data", str(bad), "--config", _mini_train_cfg(tmp_path)],
+        "soup": ["soup", "--manifest", str(bad), "--strategy", "uniform"],
+    }[command]
+    assert run(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    where = f"{bad}:{line_no}: " if line_no else f"{bad}: "
+    assert len(err) == 1 and err[0].startswith("error: " + where), err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_nel_without_ontology_is_usage_error(small_world, tmp_path):
     ckpt = tmp_path / "m.ckpt"
     cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
@@ -479,7 +546,8 @@ def _mini_pipeline_cfg(small_world, tmp_path, **overrides):
         "distill_learning_rate": "0.001", "distill_epochs": "2",
         "distill_batch_size": "32", "distill_runs": "3", "pca_dim": "16",
     }
-    mapping.update({k: str(v) for k, v in overrides.items()})
+    # an override of None drops the key
+    mapping = {k: str(v) for k, v in {**mapping, **overrides}.items() if v is not None}
     path = tmp_path / "demo.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
     return str(path)
@@ -580,6 +648,22 @@ def test_pipeline_bad_value_exits_64_naming_the_key_before_training(
     assert run(["pipeline", "--config", cfg, "--out-dir", str(out_dir)]) == 64
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"{cfg}: {key}: " in err[0]
+    assert sorted(os.listdir(tmp_path)) == ["demo.cfg"]
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"contrastive_batch_size": 1}, "contrastive_batch_size"),
+    ({"contrastive_batch_size": None, "batch_size": 1}, "batch_size"),
+], ids=["phase-key", "shared-key"])
+def test_pipeline_contrastive_batch_of_one_exits_64_naming_the_key_before_training(
+        small_world, tmp_path, capsys, monkeypatch, overrides, key):
+    # the in-batch objective needs two pairs a batch; this used to fail
+    # only when the contrastive phase started, after adaptation had trained
+    _no_training(monkeypatch)
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, **overrides)
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{cfg}: {key}: must be >= 2" in err[0]
     assert sorted(os.listdir(tmp_path)) == ["demo.cfg"]
 
 

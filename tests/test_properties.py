@@ -1,8 +1,10 @@
 """Property tests over random small encoder configs, with and without a
 distillation head: the flat parameter layout, checkpoint round trips,
-uniform soups of identical models and the row-sparse AdamW step; and over
-mutated pipeline config files."""
+uniform soups of identical models and the row-sparse AdamW step; over
+mutated pipeline config files; and over mutated lines of every TSV and JSONL
+input."""
 
+import json
 import os
 import tempfile
 
@@ -16,6 +18,8 @@ from hypothesis import strategies as st  # noqa: E402
 from ontoembed import cli  # noqa: E402
 from ontoembed import config  # noqa: E402
 from ontoembed import encoder as enc  # noqa: E402
+from ontoembed import evalsuite as ev  # noqa: E402
+from ontoembed import ontology as onto  # noqa: E402
 from ontoembed import soup  # noqa: E402
 from ontoembed import trainer  # noqa: E402
 
@@ -195,3 +199,117 @@ def test_mutated_pipeline_configs_plan_or_fail_in_one_line(pipeline_base, data):
         except config.ConfigError as exc:
             assert str(exc).startswith(path) and "\n" not in str(exc)
         assert os.listdir(work) == ["p.cfg"]
+
+
+# ---------------------------------------------------------------------------
+# TSV and JSONL inputs
+
+# Byte strings that are not UTF-8 wherever they are inserted.
+_NOT_UTF8 = [b"\xff", b"\xc0\xaf", b"\xed\xa0\x80"]
+# One JSON value of each kind.
+_JSON_VALUES = [None, True, 5, 1.5, "x", [], {}]
+
+
+def _json_kind(value):
+    return float if type(value) in (int, float) else type(value)
+
+
+def _json_paths(value, path=()):
+    """The path of every value inside the decoded JSON ``value``, its own included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+@st.composite
+def mutated_json_line(draw, line: bytes):
+    """``(line, dropped)``: ``line`` with one value replaced by a value of
+    another JSON kind or by null, or with one object key or list item
+    dropped; only a dropped key or item may leave the line valid."""
+    value = json.loads(line)
+    path = draw(st.sampled_from(list(_json_paths(value))))
+    kind = draw(st.sampled_from(["retype", "drop"] if path else ["retype"]))
+    if not path:
+        return json.dumps(draw(st.sampled_from(
+            [v for v in _JSON_VALUES if _json_kind(v) is not dict]))).encode(), False
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(
+            [v for v in _JSON_VALUES if v is None or _json_kind(v) is not _json_kind(old)]))
+    return json.dumps(value).encode(), kind == "drop"
+
+
+@st.composite
+def mutated_tsv_line(draw, line: bytes):
+    """``(line, False)``: ``line`` with a tab added at any place or one of
+    its tabs removed."""
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(line)))
+        return line[:at] + b"\t" + line[at:], False
+    tabs = [i for i, byte in enumerate(line) if byte == ord("\t")]
+    at = draw(st.sampled_from(tabs))
+    return line[:at] + line[at + 1:], False
+
+
+@st.composite
+def not_utf8(draw, line: bytes):
+    at = draw(st.integers(0, len(line)))
+    return line[:at] + draw(st.sampled_from(_NOT_UTF8)) + line[at:], False
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(small_world, small_kg):
+    """file name -> (its lines, loader, the loader's documented error)."""
+    def lines(name, limit=None):
+        with open(os.path.join(small_world, name), "rb") as fh:
+            return fh.read().splitlines()[:limit]
+
+    corpus = [onto.corpus_line(p).encode() for p in onto.build_corpus(small_kg, 2, 0)[:30]]
+    return {
+        "ontology.jsonl": (lines("ontology.jsonl"), onto.load_ontology, onto.OntologyError),
+        "glossary.jsonl": (lines("glossary.jsonl"), lambda path: onto.merge_glossary(
+            small_kg, path), onto.OntologyError),
+        "corpus.jsonl": (corpus, onto.load_corpus, onto.OntologyError),
+        "templates.tsv": (lines("templates.tsv"), onto.load_templates, onto.OntologyError),
+        "parallel.tsv": (lines("parallel.tsv", 30), onto.load_parallel_pairs,
+                         onto.OntologyError),
+        "sts_train.tsv": (lines("sts_train.tsv"), ev.load_sts_dataset, ev.DatasetError),
+        "bcr.tsv": (lines("bcr.tsv"), ev.load_bcr_dataset, ev.DatasetError),
+        "nel.tsv": (lines("nel.tsv"), ev.load_nel_dataset, ev.DatasetError),
+        "nli.tsv": (lines("nli.tsv"), ev.load_nli_dataset, ev.DatasetError),
+    }
+
+
+@pytest.mark.parametrize("name", ["ontology.jsonl", "glossary.jsonl", "corpus.jsonl",
+                                  "templates.tsv", "parallel.tsv", "sts_train.tsv", "bcr.tsv",
+                                  "nel.tsv", "nli.tsv"])
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_input_line_loads_or_fails_naming_the_line(reader_inputs, name, data):
+    # One line of a fixture file gets a wrong JSON kind, a null, a dropped
+    # key or item, a tab too many or too few, or bytes that are not UTF-8.
+    # The loader raises its documented error with one line that names the
+    # file and that line; only a file with a dropped key or item may load.
+    lines, load, error = reader_inputs[name]
+    line_no = data.draw(st.integers(1, len(lines)), label="line_no")
+    mutate = data.draw(st.sampled_from(
+        [mutated_json_line if name.endswith(".jsonl") else mutated_tsv_line, not_utf8]))
+    lines = list(lines)
+    lines[line_no - 1], may_load = data.draw(mutate(lines[line_no - 1]), label="line")
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, name)
+        with open(path, "wb") as fh:
+            fh.write(b"".join(line + b"\n" for line in lines))
+        try:
+            load(path)
+        except error as exc:
+            assert str(exc).startswith(f"{path}:{line_no}: ") and "\n" not in str(exc)
+        else:
+            assert may_load, "a malformed line was accepted"
