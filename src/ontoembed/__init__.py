@@ -13,14 +13,17 @@ from .encoder import (  # noqa: F401
     EncoderConfig,
     Gradient,
     Params,
+    Tokens,
     backward_batch,
     encode_batch,
     flatten,
     forward_batch,
+    forward_tokens,
     init_params,
     load_checkpoint,
     save_checkpoint,
     tokenize,
+    tokenize_batch,
     unflatten,
 )
 from .losses import InfoNCEConfig, cosine_regression, info_nce, mse  # noqa: F401

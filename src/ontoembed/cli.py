@@ -350,13 +350,29 @@ def cmd_eval(args) -> int:
 # embed
 
 
+def _read_texts(path) -> list[str]:
+    """The lines of the UTF-8 text file at ``path``, each one text, blank
+    lines included. A line that is not UTF-8 or holds a tab raises
+    ParseError naming ``path`` and the line."""
+    with open(path, "rb") as fh:
+        # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
+        lines = fh.read().splitlines()
+    texts = []
+    for line_no, raw in enumerate(lines, 1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise onto.ParseError(path, line_no, str(exc)) from exc
+        if "\t" in text:
+            raise onto.ParseError(path, line_no, "input texts must not contain tab characters")
+        texts.append(text)
+    return texts
+
+
 def cmd_embed(args) -> int:
     started = time.time()
     model = enc.load_checkpoint(args.model)
-    with open(args.infile, encoding="utf-8") as fh:
-        texts = [line.rstrip("\n") for line in fh]
-    if any("\t" in text for text in texts):
-        raise ValueError("input texts must not contain tab characters")
+    texts = _read_texts(args.infile)
     with _atomic_output(args.out) as fh:
         for i in range(0, len(texts), EMBED_CHUNK):
             chunk = texts[i:i + EMBED_CHUNK]

@@ -173,6 +173,13 @@ class Params:
     def copy(self) -> "Params":
         return Params._wrap(self.flat.copy(), self.shapes)
 
+    def take_rows(self, rows: np.ndarray) -> "Params":
+        """A copy of these params whose token table holds only the rows
+        ``rows``, in that order."""
+        table = self.token_table
+        shapes = [(len(rows), table.shape[1])] + self.shapes[1:]
+        return Params._wrap(np.concatenate([table[rows].ravel(), self.flat[table.size:]]), shapes)
+
     def without_head(self) -> "Params":
         """The encoder part of these params, sharing their memory."""
         views = list(self._views.values())[:5]
@@ -208,6 +215,39 @@ def tokenize(config: EncoderConfig, text: str) -> list[int]:
     ``vocab_buckets``, so the mapping is identical on every platform.
     """
     return list(_token_ids(config.vocab_buckets, config.hash_seed, text))
+
+
+@dataclass(frozen=True)
+class Tokens:
+    """The token ids of a list of texts in CSR layout: text i's ids, in
+    token order, are ``ids[offsets[i]:offsets[i + 1]]``. ``ids`` index the
+    rows of the token table they are pooled from."""
+
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def take(self, index) -> "Tokens":
+        """The token lists of the texts ``index`` names, in that order."""
+        index = np.asarray(index, dtype=np.intp)
+        lengths = self.lengths[index]
+        offsets = np.zeros(len(index) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        shift = np.repeat(self.offsets[index] - offsets[:-1], lengths)
+        return Tokens(self.ids[np.arange(offsets[-1]) + shift], offsets)
+
+
+def tokenize_batch(config: EncoderConfig, texts: list[str]) -> Tokens:
+    """``tokenize`` of every text in ``texts``, as one ``Tokens``."""
+    id_lists = [_token_ids(config.vocab_buckets, config.hash_seed, t) for t in texts]
+    offsets = np.zeros(len(texts) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, id_lists), dtype=np.intp, count=len(texts)),
+              out=offsets[1:])
+    ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.intp, count=int(offsets[-1]))
+    return Tokens(ids, offsets)
 
 
 def init_params(config: EncoderConfig) -> Params:
@@ -276,34 +316,41 @@ def _matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w if len(x) != 1 else (np.vstack([x, x]) @ w)[:1]
 
 
-def _row_sums(index: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
-    """``out[index[i]] += values[i]`` for each i in order, on a zero
+def _gather_sums(source: np.ndarray, gather: np.ndarray, index: np.ndarray,
+                 count: int) -> np.ndarray:
+    """``out[index[i]] += source[gather[i]]`` for each i in order, on a zero
     (count, width) matrix: the additions ``np.add.at`` makes, in its order,
-    as one ``np.bincount`` over (row, column) bins."""
-    width = values.shape[1]
-    bins = (index[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(bins, weights=values.ravel(), minlength=count * width)
-    return sums.astype(float, copy=False).reshape(count, width)  # int when index is empty
+    as one ``np.bincount`` per column, so no (len(index), width) array is
+    ever built."""
+    out = np.empty((count, source.shape[1]))
+    for j in range(source.shape[1]):
+        out[:, j] = np.bincount(index, weights=source[:, j][gather], minlength=count)
+    return out
 
 
-def forward_batch(params: Params, config: EncoderConfig, texts: list[str]) -> Forward:
-    """The network's one forward pass over a batch of texts.
+def forward_tokens(params: Params, tokens: Tokens) -> Forward:
+    """The network's one forward pass, over a batch of tokenized texts whose
+    ids index ``params.token_table``.
 
-    Mean pooling is one gather of token rows summed per text by
-    ``_row_sums``, divided by the token counts: the same additions, in the
-    same order, as each text's ``token_table[ids].mean(axis=0)``.
+    Mean pooling sums each text's token rows by ``_gather_sums`` and divides
+    by the token counts: the same additions, in the same order, as each
+    text's ``token_table[ids].mean(axis=0)``.
     """
-    id_lists = [_token_ids(config.vocab_buckets, config.hash_seed, t) for t in texts]
-    lengths = np.fromiter(map(len, id_lists), dtype=np.intp, count=len(texts))
-    ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.intp, count=int(lengths.sum()))
-    text_of = np.repeat(np.arange(len(texts)), lengths)
+    lengths = tokens.lengths
+    text_of = np.repeat(np.arange(len(lengths)), lengths)
     counts = np.maximum(lengths, 1)
-    pooled = _row_sums(text_of, params.token_table[ids], len(texts)) / counts[:, None]
+    pooled = _gather_sums(params.token_table, tokens.ids, text_of, len(lengths))
+    pooled /= counts[:, None]
     h = np.tanh(_matmul_rows(pooled, params.w1) + params.b1)
     z = _matmul_rows(h, params.w2) + params.b2
     raw_norms = np.linalg.norm(z, axis=1)
     norms = np.maximum(raw_norms, NORM_GUARD)
-    return Forward(z / norms[:, None], ids, text_of, counts, pooled, h, raw_norms, norms)
+    return Forward(z / norms[:, None], tokens.ids, text_of, counts, pooled, h, raw_norms, norms)
+
+
+def forward_batch(params: Params, config: EncoderConfig, texts: list[str]) -> Forward:
+    """``forward_tokens`` over the ``tokenize_batch`` of ``texts``."""
+    return forward_tokens(params, tokenize_batch(config, texts))
 
 
 def encode_batch(params: Params, config: EncoderConfig, texts: list[str]) -> np.ndarray:
@@ -353,7 +400,7 @@ def backward_batch(
     grad.w1 = f.pooled.T @ grad_a
     grad.b1 = grad_a.sum(axis=0)
     grad_pooled = grad_a @ params.w1.T
-    grad.token_table = _row_sums(row_of, (grad_pooled / f.counts[:, None])[f.text_of], len(rows))
+    grad.token_table = _gather_sums(grad_pooled / f.counts[:, None], f.text_of, row_of, len(rows))
     return grad
 
 

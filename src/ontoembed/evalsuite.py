@@ -115,8 +115,15 @@ def _scored(a: str, b: str, gold: str) -> tuple[str, str, float]:
     return a, b, float(gold)
 
 
+def _sts_scored(a: str, b: str, gold: str) -> tuple[str, str, float]:
+    row = _scored(a, b, gold)
+    if not (0.0 <= row[2] <= 5.0):
+        raise ValueError(f"STS gold {row[2]} outside [0, 5]")
+    return row
+
+
 def load_sts_dataset(path) -> StsDataset:
-    return _load(StsDataset, path, 3, _scored)
+    return _load(StsDataset, path, 3, _sts_scored)
 
 
 def load_bcr_dataset(path) -> BcrDataset:

@@ -1,8 +1,9 @@
 """Optimization machinery and the training regimes.
 
 Four regimes share one loop, ``_fit``: each regime plans its seeded,
-shuffled batches and supplies a loss closure with analytic gradients through
-the encoder; ``_fit`` steps AdamW in place with a warmup-linear schedule. Every
+shuffled batches, tokenizes its texts once and supplies a loss closure with
+analytic gradients through the encoder; ``_fit`` steps AdamW with a
+warmup-linear schedule over the token rows those texts reach. Every
 regime is a deterministic function of (inputs, seed): re-running produces
 bit-identical checkpoints. Gradient accumulation is strictly sequential in
 batch order, which is what makes that guarantee hold.
@@ -289,8 +290,8 @@ def build_targets(
 # Training regimes
 
 
-def _chunk_batches(n: int, batch_size: int, order: np.ndarray) -> list[list[int]]:
-    return [list(map(int, order[i:i + batch_size])) for i in range(0, n, batch_size)]
+def _chunk_batches(n: int, batch_size: int, order: np.ndarray) -> list[np.ndarray]:
+    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
 def _dedup_batches(
@@ -326,33 +327,89 @@ def _require_no_head(params: enc.Params, regime: str) -> None:
         raise TrainError(f"{regime} expects a head-free base; strip the head first")
 
 
-def _fit(params, plans, loss_and_grads, cfg: TrainConfig, regime: str,
+# Elements of the token table per block of the decay replay: 256 KB of
+# float64, small enough that a block stays in cache through every step.
+_REPLAY_BLOCK = 1 << 15
+
+
+def _replay_decay(table: np.ndarray, reached: np.ndarray, rates: list[float],
+                  weight_decay: float) -> None:
+    """Apply to every row of ``table`` outside ``reached`` the AdamW steps at
+    the learning rates ``rates``, in place.
+
+    No batch touches such a row, so its gradient is +0.0 at every step and
+    its moments stay +0.0. ``adamw_step`` then computes the Adam update as
+    +0.0 / (sqrt(+0.0) + eps) = +0.0, adds the decay term to it and subtracts
+    lr times the sum: theta <- theta - lr * (0.0 + weight_decay * theta).
+    That is replayed here with the same operations in the same order. The
+    ``0.0 +`` is kept: it turns a decay term of -0.0 (theta -0.0, or a tiny
+    theta whose product underflows) into +0.0, and theta - lr * (+0.0) keeps
+    a -0.0 theta where theta - lr * (-0.0) would make it +0.0. Each element's
+    update reads only that element and lr, so replaying every step on one
+    cache-sized block before the next gives the bits the interleaved steps
+    give; with no weight decay the update subtracts +0.0 and changes nothing.
+    """
+    if weight_decay == 0.0:
+        return
+    untouched = np.ones(len(table), dtype=bool)
+    untouched[reached] = False
+    rows = max(1, _REPLAY_BLOCK // table.shape[1])
+    for start in range(0, len(table), rows):
+        block, keep = table[start:start + rows], untouched[start:start + rows]
+        theta = block[keep]
+        decay = np.empty_like(theta)
+        for lr in rates:
+            np.multiply(theta, weight_decay, out=decay)
+            np.add(0.0, decay, out=decay)
+            np.multiply(decay, lr, out=decay)
+            np.subtract(theta, decay, out=theta)
+        block[keep] = theta
+
+
+def _fit(params, tokens, plans, loss_and_grads, cfg: TrainConfig, regime: str,
          full_loss=None) -> TrainStats:
     """The one training loop: walk ``plans`` (one list of batches per epoch)
-    in order, and for each batch take ``loss, grad = loss_and_grads(batch)``
-    and one AdamW step on ``params`` (in place) at the warmup-linear rate.
+    in order, and for each batch take ``loss, grad = loss_and_grads(compact,
+    ids, batch)`` and one AdamW step at the warmup-linear rate.
+
+    ``tokens``, the ``tokenize_batch`` of every text the run can encode,
+    names every token row the run can reach. The steps train ``compact``, a
+    copy of ``params`` holding only those rows, and ``ids`` is ``tokens``
+    remapped to them. At the end the trained rows and tensors are written
+    back into ``params``, and every other row gets the decay the steps gave
+    it (``_replay_decay``): bit for bit what full-table AdamW would leave.
     A ValueError in a step, such as a non-finite gradient, is raised again as
     a TrainError naming ``regime``, the epoch and the step (both from 1).
 
     Epoch losses are the mean batch loss of each epoch, or, when
-    ``full_loss`` is given, ``full_loss()`` before training and after each
-    epoch.
+    ``full_loss`` is given, ``full_loss(compact, ids)`` before training and
+    after each epoch.
     """
+    reached, remapped = np.unique(tokens.ids, return_inverse=True)
+    ids = enc.Tokens(remapped, tokens.offsets)
+    compact = params.take_rows(reached)
     total_steps = sum(len(plan) for plan in plans)
-    state = init_adamw(params)
-    epoch_losses = [] if full_loss is None else [full_loss()]
+    state = init_adamw(compact)
+    rates = []
+    epoch_losses = [] if full_loss is None else [full_loss(compact, ids)]
     for epoch, plan in enumerate(plans, 1):
         batch_losses = []
         for batch in plan:
             lr = warmup_linear(state.step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
             try:
-                loss, grad = loss_and_grads(batch)
-                adamw_step(params, grad, state, lr, cfg.weight_decay)
+                loss, grad = loss_and_grads(compact, ids, batch)
+                adamw_step(compact, grad, state, lr, cfg.weight_decay)
             except ValueError as exc:
                 raise TrainError(f"{regime} training failed at epoch {epoch}, "
                                  f"step {state.step + 1}: {exc}") from exc
+            rates.append(lr)
             batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)) if full_loss is None else full_loss())
+        epoch_losses.append(float(np.mean(batch_losses)) if full_loss is None
+                            else full_loss(compact, ids))
+    table = params.token_table
+    _replay_decay(table, reached, rates, cfg.weight_decay)
+    table[reached] = compact.token_table
+    params.flat[table.size:] = compact.flat[compact.token_table.size:]
     return TrainStats(state.step, epoch_losses)
 
 
@@ -384,44 +441,49 @@ def train_contrastive(
             plans.append([(batch, int(rng.integers(0, 2**63))) for batch in plan])
         else:
             plans.append([(batch, 0) for batch in plan])
+    # texts: every anchor, then every positive, then, when hard negatives
+    # are drawn, every concept's canonical name
+    n = len(corpus)
+    names = kg.concept_ids if cfg.hard_negatives_per_batch > 0 else []
+    texts = ([p.anchor.text for p in corpus] + [p.positive.text for p in corpus]
+             + [kg.get(cid).canonical_name for cid in names])
+    name_index = {cid: 2 * n + k for k, cid in enumerate(names)}
     params = base.params.copy()
 
-    def loss_and_grads(batch):
+    def loss_and_grads(params, ids, batch):
         indices, hn_seed = batch
-        anchors_text = [corpus[i].anchor.text for i in indices]
-        positives_text = [corpus[i].positive.text for i in indices]
-        extra_texts = _draw_hard_negative_names(
+        hard = _draw_hard_negatives(
             kg, [corpus[i].concept_id for i in indices], cfg.hard_negatives_per_batch, hn_seed,
         )
-        texts = anchors_text + positives_text + extra_texts
-        f, b = enc.forward_batch(params, config, texts), len(indices)
+        index = indices + [i + n for i in indices] + [name_index[cid] for cid in hard]
+        batch_texts = [texts[i] for i in index]
+        f, b = enc.forward_tokens(params, ids.take(index)), len(indices)
         e = f.out
         loss, ga, gp, gx = losses.info_nce(e[:b], e[b:2 * b], e[2 * b:], cfg.info_nce,
                                            check_inputs=False)
         grads_out = np.vstack([ga, gp] + ([gx] if gx is not None else []))
-        return loss, enc.backward_batch(params, config, texts, grads_out, f)
+        return loss, enc.backward_batch(params, config, batch_texts, grads_out, f)
 
-    stats = _fit(params, plans, loss_and_grads, cfg, "contrastive")
+    stats = _fit(params, enc.tokenize_batch(config, texts), plans, loss_and_grads, cfg,
+                 "contrastive")
     return enc.derive(base, params, "contrastive"), stats
 
 
-def _draw_hard_negative_names(
+def _draw_hard_negatives(
     kg: onto.KnowledgeGraph, batch_concepts: list[str], count: int, seed: int
 ) -> list[str]:
-    """Collect up to ``count`` canonical names of hard negatives for a batch,
-    one query per batch concept in order, skipping ids already present."""
+    """Collect up to ``count`` hard-negative concept ids for a batch, one
+    query per batch concept in order, skipping ids already present."""
     if count <= 0:
         return []
     in_batch = set(batch_concepts)
     chosen: list[str] = []
-    chosen_ids: set[str] = set()
     for offset, cid in enumerate(batch_concepts):
         ids = onto.sample_hard_negatives(kg, cid, 1, seed + offset)
         for hn in ids:
-            if hn in in_batch or hn in chosen_ids:
+            if hn in in_batch or hn in chosen:
                 continue
-            chosen_ids.add(hn)
-            chosen.append(kg.get(hn).canonical_name)
+            chosen.append(hn)
             break
         if len(chosen) >= count:
             break
@@ -442,21 +504,21 @@ def adapt_sts(model, sts_train, cfg: TrainConfig) -> tuple[enc.Checkpoint, Train
 
     config = model.config
     rng = np.random.default_rng(cfg.seed)
-    orders = [rng.permutation(len(rows)) for _ in range(cfg.epochs)]
-    plans = [_chunk_batches(len(rows), cfg.batch_size, order) for order in orders]
+    n = len(rows)
+    plans = [_chunk_batches(n, cfg.batch_size, rng.permutation(n)) for _ in range(cfg.epochs)]
+    texts = [a for a, _, _ in rows] + [b for _, b, _ in rows]
+    gold = np.array([g for _, _, g in rows]) / 5.0
     params = model.params.copy()
 
-    def loss_and_grads(batch):
-        texts_a = [rows[i][0] for i in batch]
-        texts_b = [rows[i][1] for i in batch]
-        gold = np.array([rows[i][2] for i in batch]) / 5.0
-        texts = texts_a + texts_b
-        f = enc.forward_batch(params, config, texts)
-        loss, gu, gv = losses.cosine_regression(f.out[:len(batch)], f.out[len(batch):], gold,
-                                                check_inputs=False)
-        return loss, enc.backward_batch(params, config, texts, np.vstack([gu, gv]), f)
+    def loss_and_grads(params, ids, batch):
+        index = np.concatenate([batch, batch + n])
+        f = enc.forward_tokens(params, ids.take(index))
+        loss, gu, gv = losses.cosine_regression(f.out[:len(batch)], f.out[len(batch):],
+                                                gold[batch], check_inputs=False)
+        return loss, enc.backward_batch(params, config, [texts[i] for i in index],
+                                        np.vstack([gu, gv]), f)
 
-    stats = _fit(params, plans, loss_and_grads, cfg, "sts")
+    stats = _fit(params, enc.tokenize_batch(config, texts), plans, loss_and_grads, cfg, "sts")
     return enc.derive(model, params, "sts_adapted"), stats
 
 
@@ -472,8 +534,8 @@ def _distill_examples(
     return texts, np.array(rows)
 
 
-def _distill_full_loss(params, config, texts, targets_matrix) -> float:
-    e = enc.encode_batch(params, config, texts)
+def _distill_full_loss(params, ids, targets_matrix) -> float:
+    e = enc.forward_tokens(params, ids).out
     y = e @ params.head_w + params.head_b
     loss, _ = losses.mse(y, targets_matrix)
     return loss
@@ -515,18 +577,19 @@ def train_self_distill(
         _chunk_batches(n, cfg.batch_size, rng.permutation(n)) for _ in range(cfg.epochs)
     ]
 
-    def loss_and_grads(batch):
-        batch_texts = [texts[i] for i in batch]
-        f = enc.forward_batch(params, config, batch_texts)
+    def loss_and_grads(params, ids, batch):
+        f = enc.forward_tokens(params, ids.take(batch))
         y = f.out @ params.head_w + params.head_b
         loss, gy = losses.mse(y, target_matrix[batch])
-        grad = enc.backward_batch(params, config, batch_texts, gy @ params.head_w.T, f)
+        grad = enc.backward_batch(params, config, [texts[i] for i in batch],
+                                  gy @ params.head_w.T, f)
         grad.head_w = f.out.T @ gy
         grad.head_b = gy.sum(axis=0)
         return loss, grad
 
-    stats = _fit(params, plans, loss_and_grads, cfg, "self-distill",
-                 full_loss=lambda: _distill_full_loss(params, config, texts, target_matrix))
+    stats = _fit(params, enc.tokenize_batch(config, texts), plans, loss_and_grads, cfg,
+                 "self-distill",
+                 full_loss=lambda params, ids: _distill_full_loss(params, ids, target_matrix))
     return enc.derive(base, params, "self_distilled"), stats
 
 
@@ -558,17 +621,21 @@ def train_xlingual(
         _chunk_batches(n, cfg.batch_size, rng.permutation(n)) for _ in range(cfg.epochs)
     ]
 
-    def loss_and_grads(batch):
-        texts_e = [pairs[i].source_text for i in batch]
-        texts_f = [pairs[i].target_text for i in batch]
-        t = np.array([teacher_emb[x] for x in texts_e])
-        texts, b = texts_e + texts_f, len(batch)
-        f = enc.forward_batch(params, student_cfg, texts)
+    # texts: every pair's source, then every pair's target
+    texts = [p.source_text for p in pairs] + [p.target_text for p in pairs]
+    targets = np.array([teacher_emb[p.source_text] for p in pairs])
+
+    def loss_and_grads(params, ids, batch):
+        index, b = np.concatenate([batch, batch + n]), len(batch)
+        f = enc.forward_tokens(params, ids.take(index))
+        t = targets[batch]
         de, df = f.out[:b] - t, f.out[b:] - t
         loss = 0.5 * float((de * de).sum() + (df * df).sum()) / b
-        return loss, enc.backward_batch(params, student_cfg, texts, np.vstack([de, df]) / b, f)
+        return loss, enc.backward_batch(params, student_cfg, [texts[i] for i in index],
+                                        np.vstack([de, df]) / b, f)
 
-    stats = _fit(params, plans, loss_and_grads, cfg, "xlingual")
+    stats = _fit(params, enc.tokenize_batch(student_cfg, texts), plans, loss_and_grads, cfg,
+                 "xlingual")
     return enc.Checkpoint(config=student_cfg, phase="xlingual_student", params=params), stats
 
 

@@ -185,3 +185,27 @@ def backward_reference(params, config, texts, output_grads):
     np.add.at(table, ids, ((grad_a @ params.w1.T) / counts[:, None])[text_of])
     return {"token_table": table, "w1": pooled.T @ grad_a, "b1": grad_a.sum(axis=0),
             "w2": h.T @ grad_z, "b2": grad_z.sum(axis=0)}
+
+
+def dense_fit(params, tokens, plans, loss_and_grads, cfg, regime, full_loss=None):
+    """``trainer._fit`` as the full-table loop it replaced: every step runs
+    ``trainer.adamw_step`` over the whole parameter vector, and the closures
+    encode through ``params`` and the bucket ids of ``tokens`` directly. It
+    takes ``_fit``'s arguments, so a test may put it in ``_fit``'s place;
+    ``regime`` is unused, since a failed step is not rewrapped."""
+    from ontoembed import trainer
+
+    total_steps = sum(len(plan) for plan in plans)
+    state = trainer.init_adamw(params)
+    epoch_losses = [] if full_loss is None else [full_loss(params, tokens)]
+    for plan in plans:
+        batch_losses = []
+        for batch in plan:
+            lr = trainer.warmup_linear(state.step, total_steps, cfg.learning_rate,
+                                       cfg.warmup_fraction)
+            loss, grad = loss_and_grads(params, tokens, batch)
+            trainer.adamw_step(params, grad, state, lr, cfg.weight_decay)
+            batch_losses.append(loss)
+        epoch_losses.append(float(np.mean(batch_losses)) if full_loss is None
+                            else full_loss(params, tokens))
+    return trainer.TrainStats(state.step, epoch_losses)

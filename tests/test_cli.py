@@ -89,6 +89,10 @@ _MALFORMED = {
     "templates-not-utf8": ("verbalize", "--templates", "templates.tsv",
                            b"is_a\t{SOURCE} is a {TARGET}\npart_\xff\t{SOURCE} in {TARGET}\n", 2),
     "sts-not-utf8": ("sts", "--data", "sts.tsv", b"a\tb\t1\nc\td\xe9\t4\n", 2),
+    "sts-gold-out-of-range": ("sts", "--data", "sts.tsv", "a\tb\t1\nc\td\t7\n", 2),
+    "eval-sts-gold-out-of-range": ("eval-sts", "--data", "sts7.tsv", "a\tb\t1\nc\td\t7\n", 2),
+    "embed-not-utf8": ("embed", "--in", "texts.txt", b"fever\n\na\xffb\n", 3),
+    "embed-tab": ("embed", "--in", "texts.txt", "fever\r\nbad\ttext\n", 2),
     "manifest-without-candidates": ("soup", "--manifest", "cands.json", '{"cands": []}', None),
     "manifest-not-an-object": ("soup", "--manifest", "cands.json", "[1, 2]", None),
     "manifest-entry-without-path": ("soup", "--manifest", "cands.json",
@@ -109,12 +113,19 @@ def test_malformed_input_exits_2_with_one_line_naming_it(small_world, tmp_path, 
     world = {"--ontology": os.path.join(small_world, "ontology.jsonl"),
              "--templates": os.path.join(small_world, "templates.tsv"), flag: str(bad)}
     out = str(tmp_path / "out" / "result")
+    model = tmp_path / "m.ckpt"
+    if command in ("embed", "eval-sts"):
+        cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
+        enc.save_checkpoint(model, enc.Checkpoint(config=cfg, phase="base",
+                                                  params=enc.init_params(cfg)))
     argv = {
         "verbalize": ["verbalize"] + [a for k, v in world.items() for a in (k, v)],
         "contrastive": ["train", "contrastive", "--corpus", str(bad),
                         "--config", _mini_train_cfg(tmp_path)],
         "sts": ["train", "sts", "--data", str(bad), "--config", _mini_train_cfg(tmp_path)],
         "soup": ["soup", "--manifest", str(bad), "--strategy", "uniform"],
+        "eval-sts": ["eval", "sts", "--model", str(model), "--data", str(bad)],
+        "embed": ["embed", "--model", str(model), "--in", str(bad)],
     }[command]
     assert run(argv + ["--out", out]) == 2
     captured = capsys.readouterr()

@@ -138,6 +138,23 @@ def test_batch_pooling_equals_per_text_mean_bit_exact():
         assert np.array_equal(row, params.token_table[ids].mean(axis=0) if ids else 0.0 * row)
 
 
+def test_tokens_take_equals_tokenizing_the_texts_it_names(tiny_config):
+    # repeated and empty texts and an empty selection; a forward over the
+    # taken tokens equals encoding the texts they name, bit for bit
+    texts = ["fever", "", "peptic ulcer of the lungs", "Fever fever", ""]
+    tokens = enc.tokenize_batch(tiny_config, texts)
+    assert tokens.offsets.tolist() == [0, 1, 1, 6, 8, 8]
+    params = enc.init_params(tiny_config)
+    for index in ([], [2], [4, 0, 2, 2, 1], [3, 1]):
+        chosen = [texts[i] for i in index]
+        taken = tokens.take(index)
+        assert [taken.ids[a:b].tolist() for a, b in zip(taken.offsets, taken.offsets[1:])] == [
+            enc.tokenize(tiny_config, text) for text in chosen]
+        if index:
+            assert (enc.forward_tokens(params, taken).out.tobytes()
+                    == enc.encode_batch(params, tiny_config, chosen).tobytes())
+
+
 def test_batch_entry_points_keep_their_leading_parameters():
     # perfbench/tracer.py reads config and texts as positional arguments 1
     # and 2 of both functions to count the texts encoded

@@ -7,6 +7,7 @@ input."""
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ontoembed import ontology as onto  # noqa: E402
 from ontoembed import soup  # noqa: E402
 from ontoembed import trainer  # noqa: E402
 
-from oracles import adamw_reference, scatter_gradient  # noqa: E402
+from oracles import adamw_reference, dense_fit, scatter_gradient  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
@@ -133,6 +134,91 @@ def test_sparse_adamw_equals_dense_reference_bit_for_bit(weight_decay, head_dims
         tensors, m, v = adamw_reference(tensors, dense, m, v, step, lr, weight_decay)
         for got, want in ((params.flat, tensors), (state.m, m), (state.v, v)):
             assert got.tobytes() == np.concatenate([a.ravel() for _, a in want]).tobytes()
+
+
+def _fit_with_last_state(fit, params, tokens, plans, loss_and_grads, cfg, full_loss):
+    """``fit``'s stats and the AdamW state after its last step."""
+    states = []
+    real = trainer.adamw_step
+
+    def spy(params, grads, state, lr, weight_decay=0.0):
+        states.append(state)
+        return real(params, grads, state, lr, weight_decay)
+
+    with mock.patch.object(trainer, "adamw_step", spy):
+        stats = fit(params, tokens, plans, loss_and_grads, cfg, "property", full_loss)
+    return stats, states[-1]
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05], ids=["no-decay", "decay"])
+@pytest.mark.parametrize("head_dims", [st.none(), st.integers(1, 3)], ids=["no-head", "head"])
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32), with_full_loss=st.booleans())
+def test_compact_fit_equals_full_table_fit_bit_for_bit(weight_decay, head_dims, data, seed,
+                                                       with_full_loss):
+    # texts of random buckets: text 0 is trained in the first batch only, the
+    # last text in no batch, and buckets outside every text are never reached;
+    # a fifth of the parameters and of the output gradients are -0.0, and a
+    # tenth of the parameters are the smallest subnormals, whose decay terms
+    # underflow to zero
+    config, params = data.draw(models(head_dims))
+    rng = np.random.default_rng(seed)
+    pick = rng.random(params.flat.size)
+    params.flat[pick < 0.2] = -0.0
+    tiny = (0.2 <= pick) & (pick < 0.3)
+    params.flat[tiny] = rng.choice([-5e-324, 5e-324], size=int(tiny.sum()))
+    n_texts = int(rng.integers(3, 10))
+    offsets = np.zeros(n_texts + 1, dtype=np.intp)
+    np.cumsum(rng.integers(0, 4, n_texts), out=offsets[1:])
+    tokens = enc.Tokens(rng.integers(0, config.vocab_buckets, offsets[-1]), offsets)
+    plans, batch_id = [], 0
+    for _ in range(int(rng.integers(1, 4))):
+        plan = []
+        for _ in range(int(rng.integers(1, 4))):
+            index = rng.integers(1, n_texts - 1, int(rng.integers(1, 5)))
+            plan.append((batch_id, np.concatenate([[0], index]) if batch_id == 0 else index))
+            batch_id += 1
+        plans.append(plan)
+    cfg = trainer.TrainConfig(learning_rate=float(rng.uniform(1e-3, 1e-1)),
+                              weight_decay=weight_decay, warmup_fraction=0.2)
+
+    def loss_and_grads(params, ids, batch):
+        batch_id, index = batch
+        grng = np.random.default_rng([seed, batch_id])
+        f = enc.forward_tokens(params, ids.take(index))
+        g = grng.normal(size=f.out.shape)
+        g[grng.random(g.shape) < 0.2] = -0.0
+        if params.has_head:
+            gy = grng.normal(size=(len(index), params.head_dim))
+            g = g + gy @ params.head_w.T
+        grad = enc.backward_batch(params, config, [str(i) for i in index], g, f)
+        if params.has_head:
+            grad.head_w = f.out.T @ gy
+            grad.head_b = gy.sum(axis=0)
+        return float(np.sum(f.out * g)), grad
+
+    def full_loss(params, ids):
+        return float(np.sum(enc.forward_tokens(params, ids).out))
+
+    got, want = params.copy(), params.copy()
+    loss = full_loss if with_full_loss else None
+    stats, state = _fit_with_last_state(trainer._fit, got, tokens, plans, loss_and_grads,
+                                        cfg, loss)
+    want_stats, want_state = _fit_with_last_state(dense_fit, want, tokens, plans,
+                                                  loss_and_grads, cfg, loss)
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert np.array(stats.epoch_losses).tobytes() == np.array(want_stats.epoch_losses).tobytes()
+    # the compact moments are the full moments' reached rows and dense tensors;
+    # every other row's moments are +0.0
+    reached = np.unique(tokens.ids)
+    table = want.token_table.shape
+    split = len(reached) * table[1]
+    for m, want_m in ((state.m, want_state.m), (state.v, want_state.v)):
+        rows = want_m[:want.token_table.size].reshape(table)
+        assert m[:split].tobytes() == rows[reached].tobytes()
+        assert m[split:].tobytes() == want_m[want.token_table.size:].tobytes()
+        assert np.delete(rows, reached, axis=0).tobytes() == bytes(
+            8 * (table[0] - len(reached)) * table[1])
 
 
 # ---------------------------------------------------------------------------

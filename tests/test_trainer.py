@@ -14,7 +14,7 @@ from ontoembed import soup
 from ontoembed import trainer
 
 from conftest import write_jsonl
-from oracles import adamw_reference, scatter_gradient
+from oracles import adamw_reference, dense_fit, scatter_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +814,9 @@ def test_each_step_runs_the_forward_once(regime, small_setup, small_world, tmp_p
                                         output_dim=20, init_seed=77)
         run = lambda: trainer.train_xlingual(teacher, student_cfg, pairs, cfg)  # noqa: E731
 
+    # every forward, of a step or of texts, runs through forward_tokens
     calls = []
-    real_forward, real_backward = enc.forward_batch, enc.backward_batch
+    real_forward, real_backward = enc.forward_tokens, enc.backward_batch
 
     def spy_forward(*args):
         calls.append("forward")
@@ -827,7 +828,7 @@ def test_each_step_runs_the_forward_once(regime, small_setup, small_world, tmp_p
         calls.append("backward returned")
         return grad
 
-    monkeypatch.setattr(enc, "forward_batch", spy_forward)
+    monkeypatch.setattr(enc, "forward_tokens", spy_forward)
     monkeypatch.setattr(enc, "backward_batch", spy_backward)
     _, stats = run()
     assert stats.steps > 0
@@ -837,3 +838,50 @@ def test_each_step_runs_the_forward_once(regime, small_setup, small_world, tmp_p
     for i, call in enumerate(calls):
         if call == "backward":
             assert calls[i - 1] == "forward" and calls[i + 1] == "backward returned"
+
+
+# ---------------------------------------------------------------------------
+# training the reachable token rows against training the full table
+
+
+@pytest.mark.parametrize("regime", ["contrastive", "sts", "self-distill", "xlingual"])
+def test_regime_equals_full_table_training_byte_for_byte(regime, small_setup, small_world,
+                                                         tmp_path, monkeypatch):
+    # the same regime once with trainer._fit and once with the full-table
+    # loop it replaced; contrastive draws hard negatives, whose names must be
+    # among the trained rows, and the xlingual student has twice the
+    # teacher's buckets
+    kg, corpus, base = small_setup
+    cfg = trainer.TrainConfig(learning_rate=5e-3, weight_decay=0.05, epochs=2, batch_size=16,
+                              seed=4, hard_negatives_per_batch=3)
+    if regime == "contrastive":
+        run = lambda: trainer.train_contrastive(base, corpus[:64], kg, cfg)  # noqa: E731
+    elif regime == "sts":
+        sts = ev.load_sts_dataset(os.path.join(small_world, "sts_train.tsv"))
+        run = lambda: trainer.adapt_sts(base, sts, cfg)  # noqa: E731
+    elif regime == "self-distill":
+        teacher = enc.Checkpoint(config=base.config, phase="sts_adapted", params=base.params)
+        _, targets = trainer.build_targets(teacher, kg, k=4)
+        run = lambda: trainer.train_self_distill(base, targets, kg, cfg)  # noqa: E731
+    else:
+        teacher, pairs = _teacher_and_pairs(tmp_path)
+        student_cfg = enc.EncoderConfig(vocab_buckets=1024, embed_dim=16, hidden_dim=24,
+                                        output_dim=20, init_seed=77)
+        run = lambda: trainer.train_xlingual(teacher, student_cfg, pairs, cfg)  # noqa: E731
+
+    trained_texts = []
+    real_backward = enc.backward_batch
+
+    def spy_backward(params, config, texts, grads, forward):
+        trained_texts.extend(texts)
+        return real_backward(params, config, texts, grads, forward)
+
+    monkeypatch.setattr(enc, "backward_batch", spy_backward)
+    got, got_stats = run()
+    monkeypatch.setattr(trainer, "_fit", dense_fit)
+    want, want_stats = run()
+    assert enc.checkpoint_to_bytes(got) == enc.checkpoint_to_bytes(want)
+    assert got_stats == want_stats
+    if regime == "contrastive":
+        pair_texts = {t for p in corpus[:64] for t in (p.anchor.text, p.positive.text)}
+        assert set(trained_texts) - pair_texts, "no hard negative from outside the pairs"
