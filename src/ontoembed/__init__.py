@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .encoder import (  # noqa: F401
     Checkpoint,
     EncoderConfig,
-    Gradient,
     Params,
     Tokens,
     backward_batch,

@@ -121,10 +121,6 @@ def _load_kg(ontology_path, templates_path=None, glossary_path=None):
     return kg, stats
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # verbalize
 
@@ -377,7 +373,7 @@ def cmd_embed(args) -> int:
         for i in range(0, len(texts), EMBED_CHUNK):
             chunk = texts[i:i + EMBED_CHUNK]
             emb = enc.encode_batch(model.params, model.config, chunk)
-            fh.write("".join(text + "\t" + ",".join(map(_fmt_float, row)) + "\n"
+            fh.write("".join(text + "\t" + ",".join(map(repr, row.tolist())) + "\n"
                              for text, row in zip(chunk, emb)).encode("utf-8"))
     _write_manifest(args.out, "embed", vars_snapshot(args), [args.model, args.infile],
                     None, [args.out], started, {"rows": len(texts)})

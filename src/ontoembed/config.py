@@ -17,22 +17,28 @@ class ConfigError(ValueError):
 
 
 def parse_kv_file(path) -> dict[str, str]:
-    """Parse a plain-text ``key = value`` config file. '#' starts a comment;
-    blank lines are skipped; a line without '=' or a repeated key is
-    rejected."""
+    """Parse a plain-text UTF-8 ``key = value`` config file. '#' starts a
+    comment; blank lines are skipped; a line that is not UTF-8, has no '='
+    or repeats a key is rejected."""
     out: dict[str, str] = {}
     line_of: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{line_no}: expected key = value")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            if key in out:
-                raise ConfigError(f"{path}:{line_no}: {key} is already set on line {line_of[key]}")
-            out[key], line_of[key] = value, line_no
+    with open(path, "rb") as fh:
+        # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
+        lines = fh.read().splitlines()
+    for line_no, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from exc
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{line_no}: expected key = value")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}:{line_no}: {key} is already set on line {line_of[key]}")
+        out[key], line_of[key] = value, line_no
     return out
 
 

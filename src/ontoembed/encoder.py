@@ -274,25 +274,6 @@ def attach_head(params: Params, config: EncoderConfig, target_dim: int, seed: in
     ]))
 
 
-class Gradient(Params):
-    """A gradient over ``Params`` with a row-sparse token table.
-
-    The ``token_table`` view holds only the rows of the buckets that ``rows``
-    lists, ascending; every other tensor is dense, laid out in ``flat`` as in
-    ``Params``. A ``rows`` listing every bucket is the dense gradient.
-    """
-
-    rows: np.ndarray
-
-    @classmethod
-    def zeros(cls, params: Params, rows: np.ndarray) -> "Gradient":
-        """The zero gradient of ``params`` over the token rows ``rows``."""
-        shapes = [(len(rows), params.token_table.shape[1])] + params.shapes[1:]
-        grad = cls._wrap(np.zeros(sum(int(np.prod(s)) for s in shapes)), shapes)
-        grad.rows = np.asarray(rows, dtype=np.intp)
-        return grad
-
-
 @dataclass
 class Forward:
     """One batch's forward pass: the output rows plus what the backward pass
@@ -317,14 +298,13 @@ def _matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _gather_sums(source: np.ndarray, gather: np.ndarray, index: np.ndarray,
-                 count: int) -> np.ndarray:
-    """``out[index[i]] += source[gather[i]]`` for each i in order, on a zero
-    (count, width) matrix: the additions ``np.add.at`` makes, in its order,
-    as one ``np.bincount`` per column, so no (len(index), width) array is
-    ever built."""
-    out = np.empty((count, source.shape[1]))
+                 out: np.ndarray) -> np.ndarray:
+    """``out[index[i]] += source[gather[i]]`` for each i in order, with
+    ``out`` first set to zero, and return ``out``: the additions
+    ``np.add.at`` makes, in its order, as one ``np.bincount`` per column, so
+    no (len(index), width) array is ever built."""
     for j in range(source.shape[1]):
-        out[:, j] = np.bincount(index, weights=source[:, j][gather], minlength=count)
+        out[:, j] = np.bincount(index, weights=source[:, j][gather], minlength=len(out))
     return out
 
 
@@ -339,7 +319,8 @@ def forward_tokens(params: Params, tokens: Tokens) -> Forward:
     lengths = tokens.lengths
     text_of = np.repeat(np.arange(len(lengths)), lengths)
     counts = np.maximum(lengths, 1)
-    pooled = _gather_sums(params.token_table, tokens.ids, text_of, len(lengths))
+    pooled = _gather_sums(params.token_table, tokens.ids, text_of,
+                          np.empty((len(lengths), params.token_table.shape[1])))
     pooled /= counts[:, None]
     h = np.tanh(_matmul_rows(pooled, params.w1) + params.b1)
     z = _matmul_rows(h, params.w2) + params.b2
@@ -367,12 +348,12 @@ def encode_batch(params: Params, config: EncoderConfig, texts: list[str]) -> np.
 def backward_batch(
     params: Params, config: EncoderConfig, texts: list[str], output_grads: np.ndarray,
     forward: Forward,
-) -> Gradient:
+) -> Params:
     """Exact gradient of ``sum(forward.out * output_grads)`` w.r.t. every
     parameter, backpropagated from ``forward``, the ``forward_batch`` of the
-    same params and texts. The token table's gradient holds only the rows
-    of the tokens in ``texts``; the head's slots stay zero when ``params``
-    carry one."""
+    same params and texts, as a ``Params`` shaped like ``params``. Token
+    rows no text in the batch holds are +0.0, and so are the head's slots
+    when ``params`` carry one."""
     output_grads = np.asarray(output_grads, dtype=float)
     if output_grads.shape != (len(texts), config.output_dim):
         raise ValueError("output_grads shape must be (len(texts), output_dim)")
@@ -391,8 +372,7 @@ def backward_batch(
         output_grads / NORM_GUARD,
     )
 
-    rows, row_of = np.unique(f.ids, return_inverse=True)
-    grad = Gradient.zeros(params, rows)
+    grad = Params._wrap(np.zeros_like(params.flat), params.shapes)
     grad.w2 = f.h.T @ grad_z
     grad.b2 = grad_z.sum(axis=0)
     grad_h = grad_z @ params.w2.T
@@ -400,7 +380,7 @@ def backward_batch(
     grad.w1 = f.pooled.T @ grad_a
     grad.b1 = grad_a.sum(axis=0)
     grad_pooled = grad_a @ params.w1.T
-    grad.token_table = _gather_sums(grad_pooled / f.counts[:, None], f.text_of, row_of, len(rows))
+    _gather_sums(grad_pooled / f.counts[:, None], f.text_of, f.ids, grad.token_table)
     return grad
 
 
@@ -527,7 +507,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         raise CheckpointTruncatedError("truncated checkpoint: header not terminated")
     try:
         header = json.loads(data[len(CHECKPOINT_MAGIC):nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointFormatError(f"unreadable checkpoint header: {exc}") from exc
     config = _config_from_header(header)
     count = header["param_count"]
@@ -538,10 +518,13 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         )
     if len(block) > 8 * count:
         raise CheckpointFormatError("trailing bytes after parameter block")
+    flat = np.frombuffer(block, dtype="<f8").astype(float)
+    if not np.isfinite(flat).all():
+        raise CheckpointFormatError("checkpoint holds non-finite parameters")
     return Checkpoint(
         config=config,
         phase=header["phase"],
-        params=unflatten(config, np.frombuffer(block, dtype="<f8").astype(float)),
+        params=unflatten(config, flat),
         history=tuple(header.get("history", ())),
     )
 

@@ -115,9 +115,19 @@ def warmup_linear(step: int, total_steps: int, base_lr: float, warmup_fraction: 
     return base_lr * (total_steps - step) / (total_steps - w)
 
 
+class NonFiniteGradient(ValueError):
+    """A gradient holds NaN or infinity in ``tensor``; ``row`` is the first
+    token-table row that does, or None for another tensor."""
+
+    def __init__(self, tensor: str, row: int | None = None):
+        self.tensor, self.row = tensor, row
+        super().__init__(f"non-finite gradient for {tensor}"
+                         + ("" if row is None else f" row {row}"))
+
+
 def adamw_step(
     params: enc.Params,
-    grads: enc.Gradient,
+    grads: enc.Params,
     state: AdamWState,
     lr: float,
     weight_decay: float = 0.0,
@@ -127,45 +137,29 @@ def adamw_step(
 
     theta <- theta - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * theta),
     with the decay term skipped for bias vectors. Each element sees the same
-    float operations in the same order as the textbook per-tensor update
-    over the dense gradient, which is zero outside ``grads.rows``.
+    float operations in the same order as the textbook per-tensor update.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    table, rows = params.token_table, grads.rows
-    if (grads.shapes[1:] != params.shapes[1:] or grads.token_table.shape[1:] != table.shape[1:]
-            or (rows.size and (rows[0] < 0 or rows[-1] >= len(table)
-                               or (np.diff(rows) <= 0).any()))):
+    if grads.shapes != params.shapes:
         raise ValueError("gradient structure does not match params")
     g = grads.flat
     if not np.isfinite(g).all():
         name, arr = next((n, a) for n, a in grads.tensor_items() if not np.isfinite(a).all())
-        where = ""
+        row = None
         if name == "token_table":
-            where = f" row {rows[np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]]}"
-        raise ValueError(f"non-finite gradient for {name}{where}")
-    # flat positions of g: the touched token rows, then every later tensor
-    width = table.shape[1]
-    touched = np.concatenate([(rows[:, None] * width + np.arange(width)).ravel(),
-                              np.arange(table.size, params.flat.size)])
+            row = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
+        raise NonFiniteGradient(name, row)
     t = state.step + 1
     theta, m, v = params.flat, state.m, state.v
     a, b = state.scratch
-    ga, gb = a[:g.size], b[:g.size]
-    # The gradient terms are added only where g is stored. Elsewhere g is
-    # +0.0, and the dense update would add +0.0 to m * beta1 and v * beta2,
-    # which changes a value only if it is -0.0. That never happens: m and v
-    # start at +0.0, a sum is -0.0 only when both addends are, and with
-    # beta1, beta2 > 0.5 a nonzero value times beta never rounds to zero.
     np.multiply(m, BETA1, out=m)
-    np.take(m, touched, out=gb)
-    np.multiply(g, 1.0 - BETA1, out=ga)
-    m[touched] = np.add(gb, ga, out=gb)
+    np.multiply(g, 1.0 - BETA1, out=a)
+    np.add(m, a, out=m)
     np.multiply(v, BETA2, out=v)
-    np.take(v, touched, out=gb)
-    np.multiply(g, g, out=ga)
-    np.multiply(ga, 1.0 - BETA2, out=ga)
-    v[touched] = np.add(gb, ga, out=gb)
+    np.multiply(g, g, out=a)
+    np.multiply(a, 1.0 - BETA2, out=a)
+    np.add(v, a, out=v)
     np.divide(m, 1.0 - BETA1**t, out=a)
     np.divide(v, 1.0 - BETA2**t, out=b)
     np.sqrt(b, out=b)
@@ -379,7 +373,8 @@ def _fit(params, tokens, plans, loss_and_grads, cfg: TrainConfig, regime: str,
     back into ``params``, and every other row gets the decay the steps gave
     it (``_replay_decay``): bit for bit what full-table AdamW would leave.
     A ValueError in a step, such as a non-finite gradient, is raised again as
-    a TrainError naming ``regime``, the epoch and the step (both from 1).
+    a TrainError naming ``regime``, the epoch and the step (both from 1), and
+    a non-finite token row by its bucket id.
 
     Epoch losses are the mean batch loss of each epoch, or, when
     ``full_loss`` is given, ``full_loss(compact, ids)`` before training and
@@ -400,8 +395,11 @@ def _fit(params, tokens, plans, loss_and_grads, cfg: TrainConfig, regime: str,
                 loss, grad = loss_and_grads(compact, ids, batch)
                 adamw_step(compact, grad, state, lr, cfg.weight_decay)
             except ValueError as exc:
+                reason = exc
+                if isinstance(exc, NonFiniteGradient) and exc.row is not None:
+                    reason = NonFiniteGradient(exc.tensor, int(reached[exc.row]))
                 raise TrainError(f"{regime} training failed at epoch {epoch}, "
-                                 f"step {state.step + 1}: {exc}") from exc
+                                 f"step {state.step + 1}: {reason}") from exc
             rates.append(lr)
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)) if full_loss is None

@@ -146,15 +146,6 @@ def adamw_reference(tensors, grads, m, v, step, lr, weight_decay):
     return new_p, new_m, new_v
 
 
-def scatter_gradient(grad, params):
-    """The dense form of a row-sparse ``encoder.Gradient``: its token rows
-    written into a zero table shaped like ``params.token_table``."""
-    tensors = [arr.copy() for _, arr in grad.tensor_items()]
-    table = np.zeros_like(params.token_table)
-    table[grad.rows] = tensors[0]
-    return enc.Params(table, *tensors[1:])
-
-
 def backward_reference(params, config, texts, output_grads):
     """Dense gradient of ``sum(encode_batch(texts) * output_grads)`` with the
     batch arithmetic of the encoder, but with pooling and the token-table

@@ -23,8 +23,7 @@ from ontoembed import ontology as onto
 from ontoembed import trainer
 
 from conftest import FIXTURES_DIR
-from oracles import (brute_nli_accuracy, brute_topk_concepts, fd_gradient,
-                     rel_error, scatter_gradient)
+from oracles import brute_nli_accuracy, brute_topk_concepts, fd_gradient, rel_error
 
 
 def _ok(criterion: str, detail: str = ""):
@@ -83,7 +82,7 @@ def test_criterion_1_gradient_correctness():
         g = rng.normal(size=cfg.output_dim)
         grad = enc.backward_batch(params, cfg, [text], g[None],
                                   enc.forward_batch(params, cfg, [text]))
-        analytic = enc.flatten(scatter_gradient(grad, params))
+        analytic = enc.flatten(grad)
         numeric = fd_gradient(
             lambda v: float(enc.encode_batch(enc.unflatten(cfg, v), cfg, [text])[0] @ g),
             enc.flatten(params))

@@ -205,15 +205,17 @@ def test_train_sts_deterministic_checkpoints(small_world, tmp_path):
 
 def test_train_divergence_names_regime_epoch_and_step(small_world, tmp_path, capsys,
                                                        monkeypatch):
-    # the loss closure's gradient has a NaN in its last token row at step 3
+    # at step 3 the gradient has a NaN in the row of the batch's largest
+    # bucket; training runs on a table of the reached buckets in ascending
+    # order, so that is the row of the batch's largest token id
     real_backward = trainer.enc.backward_batch
-    bad_rows = []
+    bad_buckets = []
 
-    def nan_at_third_step(*args):
-        grad = real_backward(*args)
-        bad_rows.append(int(grad.rows[-1]))
-        if len(bad_rows) == 3:
-            grad.token_table[-1, 0] = np.nan
+    def nan_at_third_step(params, config, texts, output_grads, forward):
+        grad = real_backward(params, config, texts, output_grads, forward)
+        bad_buckets.append(max(i for text in texts for i in enc.tokenize(config, text)))
+        if len(bad_buckets) == 3:
+            grad.token_table[forward.ids.max(), 0] = np.nan
         return grad
 
     monkeypatch.setattr(trainer.enc, "backward_batch", nan_at_third_step)
@@ -225,7 +227,7 @@ def test_train_divergence_names_regime_epoch_and_step(small_world, tmp_path, cap
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: sts training failed at epoch 1, step 3: "
-        f"non-finite gradient for token_table row {bad_rows[2]}"]
+        f"non-finite gradient for token_table row {bad_buckets[2]}"]
     assert not out.exists()
 
 
@@ -531,6 +533,33 @@ def test_embed_malformed_checkpoint_header_exits_2(tmp_path, mutate):
     assert not out.exists()
 
 
+def _nan_parameter(data):
+    # the last parameter, a bias of the output layer, becomes NaN
+    return data[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("command, corrupt, message", [
+    ("embed", lambda data: enc.CHECKPOINT_MAGIC + b"[" * 200_000 + b"\n",
+     "error: unreadable checkpoint header: "),
+    ("eval-sts", _nan_parameter, "error: checkpoint holds non-finite parameters"),
+], ids=["header-nested-too-deep", "nan-parameter"])
+def test_unloadable_checkpoint_exits_2_with_one_line(small_world, tmp_path, capsys,
+                                                     command, corrupt, message):
+    # the deep header used to escape as a RecursionError traceback; the NaN
+    # used to load, and eval then failed writing its digest
+    cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt(enc.checkpoint_to_bytes(
+        enc.Checkpoint(config=cfg, phase="base", params=enc.init_params(cfg)))))
+    out = tmp_path / "out"
+    argv = {"embed": ["embed", "--in", write_text(tmp_path / "texts.txt", "fever\n")],
+            "eval-sts": ["eval", "sts", "--data", os.path.join(small_world, "sts_test.tsv")]}
+    assert run(argv[command] + ["--model", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -690,6 +719,29 @@ def test_train_rejects_unknown_key_before_training(small_world, tmp_path, capsys
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and typo in err[0]
     assert sorted(os.listdir(tmp_path)) == ["train.cfg"]
+
+
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_config_that_is_not_utf8_exits_64_naming_the_line(small_world, tmp_path, capsys,
+                                                         monkeypatch, command):
+    # this used to exit 2 with a decode error that named neither file nor line
+    _no_training(monkeypatch)
+    if command == "train":
+        cfg = _mini_train_cfg(tmp_path)
+        argv = ["train", "sts", "--data", os.path.join(small_world, "sts_train.tsv"),
+                "--out", str(tmp_path / "sts.ckpt")]
+    else:
+        cfg = _mini_pipeline_cfg(small_world, tmp_path)
+        argv = ["pipeline", "--out-dir", str(tmp_path / "run")]
+    with open(cfg, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(cfg, "wb") as fh:
+        fh.write(b"".join(lines[:2] + [b"# caf\xe9 \xff\n"] + lines[2:]))
+    before = sorted(os.listdir(tmp_path))
+    assert run(argv + ["--config", cfg]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: {cfg}:3: "), err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_pipeline_out_dir_that_is_a_file_exits_1_before_training(small_world, tmp_path,
