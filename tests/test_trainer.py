@@ -139,12 +139,26 @@ def test_adamw_nonfinite_error_names_tensor_and_bucket_row(tiny_config):
         trainer.adamw_step(params, grads, trainer.init_adamw(params), lr=0.1)
 
 
+@pytest.mark.parametrize("rows", [[5, 5], [7, 3], [-1], [64]],
+                         ids=["repeated", "descending", "negative", "past-the-table"])
+def test_adamw_rejects_bad_gradient_rows(tiny_config, rows):
+    # a gradient carries no row list: its token table must be the params'
+    # table row for row, so one gathered at any other rows (taken from a
+    # table one row longer, so that row 64 exists) is refused untouched
+    params = enc.init_params(tiny_config)
+    longer = enc.init_params(dataclasses.replace(tiny_config, vocab_buckets=65))
+    grads = _zero_gradient(longer.take_rows(np.array(rows)))
+    before = params.flat.copy()
+    with pytest.raises(ValueError, match="structure"):
+        trainer.adamw_step(params, grads, trainer.init_adamw(params), lr=0.1)
+    assert np.array_equal(params.flat, before)
+
+
 def test_adamw_rejects_gradient_of_another_shape(tiny_config):
-    # fewer token rows, a head the params lack, and no head where they have one
+    # a head the params lack, and no head where they have one
     params = enc.init_params(tiny_config)
     with_head = enc.attach_head(params, tiny_config, 3, seed=1)
-    for p, grads in ((params, _zero_gradient(params.take_rows(np.arange(5)))),
-                     (params, _zero_gradient(with_head)),
+    for p, grads in ((params, _zero_gradient(with_head)),
                      (with_head, _zero_gradient(params))):
         before = p.flat.copy()
         with pytest.raises(ValueError, match="structure"):
