@@ -22,8 +22,6 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
 from . import encoder as enc
 from . import evalsuite as ev
 from . import ontology as onto
@@ -404,9 +402,6 @@ class PipelineConfig:
     per_concept_templated: int = 2
     distill_runs: int = 7
     pca_dim: int = 64
-    second_adapt: str = "before_distill"
-    distill_teacher: str = "adapted"
-    soup_strategy: str = "greedy"
 
     def __post_init__(self):
         for name in ("seed", "per_concept_templated"):
@@ -415,12 +410,6 @@ class PipelineConfig:
         for name in ("distill_runs", "pca_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name, allowed in (("second_adapt", ("before_distill", "none")),
-                              ("distill_teacher", ("adapted", "contrastive")),
-                              ("soup_strategy", ("greedy", "uniform"))):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be {' or '.join(allowed)}, "
-                                 f"got {getattr(self, name)!r}")
 
 
 # ``train`` takes the encoder and training keys; ``pipeline`` also takes its
@@ -522,13 +511,10 @@ def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) 
     save("contrastive.ckpt", contrastive)
     log.info("contrastive done: %d steps, final loss %.4f", stats.steps, stats.final_loss)
 
-    readapted = contrastive
-    if cfg.second_adapt == "before_distill":
-        readapted, _ = train("readapt", trainer.adapt_sts, contrastive, data["sts_train"])
-        save("readapted.ckpt", readapted)
-    teacher = readapted if cfg.distill_teacher == "adapted" else contrastive
+    readapted, _ = train("readapt", trainer.adapt_sts, contrastive, data["sts_train"])
+    save("readapted.ckpt", readapted)
 
-    _, targets = trainer.build_targets(teacher, kg, k=cfg.pca_dim)
+    _, targets = trainer.build_targets(readapted, kg, k=cfg.pca_dim)
 
     candidates = []
     distill_detail = []
@@ -543,49 +529,35 @@ def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) 
                                "final_loss": dstats.final_loss})
         log.info("%s: val pearson %.4f", label, val)
 
-    soup_metric_fn = lambda ckpt: ev.eval_sts(ckpt, data["sts_val"]).value  # noqa: E731
-    if cfg.soup_strategy == "greedy":
-        souped, kept = soup_mod.greedy_soup(candidates, soup_metric_fn)
-    else:
-        souped = soup_mod.uniform_soup(candidates)
-        kept = sorted(c.label for c in candidates)
+    souped, kept = soup_mod.greedy_soup(candidates,
+                                        lambda ckpt: ev.eval_sts(ckpt, data["sts_val"]).value)
     save("soup.ckpt", souped)
 
-    best_idx = int(np.argmax([c.validation_score for c in candidates]))
-    best_single = candidates[best_idx]
-    phases = [
-        ("base", base),
-        ("sts_adapted", adapted),
-        ("contrastive", contrastive),
-        ("self_distilled", best_single.checkpoint),
-        ("souped", souped),
-    ]
-    if cfg.second_adapt == "before_distill":
-        phases.insert(3, ("readapted", readapted))
-
-    rows = []
-    for phase_name, ckpt in phases:
-        for bench, report in benchmarks(ckpt).items():
-            rows.append({
-                "phase": phase_name,
-                "benchmark": bench,
-                "metric": report.metric,
-                "value": report.value,
-                "n": report.n,
-            })
+    best_single = max(candidates, key=lambda c: c.validation_score)
+    evals = {
+        "base": benchmarks(base),
+        "sts_adapted": benchmarks(adapted),
+        "contrastive": benchmarks(contrastive),
+        "readapted": benchmarks(readapted),
+        "self_distilled": benchmarks(best_single.checkpoint),
+        "souped": benchmarks(souped),
+    }
+    rows = [{"phase": phase, "benchmark": bench, "metric": result.metric,
+             "value": result.value, "n": result.n}
+            for phase, results in evals.items() for bench, result in results.items()]
 
     report = {
         "seed": cfg.seed,
         "concepts": len(kg),
         "training_pairs": len(plan.corpus),
         "glossary_added": plan.glossary_added,
-        "phases": [name for name, _ in phases],
+        "phases": list(evals),
         "rows": rows,
         "distill_runs": distill_detail,
         "soup": {
-            "strategy": cfg.soup_strategy,
+            "strategy": "greedy",
             "kept": kept,
-            "validation_pearson": soup_metric_fn(souped),
+            "validation_pearson": evals["souped"]["sts_val"].value,
             "best_single_label": best_single.label,
             "best_single_validation": best_single.validation_score,
         },

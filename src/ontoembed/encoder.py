@@ -314,7 +314,8 @@ def forward_tokens(params: Params, tokens: Tokens) -> Forward:
 
     Mean pooling sums each text's token rows by ``_gather_sums`` and divides
     by the token counts: the same additions, in the same order, as each
-    text's ``token_table[ids].mean(axis=0)``.
+    text's ``token_table[ids].mean(axis=0)``. A text whose output norm is
+    not finite (its squares overflow) raises ValueError naming its row.
     """
     lengths = tokens.lengths
     text_of = np.repeat(np.arange(len(lengths)), lengths)
@@ -324,7 +325,11 @@ def forward_tokens(params: Params, tokens: Tokens) -> Forward:
     pooled /= counts[:, None]
     h = np.tanh(_matmul_rows(pooled, params.w1) + params.b1)
     z = _matmul_rows(h, params.w2) + params.b2
-    raw_norms = np.linalg.norm(z, axis=1)
+    with np.errstate(over="ignore"):
+        raw_norms = np.linalg.norm(z, axis=1)
+    overflowed = np.flatnonzero(~np.isfinite(raw_norms))
+    if len(overflowed):
+        raise ValueError(f"output norm of batch row {overflowed[0]} is not finite")
     norms = np.maximum(raw_norms, NORM_GUARD)
     return Forward(z / norms[:, None], tokens.ids, text_of, counts, pooled, h, raw_norms, norms)
 
@@ -536,9 +541,14 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """``checkpoint_from_bytes`` of the file at ``path``; a CheckpointError
+    is raised again as the same class, its message prefixed by the path."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return checkpoint_from_bytes(data)
+    try:
+        return checkpoint_from_bytes(data)
+    except CheckpointError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def derive(ckpt: Checkpoint, params: Params, phase: str) -> Checkpoint:

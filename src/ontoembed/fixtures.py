@@ -381,9 +381,6 @@ distill_epochs = 5
 distill_batch_size = 64
 distill_runs = 7
 pca_dim = 64
-second_adapt = before_distill
-distill_teacher = adapted
-soup_strategy = greedy
 weight_decay = 0.01
 warmup_fraction = 0.05
 """

@@ -361,6 +361,29 @@ def test_soup_greedy_score_not_below_best_single(small_world, tmp_path):
     assert report["soup_score"] >= max(report["ingredient_scores"].values()) - 1e-12
 
 
+@pytest.mark.parametrize("metric, val", [("spearman", "bcr.tsv"), ("nel-top1", "nel.tsv")])
+def test_soup_scores_candidates_by_the_chosen_metric(small_world, tmp_path, metric, val):
+    ontology = (["--ontology", os.path.join(small_world, "ontology.jsonl")]
+                if metric == "nel-top1" else [])
+    out = tmp_path / "soup.ckpt"
+    code = run(["soup", "--models", *_three_seed_models(tmp_path),
+                "--val", os.path.join(small_world, val), "--metric", metric, *ontology,
+                "--out", str(out)])
+    assert code == 0
+    report = json.loads((tmp_path / "soup.ckpt.soup_report.json").read_text())
+    assert report["metric"] == metric
+    assert report["soup_score"] >= max(report["ingredient_scores"].values()) - 1e-12
+
+
+def test_soup_nel_top1_without_ontology_is_usage_error(small_world, tmp_path):
+    out = tmp_path / "soup.ckpt"
+    code = run(["soup", "--models", *_three_seed_models(tmp_path),
+                "--val", os.path.join(small_world, "nel.tsv"), "--metric", "nel-top1",
+                "--out", str(out)])
+    assert code == 64
+    assert not out.exists()
+
+
 def test_soup_manifest_listing(small_world, tmp_path):
     paths = _three_seed_models(tmp_path)
     listing = {"candidates": [{"path": p, "score": 0.5, "label": f"run{i}"}
@@ -500,6 +523,16 @@ def _with_config(key, value):
     return lambda header: {**header, "config": {**header["config"], key: value}}
 
 
+def _run_child(argv):
+    """Run the real command in a child process, so that a traceback or a
+    warning would show on its stderr."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "ontoembed.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("mutate", [
     _drop("config"),
     _drop("phase"),
@@ -510,7 +543,6 @@ def _with_config(key, value):
 ], ids=["missing-config", "missing-phase", "unknown-config-key",
         "string-vocab-buckets", "non-list-history", "list-header"])
 def test_embed_malformed_checkpoint_header_exits_2(tmp_path, mutate):
-    # run the real command in a child process so a traceback would show on stderr
     cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
     data = enc.checkpoint_to_bytes(
         enc.Checkpoint(config=cfg, phase="base", params=enc.init_params(cfg)))
@@ -520,13 +552,7 @@ def test_embed_malformed_checkpoint_header_exits_2(tmp_path, mutate):
     bad.write_bytes(enc.CHECKPOINT_MAGIC + json.dumps(mutate(header)).encode() + data[nl:])
     infile = write_text(tmp_path / "texts.txt", "some text\n")
     out = tmp_path / "e.tsv"
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ontoembed.cli", "embed", "--model", str(bad),
-         "--in", infile, "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_child(["embed", "--model", str(bad), "--in", infile, "--out", str(out)])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
@@ -540,23 +566,67 @@ def _nan_parameter(data):
 
 @pytest.mark.parametrize("command, corrupt, message", [
     ("embed", lambda data: enc.CHECKPOINT_MAGIC + b"[" * 200_000 + b"\n",
-     "error: unreadable checkpoint header: "),
-    ("eval-sts", _nan_parameter, "error: checkpoint holds non-finite parameters"),
-], ids=["header-nested-too-deep", "nan-parameter"])
+     "unreadable checkpoint header: "),
+    ("eval-sts", _nan_parameter, "checkpoint holds non-finite parameters"),
+    ("soup", lambda data: enc.CHECKPOINT_MAGIC + b"not json\n",
+     "unreadable checkpoint header: Expecting value"),
+], ids=["header-nested-too-deep", "nan-parameter", "soup-header-not-json"])
 def test_unloadable_checkpoint_exits_2_with_one_line(small_world, tmp_path, capsys,
                                                      command, corrupt, message):
     # the deep header used to escape as a RecursionError traceback; the NaN
-    # used to load, and eval then failed writing its digest
+    # used to load, and eval then failed writing its digest; soup loads the
+    # good model first, and the line must name the bad one
     cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(corrupt(enc.checkpoint_to_bytes(
-        enc.Checkpoint(config=cfg, phase="base", params=enc.init_params(cfg)))))
+    data = enc.checkpoint_to_bytes(
+        enc.Checkpoint(config=cfg, phase="base", params=enc.init_params(cfg)))
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    good.write_bytes(data)
+    bad.write_bytes(corrupt(data))
     out = tmp_path / "out"
-    argv = {"embed": ["embed", "--in", write_text(tmp_path / "texts.txt", "fever\n")],
-            "eval-sts": ["eval", "sts", "--data", os.path.join(small_world, "sts_test.tsv")]}
-    assert run(argv[command] + ["--model", str(bad), "--out", str(out)]) == 2
+    argv = {"embed": ["embed", "--model", str(bad),
+                      "--in", write_text(tmp_path / "texts.txt", "fever\n")],
+            "eval-sts": ["eval", "sts", "--model", str(bad),
+                         "--data", os.path.join(small_world, "sts_test.tsv")],
+            "soup": ["soup", "--models", str(good), str(bad),
+                     "--val", os.path.join(small_world, "sts_val.tsv")]}
+    assert run(argv[command] + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(message), err
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}"), err
+    assert not out.exists()
+
+
+def _overflowing_model(path):
+    # one finite but huge output bias, as a flipped exponent byte gives:
+    # squaring it overflows, so the output norm of every text is inf
+    cfg = enc.EncoderConfig(vocab_buckets=16, embed_dim=4, hidden_dim=4, output_dim=4)
+    params = enc.init_params(cfg)
+    params.b2[0] = 1e200
+    enc.save_checkpoint(path, enc.Checkpoint(config=cfg, phase="base", params=params))
+    return str(path)
+
+
+def test_embed_overflowing_norm_exits_2_with_one_line(tmp_path):
+    # the overflow used to give an all-zero embedding, exit 0 and a numpy warning
+    model = _overflowing_model(tmp_path / "huge.ckpt")
+    out = tmp_path / "e.tsv"
+    proc = _run_child(["embed", "--model", model,
+                       "--in", write_text(tmp_path / "texts.txt", "fever\n"),
+                       "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: output norm of batch row 0 is not finite"]
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_train_sts_from_overflowing_base_names_epoch_and_step(small_world, tmp_path, capsys):
+    out = tmp_path / "sts.ckpt"
+    code = run(["train", "sts", "--base", _overflowing_model(tmp_path / "huge.ckpt"),
+                "--data", os.path.join(small_world, "sts_train.tsv"),
+                "--config", _mini_train_cfg(tmp_path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sts training failed at epoch 1, step 1: "
+        "output norm of batch row 0 is not finite"]
     assert not out.exists()
 
 
@@ -650,16 +720,6 @@ def test_pipeline_rerun_identical_report(small_world, tmp_path):
     assert (a_dir / "report.json").read_bytes() == (b_dir / "report.json").read_bytes()
     assert (a_dir / "soup.ckpt").read_bytes() == (b_dir / "soup.ckpt").read_bytes()
     assert (a_dir / "distill_02.ckpt").read_bytes() == (b_dir / "distill_02.ckpt").read_bytes()
-
-
-def test_pipeline_without_second_adapt(small_world, tmp_path):
-    cfg = _mini_pipeline_cfg(small_world, tmp_path, second_adapt="none",
-                             distill_teacher="contrastive")
-    out_dir = tmp_path / "run"
-    code = run(["pipeline", "--config", cfg, "--out-dir", str(out_dir)])
-    assert code == 0
-    report = json.loads((out_dir / "report.json").read_text())
-    assert "readapted" not in report["phases"]
 
 
 # The cheapest pipeline that still runs every phase.

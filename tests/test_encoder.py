@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,39 @@ def test_encode_empty_text_is_zero_vector(tiny_config):
     params = enc.init_params(tiny_config)  # biases are zero
     out = enc.encode_batch(params, tiny_config, [""])[0]
     assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("bias", [0.0, 1e150], ids=["init", "huge-finite-norm"])
+def test_finite_output_norms_keep_their_bits(tiny_config, bias):
+    # z / max(||z||, guard), with no warning, wherever ||z|| is finite
+    params = enc.init_params(tiny_config)
+    params.b2[0] = bias
+    tokens = enc.tokenize_batch(tiny_config, ["fever", "", "peptic ulcer disease"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = enc.forward_tokens(params, tokens)
+    z = enc._matmul_rows(f.h, params.w2) + params.b2
+    expected = z / np.maximum(np.linalg.norm(z, axis=1), enc.NORM_GUARD)[:, None]
+    assert f.out.tobytes() == expected.tobytes()
+
+
+def test_encode_overflowing_output_norm_names_the_row(tiny_config):
+    # hidden unit 0 is tanh(pooled[0]): 0 for "fever", tanh(1) for "ulcer",
+    # whose output then holds 7.6e199, finite, but its square overflows; that
+    # used to give an all-zero row and a RuntimeWarning
+    params = enc.init_params(tiny_config)
+    [fever], [ulcer] = enc.tokenize(tiny_config, "fever"), enc.tokenize(tiny_config, "ulcer")
+    assert fever != ulcer
+    params.token_table[fever, 0], params.token_table[ulcer, 0] = 0.0, 1.0
+    params.w1[:, 0] = 0.0
+    params.w1[0, 0] = 1.0
+    params.b1[0] = 0.0
+    params.w2[0, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(enc.encode_batch(params, tiny_config, ["fever"])).all()
+        with pytest.raises(ValueError, match="^output norm of batch row 1 is not finite$"):
+            enc.encode_batch(params, tiny_config, ["fever", "ulcer"])
 
 
 def test_encode_duplicate_tokens_equal_single(tiny_config):
