@@ -16,7 +16,6 @@ from .encoder import (  # noqa: F401
     backward_batch,
     encode_batch,
     flatten,
-    forward_batch,
     forward_tokens,
     init_params,
     load_checkpoint,
@@ -25,7 +24,7 @@ from .encoder import (  # noqa: F401
     tokenize_batch,
     unflatten,
 )
-from .losses import InfoNCEConfig, cosine_regression, info_nce, mse  # noqa: F401
+from .losses import cosine_regression, info_nce, mse  # noqa: F401
 from .ontology import (  # noqa: F401
     KnowledgeGraph,
     build_corpus,

@@ -49,6 +49,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    return parse
+
+
+def _topk_list(text: str) -> list[int]:
+    """An argparse type: a comma list of integers >= 1."""
+    return [_int_at_least(1)(k) for k in text.split(",")]
+
+
 # ---------------------------------------------------------------------------
 # Small helpers
 
@@ -325,8 +342,7 @@ def cmd_eval(args) -> int:
             raise UsageError("eval nel requires --ontology")
         kg, _ = _load_kg(args.ontology)
         inputs.append(args.ontology)
-        k_list = [int(k) for k in args.topk.split(",")]
-        reports = ev.eval_nel(model, kg, ev.load_nel_dataset(args.data), k_list)
+        reports = ev.eval_nel(model, kg, ev.load_nel_dataset(args.data), args.topk)
     else:
         reports = [ev.eval_nli_triplets(model, ev.load_nli_dataset(args.data))]
 
@@ -613,8 +629,8 @@ def build_parser() -> _Parser:
     p.add_argument("--templates", required=True)
     p.add_argument("--glossary")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--per-concept", dest="per_concept", type=int, default=2)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--per-concept", dest="per_concept", type=_int_at_least(0), default=2)
     p.set_defaults(func=cmd_verbalize)
 
     p = sub.add_parser("train", help="run one training phase")
@@ -628,10 +644,10 @@ def build_parser() -> _Parser:
     p.add_argument("--ontology")
     p.add_argument("--templates")
     p.add_argument("--glossary")
-    p.add_argument("--pca-dim", dest="pca_dim", type=int, default=64)
+    p.add_argument("--pca-dim", dest="pca_dim", type=_int_at_least(1), default=64)
     p.add_argument("--config", help="key=value training config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
+    p.add_argument("--epochs", type=_int_at_least(0))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -651,7 +667,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--ontology")
-    p.add_argument("--topk", default="1")
+    p.add_argument("--topk", type=_topk_list, default="1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -1,8 +1,7 @@
 """Config files: plain-text ``key = value`` lines read into the frozen config
 dataclasses. A dataclass's fields are its keys, each with its type and
 default written once, on the field; range checks stay in the class's
-``__post_init__``. A field whose default is a config dataclass
-(``TrainConfig.info_nce``) adds that class's keys as ``<field>_<key>``.
+``__post_init__``. Every field is an int, a finite float or a string.
 """
 
 from __future__ import annotations
@@ -51,15 +50,6 @@ def read_config(path, allowed) -> dict[str, str]:
     return mapping
 
 
-def _to_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _to_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -69,35 +59,23 @@ def _to_float(text: str) -> float:
 
 # Keyed by ``field.type``, a string: the config classes' modules use
 # ``from __future__ import annotations``.
-_CASTS = {"int": int, "float": _to_float, "bool": _to_bool, "str": str, "str | None": str}
+_CASTS = {"int": int, "float": _to_float, "str": str, "str | None": str}
 
 
-def _nested(f: dataclasses.Field):
-    return f.default_factory if dataclasses.is_dataclass(f.default_factory) else None
-
-
-def config_keys(cls, stem: str = "") -> tuple[str, ...]:
+def config_keys(cls) -> tuple[str, ...]:
     """Every key of config dataclass ``cls``, in field order."""
-    out: list[str] = []
-    for f in dataclasses.fields(cls):
-        out += config_keys(_nested(f), f"{stem}{f.name}_") if _nested(f) else [stem + f.name]
-    return tuple(out)
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def build_config(cls, mapping: dict[str, str], source="config", prefix: str = "",
-                 base=None, stem: str = ""):
+                 base=None):
     """An instance of config dataclass ``cls`` from the string values of
     ``mapping``, read from the file ``source``. Each key is looked up as
     ``prefix + key``, then as ``key``; a key in neither keeps its value in
     ``base``, or its field default when ``base`` is None."""
     kwargs, from_file = {}, {}
     for f in dataclasses.fields(cls):
-        if _nested(f):
-            kwargs[f.name] = build_config(_nested(f), mapping, source, prefix,
-                                          getattr(base, f.name, None), f"{stem}{f.name}_")
-            continue
-        key = prefix + stem + f.name
-        key = key if key in mapping else stem + f.name
+        key = prefix + f.name if prefix + f.name in mapping else f.name
         if key in mapping:
             try:
                 kwargs[f.name] = _CASTS[f.type](mapping[key])

@@ -127,17 +127,13 @@ class Params:
     laid out in canonical flatten order: token_table (row-major), w1, b1,
     w2, b2, then head_w and head_b when a distillation head is attached.
     Assigning a tensor copies into its view, so ``flat`` always holds the
-    current values.
+    current values. ``Params(flat, shapes)`` wraps ``flat`` without copying
+    it, each tensor a view of the next ``shapes`` entry in that order.
     """
 
     token_table, w1, b1, w2, b2, head_w, head_b = map(_tensor, _TENSOR_NAMES)
 
-    def __init__(self, token_table, w1, b1, w2, b2, head_w=None, head_b=None):
-        tensors = [np.asarray(t, dtype=float)
-                   for t in (token_table, w1, b1, w2, b2, head_w, head_b) if t is not None]
-        self._bind(np.concatenate([t.ravel() for t in tensors]), [t.shape for t in tensors])
-
-    def _bind(self, flat: np.ndarray, shapes: list[tuple[int, ...]]) -> None:
+    def __init__(self, flat: np.ndarray, shapes: list[tuple[int, ...]]):
         self.flat = flat
         self._views: dict[str, np.ndarray] = {}
         pos = 0
@@ -147,13 +143,6 @@ class Params:
             pos += n
         if pos != flat.size:
             raise ValueError(f"vector length {flat.size} does not match shapes {shapes}")
-
-    @classmethod
-    def _wrap(cls, flat: np.ndarray, shapes: list[tuple[int, ...]]) -> "Params":
-        """Params whose tensors are views into ``flat`` (no copy)."""
-        out = cls.__new__(cls)
-        out._bind(flat, shapes)
-        return out
 
     @property
     def shapes(self) -> list[tuple[int, ...]]:
@@ -171,19 +160,19 @@ class Params:
         return list(self._views.items())
 
     def copy(self) -> "Params":
-        return Params._wrap(self.flat.copy(), self.shapes)
+        return Params(self.flat.copy(), self.shapes)
 
     def take_rows(self, rows: np.ndarray) -> "Params":
         """A copy of these params whose token table holds only the rows
         ``rows``, in that order."""
         table = self.token_table
         shapes = [(len(rows), table.shape[1])] + self.shapes[1:]
-        return Params._wrap(np.concatenate([table[rows].ravel(), self.flat[table.size:]]), shapes)
+        return Params(np.concatenate([table[rows].ravel(), self.flat[table.size:]]), shapes)
 
     def without_head(self) -> "Params":
         """The encoder part of these params, sharing their memory."""
         views = list(self._views.values())[:5]
-        return Params._wrap(self.flat[:sum(v.size for v in views)], [v.shape for v in views])
+        return Params(self.flat[:sum(v.size for v in views)], [v.shape for v in views])
 
 
 def params_equal(a: Params, b: Params) -> bool:
@@ -334,11 +323,6 @@ def forward_tokens(params: Params, tokens: Tokens) -> Forward:
     return Forward(z / norms[:, None], tokens.ids, text_of, counts, pooled, h, raw_norms, norms)
 
 
-def forward_batch(params: Params, config: EncoderConfig, texts: list[str]) -> Forward:
-    """``forward_tokens`` over the ``tokenize_batch`` of ``texts``."""
-    return forward_tokens(params, tokenize_batch(config, texts))
-
-
 def encode_batch(params: Params, config: EncoderConfig, texts: list[str]) -> np.ndarray:
     """Embed a list of texts as unit rows of a (len(texts), output_dim) matrix.
 
@@ -347,7 +331,7 @@ def encode_batch(params: Params, config: EncoderConfig, texts: list[str]) -> np.
     the one permitted non-unit output: the zero vector, produced by the
     1e-8 norm guard. A distillation head in ``params`` is ignored.
     """
-    return forward_batch(params, config, texts).out
+    return forward_tokens(params, tokenize_batch(config, texts)).out
 
 
 def backward_batch(
@@ -355,10 +339,10 @@ def backward_batch(
     forward: Forward,
 ) -> Params:
     """Exact gradient of ``sum(forward.out * output_grads)`` w.r.t. every
-    parameter, backpropagated from ``forward``, the ``forward_batch`` of the
-    same params and texts, as a ``Params`` shaped like ``params``. Token
-    rows no text in the batch holds are +0.0, and so are the head's slots
-    when ``params`` carry one."""
+    parameter, backpropagated from ``forward``, the ``forward_tokens`` of the
+    same params over the ``tokenize_batch`` of ``texts``, as a ``Params``
+    shaped like ``params``. Token rows no text in the batch holds are +0.0,
+    and so are the head's slots when ``params`` carry one."""
     output_grads = np.asarray(output_grads, dtype=float)
     if output_grads.shape != (len(texts), config.output_dim):
         raise ValueError("output_grads shape must be (len(texts), output_dim)")
@@ -377,7 +361,7 @@ def backward_batch(
         output_grads / NORM_GUARD,
     )
 
-    grad = Params._wrap(np.zeros_like(params.flat), params.shapes)
+    grad = Params(np.zeros_like(params.flat), params.shapes)
     grad.w2 = f.h.T @ grad_z
     grad.b2 = grad_z.sum(axis=0)
     grad_h = grad_z @ params.w2.T
@@ -418,7 +402,7 @@ def unflatten(config: EncoderConfig, vector: np.ndarray) -> Params:
     shapes = [(v, e), (e, h), (h,), (h, o), (o,)]
     if head_dim is not None:
         shapes += [(o, head_dim), (head_dim,)]
-    return Params._wrap(vector, shapes)
+    return Params(vector, shapes)
 
 
 @dataclass

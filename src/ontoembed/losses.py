@@ -9,22 +9,7 @@ backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class InfoNCEConfig:
-    """Scale 20 corresponds to softmax temperature 0.05. ``symmetric`` adds
-    the positives-to-anchors direction and halves."""
-
-    scale: float = 20.0
-    symmetric: bool = False
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be > 0")
 
 
 def _check_unit_rows(name: str, rows: np.ndarray, tol: float = 1e-9) -> None:
@@ -39,29 +24,16 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _nce_direction(anchors, candidates, scale):
-    """Loss and logit-space gradients for one softmax direction."""
-    b = anchors.shape[0]
-    logits = scale * (anchors @ candidates.T)
-    logp = _log_softmax(logits)
-    loss = -logp[np.arange(b), np.arange(b)].mean()
-    dlogits = np.exp(logp)
-    dlogits[np.arange(b), np.arange(b)] -= 1.0
-    dlogits /= b
-    grad_anchors = scale * (dlogits @ candidates)
-    grad_candidates = scale * (dlogits.T @ anchors)
-    return loss, grad_anchors, grad_candidates
-
-
 def info_nce(
     anchors: np.ndarray,
     positives: np.ndarray,
     extra_negatives: np.ndarray | None = None,
-    cfg: InfoNCEConfig = InfoNCEConfig(),
+    scale: float = 20.0,
     check_inputs: bool = True,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
     """In-batch InfoNCE: each anchor's positive is the matching row among
-    candidates = positives ++ extra_negatives.
+    candidates = positives ++ extra_negatives, with logits ``scale`` times
+    the dot products (scale 20 is softmax temperature 0.05).
 
     Returns (loss, grad_anchors, grad_positives, grad_extras). Log-sum-exp
     uses max subtraction for stability. ``check_inputs`` enforces the
@@ -90,20 +62,16 @@ def info_nce(
             _check_unit_rows("extra_negatives", extras)
 
     candidates = positives if extras is None else np.vstack([positives, extras])
-    loss, grad_anchors, grad_candidates = _nce_direction(anchors, candidates, cfg.scale)
     b = anchors.shape[0]
-    grad_positives = grad_candidates[:b]
-    grad_extras = None if extras is None else grad_candidates[b:]
-
-    if cfg.symmetric:
-        loss2, g_pos2, g_anch2 = _nce_direction(positives, anchors, cfg.scale)
-        loss = 0.5 * (loss + loss2)
-        grad_anchors = 0.5 * (grad_anchors + g_anch2)
-        grad_positives = 0.5 * (grad_positives + g_pos2)
-        if grad_extras is not None:
-            grad_extras = 0.5 * grad_extras
-
-    return float(loss), grad_anchors, grad_positives, grad_extras
+    logp = _log_softmax(scale * (anchors @ candidates.T))
+    loss = -logp[np.arange(b), np.arange(b)].mean()
+    dlogits = np.exp(logp)
+    dlogits[np.arange(b), np.arange(b)] -= 1.0
+    dlogits /= b
+    grad_anchors = scale * (dlogits @ candidates)
+    grad_candidates = scale * (dlogits.T @ anchors)
+    return (float(loss), grad_anchors, grad_candidates[:b],
+            None if extras is None else grad_candidates[b:])
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

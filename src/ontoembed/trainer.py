@@ -57,7 +57,7 @@ class TrainConfig:
     batch_size: int = 128
     seed: int = 0
     hard_negatives_per_batch: int = 0
-    info_nce: losses.InfoNCEConfig = field(default_factory=losses.InfoNCEConfig)
+    info_nce_scale: float = 20.0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -72,6 +72,8 @@ class TrainConfig:
             raise ValueError("hard_negatives_per_batch must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.info_nce_scale <= 0:
+            raise ValueError("scale must be > 0")
 
 
 # Every key a training config file may set.
@@ -372,13 +374,13 @@ def _fit(params, tokens, plans, loss_and_grads, cfg: TrainConfig, regime: str,
     remapped to them. At the end the trained rows and tensors are written
     back into ``params``, and every other row gets the decay the steps gave
     it (``_replay_decay``): bit for bit what full-table AdamW would leave.
-    A ValueError in a step, such as a non-finite gradient, is raised again as
-    a TrainError naming ``regime``, the epoch and the step (both from 1), and
-    a non-finite token row by its bucket id.
 
     Epoch losses are the mean batch loss of each epoch, or, when
     ``full_loss`` is given, ``full_loss(compact, ids)`` before training and
-    after each epoch.
+    after each epoch. A ValueError in a step or a full loss, such as a
+    non-finite gradient, is raised again as a TrainError naming ``regime``
+    and where it failed: at epoch E, step S (both from 1), or before or
+    after an epoch; a non-finite token row is named by its bucket id.
     """
     reached, remapped = np.unique(tokens.ids, return_inverse=True)
     ids = enc.Tokens(remapped, tokens.offsets)
@@ -386,24 +388,27 @@ def _fit(params, tokens, plans, loss_and_grads, cfg: TrainConfig, regime: str,
     total_steps = sum(len(plan) for plan in plans)
     state = init_adamw(compact)
     rates = []
-    epoch_losses = [] if full_loss is None else [full_loss(compact, ids)]
-    for epoch, plan in enumerate(plans, 1):
-        batch_losses = []
-        for batch in plan:
-            lr = warmup_linear(state.step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
-            try:
+    where = "before epoch 1"
+    try:
+        epoch_losses = [] if full_loss is None else [full_loss(compact, ids)]
+        for epoch, plan in enumerate(plans, 1):
+            batch_losses = []
+            for batch in plan:
+                where = f"at epoch {epoch}, step {state.step + 1}"
+                lr = warmup_linear(state.step, total_steps, cfg.learning_rate,
+                                   cfg.warmup_fraction)
                 loss, grad = loss_and_grads(compact, ids, batch)
                 adamw_step(compact, grad, state, lr, cfg.weight_decay)
-            except ValueError as exc:
-                reason = exc
-                if isinstance(exc, NonFiniteGradient) and exc.row is not None:
-                    reason = NonFiniteGradient(exc.tensor, int(reached[exc.row]))
-                raise TrainError(f"{regime} training failed at epoch {epoch}, "
-                                 f"step {state.step + 1}: {reason}") from exc
-            rates.append(lr)
-            batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)) if full_loss is None
-                            else full_loss(compact, ids))
+                rates.append(lr)
+                batch_losses.append(loss)
+            where = f"after epoch {epoch}"
+            epoch_losses.append(float(np.mean(batch_losses)) if full_loss is None
+                                else full_loss(compact, ids))
+    except ValueError as exc:
+        reason = exc
+        if isinstance(exc, NonFiniteGradient) and exc.row is not None:
+            reason = NonFiniteGradient(exc.tensor, int(reached[exc.row]))
+        raise TrainError(f"{regime} training failed {where}: {reason}") from exc
     table = params.token_table
     _replay_decay(table, reached, rates, cfg.weight_decay)
     table[reached] = compact.token_table
@@ -457,7 +462,7 @@ def train_contrastive(
         batch_texts = [texts[i] for i in index]
         f, b = enc.forward_tokens(params, ids.take(index)), len(indices)
         e = f.out
-        loss, ga, gp, gx = losses.info_nce(e[:b], e[b:2 * b], e[2 * b:], cfg.info_nce,
+        loss, ga, gp, gx = losses.info_nce(e[:b], e[b:2 * b], e[2 * b:], cfg.info_nce_scale,
                                            check_inputs=False)
         grads_out = np.vstack([ga, gp] + ([gx] if gx is not None else []))
         return loss, enc.backward_batch(params, config, batch_texts, grads_out, f)
@@ -495,9 +500,6 @@ def adapt_sts(model, sts_train, cfg: TrainConfig) -> tuple[enc.Checkpoint, Train
     rows = sts_train.rows
     if not rows:
         raise TrainError("empty STS dataset")
-    for _, _, g in rows:
-        if not (0.0 <= g <= 5.0):
-            raise TrainError(f"gold score {g} outside [0, 5]")
     _require_no_head(model.params, "adapt_sts")
 
     config = model.config

@@ -81,7 +81,7 @@ def test_criterion_1_gradient_correctness():
         text = texts[trial % len(texts)]
         g = rng.normal(size=cfg.output_dim)
         grad = enc.backward_batch(params, cfg, [text], g[None],
-                                  enc.forward_batch(params, cfg, [text]))
+                                  enc.forward_tokens(params, enc.tokenize_batch(cfg, [text])))
         analytic = enc.flatten(grad)
         numeric = fd_gradient(
             lambda v: float(enc.encode_batch(enc.unflatten(cfg, v), cfg, [text])[0] @ g),
@@ -94,15 +94,14 @@ def test_criterion_1_gradient_correctness():
 
     for trial in range(20):
         b, m, d = 4, 3, 5
-        nce_cfg = losses.InfoNCEConfig(scale=float(rng.uniform(1, 20)),
-                                       symmetric=bool(trial % 2))
+        scale = float(rng.uniform(1, 20))
         a, p, x = unit(b, d), unit(b, d), unit(m, d)
-        _, ga, gp, gx = losses.info_nce(a, p, x, nce_cfg, check_inputs=False)
+        _, ga, gp, gx = losses.info_nce(a, p, x, scale, check_inputs=False)
         for arr, grad, which in ((a, ga, 0), (p, gp, 1), (x, gx, 2)):
             def f(v, which=which):
                 args = [a, p, x]
                 args[which] = v.reshape(args[which].shape)
-                return losses.info_nce(*args, nce_cfg, check_inputs=False)[0]
+                return losses.info_nce(*args, scale, check_inputs=False)[0]
             assert rel_error(grad, fd_gradient(f, arr)) < tol
 
     for _ in range(20):

@@ -46,6 +46,32 @@ def test_missing_templates_file_exits_1_no_partial_output(small_world, tmp_path)
     assert not os.path.exists(str(out) + ".manifest.json")
 
 
+_NEL = ["eval", "nel", "--model", "m.ckpt", "--data", "nel.tsv", "--ontology", "o.jsonl"]
+_VERBALIZE = ["verbalize", "--ontology", "o.jsonl", "--templates", "t.tsv"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (_NEL + ["--topk", "a"], "--topk"),
+    (_NEL + ["--topk", "1,,5"], "--topk"),
+    (_NEL + ["--topk", "1,0"], "--topk"),
+    (_VERBALIZE + ["--per-concept", "-1"], "--per-concept"),
+    (_VERBALIZE + ["--seed", "-1"], "--seed"),
+    (["train", "self-distill", "--pca-dim", "0"], "--pca-dim"),
+    (["train", "sts", "--seed", "-3"], "--seed"),
+    (["train", "sts", "--epochs", "-1"], "--epochs"),
+    (["train", "sts", "--epochs", "2.5"], "--epochs"),
+], ids=["topk-letter", "topk-empty-item", "topk-zero", "per-concept-negative",
+        "verbalize-seed-negative", "pca-dim-zero", "train-seed-negative",
+        "epochs-negative", "epochs-fraction"])
+def test_bad_argument_exits_64_naming_the_option(tmp_path, capsys, argv, option):
+    # --topk a used to exit 2 with a bare int() error, and
+    # --per-concept -1 used to write a corpus as if it were 0
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"argument {option}: expected an integer >= " in err[0], err
+    assert os.listdir(tmp_path) == []
+
+
 def test_invalid_ontology_exits_2(tmp_path):
     bad = write_jsonl(tmp_path / "bad.jsonl", [
         {"id": "A", "names": ["a"], "parents": ["B"]},
@@ -618,6 +644,27 @@ def test_embed_overflowing_norm_exits_2_with_one_line(tmp_path):
     assert not out.exists()
 
 
+def test_train_self_distill_from_overflowing_base_names_the_regime(small_world, tmp_path,
+                                                                   capsys):
+    # the loss before the first epoch used to fail outside the error mapping,
+    # with a message that named neither the regime nor the epoch
+    base = _overflowing_model(tmp_path / "huge.ckpt")
+    config = enc.load_checkpoint(base).config
+    teacher = tmp_path / "teacher.ckpt"
+    enc.save_checkpoint(teacher, enc.Checkpoint(config=config, phase="sts_adapted",
+                                                params=enc.init_params(config)))
+    out = tmp_path / "distill.ckpt"
+    code = run(["train", "self-distill", "--base", base, "--teacher", str(teacher),
+                "--ontology", os.path.join(small_world, "ontology.jsonl"),
+                "--templates", os.path.join(small_world, "templates.tsv"),
+                "--pca-dim", "2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: self-distill training failed before epoch 1: "
+        "output norm of batch row 0 is not finite"]
+    assert not out.exists()
+
+
 def test_train_sts_from_overflowing_base_names_epoch_and_step(small_world, tmp_path, capsys):
     out = tmp_path / "sts.ckpt"
     code = run(["train", "sts", "--base", _overflowing_model(tmp_path / "huge.ckpt"),
@@ -677,12 +724,18 @@ def test_pipeline_rejects_bad_choice_before_training(fixtures_dir, tmp_path, key
     assert list(tmp_path.rglob("*.ckpt")) == []
 
 
-def test_pipeline_rejects_unknown_key_before_creating_output(small_world, tmp_path, capsys):
-    # a typo for contrastive_epochs used to train silently for the default 1 epoch
-    cfg = _mini_pipeline_cfg(small_world, tmp_path, contrastive_epoch=40)
+@pytest.mark.parametrize("key, value", [
+    ("contrastive_epoch", 40), ("info_nce_symmetric", "maybe"),
+    ("contrastive_info_nce_symmetric", "true"),
+], ids=["typo", "symmetric", "phase-symmetric"])
+def test_pipeline_rejects_unknown_key_before_creating_output(small_world, tmp_path, capsys,
+                                                            key, value):
+    # a typo for contrastive_epochs used to train silently for the default 1
+    # epoch; the InfoNCE loss has one direction, so there is no symmetric switch
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, **{key: value})
     out_dir = tmp_path / "run"
     assert run(["pipeline", "--config", cfg, "--out-dir", str(out_dir)]) == 64
-    assert "contrastive_epoch" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -735,7 +788,7 @@ def _no_training(monkeypatch):
 
 @pytest.mark.parametrize("key, value", [
     ("readapt_epochs", "fifteen"), ("distill_batch_size", "0"), ("distill_runs", "0"),
-    ("pca_dim", "0"), ("pca_dim", "49"), ("info_nce_symmetric", "maybe"),
+    ("pca_dim", "0"), ("pca_dim", "49"),
     ("contrastive_learning_rate", "nan"), ("seed", "-1"),
 ])
 def test_pipeline_bad_value_exits_64_naming_the_key_before_training(
@@ -767,7 +820,7 @@ def test_pipeline_contrastive_batch_of_one_exits_64_naming_the_key_before_traini
     assert sorted(os.listdir(tmp_path)) == ["demo.cfg"]
 
 
-@pytest.mark.parametrize("typo", ["epoch", "learnig_rate"])
+@pytest.mark.parametrize("typo", ["epoch", "learnig_rate", "info_nce_symmetric"])
 def test_train_rejects_unknown_key_before_training(small_world, tmp_path, capsys,
                                                    monkeypatch, typo):
     # a typo used to train silently with the default value
@@ -858,6 +911,26 @@ def test_pipeline_failure_leaves_out_dir_as_it_was(small_world, tmp_path, capsys
     assert sorted(os.listdir(tmp_path)) == ["demo.cfg", "run"]
     assert sorted(os.listdir(out_dir)) == ["base.ckpt", "notes.txt"]
     assert (out_dir / "base.ckpt").read_bytes() == b"an earlier run"
+
+
+def test_pipeline_distill_loss_before_training_names_the_phase(small_world, tmp_path, capsys,
+                                                              monkeypatch):
+    # with an overflowing output bias the distillation loss taken before the
+    # first epoch fails; it used to fail outside the error mapping
+    real_attach = trainer.enc.attach_head
+
+    def overflowing_head(*args):
+        params = real_attach(*args)
+        params.b2[0] = 1e200
+        return params
+
+    monkeypatch.setattr(trainer.enc, "attach_head", overflowing_head)
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, **_FAST)
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: distill_01: self-distill training failed before epoch 1: "
+        "output norm of batch row 0 is not finite"]
+    assert sorted(os.listdir(tmp_path)) == ["demo.cfg"]
 
 
 def test_pipeline_manifest_lists_only_this_runs_outputs(small_world, tmp_path):

@@ -166,7 +166,7 @@ def test_batch_pooling_equals_per_text_mean_bit_exact():
     params = enc.init_params(cfg)
     words = ["fever", "peptic", "ulcer", "chronic", "lungs", "alpha", "beta", "gamma"]
     texts = [" ".join(words[i % 3:i % 3 + n]) for i, n in enumerate((3, 0, 8, 5, 1, 7))]
-    pooled = enc.forward_batch(params, cfg, texts).pooled
+    pooled = enc.forward_tokens(params, enc.tokenize_batch(cfg, texts)).pooled
     for text, row in zip(texts, pooled):
         ids = enc.tokenize(cfg, text)
         assert np.array_equal(row, params.token_table[ids].mean(axis=0) if ids else 0.0 * row)
@@ -203,7 +203,7 @@ def test_batch_entry_points_keep_their_leading_parameters():
 
 def _backward(params, config, texts, output_grads):
     return enc.backward_batch(params, config, texts, output_grads,
-                              enc.forward_batch(params, config, texts))
+                              enc.forward_tokens(params, enc.tokenize_batch(config, texts)))
 
 
 def test_backward_zero_grad_gives_zero(tiny_config):
@@ -269,7 +269,7 @@ def test_backward_token_rows_equal_dense_add_at_bit_exact(texts):
 
 def test_backward_takes_the_forward_it_is_given(tiny_config):
     params = enc.init_params(tiny_config)
-    forward = enc.forward_batch(params, tiny_config, ["fever", "ulcer"])
+    forward = enc.forward_tokens(params, enc.tokenize_batch(tiny_config, ["fever", "ulcer"]))
     with pytest.raises(ValueError):
         enc.backward_batch(params, tiny_config, ["fever"], np.zeros((1, 6)), forward)
 

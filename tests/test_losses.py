@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ontoembed import losses
+from ontoembed import trainer
 
 from oracles import fd_gradient, rel_error
 
@@ -33,7 +34,7 @@ def test_info_nce_hand_evaluated_two_by_two():
     # anchors = positives = identity; with scale 1 each row's softmax is over
     # logits [1, 0], so the loss is log(1 + e^-1)
     eye = np.eye(2)
-    loss, *_ = losses.info_nce(eye, eye, cfg=losses.InfoNCEConfig(scale=1.0))
+    loss, *_ = losses.info_nce(eye, eye, scale=1.0)
     assert abs(loss - np.log1p(np.exp(-1.0))) < 1e-12
 
 
@@ -74,10 +75,10 @@ def test_info_nce_diagonal_monotonicity():
     a = np.eye(3)
     p0 = np.eye(3) * 0.4 + 0.1
     p0 /= np.linalg.norm(p0, axis=1, keepdims=True)
-    loss0 = losses.info_nce(a, p0, cfg=losses.InfoNCEConfig(scale=4.0))[0]
+    loss0 = losses.info_nce(a, p0, scale=4.0)[0]
     p1 = np.eye(3) * 0.8 + 0.1
     p1 /= np.linalg.norm(p1, axis=1, keepdims=True)
-    loss1 = losses.info_nce(a, p1, cfg=losses.InfoNCEConfig(scale=4.0))[0]
+    loss1 = losses.info_nce(a, p1, scale=4.0)[0]
     assert loss1 < loss0
 
 
@@ -91,40 +92,30 @@ def test_info_nce_rejects_bad_inputs():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         losses.info_nce(bad, v)
-    with pytest.raises(ValueError):
-        losses.InfoNCEConfig(scale=0.0)
+    with pytest.raises(ValueError, match="scale must be > 0"):
+        trainer.TrainConfig(info_nce_scale=0.0)
 
 
 def test_info_nce_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     for trial in range(20):
         b, m, d = 4, 3, 5
-        cfg = losses.InfoNCEConfig(scale=float(rng.uniform(1, 15)),
-                                   symmetric=bool(trial % 2))
+        scale = float(rng.uniform(1, 15))
         a = _unit_rows(rng, b, d)
         p = _unit_rows(rng, b, d)
         x = _unit_rows(rng, m, d) if trial % 3 else None
-        loss, ga, gp, gx = losses.info_nce(a, p, x, cfg, check_inputs=False)
+        loss, ga, gp, gx = losses.info_nce(a, p, x, scale, check_inputs=False)
 
-        fa = fd_gradient(lambda v: losses.info_nce(v.reshape(b, d), p, x, cfg,
+        fa = fd_gradient(lambda v: losses.info_nce(v.reshape(b, d), p, x, scale,
                                                    check_inputs=False)[0], a)
         assert rel_error(ga, fa) < 1e-4
-        fp = fd_gradient(lambda v: losses.info_nce(a, v.reshape(b, d), x, cfg,
+        fp = fd_gradient(lambda v: losses.info_nce(a, v.reshape(b, d), x, scale,
                                                    check_inputs=False)[0], p)
         assert rel_error(gp, fp) < 1e-4
         if x is not None:
-            fx = fd_gradient(lambda v: losses.info_nce(a, p, v.reshape(m, d), cfg,
+            fx = fd_gradient(lambda v: losses.info_nce(a, p, v.reshape(m, d), scale,
                                                        check_inputs=False)[0], x)
             assert rel_error(gx, fx) < 1e-4
-
-
-def test_info_nce_symmetric_equals_forward_when_square_symmetric():
-    # with anchors == positives the two directions coincide
-    rng = np.random.default_rng(9)
-    v = _unit_rows(rng, 4, 6)
-    plain = losses.info_nce(v, v, cfg=losses.InfoNCEConfig(scale=5.0))[0]
-    sym = losses.info_nce(v, v, cfg=losses.InfoNCEConfig(scale=5.0, symmetric=True))[0]
-    assert abs(plain - sym) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -64,13 +64,9 @@ def test_warmup_rejects_bad_steps():
 
 
 def _scalarish_params():
-    return enc.Params(
-        token_table=np.array([[1.0]]),
-        w1=np.array([[1.0]]),
-        b1=np.array([0.5]),
-        w2=np.array([[1.0]]),
-        b2=np.array([0.5]),
-    )
+    # token_table, w1, b1, w2, b2: one entry each
+    config = enc.EncoderConfig(vocab_buckets=1, embed_dim=1, hidden_dim=1, output_dim=1)
+    return enc.unflatten(config, np.array([1.0, 1.0, 0.5, 1.0, 0.5]))
 
 
 def _zero_gradient(params):
@@ -483,10 +479,9 @@ def test_contrastive_batches_audited_during_training(small_setup, monkeypatch):
     real = losses_mod.info_nce
     audited = []
 
-    def spy(anchors, positives, extras=None, cfg=losses_mod.InfoNCEConfig(),
-            check_inputs=True):
+    def spy(anchors, positives, extras=None, scale=20.0, check_inputs=True):
         audited.append(anchors.shape[0])
-        return real(anchors, positives, extras, cfg, check_inputs)
+        return real(anchors, positives, extras, scale, check_inputs)
 
     monkeypatch.setattr(trainer.losses, "info_nce", spy)
 
@@ -770,7 +765,6 @@ def test_parse_kv_file_and_train_config(tmp_path):
         "epochs = 3\n"
         "batch_size=16\n"
         "info_nce_scale = 10\n"
-        "info_nce_symmetric = true\n"
         "seed = 42  # trailing comment\n"
     )
     mapping = trainer.parse_kv_file(path)
@@ -779,8 +773,7 @@ def test_parse_kv_file_and_train_config(tmp_path):
     assert cfg.epochs == 3
     assert cfg.batch_size == 16
     assert cfg.seed == 42
-    assert cfg.info_nce.scale == 10.0
-    assert cfg.info_nce.symmetric is True
+    assert cfg.info_nce_scale == 10.0
 
 
 def test_parse_kv_file_rejects_garbage(tmp_path):
