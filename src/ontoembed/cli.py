@@ -22,6 +22,8 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 from . import encoder as enc
 from . import evalsuite as ev
 from . import ontology as onto
@@ -211,6 +213,10 @@ def cmd_train(args) -> int:
         base = enc.load_checkpoint(args.base)
         teacher = enc.load_checkpoint(args.teacher)
         kg, _ = _load_kg(args.ontology, args.templates, args.glossary)
+        limit = trainer.pca_dim_limit(len(kg), teacher.config.output_dim)
+        if args.pca_dim > limit:
+            raise UsageError(f"--pca-dim must be at most {limit} with teacher output_dim "
+                             f"{teacher.config.output_dim} and {len(kg)} concepts")
         _, targets = trainer.build_targets(teacher, kg, k=args.pca_dim)
         ckpt, stats = trainer.train_self_distill(base, targets, kg, cfg)
         inputs += [p for p in (args.base, args.teacher, args.ontology,
@@ -472,7 +478,7 @@ class PipelinePlan:
         self.kg, gloss_stats = _load_kg(paths["ontology"], paths["templates"],
                                         paths.get("glossary"))
         self.glossary_added = gloss_stats.added if gloss_stats else 0
-        limit = min(len(self.kg) - 1, self.encoder.output_dim)
+        limit = trainer.pca_dim_limit(len(self.kg), self.encoder.output_dim)
         if cfg.pca_dim > limit:
             raise ConfigError(f"{path}: pca_dim: must be at most {limit} with output_dim "
                               f"{self.encoder.output_dim} and {len(self.kg)} concepts")
@@ -691,12 +697,16 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.verbose:
             logging.getLogger().setLevel(logging.INFO)
-        return args.func(args)
+        # a numeric fault raises where it happens instead of warning and
+        # carrying inf or NaN on; code that means to produce them says so
+        # with a local errstate
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            return args.func(args)
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (onto.OntologyError, ev.EvalError, trainer.TrainError, soup_mod.SoupError,
-            enc.CheckpointError, ValueError) as exc:
+            enc.CheckpointError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

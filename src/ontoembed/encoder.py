@@ -245,11 +245,16 @@ def init_params(config: EncoderConfig) -> Params:
     rng = np.random.default_rng(config.init_seed)
     s = config.init_scale
     v, e, h, o = config.vocab_buckets, config.embed_dim, config.hidden_dim, config.output_dim
-    # token_table and w1 are adjacent in the flat layout: one draw fills both
-    return unflatten(config, np.concatenate([
-        rng.uniform(-s, s, size=v * e + e * h), np.zeros(h),
-        rng.uniform(-s, s, size=h * o), np.zeros(o),
-    ]))
+    try:
+        # token_table and w1 are adjacent in the flat layout: one draw fills both
+        return unflatten(config, np.concatenate([
+            rng.uniform(-s, s, size=v * e + e * h), np.zeros(h),
+            rng.uniform(-s, s, size=h * o), np.zeros(o),
+        ]))
+    except MemoryError:
+        raise ValueError(f"cannot allocate the {config.base_param_count()} parameters of "
+                         f"vocab_buckets {v}, embed_dim {e}, hidden_dim {h}, "
+                         f"output_dim {o}") from None
 
 
 def attach_head(params: Params, config: EncoderConfig, target_dim: int, seed: int) -> Params:
@@ -267,7 +272,8 @@ def attach_head(params: Params, config: EncoderConfig, target_dim: int, seed: in
 class Forward:
     """One batch's forward pass: the output rows plus what the backward pass
     reads. ``ids`` concatenates every text's token ids, ``text_of`` names the
-    text each id belongs to, and ``counts`` is tokens per text, at least 1."""
+    text each id belongs to, ``counts`` is tokens per text, at least 1, and
+    ``norms`` is each row's norm before normalization, at least NORM_GUARD."""
 
     out: np.ndarray
     ids: np.ndarray
@@ -275,7 +281,6 @@ class Forward:
     counts: np.ndarray
     pooled: np.ndarray
     h: np.ndarray
-    raw_norms: np.ndarray
     norms: np.ndarray
 
 
@@ -320,7 +325,7 @@ def forward_tokens(params: Params, tokens: Tokens) -> Forward:
     if len(overflowed):
         raise ValueError(f"output norm of batch row {overflowed[0]} is not finite")
     norms = np.maximum(raw_norms, NORM_GUARD)
-    return Forward(z / norms[:, None], tokens.ids, text_of, counts, pooled, h, raw_norms, norms)
+    return Forward(z / norms[:, None], tokens.ids, text_of, counts, pooled, h, norms)
 
 
 def encode_batch(params: Params, config: EncoderConfig, texts: list[str]) -> np.ndarray:
@@ -356,7 +361,7 @@ def backward_batch(
     # linear in z so the gradient is g / guard.
     dot = np.sum(f.out * output_grads, axis=1)
     grad_z = np.where(
-        (f.raw_norms > NORM_GUARD)[:, None],
+        (f.norms > NORM_GUARD)[:, None],
         (output_grads - f.out * dot[:, None]) / f.norms[:, None],
         output_grads / NORM_GUARD,
     )

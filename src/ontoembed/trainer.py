@@ -1,12 +1,14 @@
 """Optimization machinery and the training regimes.
 
-Four regimes share one loop, ``_fit``: each regime plans its seeded,
-shuffled batches, tokenizes its texts once and supplies a loss closure with
-analytic gradients through the encoder; ``_fit`` steps AdamW with a
-warmup-linear schedule over the token rows those texts reach. Every
-regime is a deterministic function of (inputs, seed): re-running produces
-bit-identical checkpoints. Gradient accumulation is strictly sequential in
-batch order, which is what makes that guarantee hold.
+Four regimes share one training step, in ``_fit``: each regime gives its
+texts, its seeded, shuffled plan of steps (index arrays into those texts)
+and an objective that returns the loss and its gradient on a step's output
+rows; ``_fit`` tokenizes the texts once and, for every step, runs the
+forward pass, the optional linear head, the objective, the backward pass
+and AdamW at a warmup-linear rate over the token rows those texts reach.
+Every regime is a deterministic function of (inputs, seed): re-running
+produces bit-identical checkpoints. Gradient accumulation is strictly
+sequential in batch order, which is what makes that guarantee hold.
 """
 
 from __future__ import annotations
@@ -252,6 +254,13 @@ def pca_project(model: PCAModel, x: np.ndarray) -> np.ndarray:
     return (x - model.mean) @ model.components.T
 
 
+def pca_dim_limit(concepts: int, output_dim: int) -> int:
+    """The largest ``k`` that ``build_targets`` can fit over ``concepts``
+    concepts with a teacher of ``output_dim`` outputs: ``pca_fit``'s
+    min(N - 1, D)."""
+    return min(concepts - 1, output_dim)
+
+
 @dataclass(frozen=True)
 class DistillTarget:
     concept_id: str
@@ -284,10 +293,6 @@ def build_targets(
 
 # ---------------------------------------------------------------------------
 # Training regimes
-
-
-def _chunk_batches(n: int, batch_size: int, order: np.ndarray) -> list[np.ndarray]:
-    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
 def _dedup_batches(
@@ -362,49 +367,65 @@ def _replay_decay(table: np.ndarray, reached: np.ndarray, rates: list[float],
         block[keep] = theta
 
 
-def _fit(params, tokens, plans, loss_and_grads, cfg: TrainConfig, regime: str,
-         full_loss=None) -> TrainStats:
-    """The one training loop: walk ``plans`` (one list of batches per epoch)
-    in order, and for each batch take ``loss, grad = loss_and_grads(compact,
-    ids, batch)`` and one AdamW step at the warmup-linear rate.
+def _fit(params, config, texts, plans, objective, cfg: TrainConfig, regime: str,
+         full_loss=False) -> TrainStats:
+    """The one training loop: walk ``plans`` (one list of steps per epoch) in
+    order. A step is an index array into ``texts``: it encodes those texts,
+    takes ``y = out @ head_w + head_b`` when ``params`` carry a head (else
+    ``y = out``) and ``loss, gy = objective(y, index)``, backpropagates
+    ``gy`` and takes one AdamW step at the warmup-linear rate.
 
-    ``tokens``, the ``tokenize_batch`` of every text the run can encode,
-    names every token row the run can reach. The steps train ``compact``, a
-    copy of ``params`` holding only those rows, and ``ids`` is ``tokens``
-    remapped to them. At the end the trained rows and tensors are written
+    ``texts`` are tokenized once; their ids name every token row the run
+    can reach. The steps train ``compact``, a copy of ``params`` holding
+    only those rows. At the end the trained rows and tensors are written
     back into ``params``, and every other row gets the decay the steps gave
     it (``_replay_decay``): bit for bit what full-table AdamW would leave.
 
-    Epoch losses are the mean batch loss of each epoch, or, when
-    ``full_loss`` is given, ``full_loss(compact, ids)`` before training and
-    after each epoch. A ValueError in a step or a full loss, such as a
-    non-finite gradient, is raised again as a TrainError naming ``regime``
-    and where it failed: at epoch E, step S (both from 1), or before or
-    after an epoch; a non-finite token row is named by its bucket id.
+    Epoch losses are the mean step loss of each epoch, or, with
+    ``full_loss``, the objective over every text before training and after
+    each epoch. A ValueError or FloatingPointError in a step or a full loss,
+    such as a non-finite gradient, is raised again as a TrainError naming
+    ``regime`` and where it failed: at epoch E, step S (both from 1), or
+    before or after an epoch; a non-finite token row is named by its bucket
+    id.
     """
+    tokens = enc.tokenize_batch(config, texts)
     reached, remapped = np.unique(tokens.ids, return_inverse=True)
     ids = enc.Tokens(remapped, tokens.offsets)
-    compact = params.take_rows(reached)
+    compact, head = params.take_rows(reached), params.has_head
     total_steps = sum(len(plan) for plan in plans)
     state = init_adamw(compact)
     rates = []
+
+    def outputs(index):
+        f = enc.forward_tokens(compact, ids.take(index))
+        return f, (f.out @ compact.head_w + compact.head_b if head else f.out)
+
+    def full_set_loss():
+        every = np.arange(len(texts))
+        return objective(outputs(every)[1], every)[0]
+
     where = "before epoch 1"
     try:
-        epoch_losses = [] if full_loss is None else [full_loss(compact, ids)]
+        epoch_losses = [full_set_loss()] if full_loss else []
         for epoch, plan in enumerate(plans, 1):
-            batch_losses = []
-            for batch in plan:
+            step_losses = []
+            for index in plan:
                 where = f"at epoch {epoch}, step {state.step + 1}"
                 lr = warmup_linear(state.step, total_steps, cfg.learning_rate,
                                    cfg.warmup_fraction)
-                loss, grad = loss_and_grads(compact, ids, batch)
+                f, y = outputs(index)
+                loss, gy = objective(y, index)
+                grad = enc.backward_batch(compact, config, [texts[i] for i in index],
+                                          gy @ compact.head_w.T if head else gy, f)
+                if head:
+                    grad.head_w, grad.head_b = f.out.T @ gy, gy.sum(axis=0)
                 adamw_step(compact, grad, state, lr, cfg.weight_decay)
                 rates.append(lr)
-                batch_losses.append(loss)
+                step_losses.append(loss)
             where = f"after epoch {epoch}"
-            epoch_losses.append(float(np.mean(batch_losses)) if full_loss is None
-                                else full_loss(compact, ids))
-    except ValueError as exc:
+            epoch_losses.append(full_set_loss() if full_loss else float(np.mean(step_losses)))
+    except (ValueError, FloatingPointError) as exc:
         reason = exc
         if isinstance(exc, NonFiniteGradient) and exc.row is not None:
             reason = NonFiniteGradient(exc.tensor, int(reached[exc.row]))
@@ -414,6 +435,19 @@ def _fit(params, tokens, plans, loss_and_grads, cfg: TrainConfig, regime: str,
     table[reached] = compact.token_table
     params.flat[table.size:] = compact.flat[compact.token_table.size:]
     return TrainStats(state.step, epoch_losses)
+
+
+def _shuffled_plans(n: int, copies: int, cfg: TrainConfig, rng) -> list[list[np.ndarray]]:
+    """One plan per epoch: a fresh ``rng`` permutation of range(n) cut into
+    batches of ``cfg.batch_size``. A step indexes its batch in each of
+    ``copies`` consecutive blocks of n texts, such as every pair's left
+    side, then every pair's right side."""
+    plans = []
+    for _ in range(cfg.epochs):
+        order, size = rng.permutation(n), cfg.batch_size
+        plans.append([np.concatenate([order[i:i + size] + k * n for k in range(copies)])
+                      for i in range(0, n, size)])
+    return plans
 
 
 def train_contrastive(
@@ -435,15 +469,6 @@ def train_contrastive(
     if cfg.batch_size < 2:
         raise TrainError("batch_size must be >= 2 for the in-batch objective")
 
-    config = base.config
-    rng = np.random.default_rng(cfg.seed)
-    plans = []  # batches are (pair indices, hard-negative seed)
-    for _ in range(cfg.epochs):
-        plan = _dedup_batches(corpus, rng.permutation(len(corpus)), cfg.batch_size)
-        if cfg.hard_negatives_per_batch > 0:
-            plans.append([(batch, int(rng.integers(0, 2**63))) for batch in plan])
-        else:
-            plans.append([(batch, 0) for batch in plan])
     # texts: every anchor, then every positive, then, when hard negatives
     # are drawn, every concept's canonical name
     n = len(corpus)
@@ -451,34 +476,38 @@ def train_contrastive(
     texts = ([p.anchor.text for p in corpus] + [p.positive.text for p in corpus]
              + [kg.get(cid).canonical_name for cid in names])
     name_index = {cid: 2 * n + k for k, cid in enumerate(names)}
-    params = base.params.copy()
+    rng = np.random.default_rng(cfg.seed)
 
-    def loss_and_grads(params, ids, batch):
-        indices, hn_seed = batch
-        hard = _draw_hard_negatives(
-            kg, [corpus[i].concept_id for i in indices], cfg.hard_negatives_per_batch, hn_seed,
-        )
-        index = indices + [i + n for i in indices] + [name_index[cid] for cid in hard]
-        batch_texts = [texts[i] for i in index]
-        f, b = enc.forward_tokens(params, ids.take(index)), len(indices)
-        e = f.out
-        loss, ga, gp, gx = losses.info_nce(e[:b], e[b:2 * b], e[2 * b:], cfg.info_nce_scale,
+    def step(batch):
+        # a step is its anchors, their positives, then its hard negatives' names
+        hard = _draw_hard_negatives(kg, [corpus[i].concept_id for i in batch],
+                                    cfg.hard_negatives_per_batch, rng)
+        return np.array(batch + [i + n for i in batch] + [name_index[cid] for cid in hard])
+
+    plans = [[step(batch)
+              for batch in _dedup_batches(corpus, rng.permutation(n), cfg.batch_size)]
+             for _ in range(cfg.epochs)]
+
+    def objective(y, index):
+        b = int(np.count_nonzero(index < n))
+        loss, ga, gp, gx = losses.info_nce(y[:b], y[b:2 * b], y[2 * b:], cfg.info_nce_scale,
                                            check_inputs=False)
-        grads_out = np.vstack([ga, gp] + ([gx] if gx is not None else []))
-        return loss, enc.backward_batch(params, config, batch_texts, grads_out, f)
+        return loss, np.vstack([ga, gp] + ([gx] if gx is not None else []))
 
-    stats = _fit(params, enc.tokenize_batch(config, texts), plans, loss_and_grads, cfg,
-                 "contrastive")
+    params = base.params.copy()
+    stats = _fit(params, base.config, texts, plans, objective, cfg, "contrastive")
     return enc.derive(base, params, "contrastive"), stats
 
 
 def _draw_hard_negatives(
-    kg: onto.KnowledgeGraph, batch_concepts: list[str], count: int, seed: int
+    kg: onto.KnowledgeGraph, batch_concepts: list[str], count: int, rng
 ) -> list[str]:
     """Collect up to ``count`` hard-negative concept ids for a batch, one
-    query per batch concept in order, skipping ids already present."""
+    query per batch concept in order, skipping ids already present. Unless
+    ``count`` is 0, the queries are seeded from one draw of ``rng``."""
     if count <= 0:
         return []
+    seed = int(rng.integers(0, 2**63))
     in_batch = set(batch_concepts)
     chosen: list[str] = []
     for offset, cid in enumerate(batch_concepts):
@@ -502,23 +531,19 @@ def adapt_sts(model, sts_train, cfg: TrainConfig) -> tuple[enc.Checkpoint, Train
         raise TrainError("empty STS dataset")
     _require_no_head(model.params, "adapt_sts")
 
-    config = model.config
-    rng = np.random.default_rng(cfg.seed)
     n = len(rows)
-    plans = [_chunk_batches(n, cfg.batch_size, rng.permutation(n)) for _ in range(cfg.epochs)]
+    plans = _shuffled_plans(n, 2, cfg, np.random.default_rng(cfg.seed))
     texts = [a for a, _, _ in rows] + [b for _, b, _ in rows]
     gold = np.array([g for _, _, g in rows]) / 5.0
+
+    def objective(y, index):
+        b = len(index) // 2
+        loss, gu, gv = losses.cosine_regression(y[:b], y[b:], gold[index[:b]],
+                                                check_inputs=False)
+        return loss, np.vstack([gu, gv])
+
     params = model.params.copy()
-
-    def loss_and_grads(params, ids, batch):
-        index = np.concatenate([batch, batch + n])
-        f = enc.forward_tokens(params, ids.take(index))
-        loss, gu, gv = losses.cosine_regression(f.out[:len(batch)], f.out[len(batch):],
-                                                gold[batch], check_inputs=False)
-        return loss, enc.backward_batch(params, config, [texts[i] for i in index],
-                                        np.vstack([gu, gv]), f)
-
-    stats = _fit(params, enc.tokenize_batch(config, texts), plans, loss_and_grads, cfg, "sts")
+    stats = _fit(params, model.config, texts, plans, objective, cfg, "sts")
     return enc.derive(model, params, "sts_adapted"), stats
 
 
@@ -532,13 +557,6 @@ def _distill_examples(
             texts.append(desc.text)
             rows.append(t.target)
     return texts, np.array(rows)
-
-
-def _distill_full_loss(params, ids, targets_matrix) -> float:
-    e = enc.forward_tokens(params, ids).out
-    y = e @ params.head_w + params.head_b
-    loss, _ = losses.mse(y, targets_matrix)
-    return loss
 
 
 def train_self_distill(
@@ -566,30 +584,13 @@ def train_self_distill(
     if any(t.target.shape != (k,) for t in targets):
         raise TrainError("inconsistent target dimensions")
 
-    config = base.config
     rng = np.random.default_rng(cfg.seed)
-    head_seed = int(rng.integers(0, 2**63))
-    params = enc.attach_head(base.params, config, k, head_seed)
-
+    params = enc.attach_head(base.params, base.config, k, int(rng.integers(0, 2**63)))
     texts, target_matrix = _distill_examples(kg, targets)
-    n = len(texts)
-    plans = [
-        _chunk_batches(n, cfg.batch_size, rng.permutation(n)) for _ in range(cfg.epochs)
-    ]
-
-    def loss_and_grads(params, ids, batch):
-        f = enc.forward_tokens(params, ids.take(batch))
-        y = f.out @ params.head_w + params.head_b
-        loss, gy = losses.mse(y, target_matrix[batch])
-        grad = enc.backward_batch(params, config, [texts[i] for i in batch],
-                                  gy @ params.head_w.T, f)
-        grad.head_w = f.out.T @ gy
-        grad.head_b = gy.sum(axis=0)
-        return loss, grad
-
-    stats = _fit(params, enc.tokenize_batch(config, texts), plans, loss_and_grads, cfg,
-                 "self-distill",
-                 full_loss=lambda params, ids: _distill_full_loss(params, ids, target_matrix))
+    plans = _shuffled_plans(len(texts), 1, cfg, rng)
+    stats = _fit(params, base.config, texts, plans,
+                 lambda y, index: losses.mse(y, target_matrix[index]), cfg, "self-distill",
+                 full_loss=True)
     return enc.derive(base, params, "self_distilled"), stats
 
 
@@ -615,27 +616,20 @@ def train_xlingual(
     teacher_emb = dict(zip(sources, enc.encode_batch(teacher.params, teacher.config, sources)))
 
     params = enc.init_params(student_cfg)
-    rng = np.random.default_rng(cfg.seed)
     n = len(pairs)
-    plans = [
-        _chunk_batches(n, cfg.batch_size, rng.permutation(n)) for _ in range(cfg.epochs)
-    ]
-
+    plans = _shuffled_plans(n, 2, cfg, np.random.default_rng(cfg.seed))
     # texts: every pair's source, then every pair's target
     texts = [p.source_text for p in pairs] + [p.target_text for p in pairs]
     targets = np.array([teacher_emb[p.source_text] for p in pairs])
 
-    def loss_and_grads(params, ids, batch):
-        index, b = np.concatenate([batch, batch + n]), len(batch)
-        f = enc.forward_tokens(params, ids.take(index))
-        t = targets[batch]
-        de, df = f.out[:b] - t, f.out[b:] - t
+    def objective(y, index):
+        b = len(index) // 2
+        t = targets[index[:b]]
+        de, df = y[:b] - t, y[b:] - t
         loss = 0.5 * float((de * de).sum() + (df * df).sum()) / b
-        return loss, enc.backward_batch(params, student_cfg, [texts[i] for i in index],
-                                        np.vstack([de, df]) / b, f)
+        return loss, np.vstack([de, df]) / b
 
-    stats = _fit(params, enc.tokenize_batch(student_cfg, texts), plans, loss_and_grads, cfg,
-                 "xlingual")
+    stats = _fit(params, student_cfg, texts, plans, objective, cfg, "xlingual")
     return enc.Checkpoint(config=student_cfg, phase="xlingual_student", params=params), stats
 
 

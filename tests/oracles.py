@@ -178,25 +178,38 @@ def backward_reference(params, config, texts, output_grads):
             "w2": h.T @ grad_z, "b2": grad_z.sum(axis=0)}
 
 
-def dense_fit(params, tokens, plans, loss_and_grads, cfg, regime, full_loss=None):
-    """``trainer._fit`` as the full-table loop it replaced: every step runs
-    ``trainer.adamw_step`` over the whole parameter vector, and the closures
-    encode through ``params`` and the bucket ids of ``tokens`` directly. It
-    takes ``_fit``'s arguments, so a test may put it in ``_fit``'s place;
+def dense_fit(params, config, texts, plans, objective, cfg, regime, full_loss=False):
+    """``trainer._fit`` as the full-table loop it replaced: every step
+    encodes through ``params`` and the bucket ids of ``texts`` directly and
+    runs ``trainer.adamw_step`` over the whole parameter vector. It takes
+    ``_fit``'s arguments, so a test may put it in ``_fit``'s place;
     ``regime`` is unused, since a failed step is not rewrapped."""
     from ontoembed import trainer
 
+    tokens = enc.tokenize_batch(config, texts)
+    every = np.arange(len(texts))
+
+    def outputs(index):
+        f = enc.forward_tokens(params, tokens.take(index))
+        return f, (f.out @ params.head_w + params.head_b if params.has_head else f.out)
+
     total_steps = sum(len(plan) for plan in plans)
     state = trainer.init_adamw(params)
-    epoch_losses = [] if full_loss is None else [full_loss(params, tokens)]
+    epoch_losses = [objective(outputs(every)[1], every)[0]] if full_loss else []
     for plan in plans:
-        batch_losses = []
-        for batch in plan:
+        step_losses = []
+        for index in plan:
             lr = trainer.warmup_linear(state.step, total_steps, cfg.learning_rate,
                                        cfg.warmup_fraction)
-            loss, grad = loss_and_grads(params, tokens, batch)
+            f, y = outputs(index)
+            loss, gy = objective(y, index)
+            g = gy @ params.head_w.T if params.has_head else gy
+            grad = enc.backward_batch(params, config, [texts[i] for i in index], g, f)
+            if params.has_head:
+                grad.head_w = f.out.T @ gy
+                grad.head_b = gy.sum(axis=0)
             trainer.adamw_step(params, grad, state, lr, cfg.weight_decay)
-            batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)) if full_loss is None
-                            else full_loss(params, tokens))
+            step_losses.append(loss)
+        epoch_losses.append(objective(outputs(every)[1], every)[0] if full_loss
+                            else float(np.mean(step_losses)))
     return trainer.TrainStats(state.step, epoch_losses)

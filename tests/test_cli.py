@@ -550,12 +550,13 @@ def _with_config(key, value):
 
 
 def _run_child(argv):
-    """Run the real command in a child process, so that a traceback or a
-    warning would show on its stderr."""
+    """Run the real command in a child process with every warning shown
+    (``-W default``), so that a traceback or a warning would show on its
+    stderr."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "ontoembed.cli", *argv],
+    return subprocess.run([sys.executable, "-W", "default", "-m", "ontoembed.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
 
 
@@ -674,6 +675,62 @@ def test_train_sts_from_overflowing_base_names_epoch_and_step(small_world, tmp_p
     assert capsys.readouterr().err.splitlines() == [
         "error: sts training failed at epoch 1, step 1: "
         "output norm of batch row 0 is not finite"]
+    assert not out.exists()
+
+
+def _eight_wide_teacher(path):
+    config = enc.EncoderConfig(vocab_buckets=64, embed_dim=4, hidden_dim=6, output_dim=8)
+    enc.save_checkpoint(path, enc.Checkpoint(config=config, phase="sts_adapted",
+                                             params=enc.init_params(config)))
+    return str(path)
+
+
+@pytest.mark.parametrize("probe, code, message", [
+    ("learning-rate", 2, "error: sts training failed at epoch 1, step 2: overflow "),
+    ("vocab-buckets", 2, "error: cannot allocate the 64000000024832 parameters of "
+                         "vocab_buckets 1000000000000, embed_dim 64, hidden_dim 128, "
+                         "output_dim 128"),
+    ("pca-dim", 64, "usage error: --pca-dim must be at most 8 with teacher output_dim 8 "
+                    "and 50 concepts"),
+], ids=["learning-rate", "vocab-buckets", "pca-dim"])
+def test_numeric_fault_exits_with_its_code_and_one_line(small_world, tmp_path, probe, code,
+                                                        message):
+    # each printed a numpy warning or a traceback, or failed late naming no
+    # option; the 466 TiB table request fails at once, without touching memory
+    out = str(tmp_path / "out.ckpt")
+    sts = ["train", "sts", "--data", os.path.join(small_world, "sts_train.tsv"), "--out", out,
+           "--config"]
+    if probe == "learning-rate":
+        argv = sts + [_mini_train_cfg(tmp_path, learning_rate=1e308)]
+    elif probe == "vocab-buckets":
+        argv = sts + [write_text(tmp_path / "big.cfg", "vocab_buckets = 1000000000000\n")]
+    else:
+        teacher = _eight_wide_teacher(tmp_path / "teacher.ckpt")
+        argv = ["train", "self-distill", "--base", teacher, "--teacher", teacher,
+                "--ontology", os.path.join(small_world, "ontology.jsonl"),
+                "--templates", os.path.join(small_world, "templates.tsv"),
+                "--pca-dim", "50", "--out", out]
+    proc = _run_child(argv)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == code and len(err) == 1 and err[0].startswith(message), err
+    assert not os.path.exists(out)
+
+
+def test_train_self_distill_checks_pca_dim_before_encoding(small_world, tmp_path, capsys,
+                                                           monkeypatch):
+    # the limit used to be found by pca_fit, after the teacher had encoded
+    # every name and definition
+    def fail(*args):
+        raise AssertionError("the teacher encoded before --pca-dim was checked")
+    monkeypatch.setattr(enc, "forward_tokens", fail)
+    teacher = _eight_wide_teacher(tmp_path / "teacher.ckpt")
+    out = tmp_path / "distill.ckpt"
+    assert run(["train", "self-distill", "--base", teacher, "--teacher", teacher,
+                "--ontology", os.path.join(small_world, "ontology.jsonl"),
+                "--templates", os.path.join(small_world, "templates.tsv"),
+                "--pca-dim", "9", "--out", str(out)]) == 64
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: --pca-dim must be at most 8 with teacher output_dim 8 and 50 concepts"]
     assert not out.exists()
 
 

@@ -145,7 +145,7 @@ def test_uniform_soup_of_identical_models_is_that_model(model, k):
     assert enc.params_equal(out.params, params.without_head())
 
 
-def _fit_with_last_state(fit, params, tokens, plans, loss_and_grads, cfg, full_loss):
+def _fit_with_last_state(fit, params, config, texts, plans, objective, cfg, full_loss):
     """``fit``'s stats and the AdamW state after its last step."""
     states = []
     real = trainer.adamw_step
@@ -155,7 +155,7 @@ def _fit_with_last_state(fit, params, tokens, plans, loss_and_grads, cfg, full_l
         return real(params, grads, state, lr, weight_decay)
 
     with mock.patch.object(trainer, "adamw_step", spy):
-        stats = fit(params, tokens, plans, loss_and_grads, cfg, "property", full_loss)
+        stats = fit(params, config, texts, plans, objective, cfg, "property", full_loss)
     return stats, states[-1]
 
 
@@ -165,11 +165,11 @@ def _fit_with_last_state(fit, params, tokens, plans, loss_and_grads, cfg, full_l
 @given(data=st.data(), seed=st.integers(0, 2**32), with_full_loss=st.booleans())
 def test_compact_fit_equals_full_table_fit_bit_for_bit(weight_decay, head_dims, data, seed,
                                                        with_full_loss):
-    # texts of random buckets: text 0 is trained in the first batch only, the
-    # last text in no batch, and buckets outside every text are never reached;
-    # a fifth of the parameters and of the output gradients are -0.0, and a
-    # tenth of the parameters are the smallest subnormals, whose decay terms
-    # underflow to zero
+    # texts of random buckets: text 0 is trained in the first step only, the
+    # last text in no step, and buckets outside every text are never reached;
+    # a fifth of the parameters and of the objective's gradients are -0.0,
+    # and a tenth of the parameters are the smallest subnormals, whose decay
+    # terms underflow to zero
     config, params = data.draw(models(head_dims))
     rng = np.random.default_rng(seed)
     pick = rng.random(params.flat.size)
@@ -180,41 +180,31 @@ def test_compact_fit_equals_full_table_fit_bit_for_bit(weight_decay, head_dims, 
     offsets = np.zeros(n_texts + 1, dtype=np.intp)
     np.cumsum(rng.integers(0, 4, n_texts), out=offsets[1:])
     tokens = enc.Tokens(rng.integers(0, config.vocab_buckets, offsets[-1]), offsets)
-    plans, batch_id = [], 0
-    for _ in range(int(rng.integers(1, 4))):
-        plan = []
-        for _ in range(int(rng.integers(1, 4))):
-            index = rng.integers(1, n_texts - 1, int(rng.integers(1, 5)))
-            plan.append((batch_id, np.concatenate([[0], index]) if batch_id == 0 else index))
-            batch_id += 1
-        plans.append(plan)
+    # one word per bucket, so that each text tokenizes to its drawn buckets
+    word, j = {}, 0
+    while len(word) < config.vocab_buckets:
+        word.setdefault(enc.tokenize(config, f"w{j}")[0], f"w{j}")
+        j += 1
+    texts = [" ".join(word[b] for b in tokens.ids[start:stop])
+             for start, stop in zip(offsets[:-1], offsets[1:])]
+    assert np.array_equal(enc.tokenize_batch(config, texts).ids, tokens.ids)
+    plans = [[rng.integers(1, n_texts - 1, int(rng.integers(1, 5)))
+              for _ in range(int(rng.integers(1, 4)))] for _ in range(int(rng.integers(1, 4)))]
+    plans[0][0] = np.concatenate([[0], plans[0][0]])
     cfg = trainer.TrainConfig(learning_rate=float(rng.uniform(1e-3, 1e-1)),
                               weight_decay=weight_decay, warmup_fraction=0.2)
 
-    def loss_and_grads(params, ids, batch):
-        batch_id, index = batch
-        grng = np.random.default_rng([seed, batch_id])
-        f = enc.forward_tokens(params, ids.take(index))
-        g = grng.normal(size=f.out.shape)
-        g[grng.random(g.shape) < 0.2] = -0.0
-        if params.has_head:
-            gy = grng.normal(size=(len(index), params.head_dim))
-            g = g + gy @ params.head_w.T
-        grad = enc.backward_batch(params, config, [str(i) for i in index], g, f)
-        if params.has_head:
-            grad.head_w = f.out.T @ gy
-            grad.head_b = gy.sum(axis=0)
-        return float(np.sum(f.out * g)), grad
-
-    def full_loss(params, ids):
-        return float(np.sum(enc.forward_tokens(params, ids).out))
+    def objective(y, index):
+        grng = np.random.default_rng([seed, *index.tolist()])
+        gy = grng.normal(size=y.shape)
+        gy[grng.random(gy.shape) < 0.2] = -0.0
+        return float(np.sum(y * gy)), gy
 
     got, want = params.copy(), params.copy()
-    loss = full_loss if with_full_loss else None
-    stats, state = _fit_with_last_state(trainer._fit, got, tokens, plans, loss_and_grads,
-                                        cfg, loss)
-    want_stats, want_state = _fit_with_last_state(dense_fit, want, tokens, plans,
-                                                  loss_and_grads, cfg, loss)
+    stats, state = _fit_with_last_state(trainer._fit, got, config, texts, plans, objective,
+                                        cfg, with_full_loss)
+    want_stats, want_state = _fit_with_last_state(dense_fit, want, config, texts, plans,
+                                                  objective, cfg, with_full_loss)
     assert got.flat.tobytes() == want.flat.tobytes()
     assert np.array(stats.epoch_losses).tobytes() == np.array(want_stats.epoch_losses).tobytes()
     # the compact moments are the full moments' reached rows and dense tensors;
