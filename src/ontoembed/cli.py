@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: verbalize, train (contrastive | sts | self-distill | xlingual),
-soup, eval, embed, pipeline. Every command writes its outputs atomically
+soup, eval (sts | bcr | nel | nli), embed, pipeline; each accepts only the
+options it reads. Every command writes its outputs atomically
 (temp file + rename; ``pipeline`` stages a whole directory) and, on success,
 drops a run manifest next to each primary output with the config snapshot,
 seed and input digests needed to re-run it bit-identically. Exit codes: 0
@@ -128,6 +129,12 @@ def _save_checkpoint(path: str, ckpt: enc.Checkpoint) -> None:
     _atomic_write_bytes(path, enc.checkpoint_to_bytes(ckpt))
 
 
+# The loader and the evaluation of each benchmark that yields one report.
+_BENCHMARKS = {"sts": (ev.load_sts_dataset, ev.eval_sts),
+               "bcr": (ev.load_bcr_dataset, ev.eval_bcr),
+               "nli": (ev.load_nli_dataset, ev.eval_nli_triplets)}
+
+
 def _load_kg(ontology_path, templates_path=None, glossary_path=None):
     kg = onto.load_ontology(ontology_path)
     if templates_path:
@@ -152,8 +159,7 @@ def cmd_verbalize(args) -> int:
     if gloss_stats:
         metrics["glossary_added"] = gloss_stats.added
         metrics["glossary_skipped"] = gloss_stats.skipped_unknown
-    inputs = [args.ontology, args.templates] + ([args.glossary] if args.glossary else [])
-    _write_manifest(args.out, "verbalize", vars_snapshot(args), inputs,
+    _write_manifest(args.out, "verbalize", vars_snapshot(args), _inputs(args),
                     args.seed, [args.out], started, metrics)
     print(f"wrote {len(pairs)} training pairs to {args.out}")
     return EXIT_OK
@@ -161,6 +167,13 @@ def cmd_verbalize(args) -> int:
 
 def vars_snapshot(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
+
+
+def _inputs(args) -> list[str]:
+    """The files named by the input options of ``args`` that are set."""
+    return [getattr(args, key) for key in ("config", "base", "teacher", "corpus", "data", "pairs",
+                                           "ontology", "templates", "glossary", "model", "infile")
+            if getattr(args, key, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -185,31 +198,20 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         overrides["epochs"] = args.epochs
     cfg = dataclasses.replace(cfg, **overrides) if overrides else cfg
-    inputs = [p for p in (args.config,) if p]
 
     if args.phase == "contrastive":
-        if not args.corpus:
-            raise UsageError("train contrastive requires --corpus")
+        if cfg.hard_negatives_per_batch > 0 and not args.ontology:
+            raise UsageError("--ontology is required when hard negatives are enabled")
         base = _base_checkpoint(args, enc_cfg)
         corpus = onto.load_corpus(args.corpus)
         kg, _ = _load_kg(args.ontology, args.templates) if args.ontology \
             else (onto.KnowledgeGraph({}), None)
-        if cfg.hard_negatives_per_batch > 0 and not args.ontology:
-            raise UsageError("--ontology is required when hard negatives are enabled")
         ckpt, stats = trainer.train_contrastive(base, corpus, kg, cfg)
-        inputs += [p for p in (args.base, args.corpus, args.ontology, args.templates) if p]
     elif args.phase == "sts":
-        if not args.data:
-            raise UsageError("train sts requires --data")
         base = _base_checkpoint(args, enc_cfg)
         dataset = ev.load_sts_dataset(args.data)
         ckpt, stats = trainer.adapt_sts(base, dataset, cfg)
-        inputs += [p for p in (args.base, args.data) if p]
     elif args.phase == "self-distill":
-        if not (args.base and args.teacher and args.ontology and args.templates):
-            raise UsageError(
-                "train self-distill requires --base, --teacher, --ontology and --templates"
-            )
         base = enc.load_checkpoint(args.base)
         teacher = enc.load_checkpoint(args.teacher)
         kg, _ = _load_kg(args.ontology, args.templates, args.glossary)
@@ -219,24 +221,17 @@ def cmd_train(args) -> int:
                              f"{teacher.config.output_dim} and {len(kg)} concepts")
         _, targets = trainer.build_targets(teacher, kg, k=args.pca_dim)
         ckpt, stats = trainer.train_self_distill(base, targets, kg, cfg)
-        inputs += [p for p in (args.base, args.teacher, args.ontology,
-                               args.templates, args.glossary) if p]
-    elif args.phase == "xlingual":
-        if not (args.teacher and args.pairs):
-            raise UsageError("train xlingual requires --teacher and --pairs")
+    else:  # xlingual
         teacher = enc.load_checkpoint(args.teacher)
         pairs = onto.load_parallel_pairs(args.pairs)
         student_cfg = enc.config_from_mapping(mapping, teacher.config, args.config)
         ckpt, stats = trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
-        inputs += [args.teacher, args.pairs]
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown phase {args.phase!r}")
 
     _save_checkpoint(args.out, ckpt)
     metrics = {"steps": stats.steps, "final_loss": stats.final_loss,
                "phase": ckpt.phase}
     _write_manifest(args.out, f"train {args.phase}", vars_snapshot(args),
-                    inputs, cfg.seed, [args.out], started, metrics)
+                    _inputs(args), cfg.seed, [args.out], started, metrics)
     print(f"phase={ckpt.phase} steps={stats.steps} final_loss={stats.final_loss:.6f} "
           f"-> {args.out}")
     return EXIT_OK
@@ -247,19 +242,15 @@ def cmd_train(args) -> int:
 
 
 def _metric_fn(metric: str, args):
-    if metric == "pearson":
-        dataset = ev.load_sts_dataset(args.val)
-        return lambda ckpt: ev.eval_sts(ckpt, dataset).value
-    if metric == "spearman":
-        dataset = ev.load_bcr_dataset(args.val)
-        return lambda ckpt: ev.eval_bcr(ckpt, dataset).value
     if metric == "nel-top1":
         if not args.ontology:
             raise UsageError("--ontology is required with --metric nel-top1")
         kg, _ = _load_kg(args.ontology)
         dataset = ev.load_nel_dataset(args.val)
         return lambda ckpt: ev.eval_nel(ckpt, kg, dataset, [1])[0].value
-    raise UsageError(f"unknown metric {metric!r}")
+    load, evaluate = _BENCHMARKS["sts" if metric == "pearson" else "bcr"]
+    dataset = load(args.val)
+    return lambda ckpt: evaluate(ckpt, dataset).value
 
 
 def _read_listing(path: str) -> list[tuple[str, float, str]]:
@@ -291,7 +282,7 @@ def cmd_soup(args) -> int:
             inputs.append(path)
             candidates.append(soup_mod.candidate_from_checkpoint(
                 ckpt, score, label or os.path.basename(path)))
-    elif args.models:
+    else:
         if evaluate is None:
             raise UsageError("--val is required when candidates carry no scores")
         for path in args.models:
@@ -299,8 +290,6 @@ def cmd_soup(args) -> int:
             inputs.append(path)
             candidates.append(soup_mod.candidate_from_checkpoint(
                 ckpt, evaluate(ckpt), os.path.basename(path)))
-    else:
-        raise UsageError("soup needs --models or --manifest")
 
     scores = {c.label: c.validation_score for c in candidates}
     if args.strategy == "uniform":
@@ -338,26 +327,23 @@ def cmd_soup(args) -> int:
 def cmd_eval(args) -> int:
     started = time.time()
     model = enc.load_checkpoint(args.model)
-    inputs = [args.model, args.data]
-    if args.benchmark == "sts":
-        reports = [ev.eval_sts(model, ev.load_sts_dataset(args.data))]
-    elif args.benchmark == "bcr":
-        reports = [ev.eval_bcr(model, ev.load_bcr_dataset(args.data))]
-    elif args.benchmark == "nel":
-        if not args.ontology:
-            raise UsageError("eval nel requires --ontology")
+    if args.benchmark == "nel":
         kg, _ = _load_kg(args.ontology)
-        inputs.append(args.ontology)
-        reports = ev.eval_nel(model, kg, ev.load_nel_dataset(args.data), args.topk)
+        dataset = ev.load_nel_dataset(args.data)
+        reports = ev.eval_nel(model, kg, dataset, args.topk)
     else:
-        reports = [ev.eval_nli_triplets(model, ev.load_nli_dataset(args.data))]
+        load, evaluate = _BENCHMARKS[args.benchmark]
+        dataset = load(args.data)
+        reports = [evaluate(model, dataset)]
 
-    lines = [r.to_json() for r in reports]
+    digests = dict(model_digest=ev.model_digest(model), data_digest=ev.data_digest(dataset.rows))
+    lines = [json.dumps({**dataclasses.asdict(r), **digests}, sort_keys=True,
+                        separators=(",", ":")) for r in reports]
     for line in lines:
         print(line)
     _atomic_write_text(args.out, "".join(line + "\n" for line in lines))
     _write_manifest(args.out, f"eval {args.benchmark}", vars_snapshot(args),
-                    inputs, None, [args.out], started,
+                    _inputs(args), None, [args.out], started,
                     {r.metric: r.value for r in reports})
     return EXIT_OK
 
@@ -392,10 +378,14 @@ def cmd_embed(args) -> int:
     with _atomic_output(args.out) as fh:
         for i in range(0, len(texts), EMBED_CHUNK):
             chunk = texts[i:i + EMBED_CHUNK]
-            emb = enc.encode_batch(model.params, model.config, chunk)
+            try:
+                emb = enc.encode_batch(model.params, model.config, chunk)
+            except enc.NonFiniteOutput as exc:
+                raise ValueError(f"{args.infile}:{i + exc.row + 1}: output norm is not finite "
+                                 f"with model {args.model}") from exc
             fh.write("".join(text + "\t" + ",".join(map(repr, row.tolist())) + "\n"
                              for text, row in zip(chunk, emb)).encode("utf-8"))
-    _write_manifest(args.out, "embed", vars_snapshot(args), [args.model, args.infile],
+    _write_manifest(args.out, "embed", vars_snapshot(args), _inputs(args),
                     None, [args.out], started, {"rows": len(texts)})
     print(f"embedded {len(texts)} texts -> {args.out}")
     return EXIT_OK
@@ -639,27 +629,38 @@ def build_parser() -> _Parser:
     p.add_argument("--per-concept", dest="per_concept", type=_int_at_least(0), default=2)
     p.set_defaults(func=cmd_verbalize)
 
+    # each phase and each benchmark is a parser with exactly the options it
+    # reads; those they all read come from a shared parent
+    common = _Parser(add_help=False)
+    common.add_argument("--config", help="key=value training config")
+    common.add_argument("--seed", type=_int_at_least(0))
+    common.add_argument("--epochs", type=_int_at_least(0))
+    common.add_argument("--out", required=True)
+    base_help = "base checkpoint (omit to init a fresh base from the config's encoder keys)"
     p = sub.add_parser("train", help="run one training phase")
-    p.add_argument("phase", choices=["contrastive", "sts", "self-distill", "xlingual"])
-    p.add_argument("--base", help="base checkpoint (contrastive/sts: omit to init "
-                                  "a fresh base from the config's encoder keys)")
-    p.add_argument("--teacher", help="teacher checkpoint (self-distill, xlingual)")
-    p.add_argument("--corpus", help="training-pair JSONL (contrastive)")
-    p.add_argument("--data", help="STS TSV (sts)")
-    p.add_argument("--pairs", help="parallel TSV (xlingual)")
-    p.add_argument("--ontology")
+    p.set_defaults(func=cmd_train)
+    phases = p.add_subparsers(dest="phase", required=True)
+    p = phases.add_parser("contrastive", parents=[common])
+    p.add_argument("--corpus", required=True, help="training-pair JSONL")
+    p.add_argument("--base", help=base_help)
+    p.add_argument("--ontology", help="required when hard negatives are enabled")
     p.add_argument("--templates")
+    p = phases.add_parser("sts", parents=[common])
+    p.add_argument("--data", required=True, help="STS TSV")
+    p.add_argument("--base", help=base_help)
+    p = phases.add_parser("self-distill", parents=[common])
+    for option in ("--base", "--teacher", "--ontology", "--templates"):
+        p.add_argument(option, required=True)
     p.add_argument("--glossary")
     p.add_argument("--pca-dim", dest="pca_dim", type=_int_at_least(1), default=64)
-    p.add_argument("--config", help="key=value training config")
-    p.add_argument("--seed", type=_int_at_least(0))
-    p.add_argument("--epochs", type=_int_at_least(0))
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p = phases.add_parser("xlingual", parents=[common])
+    p.add_argument("--teacher", required=True)
+    p.add_argument("--pairs", required=True, help="parallel TSV")
 
     p = sub.add_parser("soup", help="average checkpoints")
-    p.add_argument("--models", nargs="+")
-    p.add_argument("--manifest", help="JSON listing of {path, score, label} candidates")
+    candidates = p.add_mutually_exclusive_group(required=True)
+    candidates.add_argument("--models", nargs="+")
+    candidates.add_argument("--manifest", help="JSON listing of {path, score, label} candidates")
     p.add_argument("--val", help="validation dataset for the metric")
     p.add_argument("--metric", choices=["pearson", "spearman", "nel-top1"],
                    default="pearson")
@@ -668,14 +669,17 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_soup)
 
+    common = _Parser(add_help=False)
+    for option in ("--model", "--data", "--out"):
+        common.add_argument(option, required=True)
     p = sub.add_parser("eval", help="run one benchmark")
-    p.add_argument("benchmark", choices=["sts", "bcr", "nel", "nli"])
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--ontology")
-    p.add_argument("--topk", type=_topk_list, default="1")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
+    benchmarks = p.add_subparsers(dest="benchmark", required=True)
+    for name in ("sts", "bcr", "nli"):
+        benchmarks.add_parser(name, parents=[common])
+    p = benchmarks.add_parser("nel", parents=[common])
+    p.add_argument("--ontology", required=True)
+    p.add_argument("--topk", type=_topk_list, default="1")
 
     p = sub.add_parser("embed", help="embed one text per input line")
     p.add_argument("--model", required=True)

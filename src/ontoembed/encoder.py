@@ -60,6 +60,14 @@ class CheckpointTruncatedError(CheckpointError):
     pass
 
 
+class NonFiniteOutput(ValueError):
+    """The output norm of the text in batch row ``row`` is not finite."""
+
+    def __init__(self, row: int):
+        self.row = row
+        super().__init__(f"output norm of batch row {row} is not finite")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     """Shape and seeding of one encoder instance.
@@ -80,8 +88,9 @@ class EncoderConfig:
         for name in ("vocab_buckets", "embed_dim", "hidden_dim", "output_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
+        # the weights are drawn from [-init_scale, init_scale], whose width must be finite
+        if not 0 <= self.init_scale <= np.finfo(float).max / 2:
+            raise ValueError(f"init_scale must be in [0, {np.finfo(float).max / 2:.4g}]")
         if self.init_seed < 0:
             raise ValueError("init_seed must be >= 0")
 
@@ -309,7 +318,7 @@ def forward_tokens(params: Params, tokens: Tokens) -> Forward:
     Mean pooling sums each text's token rows by ``_gather_sums`` and divides
     by the token counts: the same additions, in the same order, as each
     text's ``token_table[ids].mean(axis=0)``. A text whose output norm is
-    not finite (its squares overflow) raises ValueError naming its row.
+    not finite (its squares overflow) raises NonFiniteOutput naming its row.
     """
     lengths = tokens.lengths
     text_of = np.repeat(np.arange(len(lengths)), lengths)
@@ -323,7 +332,7 @@ def forward_tokens(params: Params, tokens: Tokens) -> Forward:
         raw_norms = np.linalg.norm(z, axis=1)
     overflowed = np.flatnonzero(~np.isfinite(raw_norms))
     if len(overflowed):
-        raise ValueError(f"output norm of batch row {overflowed[0]} is not finite")
+        raise NonFiniteOutput(int(overflowed[0]))
     norms = np.maximum(raw_norms, NORM_GUARD)
     return Forward(z / norms[:, None], tokens.ids, text_of, counts, pooled, h, norms)
 
@@ -424,7 +433,6 @@ class Checkpoint:
     phase: str
     params: Params
     history: tuple[str, ...] = field(default_factory=tuple)
-    format_version: int = CHECKPOINT_VERSION
 
     def __post_init__(self):
         if self.phase not in PHASES:
@@ -438,7 +446,7 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     if not np.isfinite(flat).all():
         raise CheckpointFormatError("refusing to serialize non-finite parameters")
     header = {
-        "version": ckpt.format_version,
+        "version": CHECKPOINT_VERSION,
         "config": ckpt.config.to_dict(),
         "phase": ckpt.phase,
         "history": list(ckpt.history),

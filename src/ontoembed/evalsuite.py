@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -192,11 +192,6 @@ class EvalReport:
     metric: str
     value: float
     n: int
-    model_digest: str
-    data_digest: str
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def model_digest(ckpt: enc.Checkpoint) -> str:
@@ -225,21 +220,13 @@ def _cosine_rows(model: enc.Checkpoint, pairs) -> np.ndarray:
     return cos
 
 
-def _reports(benchmark: str, model: enc.Checkpoint, rows, values: dict[str, float]
-             ) -> list[EvalReport]:
-    """One report per ``metric: value`` of ``values``, all on ``rows``."""
-    digests = model_digest(model), data_digest(rows)
-    return [EvalReport(benchmark, metric, value, len(rows), *digests)
-            for metric, value in values.items()]
-
-
 def _eval_correlation(model: enc.Checkpoint, rows, benchmark: str, metric: str,
                       correlation) -> EvalReport:
     preds = _cosine_rows(model, [(a, b) for a, b, _ in rows])
     gold = np.array([g for _, _, g in rows])
     if preds.max() == preds.min():
         raise DegenerateModelError(f"constant predictions on the {benchmark.upper()} dataset")
-    return _reports(benchmark, model, rows, {metric: correlation(preds, gold)})[0]
+    return EvalReport(benchmark, metric, correlation(preds, gold), len(rows))
 
 
 def eval_sts(model: enc.Checkpoint, dataset: StsDataset) -> EvalReport:
@@ -326,7 +313,7 @@ def eval_nel(
             if gold in ranking[:k]:
                 hits[k] += 1
     n = len(dataset.rows)
-    return _reports("nel", model, dataset.rows, {f"top{k}_accuracy": hits[k] / n for k in k_list})
+    return [EvalReport("nel", f"top{k}_accuracy", hits[k] / n, n) for k in k_list]
 
 
 def eval_nli_triplets(model: enc.Checkpoint, dataset: NliTripleDataset) -> EvalReport:
@@ -338,4 +325,4 @@ def eval_nli_triplets(model: enc.Checkpoint, dataset: NliTripleDataset) -> EvalR
     pos = np.sum(anchors * entailed, axis=1)
     neg = np.sum(anchors * contradicted, axis=1)
     wins = int(np.sum(pos > neg))
-    return _reports("nli", model, dataset.rows, {"triplet_accuracy": wins / len(dataset.rows)})[0]
+    return EvalReport("nli", "triplet_accuracy", wins / len(dataset.rows), len(dataset.rows))

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +24,17 @@ def write_text(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return str(path)
+
+
+def run_child(argv):
+    """Run the real command in a child process with every warning shown
+    (``-W default``), so that a traceback or a warning would show on its
+    stderr."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-W", "default", "-m", "ontoembed.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
+import argparse
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,7 +16,9 @@ from ontoembed import fixtures
 from ontoembed import ontology as onto
 from ontoembed import trainer
 
-from conftest import write_jsonl, write_text
+from conftest import run_child, write_jsonl, write_text
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(argv):
@@ -175,6 +180,71 @@ def test_eval_nel_without_ontology_is_usage_error(small_world, tmp_path):
 
 def test_unknown_flag_is_usage_error():
     assert run(["verbalize", "--does-not-exist", "x"]) == 64
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["train", "xlingual", "--teacher", "{model}", "--pairs", "{w}/parallel.tsv",
+      "--base", "/nonexistent.ckpt"], "--base"),
+    (["train", "sts", "--data", "{w}/sts_train.tsv", "--pca-dim", "5"], "--pca-dim"),
+    (["train", "sts", "--data", "{w}/sts_train.tsv", "--teacher", "/nonexistent"],
+     "--teacher"),
+    (["train", "contrastive", "--corpus", "{corpus}", "--glossary", "{w}/glossary.jsonl"],
+     "--glossary"),
+    (["eval", "sts", "--model", "{model}", "--data", "{w}/sts_test.tsv", "--topk", "5"],
+     "--topk"),
+    (["eval", "bcr", "--model", "{model}", "--data", "{w}/bcr.tsv",
+      "--ontology", "{w}/ontology.jsonl"], "--ontology"),
+    (["eval", "nel", "--model", "/nonexistent.ckpt", "--data", "{w}/nel.tsv"], "--ontology"),
+    (["soup", "--manifest", "{listing}", "--strategy", "uniform", "--models", "{model}"],
+     "--models"),
+], ids=["xlingual-base", "sts-pca-dim", "sts-teacher", "contrastive-glossary", "eval-sts-topk",
+        "eval-bcr-ontology", "eval-nel-no-ontology", "soup-manifest-and-models"])
+def test_option_the_sub_command_does_not_read_exits_64(small_world, small_kg, tmp_path,
+                                                       capsys, argv, option):
+    # each of these was accepted (exit 0, the option ignored), and eval nel
+    # loaded the model before it asked for --ontology (exit 1)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
+    model = str(inputs / "m.ckpt")
+    enc.save_checkpoint(model, enc.Checkpoint(config=cfg, phase="sts_adapted",
+                                              params=enc.init_params(cfg)))
+    corpus = write_text(inputs / "corpus.jsonl", "".join(
+        onto.corpus_line(pair) + "\n" for pair in onto.build_corpus(small_kg, 2, 0)))
+    listing = write_text(inputs / "cands.json",
+                         json.dumps({"candidates": [{"path": model, "score": 0.5}]}))
+    argv = [a.format(w=small_world, model=model, corpus=corpus, listing=listing) for a in argv]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 64
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: ") and option in err[0], err
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["inputs"]
+    assert sorted(os.listdir(inputs)) == ["cands.json", "corpus.jsonl", "m.ckpt"]
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) of each sub-command of ``parser`` that has no
+    sub-commands of its own."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        yield " ".join(words), parser
+    for action in actions:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, words + (name,))
+
+
+def test_readme_commands_block_lists_each_sub_commands_exact_options():
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## Commands\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = {}
+    for entry in re.split(r"\n(?=ontoembed )", block.strip()):
+        words = itertools.takewhile(lambda word: word[0] not in "-[(", entry.split()[1:])
+        listed[" ".join(words)] = set(re.findall(r"--[a-z-]+", entry))
+    assert listed == {words: {option for action in parser._actions
+                              for option in action.option_strings} - {"-h", "--help"}
+                      for words, parser in _leaf_parsers(cli.build_parser())}
 
 
 # ---------------------------------------------------------------------------
@@ -541,23 +611,50 @@ def test_embed_rows_equal_encode_batch_across_chunks(small_world, tmp_path):
     assert np.array_equal(got, enc.encode_batch(model.params, model.config, texts))
 
 
+# Runs the commands in argv[1] and prints their exit codes and the top-level
+# names of the modules they imported. A module with no spec was not imported
+# but made by extension code, as numpy's Cython modules make cython_runtime.
+_IMPORTED_TOP_LEVEL = """
+import json, sys
+before = set(sys.modules)
+from ontoembed import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted({name.split(".")[0] for name, module in sys.modules.items()
+                                 if name not in before and module.__spec__ is not None})]))
+"""
+
+
+def test_commands_import_only_the_standard_library_numpy_and_ontoembed(fixtures_dir,
+                                                                      tmp_path):
+    # numpy is the one runtime dependency: a test or fixture tool (pytest,
+    # scipy, hypothesis) imported by a command would show here
+    cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
+    model = str(tmp_path / "m.ckpt")
+    enc.save_checkpoint(model, enc.Checkpoint(config=cfg, phase="base",
+                                              params=enc.init_params(cfg)))
+    argvs = [["verbalize", "--ontology", os.path.join(fixtures_dir, "ontology.jsonl"),
+              "--templates", os.path.join(fixtures_dir, "templates.tsv"),
+              "--out", str(tmp_path / "corpus.jsonl")],
+             ["eval", "sts", "--model", model, "--data",
+              os.path.join(fixtures_dir, "sts_test.tsv"), "--out", str(tmp_path / "sts.jsonl")]]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", _IMPORTED_TOP_LEVEL, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    codes, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert "numpy" in imported and "ontoembed" in imported
+    assert [m for m in imported
+            if m not in sys.stdlib_module_names and m not in ("numpy", "ontoembed")] == []
+
+
 def _drop(key):
     return lambda header: {k: v for k, v in header.items() if k != key}
 
 
 def _with_config(key, value):
     return lambda header: {**header, "config": {**header["config"], key: value}}
-
-
-def _run_child(argv):
-    """Run the real command in a child process with every warning shown
-    (``-W default``), so that a traceback or a warning would show on its
-    stderr."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-W", "default", "-m", "ontoembed.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
 
 
 @pytest.mark.parametrize("mutate", [
@@ -579,7 +676,7 @@ def test_embed_malformed_checkpoint_header_exits_2(tmp_path, mutate):
     bad.write_bytes(enc.CHECKPOINT_MAGIC + json.dumps(mutate(header)).encode() + data[nl:])
     infile = write_text(tmp_path / "texts.txt", "some text\n")
     out = tmp_path / "e.tsv"
-    proc = _run_child(["embed", "--model", str(bad), "--in", infile, "--out", str(out)])
+    proc = run_child(["embed", "--model", str(bad), "--in", infile, "--out", str(out)])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
@@ -636,13 +733,36 @@ def test_embed_overflowing_norm_exits_2_with_one_line(tmp_path):
     # the overflow used to give an all-zero embedding, exit 0 and a numpy warning
     model = _overflowing_model(tmp_path / "huge.ckpt")
     out = tmp_path / "e.tsv"
-    proc = _run_child(["embed", "--model", model,
-                       "--in", write_text(tmp_path / "texts.txt", "fever\n"),
-                       "--out", str(out)])
+    infile = write_text(tmp_path / "texts.txt", "fever\n")
+    proc = run_child(["embed", "--model", model, "--in", infile, "--out", str(out)])
     assert proc.returncode == 2
-    assert proc.stderr.splitlines() == ["error: output norm of batch row 0 is not finite"]
+    assert proc.stderr.splitlines() == [
+        f"error: {infile}:1: output norm is not finite with model {model}"]
     assert proc.stdout == ""
     assert not out.exists()
+
+
+def test_embed_overflow_names_the_input_line_past_the_first_chunk(tmp_path, capsys):
+    # only the token "zzbad" drives the output norm past float range; the
+    # message used to name the row within its chunk of EMBED_CHUNK texts
+    cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=4, hidden_dim=4, output_dim=4)
+    bad, fever = enc.tokenize_batch(cfg, ["zzbad", "fever"]).ids
+    assert bad != fever
+    params = enc.init_params(cfg)
+    params.flat[:] = 0.0
+    params.token_table[bad] = 1.0
+    params.w1[:] = 1.0
+    params.w2[:] = 1e200
+    model = str(tmp_path / "m.ckpt")
+    enc.save_checkpoint(model, enc.Checkpoint(config=cfg, phase="base", params=params))
+    infile = write_text(tmp_path / "texts.txt", "fever\n" * 1499 + "zzbad\n")
+    out = tmp_path / "e.tsv"
+    assert run(["embed", "--model", model, "--in", infile, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {infile}:1500: output norm is not finite with model {model}"]
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["m.ckpt", "texts.txt"]
 
 
 def test_train_self_distill_from_overflowing_base_names_the_regime(small_world, tmp_path,
@@ -710,7 +830,7 @@ def test_numeric_fault_exits_with_its_code_and_one_line(small_world, tmp_path, p
                 "--ontology", os.path.join(small_world, "ontology.jsonl"),
                 "--templates", os.path.join(small_world, "templates.tsv"),
                 "--pca-dim", "50", "--out", out]
-    proc = _run_child(argv)
+    proc = run_child(argv)
     err = proc.stderr.splitlines()
     assert proc.returncode == code and len(err) == 1 and err[0].startswith(message), err
     assert not os.path.exists(out)

@@ -1,7 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
 
+from ontoembed import cli
 from ontoembed import encoder as enc
 from ontoembed import evalsuite as ev
 from ontoembed import ontology as onto
@@ -361,12 +365,24 @@ def test_evaluations_are_read_only(small_kg, small_datasets):
     assert small_kg.templates == before_templates
 
 
-def test_report_json_shape():
+def test_report_json_shape(tmp_path, capsys):
+    # a report line is written only by ``eval``, which adds the digests
     model = _model()
-    rows = (("alpha beta", "alpha beta", 5.0), ("alpha beta", "gamma delta", 1.0),
-            ("epsilon", "zeta eta", 0.0))
-    report = ev.eval_sts(model, ev.StsDataset(rows=rows))
-    import json
-    payload = json.loads(report.to_json())
+    enc.save_checkpoint(tmp_path / "m.ckpt", model)
+    data = write_text(tmp_path / "sts.tsv",
+                      "alpha beta\talpha beta\t5.0\nalpha beta\tgamma delta\t1.0\n"
+                      "epsilon\tzeta eta\t0.0\n")
+    out = tmp_path / "report.jsonl"
+    assert cli.main(["eval", "sts", "--model", str(tmp_path / "m.ckpt"), "--data", data,
+                     "--out", str(out)]) == 0
+    [line] = out.read_text().splitlines()
+    assert capsys.readouterr().out == line + "\n"
+    payload = json.loads(line)
     assert set(payload) == {"benchmark", "metric", "value", "n",
                             "model_digest", "data_digest"}
+    dataset = ev.load_sts_dataset(data)
+    assert {**payload, "model_digest": None, "data_digest": None} == {
+        **dataclasses.asdict(ev.eval_sts(model, dataset)),
+        "model_digest": None, "data_digest": None}
+    assert payload["model_digest"] == ev.model_digest(model)
+    assert payload["data_digest"] == ev.data_digest(dataset.rows)

@@ -1,8 +1,9 @@
 """Property tests over random small encoder configs, with and without a
 distillation head: the flat parameter layout, checkpoint round trips and
 corrupted checkpoints, uniform soups of identical models and training on
-the reached token rows; over mutated pipeline config files; and over
-mutated lines of every TSV and JSONL input."""
+the reached token rows; over mutated pipeline config files; over mutated
+lines of every TSV and JSONL input; and over mutated option and config
+values of real commands."""
 
 import contextlib
 import io
@@ -26,6 +27,7 @@ from ontoembed import ontology as onto  # noqa: E402
 from ontoembed import soup  # noqa: E402
 from ontoembed import trainer  # noqa: E402
 
+from conftest import run_child  # noqa: E402
 from oracles import dense_fit  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -398,3 +400,85 @@ def test_mutated_input_line_loads_or_fails_naming_the_line(reader_inputs, name, 
             assert str(exc).startswith(f"{path}:{line_no}: ") and "\n" not in str(exc)
         else:
             assert may_load, "a malformed line was accepted"
+
+
+# ---------------------------------------------------------------------------
+# the command line
+
+# The values a mutated option or config key takes. Sizes and counts come
+# only from -1, 0, 1 and 2**62: a table of 2**62 rows fails to allocate at
+# once, where a size in between could allocate gigabytes. Run lengths
+# (epochs, distill_runs) come only from 0 to 2.
+_SIZES = ["-1", "0", "1", str(2**62)]
+_RUN_LENGTHS = ["0", "1", "2"]
+_FLOATS = ["-1", "0", "1e-300", "1e308", "nan", "-inf"]
+_DRAWN = {
+    **dict.fromkeys(["--seed", "--per-concept", "--pca-dim", "seed", "vocab_buckets",
+                     "embed_dim", "hidden_dim", "output_dim", "hash_seed", "init_seed",
+                     "batch_size", "hard_negatives_per_batch", "pca_dim",
+                     "per_concept_templated"], _SIZES),
+    **dict.fromkeys(["--epochs", "epochs", "contrastive_epochs", "distill_runs"],
+                    _RUN_LENGTHS),
+    **dict.fromkeys(["learning_rate", "weight_decay", "warmup_fraction", "info_nce_scale",
+                     "init_scale"], _FLOATS),
+    "--topk": _SIZES + ["", ",", "1,", "1,,5"],
+}
+
+
+@pytest.fixture(scope="module")
+def commands(small_world, pipeline_base, tmp_path_factory):
+    """name -> (argv, config mapping or None, the config keys it may set)."""
+    w = small_world
+    model = str(tmp_path_factory.mktemp("commands") / "m.ckpt")
+    cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=4, hidden_dim=4, output_dim=4)
+    enc.save_checkpoint(model, enc.Checkpoint(config=cfg, phase="sts_adapted",
+                                              params=enc.init_params(cfg)))
+    train = {"learning_rate": "0.01", "epochs": "1", "batch_size": "16",
+             "vocab_buckets": "64", "embed_dim": "4", "hidden_dim": "4", "output_dim": "4"}
+    kg = ["--ontology", f"{w}/ontology.jsonl", "--templates", f"{w}/templates.tsv"]
+    return {
+        "verbalize": (["verbalize", *kg, "--seed", "0", "--per-concept", "2"], None, ()),
+        "train sts": (["train", "sts", "--data", f"{w}/sts_train.tsv", "--seed", "0",
+                       "--epochs", "1"], train, cli.TRAIN_KEYS),
+        "train self-distill": (["train", "self-distill", "--base", model, "--teacher", model,
+                                *kg, "--pca-dim", "2", "--epochs", "1"], train,
+                               cli.TRAIN_KEYS),
+        "eval nel": (["eval", "nel", "--model", model, "--data", f"{w}/nel.tsv",
+                      "--ontology", f"{w}/ontology.jsonl", "--topk", "1,5"], None, ()),
+        "pipeline": (["pipeline"], pipeline_base, cli.PIPELINE_KEYS),
+    }
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_argv_and_config_exit_with_a_documented_code_and_one_line(commands, data):
+    # One to three option values or config values of a command become a
+    # negative, zero or huge number, a non-finite or tiny float, or a list
+    # with an empty item. The real command runs in a child process with
+    # every warning shown: it exits 0, 1, 2 or 64, and when it fails its
+    # stderr is one line.
+    argv, mapping, keys = commands[data.draw(st.sampled_from(sorted(commands)), label="command")]
+    argv, mapping = list(argv), dict(mapping or {})
+    options = [i + 1 for i, arg in enumerate(argv) if arg in _DRAWN]
+    targets = [("argv", i) for i in options] + [("config", k) for k in _DRAWN if k in keys]
+    for kind, target in data.draw(st.lists(st.sampled_from(targets), min_size=1, max_size=3),
+                                  label="targets"):
+        values = _DRAWN[argv[target - 1] if kind == "argv" else target]
+        value = data.draw(st.sampled_from(values), label=str(target))
+        if kind == "argv":
+            argv[target] = value
+        else:
+            mapping[target] = value
+    with tempfile.TemporaryDirectory() as work:
+        if keys:
+            path = os.path.join(work, "c.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+            argv += ["--config", path]
+        argv += ["--out-dir" if argv[0] == "pipeline" else "--out", os.path.join(work, "out")]
+        proc = run_child(argv)
+    assert proc.returncode in (0, 1, 2, 64), proc.stderr
+    if proc.returncode:
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    else:
+        assert proc.stderr == "", proc.stderr
