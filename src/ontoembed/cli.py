@@ -172,7 +172,8 @@ def vars_snapshot(args) -> dict:
 def _inputs(args) -> list[str]:
     """The files named by the input options of ``args`` that are set."""
     return [getattr(args, key) for key in ("config", "base", "teacher", "corpus", "data", "pairs",
-                                           "ontology", "templates", "glossary", "model", "infile")
+                                           "ontology", "templates", "glossary", "model", "infile",
+                                           "val", "manifest")
             if getattr(args, key, None)]
 
 
@@ -180,17 +181,35 @@ def _inputs(args) -> list[str]:
 # train
 
 
-def _base_checkpoint(args, config: enc.EncoderConfig) -> enc.Checkpoint:
-    if args.base:
-        return enc.load_checkpoint(args.base)
-    return enc.Checkpoint(config=config, phase="base", params=enc.init_params(config))
+def _train_config(phase: str, mapping: dict[str, str], path, prefix: str = "",
+                  base=None) -> trainer.TrainConfig:
+    """``build_config``'s TrainConfig for training ``phase``; the contrastive
+    phase's in-batch objective needs a batch_size of at least 2."""
+    cfg = build_config(trainer.TrainConfig, mapping, path, prefix, base)
+    if phase == "contrastive" and cfg.batch_size < 2:
+        key = prefix + "batch_size" if prefix + "batch_size" in mapping else "batch_size"
+        raise ConfigError(f"{path}: {key}: must be >= 2 for the in-batch objective")
+    return cfg
+
+
+def _base_checkpoint(args, mapping: dict[str, str], config: enc.EncoderConfig) -> enc.Checkpoint:
+    """The ``--base`` checkpoint, or a fresh base of ``config`` without one.
+    Each encoder key the config file sets must repeat the base's value."""
+    if not args.base:
+        return enc.Checkpoint(config=config, phase="base", params=enc.init_params(config))
+    base = enc.load_checkpoint(args.base)
+    for key in enc.ENCODER_CONFIG_KEYS:
+        if key in mapping and getattr(config, key) != getattr(base.config, key):
+            raise ConfigError(f"{args.config}: {key}: {getattr(config, key)} differs from "
+                              f"{getattr(base.config, key)} in the base checkpoint {args.base}")
+    return base
 
 
 def cmd_train(args) -> int:
     started = time.time()
     # every key is read and checked before anything is loaded or trained
-    mapping = read_config(args.config, TRAIN_KEYS) if args.config else {}
-    cfg = build_config(trainer.TrainConfig, mapping, args.config)
+    mapping = read_config(args.config, TRAIN_KEYS[args.phase]) if args.config else {}
+    cfg = _train_config(args.phase, mapping, args.config)
     enc_cfg = enc.config_from_mapping(mapping, source=args.config)
     overrides = {}
     if args.seed is not None:
@@ -202,17 +221,17 @@ def cmd_train(args) -> int:
     if args.phase == "contrastive":
         if cfg.hard_negatives_per_batch > 0 and not args.ontology:
             raise UsageError("--ontology is required when hard negatives are enabled")
-        base = _base_checkpoint(args, enc_cfg)
+        base = _base_checkpoint(args, mapping, enc_cfg)
         corpus = onto.load_corpus(args.corpus)
         kg, _ = _load_kg(args.ontology, args.templates) if args.ontology \
             else (onto.KnowledgeGraph({}), None)
         ckpt, stats = trainer.train_contrastive(base, corpus, kg, cfg)
     elif args.phase == "sts":
-        base = _base_checkpoint(args, enc_cfg)
+        base = _base_checkpoint(args, mapping, enc_cfg)
         dataset = ev.load_sts_dataset(args.data)
         ckpt, stats = trainer.adapt_sts(base, dataset, cfg)
     elif args.phase == "self-distill":
-        base = enc.load_checkpoint(args.base)
+        base = _base_checkpoint(args, mapping, enc_cfg)
         teacher = enc.load_checkpoint(args.teacher)
         kg, _ = _load_kg(args.ontology, args.templates, args.glossary)
         limit = trainer.pca_dim_limit(len(kg), teacher.config.output_dim)
@@ -241,16 +260,7 @@ def cmd_train(args) -> int:
 # soup
 
 
-def _metric_fn(metric: str, args):
-    if metric == "nel-top1":
-        if not args.ontology:
-            raise UsageError("--ontology is required with --metric nel-top1")
-        kg, _ = _load_kg(args.ontology)
-        dataset = ev.load_nel_dataset(args.val)
-        return lambda ckpt: ev.eval_nel(ckpt, kg, dataset, [1])[0].value
-    load, evaluate = _BENCHMARKS["sts" if metric == "pearson" else "bcr"]
-    dataset = load(args.val)
-    return lambda ckpt: evaluate(ckpt, dataset).value
+_SOUP_METRICS = {"pearson": "sts", "spearman": "bcr", "nel-top1": "nel"}
 
 
 def _read_listing(path: str) -> list[tuple[str, float, str]]:
@@ -269,27 +279,26 @@ def _read_listing(path: str) -> list[tuple[str, float, str]]:
 
 def cmd_soup(args) -> int:
     started = time.time()
-    if args.strategy == "greedy" and not args.val:
-        raise UsageError("greedy soup requires --val")
-    evaluate = _metric_fn(args.metric, args) if args.val else None
-    inputs = []
-    candidates: list[soup_mod.SoupCandidate] = []
+    if args.ontology and args.metric != "nel-top1":
+        raise UsageError("--ontology goes only with --metric nel-top1")
+    if not args.val and (args.models or args.strategy == "greedy"):
+        raise UsageError("--val is required with --models and with --strategy greedy")
+    if args.val and args.metric == "nel-top1" and not args.ontology:
+        raise UsageError("--ontology is required with --metric nel-top1")
+    score = (_scorer(_SOUP_METRICS[args.metric], args.val, args.ontology, [1])[1]
+             if args.val else None)
 
-    if args.manifest:
-        inputs.append(args.manifest)
-        for path, score, label in _read_listing(args.manifest):
-            ckpt = enc.load_checkpoint(path)
-            inputs.append(path)
-            candidates.append(soup_mod.candidate_from_checkpoint(
-                ckpt, score, label or os.path.basename(path)))
-    else:
-        if evaluate is None:
-            raise UsageError("--val is required when candidates carry no scores")
-        for path in args.models:
-            ckpt = enc.load_checkpoint(path)
-            inputs.append(path)
-            candidates.append(soup_mod.candidate_from_checkpoint(
-                ckpt, evaluate(ckpt), os.path.basename(path)))
+    def evaluate(ckpt: enc.Checkpoint) -> float:
+        return score(ckpt)[0].value
+
+    # a --models candidate carries no score, so it is scored on --val
+    listing = (_read_listing(args.manifest) if args.manifest
+               else [(path, None, "") for path in args.models])
+    candidates: list[soup_mod.SoupCandidate] = []
+    for path, value, label in listing:
+        ckpt = enc.load_checkpoint(path)
+        candidates.append(soup_mod.candidate_from_checkpoint(
+            ckpt, evaluate(ckpt) if value is None else value, label or os.path.basename(path)))
 
     scores = {c.label: c.validation_score for c in candidates}
     if args.strategy == "uniform":
@@ -297,10 +306,9 @@ def cmd_soup(args) -> int:
         kept = sorted(c.label for c in candidates)
     else:
         result, kept = soup_mod.greedy_soup(candidates, evaluate)
-    if args.val:
-        inputs.append(args.val)
+    inputs = _inputs(args) + [path for path, _, _ in listing]
 
-    soup_score = evaluate(result) if evaluate else None
+    soup_score = evaluate(result) if args.val else None
     _save_checkpoint(args.out, result)
     report = {
         "strategy": args.strategy,
@@ -324,17 +332,25 @@ def cmd_soup(args) -> int:
 # eval
 
 
+def _scorer(benchmark: str, data: str, ontology, topk):
+    """The ``benchmark`` dataset at ``data`` and a function that scores a
+    checkpoint on it: for ``nel``, over ``ontology``, one report per k in ``topk``."""
+    if benchmark == "nel":
+        kg, _ = _load_kg(ontology)
+        dataset = ev.load_nel_dataset(data)
+        return dataset, lambda ckpt: ev.eval_nel(ckpt, kg, dataset, topk)
+    load, evaluate = _BENCHMARKS[benchmark]
+    dataset = load(data)
+    return dataset, lambda ckpt: [evaluate(ckpt, dataset)]
+
+
 def cmd_eval(args) -> int:
     started = time.time()
     model = enc.load_checkpoint(args.model)
-    if args.benchmark == "nel":
-        kg, _ = _load_kg(args.ontology)
-        dataset = ev.load_nel_dataset(args.data)
-        reports = ev.eval_nel(model, kg, dataset, args.topk)
-    else:
-        load, evaluate = _BENCHMARKS[args.benchmark]
-        dataset = load(args.data)
-        reports = [evaluate(model, dataset)]
+    # only eval nel has --ontology and --topk
+    dataset, score = _scorer(args.benchmark, args.data, getattr(args, "ontology", None),
+                             getattr(args, "topk", None))
+    reports = score(model)
 
     digests = dict(model_digest=ev.model_digest(model), data_digest=ev.data_digest(dataset.rows))
     lines = [json.dumps({**dataclasses.asdict(r), **digests}, sort_keys=True,
@@ -424,13 +440,21 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-# ``train`` takes the encoder and training keys; ``pipeline`` also takes its
-# own keys, and each training key behind a phase prefix, for that phase.
-TRAIN_KEYS = enc.ENCODER_CONFIG_KEYS + trainer.TRAIN_CONFIG_KEYS
+def _training_keys(phase: str) -> tuple[str, ...]:
+    """The training keys that ``phase`` reads."""
+    return tuple(k for k in trainer.TRAIN_CONFIG_KEYS
+                 if phase == "contrastive" or k not in trainer.CONTRASTIVE_ONLY_KEYS)
+
+
+# Each ``train`` phase takes the encoder keys and the training keys it reads.
+# ``pipeline`` takes its own keys, the encoder and training keys, and behind
+# a phase prefix each training key that phase reads.
+TRAIN_KEYS = {phase: enc.ENCODER_CONFIG_KEYS + _training_keys(phase)
+              for phase in ("contrastive", "sts", "self-distill", "xlingual")}
+_PIPELINE_PHASES = ("adapt", "contrastive", "readapt", "distill")
 PIPELINE_KEYS = frozenset(
-    config_keys(PipelineConfig) + TRAIN_KEYS
-    + tuple(phase + key for phase in ("adapt_", "contrastive_", "readapt_", "distill_")
-            for key in trainer.TRAIN_CONFIG_KEYS)
+    config_keys(PipelineConfig) + enc.ENCODER_CONFIG_KEYS + trainer.TRAIN_CONFIG_KEYS
+    + tuple(f"{phase}_{key}" for phase in _PIPELINE_PHASES for key in _training_keys(phase))
 )
 _DATASETS = ("ontology", "templates", "sts_train", "sts_val", "sts_test", "bcr", "nel", "nli")
 
@@ -448,12 +472,9 @@ class PipelinePlan:
         self.encoder = enc.config_from_mapping(mapping, source=path)
         # a phase is seeded with the pipeline seed unless the file sets
         # <phase>_seed; distillation run i (from 0) adds i to its seed
-        self.train = {phase: build_config(trainer.TrainConfig, mapping, path, phase + "_",
-                                          trainer.TrainConfig(seed=cfg.seed))
-                      for phase in ("adapt", "contrastive", "readapt", "distill")}
-        if self.train["contrastive"].batch_size < 2:
-            key = "contrastive_batch_size" if "contrastive_batch_size" in mapping else "batch_size"
-            raise ConfigError(f"{path}: {key}: must be >= 2 for the in-batch objective")
+        self.train = {phase: _train_config(phase, mapping, path, phase + "_",
+                                           trainer.TrainConfig(seed=cfg.seed))
+                      for phase in _PIPELINE_PHASES}
         distill = self.train.pop("distill")
         for i in range(cfg.distill_runs):
             self.train[f"distill_{i + 1:02d}"] = dataclasses.replace(distill,
@@ -662,9 +683,8 @@ def build_parser() -> _Parser:
     candidates.add_argument("--models", nargs="+")
     candidates.add_argument("--manifest", help="JSON listing of {path, score, label} candidates")
     p.add_argument("--val", help="validation dataset for the metric")
-    p.add_argument("--metric", choices=["pearson", "spearman", "nel-top1"],
-                   default="pearson")
-    p.add_argument("--ontology", help="required for nel-top1")
+    p.add_argument("--metric", choices=list(_SOUP_METRICS), default="pearson")
+    p.add_argument("--ontology", help="with --metric nel-top1 only; required when scoring")
     p.add_argument("--strategy", choices=["uniform", "greedy"], default="greedy")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_soup)

@@ -78,8 +78,9 @@ class TrainConfig:
             raise ValueError("scale must be > 0")
 
 
-# Every key a training config file may set.
+# Every key a training config file may set, and those only contrastive training reads.
 TRAIN_CONFIG_KEYS = config_keys(TrainConfig)
+CONTRASTIVE_ONLY_KEYS = ("hard_negatives_per_batch", "info_nce_scale")
 
 
 @dataclass
@@ -206,10 +207,6 @@ class PCAModel:
     mean: np.ndarray
     components: np.ndarray
     explained_variance: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.components.shape[0]
 
 
 def pca_fit(x: np.ndarray, k: int) -> PCAModel:
@@ -490,8 +487,7 @@ def train_contrastive(
 
     def objective(y, index):
         b = int(np.count_nonzero(index < n))
-        loss, ga, gp, gx = losses.info_nce(y[:b], y[b:2 * b], y[2 * b:], cfg.info_nce_scale,
-                                           check_inputs=False)
+        loss, ga, gp, gx = losses.info_nce(y[:b], y[b:2 * b], y[2 * b:], cfg.info_nce_scale)
         return loss, np.vstack([ga, gp] + ([gx] if gx is not None else []))
 
     params = base.params.copy()
@@ -538,8 +534,7 @@ def adapt_sts(model, sts_train, cfg: TrainConfig) -> tuple[enc.Checkpoint, Train
 
     def objective(y, index):
         b = len(index) // 2
-        loss, gu, gv = losses.cosine_regression(y[:b], y[b:], gold[index[:b]],
-                                                check_inputs=False)
+        loss, gu, gv = losses.cosine_regression(y[:b], y[b:], gold[index[:b]])
         return loss, np.vstack([gu, gv])
 
     params = model.params.copy()

@@ -96,12 +96,12 @@ def test_criterion_1_gradient_correctness():
         b, m, d = 4, 3, 5
         scale = float(rng.uniform(1, 20))
         a, p, x = unit(b, d), unit(b, d), unit(m, d)
-        _, ga, gp, gx = losses.info_nce(a, p, x, scale, check_inputs=False)
+        _, ga, gp, gx = losses.info_nce(a, p, x, scale)
         for arr, grad, which in ((a, ga, 0), (p, gp, 1), (x, gx, 2)):
             def f(v, which=which):
                 args = [a, p, x]
                 args[which] = v.reshape(args[which].shape)
-                return losses.info_nce(*args, scale, check_inputs=False)[0]
+                return losses.info_nce(*args, scale)[0]
             assert rel_error(grad, fd_gradient(f, arr)) < tol
 
     for _ in range(20):
@@ -112,13 +112,11 @@ def test_criterion_1_gradient_correctness():
 
     for _ in range(20):
         u, v, gold = unit(5, 4), unit(5, 4), rng.uniform(0, 1, size=5)
-        _, gu, gv = losses.cosine_regression(u, v, gold, check_inputs=False)
+        _, gu, gv = losses.cosine_regression(u, v, gold)
         assert rel_error(gu, fd_gradient(
-            lambda w: losses.cosine_regression(w.reshape(5, 4), v, gold,
-                                               check_inputs=False)[0], u)) < tol
+            lambda w: losses.cosine_regression(w.reshape(5, 4), v, gold)[0], u)) < tol
         assert rel_error(gv, fd_gradient(
-            lambda w: losses.cosine_regression(u, w.reshape(5, 4), gold,
-                                               check_inputs=False)[0], v)) < tol
+            lambda w: losses.cosine_regression(u, w.reshape(5, 4), gold)[0], v)) < tol
 
     elapsed = time.time() - started
     assert elapsed < 30.0
@@ -317,7 +315,7 @@ def test_criterion_8_command_determinism(tmp_path):
             os.makedirs(d, exist_ok=True)
             mapped = [a.replace("OUT", str(d)) for a in argv]
             assert cli.main(mapped) == 0, name
-            blobs.append([open(os.path.join(d, o), "rb").read() for o in outputs])
+            blobs.append([(d / o).read_bytes() for o in outputs])
         assert blobs[0] == blobs[1], f"{name} outputs differ between identical runs"
 
     twice("verbalize",

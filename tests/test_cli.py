@@ -393,6 +393,102 @@ def test_train_xlingual_cli(small_world, tmp_path):
     assert enc.load_checkpoint(out).phase == "xlingual_student"
 
 
+# A valid value of each training key, unlike the value the default run of
+# the guard below trains with.
+_CHANGED = {"learning_rate": "0.02", "weight_decay": "0.1", "warmup_fraction": "0.5",
+            "epochs": "2", "batch_size": "3", "seed": "1", "hard_negatives_per_batch": "2",
+            "info_nce_scale": "5"}
+
+
+def test_every_training_key_a_phase_accepts_changes_its_checkpoint(small_world, tmp_path):
+    # a key a phase accepted without reading it, such as info_nce_scale for
+    # train sts, left the checkpoint as it was
+    w = small_world
+    assert set(_CHANGED) == set(trainer.TRAIN_CONFIG_KEYS)
+    config = enc.EncoderConfig(vocab_buckets=64, embed_dim=4, hidden_dim=4, output_dim=4)
+    base = str(tmp_path / "base.ckpt")
+    enc.save_checkpoint(base, enc.Checkpoint(config=config, phase="sts_adapted",
+                                             params=enc.init_params(config)))
+    assert run(["verbalize", "--ontology", f"{w}/ontology.jsonl", "--templates",
+                f"{w}/templates.tsv", "--out", str(tmp_path / "corpus.jsonl")]) == 0
+    small = {}
+    for path in (str(tmp_path / "corpus.jsonl"), f"{w}/sts_train.tsv", f"{w}/parallel.tsv"):
+        with open(path, encoding="utf-8") as fh:
+            name = os.path.basename(path)
+            small[name] = write_text(tmp_path / f"small_{name}", "".join(fh.readlines()[:16]))
+    kg = ["--ontology", f"{w}/ontology.jsonl", "--templates", f"{w}/templates.tsv"]
+    phases = {
+        "contrastive": ["--base", base, "--corpus", small["corpus.jsonl"], *kg],
+        "sts": ["--base", base, "--data", small["sts_train.tsv"]],
+        "self-distill": ["--base", base, "--teacher", base, *kg, "--pca-dim", "2"],
+        "xlingual": ["--teacher", base, "--pairs", small["parallel.tsv"]],
+    }
+
+    def train(phase, **changed):
+        lines = {"learning_rate": "0.01", "batch_size": "4", **changed}
+        cfg = write_text(tmp_path / "c.cfg", "".join(f"{k} = {v}\n" for k, v in lines.items()))
+        out = tmp_path / "out.ckpt"
+        assert run(["train", phase, *phases[phase], "--config", cfg, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    for phase in phases:
+        default = train(phase)
+        for key in cli.TRAIN_KEYS[phase]:
+            if key not in enc.ENCODER_CONFIG_KEYS:
+                assert train(phase, **{key: _CHANGED[key]}) != default, (phase, key)
+
+
+_CONTRASTIVE = ["train", "contrastive", "--corpus", "NOPE"]
+
+
+@pytest.mark.parametrize("argv, lines, expected", [
+    (["train", "sts", "--data", "NOPE"], {"info_nce_scale": 3},
+     "CFG: unknown key(s): info_nce_scale"),
+    (["train", "sts", "--data", "NOPE"], {"hard_negatives_per_batch": 9},
+     "CFG: unknown key(s): hard_negatives_per_batch"),
+    (["train", "self-distill", "--base", "BASE", "--teacher", "NOPE", "--ontology", "NOPE",
+      "--templates", "NOPE"], {"vocab_buckets": 4611686018427387904},
+     "CFG: vocab_buckets: 4611686018427387904 differs from 16 in the base checkpoint BASE"),
+    # both keys differ; the first in field order is named, not the first set
+    ([*_CONTRASTIVE, "--base", "BASE"], {"embed_dim": 8, "vocab_buckets": 32},
+     "CFG: vocab_buckets: 32 differs from 16 in the base checkpoint BASE"),
+    ([*_CONTRASTIVE, "--base", "BASE"], {"vocab_buckets": 16, "embed_dim": 8},
+     "CFG: embed_dim: 8 differs from 4 in the base checkpoint BASE"),
+    (_CONTRASTIVE, {"batch_size": 1},
+     "CFG: batch_size: must be >= 2 for the in-batch objective"),
+    (["pipeline"], {"adapt_hard_negatives_per_batch": 4},
+     "CFG: unknown key(s): adapt_hard_negatives_per_batch"),
+    (["pipeline"], {"readapt_info_nce_scale": 0.5}, "CFG: unknown key(s): readapt_info_nce_scale"),
+    (["soup", "--models", "BASE", "BASE", "--val", "NOPE", "--ontology", "NOPE", "--strategy",
+      "uniform"], None, "--ontology goes only with --metric nel-top1"),
+], ids=["sts-scale", "sts-hard-negatives", "self-distill-buckets", "contrastive-buckets",
+        "contrastive-embed-dim", "contrastive-batch-of-one", "pipeline-adapt-hard-negatives",
+        "pipeline-readapt-scale", "soup-ontology"])
+def test_unread_key_or_option_exits_64_in_one_line(small_world, tmp_path, capsys, monkeypatch,
+                                                   argv, lines, expected):
+    # each of these used to exit 0 with the key or option ignored, or, for
+    # the batch of one, exit 2 after loading the corpus; the missing inputs
+    # (NOPE) show that nothing else is read first
+    _no_training(monkeypatch)
+    config = enc.EncoderConfig(vocab_buckets=16, embed_dim=4, hidden_dim=4, output_dim=4)
+    base = str(tmp_path / "base.ckpt")
+    enc.save_checkpoint(base, enc.Checkpoint(config=config, phase="sts_adapted",
+                                             params=enc.init_params(config)))
+    if argv[0] == "pipeline":
+        cfg = _mini_pipeline_cfg(small_world, tmp_path, **lines)
+        out = ["--out-dir", str(tmp_path / "run")]
+    else:
+        cfg = write_text(tmp_path / "c.cfg",
+                         "".join(f"{k} = {v}\n" for k, v in (lines or {}).items()))
+        out = ["--out", str(tmp_path / "out")]
+    argv = argv + (["--config", cfg] if lines else []) + out
+    before = sorted(os.listdir(tmp_path))
+    assert run([{"BASE": base, "NOPE": str(tmp_path / "nope")}.get(a, a) for a in argv]) == 64
+    expected = expected.replace("CFG", cfg).replace("BASE", base)
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {expected}"]
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 # ---------------------------------------------------------------------------
 # soup
 
@@ -462,13 +558,17 @@ def test_soup_scores_candidates_by_the_chosen_metric(small_world, tmp_path, metr
     ontology = (["--ontology", os.path.join(small_world, "ontology.jsonl")]
                 if metric == "nel-top1" else [])
     out = tmp_path / "soup.ckpt"
-    code = run(["soup", "--models", *_three_seed_models(tmp_path),
+    models = _three_seed_models(tmp_path)
+    code = run(["soup", "--models", *models,
                 "--val", os.path.join(small_world, val), "--metric", metric, *ontology,
                 "--out", str(out)])
     assert code == 0
     report = json.loads((tmp_path / "soup.ckpt.soup_report.json").read_text())
     assert report["metric"] == metric
     assert report["soup_score"] >= max(report["ingredient_scores"].values()) - 1e-12
+    # the ontology that scores nel-top1 used to be missing from the inputs
+    manifest = json.loads((tmp_path / "soup.ckpt.manifest.json").read_text())
+    assert set(manifest["inputs"]) == {*models, os.path.join(small_world, val), *ontology[1:]}
 
 
 def test_soup_nel_top1_without_ontology_is_usage_error(small_world, tmp_path):
@@ -787,10 +887,13 @@ def test_train_self_distill_from_overflowing_base_names_the_regime(small_world, 
 
 
 def test_train_sts_from_overflowing_base_names_epoch_and_step(small_world, tmp_path, capsys):
+    # the base fixes the encoder, so the config sets training keys only
+    cfg = write_text(tmp_path / "train.cfg",
+                     "learning_rate = 0.002\nepochs = 2\nbatch_size = 16\nseed = 3\n")
     out = tmp_path / "sts.ckpt"
     code = run(["train", "sts", "--base", _overflowing_model(tmp_path / "huge.ckpt"),
                 "--data", os.path.join(small_world, "sts_train.tsv"),
-                "--config", _mini_train_cfg(tmp_path), "--out", str(out)])
+                "--config", cfg, "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: sts training failed at epoch 1, step 1: "

@@ -85,4 +85,8 @@ def test_readme_key_tables_match_the_schema():
     assert documented == set(cli.PIPELINE_KEYS) - {
         prefix + key for prefix in ("adapt_", "contrastive_", "readapt_", "distill_")
         for key in trainer.TRAIN_CONFIG_KEYS}
-    assert set(cli.TRAIN_KEYS) == set(tables["Encoder keys"]) | set(tables["Training keys"])
+    assert set(cli.TRAIN_KEYS["contrastive"]) == \
+        set(tables["Encoder keys"]) | set(tables["Training keys"])
+    with open(README, encoding="utf-8") as fh:
+        marked = re.findall(r"^\| `(\w+)` \| [^|]+ \| \*contrastive only\*", fh.read(), re.M)
+    assert tuple(marked) == trainer.CONTRASTIVE_ONLY_KEYS

@@ -439,10 +439,10 @@ def commands(small_world, pipeline_base, tmp_path_factory):
     return {
         "verbalize": (["verbalize", *kg, "--seed", "0", "--per-concept", "2"], None, ()),
         "train sts": (["train", "sts", "--data", f"{w}/sts_train.tsv", "--seed", "0",
-                       "--epochs", "1"], train, cli.TRAIN_KEYS),
+                       "--epochs", "1"], train, cli.TRAIN_KEYS["sts"]),
         "train self-distill": (["train", "self-distill", "--base", model, "--teacher", model,
                                 *kg, "--pca-dim", "2", "--epochs", "1"], train,
-                               cli.TRAIN_KEYS),
+                               cli.TRAIN_KEYS["self-distill"]),
         "eval nel": (["eval", "nel", "--model", model, "--data", f"{w}/nel.tsv",
                       "--ontology", f"{w}/ontology.jsonl", "--topk", "1,5"], None, ()),
         "pipeline": (["pipeline"], pipeline_base, cli.PIPELINE_KEYS),

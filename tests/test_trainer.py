@@ -479,9 +479,9 @@ def test_contrastive_batches_audited_during_training(small_setup, monkeypatch):
     real = losses_mod.info_nce
     audited = []
 
-    def spy(anchors, positives, extras=None, scale=20.0, check_inputs=True):
+    def spy(anchors, positives, extras=None, scale=20.0):
         audited.append(anchors.shape[0])
-        return real(anchors, positives, extras, scale, check_inputs)
+        return real(anchors, positives, extras, scale)
 
     monkeypatch.setattr(trainer.losses, "info_nce", spy)
 
