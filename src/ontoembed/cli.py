@@ -109,12 +109,12 @@ def _sha256_file(path: str) -> str:
 
 
 def _write_manifest(primary_output: str, command: str, config: dict,
-                    inputs: list[str], seed, outputs: list[str],
+                    inputs: dict[str, str], seed, outputs: list[str],
                     started: float, metrics: dict) -> str:
     manifest = {
         "command": command,
         "config": config,
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
+        "inputs": inputs,
         "seed": seed,
         "outputs": [str(p) for p in outputs],
         "duration_s": round(time.time() - started, 3),
@@ -135,10 +135,8 @@ _BENCHMARKS = {"sts": (ev.load_sts_dataset, ev.eval_sts),
                "nli": (ev.load_nli_dataset, ev.eval_nli_triplets)}
 
 
-def _load_kg(ontology_path, templates_path=None, glossary_path=None):
-    kg = onto.load_ontology(ontology_path)
-    if templates_path:
-        kg = kg.with_templates(onto.load_templates(templates_path))
+def _load_kg(ontology_path, templates_path, glossary_path=None):
+    kg = onto.load_ontology(ontology_path).with_templates(onto.load_templates(templates_path))
     stats = None
     if glossary_path:
         kg, stats = onto.merge_glossary(kg, glossary_path)
@@ -151,6 +149,7 @@ def _load_kg(ontology_path, templates_path=None, glossary_path=None):
 
 def cmd_verbalize(args) -> int:
     started = time.time()
+    inputs = _inputs(args)
     kg, gloss_stats = _load_kg(args.ontology, args.templates, args.glossary)
     pairs = onto.build_corpus(kg, args.per_concept, args.seed)
     lines = [onto.corpus_line(p) for p in pairs]
@@ -159,7 +158,7 @@ def cmd_verbalize(args) -> int:
     if gloss_stats:
         metrics["glossary_added"] = gloss_stats.added
         metrics["glossary_skipped"] = gloss_stats.skipped_unknown
-    _write_manifest(args.out, "verbalize", vars_snapshot(args), _inputs(args),
+    _write_manifest(args.out, "verbalize", vars_snapshot(args), inputs,
                     args.seed, [args.out], started, metrics)
     print(f"wrote {len(pairs)} training pairs to {args.out}")
     return EXIT_OK
@@ -169,12 +168,13 @@ def vars_snapshot(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
 
 
-def _inputs(args) -> list[str]:
-    """The files named by the input options of ``args`` that are set."""
-    return [getattr(args, key) for key in ("config", "base", "teacher", "corpus", "data", "pairs",
-                                           "ontology", "templates", "glossary", "model", "infile",
-                                           "val", "manifest")
-            if getattr(args, key, None)]
+def _inputs(args) -> dict[str, str]:
+    """The SHA-256 of each file named by an input option of ``args`` that is
+    set; a command takes them once its checks pass, before it writes."""
+    return {path: _sha256_file(path) for path in
+            [getattr(args, key) for key in ("config", "base", "teacher", "corpus", "data", "pairs",
+                                            "ontology", "templates", "glossary", "model", "infile",
+                                            "val", "manifest") if getattr(args, key, None)]}
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +211,17 @@ def cmd_train(args) -> int:
     mapping = read_config(args.config, TRAIN_KEYS[args.phase]) if args.config else {}
     cfg = _train_config(args.phase, mapping, args.config)
     enc_cfg = enc.config_from_mapping(mapping, source=args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    cfg = dataclasses.replace(cfg, **overrides) if overrides else cfg
+    overrides = {"seed": args.seed, "epochs": args.epochs}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
     if args.phase == "contrastive":
-        if cfg.hard_negatives_per_batch > 0 and not args.ontology:
-            raise UsageError("--ontology is required when hard negatives are enabled")
+        if (cfg.hard_negatives_per_batch > 0) != bool(args.ontology):
+            raise UsageError("--ontology goes only with hard_negatives_per_batch > 0"
+                             if args.ontology else
+                             "--ontology is required when hard negatives are enabled")
         base = _base_checkpoint(args, mapping, enc_cfg)
         corpus = onto.load_corpus(args.corpus)
-        kg, _ = _load_kg(args.ontology, args.templates) if args.ontology \
-            else (onto.KnowledgeGraph({}), None)
+        kg = onto.load_ontology(args.ontology) if args.ontology else onto.KnowledgeGraph({})
         ckpt, stats = trainer.train_contrastive(base, corpus, kg, cfg)
     elif args.phase == "sts":
         base = _base_checkpoint(args, mapping, enc_cfg)
@@ -246,11 +243,12 @@ def cmd_train(args) -> int:
         student_cfg = enc.config_from_mapping(mapping, teacher.config, args.config)
         ckpt, stats = trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
 
+    inputs = _inputs(args)
     _save_checkpoint(args.out, ckpt)
     metrics = {"steps": stats.steps, "final_loss": stats.final_loss,
                "phase": ckpt.phase}
     _write_manifest(args.out, f"train {args.phase}", vars_snapshot(args),
-                    _inputs(args), cfg.seed, [args.out], started, metrics)
+                    inputs, cfg.seed, [args.out], started, metrics)
     print(f"phase={ckpt.phase} steps={stats.steps} final_loss={stats.final_loss:.6f} "
           f"-> {args.out}")
     return EXIT_OK
@@ -279,14 +277,15 @@ def _read_listing(path: str) -> list[tuple[str, float, str]]:
 
 def cmd_soup(args) -> int:
     started = time.time()
-    if args.ontology and args.metric != "nel-top1":
+    if not args.val and (args.models or args.strategy == "greedy" or args.metric or args.ontology):
+        raise UsageError("--models, --metric, --ontology and --strategy greedy require --val")
+    metric = (args.metric or "pearson") if args.val else None
+    if args.ontology and metric != "nel-top1":
         raise UsageError("--ontology goes only with --metric nel-top1")
-    if not args.val and (args.models or args.strategy == "greedy"):
-        raise UsageError("--val is required with --models and with --strategy greedy")
-    if args.val and args.metric == "nel-top1" and not args.ontology:
+    if metric == "nel-top1" and not args.ontology:
         raise UsageError("--ontology is required with --metric nel-top1")
-    score = (_scorer(_SOUP_METRICS[args.metric], args.val, args.ontology, [1])[1]
-             if args.val else None)
+    inputs = _inputs(args)
+    score = _scorer(_SOUP_METRICS[metric], args.val, args.ontology, [1])[1] if args.val else None
 
     def evaluate(ckpt: enc.Checkpoint) -> float:
         return score(ckpt)[0].value
@@ -296,6 +295,7 @@ def cmd_soup(args) -> int:
                else [(path, None, "") for path in args.models])
     candidates: list[soup_mod.SoupCandidate] = []
     for path, value, label in listing:
+        inputs[path] = _sha256_file(path)
         ckpt = enc.load_checkpoint(path)
         candidates.append(soup_mod.candidate_from_checkpoint(
             ckpt, evaluate(ckpt) if value is None else value, label or os.path.basename(path)))
@@ -306,13 +306,12 @@ def cmd_soup(args) -> int:
         kept = sorted(c.label for c in candidates)
     else:
         result, kept = soup_mod.greedy_soup(candidates, evaluate)
-    inputs = _inputs(args) + [path for path, _, _ in listing]
 
     soup_score = evaluate(result) if args.val else None
     _save_checkpoint(args.out, result)
     report = {
         "strategy": args.strategy,
-        "metric": args.metric,
+        "metric": metric,
         "ingredient_scores": scores,
         "kept": kept,
         "rejected": sorted(set(scores) - set(kept)),
@@ -336,7 +335,7 @@ def _scorer(benchmark: str, data: str, ontology, topk):
     """The ``benchmark`` dataset at ``data`` and a function that scores a
     checkpoint on it: for ``nel``, over ``ontology``, one report per k in ``topk``."""
     if benchmark == "nel":
-        kg, _ = _load_kg(ontology)
+        kg = onto.load_ontology(ontology)
         dataset = ev.load_nel_dataset(data)
         return dataset, lambda ckpt: ev.eval_nel(ckpt, kg, dataset, topk)
     load, evaluate = _BENCHMARKS[benchmark]
@@ -346,6 +345,7 @@ def _scorer(benchmark: str, data: str, ontology, topk):
 
 def cmd_eval(args) -> int:
     started = time.time()
+    inputs = _inputs(args)
     model = enc.load_checkpoint(args.model)
     # only eval nel has --ontology and --topk
     dataset, score = _scorer(args.benchmark, args.data, getattr(args, "ontology", None),
@@ -359,7 +359,7 @@ def cmd_eval(args) -> int:
         print(line)
     _atomic_write_text(args.out, "".join(line + "\n" for line in lines))
     _write_manifest(args.out, f"eval {args.benchmark}", vars_snapshot(args),
-                    _inputs(args), None, [args.out], started,
+                    inputs, None, [args.out], started,
                     {r.metric: r.value for r in reports})
     return EXIT_OK
 
@@ -389,6 +389,7 @@ def _read_texts(path) -> list[str]:
 
 def cmd_embed(args) -> int:
     started = time.time()
+    inputs = _inputs(args)
     model = enc.load_checkpoint(args.model)
     texts = _read_texts(args.infile)
     with _atomic_output(args.out) as fh:
@@ -401,7 +402,7 @@ def cmd_embed(args) -> int:
                                  f"with model {args.model}") from exc
             fh.write("".join(text + "\t" + ",".join(map(repr, row.tolist())) + "\n"
                              for text, row in zip(chunk, emb)).encode("utf-8"))
-    _write_manifest(args.out, "embed", vars_snapshot(args), _inputs(args),
+    _write_manifest(args.out, "embed", vars_snapshot(args), inputs,
                     None, [args.out], started, {"rows": len(texts)})
     print(f"embedded {len(texts)} texts -> {args.out}")
     return EXIT_OK
@@ -425,7 +426,6 @@ class PipelineConfig:
     bcr: str | None = None
     nel: str | None = None
     nli: str | None = None
-    out_dir: str = "pipeline_out"
     seed: int = 7
     per_concept_templated: int = 2
     distill_runs: int = 7
@@ -485,7 +485,7 @@ class PipelinePlan:
         for key in _DATASETS:
             if key not in paths:
                 raise ConfigError(f"{path}: missing the {key!r} path")
-        self.inputs = list(paths.values())
+        self.inputs = {p: _sha256_file(p) for p in paths.values()}
         self.kg, gloss_stats = _load_kg(paths["ontology"], paths["templates"],
                                         paths.get("glossary"))
         self.glossary_added = gloss_stats.added if gloss_stats else 0
@@ -606,7 +606,7 @@ def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) 
 def cmd_pipeline(args) -> int:
     started = time.time()
     plan = PipelinePlan(args.config)
-    out_dir = os.path.abspath(args.out_dir or plan.cfg.out_dir)
+    out_dir = os.path.abspath(args.out_dir)
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise NotADirectoryError(f"output directory {out_dir} is not a directory")
     # Every output is written into a fresh directory next to out_dir, on the
@@ -664,8 +664,7 @@ def build_parser() -> _Parser:
     p = phases.add_parser("contrastive", parents=[common])
     p.add_argument("--corpus", required=True, help="training-pair JSONL")
     p.add_argument("--base", help=base_help)
-    p.add_argument("--ontology", help="required when hard negatives are enabled")
-    p.add_argument("--templates")
+    p.add_argument("--ontology", help="required by, and only with, hard_negatives_per_batch > 0")
     p = phases.add_parser("sts", parents=[common])
     p.add_argument("--data", required=True, help="STS TSV")
     p.add_argument("--base", help=base_help)
@@ -683,8 +682,8 @@ def build_parser() -> _Parser:
     candidates.add_argument("--models", nargs="+")
     candidates.add_argument("--manifest", help="JSON listing of {path, score, label} candidates")
     p.add_argument("--val", help="validation dataset for the metric")
-    p.add_argument("--metric", choices=list(_SOUP_METRICS), default="pearson")
-    p.add_argument("--ontology", help="with --metric nel-top1 only; required when scoring")
+    p.add_argument("--metric", choices=list(_SOUP_METRICS), help="with --val; default pearson")
+    p.add_argument("--ontology", help="with --val and --metric nel-top1 only; required there")
     p.add_argument("--strategy", choices=["uniform", "greedy"], default="greedy")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_soup)
@@ -709,7 +708,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pipeline", help="end-to-end demo pipeline")
     p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -247,6 +248,163 @@ def test_readme_commands_block_lists_each_sub_commands_exact_options():
                       for words, parser in _leaf_parsers(cli.build_parser())}
 
 
+# Each row runs a command on the option world; words in braces name its
+# files, and a name ending in 2 is a variant of the same kind of file. For
+# each option the row names a value: in the first dict one that must change
+# what the command writes, in the second one it must refuse (exit 64).
+_OPTION_ROWS = {
+    # a concept has at most two templated descriptions, so --seed draws
+    # between them only at --per-concept 1
+    "verbalize": ("verbalize --ontology {onto} --templates {tpl} --per-concept 1",
+                  {"--ontology": "{onto2}", "--templates": "{tpl2}", "--glossary": "{gloss}",
+                   "--seed": "1", "--per-concept": "2"}, {}),
+    "contrastive": ("train contrastive --corpus {corpus} --config {cfg}",
+                    {"--corpus": "{corpus2}", "--config": "{cfg2}", "--seed": "1",
+                     "--epochs": "2", "--base": "{m1}"},
+                    {"--ontology": "{onto}"}),
+    "contrastive-hard-negatives": ("train contrastive --corpus {corpus} --config {hard} "
+                                   "--ontology {onto}", {"--ontology": "{onto2}"}, {}),
+    "sts": ("train sts --data {sts} --config {cfg}",
+            {"--data": "{sts2}", "--config": "{cfg2}", "--seed": "1", "--epochs": "2",
+             "--base": "{m1}"}, {}),
+    "self-distill": ("train self-distill --base {m1} --teacher {m1} --ontology {onto} "
+                     "--templates {tpl} --pca-dim 2 --config {cfg}",
+                     {"--base": "{m2}", "--teacher": "{m2}", "--ontology": "{onto2}",
+                      "--templates": "{tpl2}", "--glossary": "{gloss}", "--pca-dim": "3",
+                      "--config": "{cfg2}", "--seed": "1", "--epochs": "2"}, {}),
+    "xlingual": ("train xlingual --teacher {m1} --pairs {pairs} --config {cfg}",
+                 {"--teacher": "{m2}", "--pairs": "{pairs2}", "--config": "{cfg2}",
+                  "--seed": "1", "--epochs": "2"}, {}),
+    "soup-models": ("soup --models {m1} {m2} {m3} --val {val}",
+                    {"--models": "{m1} {m2}", "--val": "{val2}", "--metric": "spearman",
+                     "--strategy": "uniform"},
+                    {"--ontology": "{onto}", "--manifest": "{listing}"}),
+    "soup-listing": ("soup --manifest {listing} --strategy uniform",
+                     {"--manifest": "{listing2}", "--val": "{val}"},
+                     {"--metric": "spearman", "--ontology": "{onto}", "--strategy": "greedy",
+                      "--models": "{m1}"}),
+    "soup-nel": ("soup --models {m1} {m2} {m3} --val {nel} --metric nel-top1 --ontology {onto}",
+                 {"--ontology": "{onto2}"}, {"--metric": "pearson"}),
+    **{f"eval-{name}": (f"eval {name} --model {{m1}} --data {{{name}}}",
+                        {"--model": "{m2}", "--data": f"{{{name}2}}"}, {})
+       for name in ("sts", "bcr", "nli")},
+    "eval-nel": ("eval nel --model {m1} --data {nel} --ontology {onto}",
+                 {"--model": "{m2}", "--data": "{nel2}", "--ontology": "{onto2}",
+                  "--topk": "1,5"}, {}),
+    "embed": ("embed --model {m1} --in {texts}", {"--model": "{m2}", "--in": "{texts2}"}, {}),
+    "pipeline": ("pipeline --config {pipeline}", {"--config": "{pipeline2}"}, {}),
+}
+
+
+def test_option_table_covers_every_option_of_every_sub_command():
+    covered = {}
+    for argv, changed, refused in _OPTION_ROWS.values():
+        words = " ".join(itertools.takewhile(lambda word: word[0] != "-", argv.split()))
+        covered.setdefault(words, set()).update(changed, refused)
+    assert covered == {words: {option for action in parser._actions
+                               for option in action.option_strings}
+                       - {"-h", "--help", "--out", "--out-dir"}
+                       for words, parser in _leaf_parsers(cli.build_parser())}
+
+
+@pytest.fixture(scope="module")
+def option_world(small_world, small_kg, tmp_path_factory):
+    """Name -> path of each file the option table names."""
+    root = tmp_path_factory.mktemp("option_world")
+    w = small_world
+    files = {"onto": f"{w}/ontology.jsonl", "tpl": f"{w}/templates.tsv",
+             "gloss": f"{w}/glossary.jsonl"}
+
+    def write(name, text):
+        files[name] = write_text(root / name, text)
+
+    # the same concepts with each concept's names moved to the next one
+    with open(files["onto"], encoding="utf-8") as fh:
+        concepts = [json.loads(line) for line in fh]
+    write("onto2", "".join(json.dumps({**c, "names": concepts[i - 1]["names"]}) + "\n"
+                           for i, c in enumerate(concepts)))
+    with open(files["tpl"], encoding="utf-8") as fh:
+        write("tpl2", "".join(line.rstrip("\n") + " indeed\n" for line in fh))
+    corpus = write_text(root / "corpus.jsonl", "".join(
+        onto.corpus_line(pair) + "\n" for pair in onto.build_corpus(small_kg, 2, 0)))
+    # mentions that are canonical names, which any model links to their
+    # concept in onto and not in onto2
+    names = write_text(root / "names.tsv", "".join(f"{c['names'][0]}\t{c['id']}\n"
+                                                    for c in concepts))
+    texts = write_text(root / "texts.txt", "".join(c["names"][0] + "\n" for c in concepts))
+    # 16 lines of each data file, and the 16 from its second line on
+    for name, path in [("corpus", corpus), ("sts", f"{w}/sts_train.tsv"),
+                       ("val", f"{w}/sts_val.tsv"), ("bcr", f"{w}/bcr.tsv"), ("nel", names),
+                       ("nli", f"{w}/nli.tsv"), ("pairs", f"{w}/parallel.tsv"),
+                       ("texts", texts)]:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        write(name, "".join(lines[:16]))
+        write(name + "2", "".join(lines[1:17]))
+
+    for seed in (1, 2, 3):
+        config = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8,
+                                   init_seed=seed)
+        files[f"m{seed}"] = str(root / f"m{seed}.ckpt")
+        enc.save_checkpoint(files[f"m{seed}"], enc.Checkpoint(
+            config=config, phase="sts_adapted", params=enc.init_params(config)))
+    train = ("learning_rate = 0.01\nbatch_size = 8\nepochs = 1\nvocab_buckets = 64\n"
+             "embed_dim = 8\nhidden_dim = 8\noutput_dim = 8\n")
+    write("cfg", train)
+    write("cfg2", train.replace("0.01", "0.02"))
+    write("hard", train + "hard_negatives_per_batch = 2\n")
+    for name, seeds in (("listing", (1, 2, 3)), ("listing2", (1, 2))):
+        write(name, json.dumps({"candidates": [{"path": files[f"m{i}"], "score": i / 10}
+                                               for i in seeds]}))
+    for name, seed in (("pipeline", 5), ("pipeline2", 6)):
+        (root / name).mkdir()
+        files[name] = _mini_pipeline_cfg(w, root / name, seed=seed, **_FAST, vocab_buckets=64,
+                                         embed_dim=8, hidden_dim=8, output_dim=8, pca_dim=2)
+    return files
+
+
+def _with_option(argv: list[str], option: str, values: list[str]) -> list[str]:
+    """``argv`` with the values of ``option`` replaced by ``values``, or
+    with the option added if ``argv`` does not have it."""
+    if option not in argv:
+        return argv + [option, *values]
+    start = argv.index(option) + 1
+    end = next((i for i in range(start, len(argv)) if argv[i].startswith("--")), len(argv))
+    return argv[:start] + values + argv[end:]
+
+
+@pytest.mark.parametrize("row", sorted(_OPTION_ROWS))
+def test_each_option_changes_the_output_or_exits_64(option_world, tmp_path, capsys, row):
+    # train contrastive --templates and, without hard negatives, --ontology
+    # were loaded but left the checkpoint as it was; soup --metric and
+    # --ontology without --val scored nothing and left the soup as it was
+    template, changed, refused = _OPTION_ROWS[row]
+    argv = [word.format(**option_world) for word in template.split()]
+    out_option = "--out-dir" if argv[0] == "pipeline" else "--out"
+
+    def outputs(argv, name):
+        """The exit code and the bytes of each file the command wrote, its
+        manifest aside."""
+        run_dir = tmp_path / name
+        code = run(argv + [out_option, str(run_dir / "out")])
+        return code, {str(f.relative_to(run_dir)): f.read_bytes() for f in run_dir.rglob("*")
+                      if f.is_file() and not f.name.endswith(".manifest.json")}
+
+    code, default = outputs(argv, "default")
+    assert code == 0 and default, row
+    capsys.readouterr()
+    for i, (option, value) in enumerate([*changed.items(), *refused.items()]):
+        variant = _with_option(argv, option, [v.format(**option_world) for v in value.split()])
+        assert variant != argv, (row, option)
+        code, written = outputs(variant, f"variant{i}")
+        err = capsys.readouterr().err.splitlines()
+        if option in changed:
+            assert code == 0 and written != default, (row, option)
+        else:
+            assert code == 64 and not (tmp_path / f"variant{i}").exists(), (row, option, code)
+            assert len(err) == 1 and err[0].startswith("usage error: "), (row, option, err)
+
+
 # ---------------------------------------------------------------------------
 # verbalize
 
@@ -297,6 +455,21 @@ def test_train_sts_deterministic_checkpoints(small_world, tmp_path):
     assert outs[0] == outs[1]
     loaded = enc.checkpoint_from_bytes(outs[0])
     assert loaded.phase == "sts_adapted"
+
+
+def test_manifest_digests_the_base_a_run_replaces(small_world, tmp_path):
+    # the inputs were digested after the outputs were written, so a run
+    # writing over its own --base recorded the new checkpoint as its base
+    config = enc.EncoderConfig(vocab_buckets=64, embed_dim=4, hidden_dim=4, output_dim=4)
+    model = tmp_path / "m.ckpt"
+    enc.save_checkpoint(model, enc.Checkpoint(config=config, phase="base",
+                                              params=enc.init_params(config)))
+    base_digest = hashlib.sha256(model.read_bytes()).hexdigest()
+    assert run(["train", "sts", "--base", str(model), "--data",
+                os.path.join(small_world, "sts_train.tsv"), "--out", str(model)]) == 0
+    manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+    assert manifest["inputs"][str(model)] == base_digest
+    assert hashlib.sha256(model.read_bytes()).hexdigest() != base_digest
 
 
 def test_train_divergence_names_regime_epoch_and_step(small_world, tmp_path, capsys,
@@ -418,7 +591,7 @@ def test_every_training_key_a_phase_accepts_changes_its_checkpoint(small_world, 
             small[name] = write_text(tmp_path / f"small_{name}", "".join(fh.readlines()[:16]))
     kg = ["--ontology", f"{w}/ontology.jsonl", "--templates", f"{w}/templates.tsv"]
     phases = {
-        "contrastive": ["--base", base, "--corpus", small["corpus.jsonl"], *kg],
+        "contrastive": ["--base", base, "--corpus", small["corpus.jsonl"]],
         "sts": ["--base", base, "--data", small["sts_train.tsv"]],
         "self-distill": ["--base", base, "--teacher", base, *kg, "--pca-dim", "2"],
         "xlingual": ["--teacher", base, "--pairs", small["parallel.tsv"]],
@@ -428,7 +601,10 @@ def test_every_training_key_a_phase_accepts_changes_its_checkpoint(small_world, 
         lines = {"learning_rate": "0.01", "batch_size": "4", **changed}
         cfg = write_text(tmp_path / "c.cfg", "".join(f"{k} = {v}\n" for k, v in lines.items()))
         out = tmp_path / "out.ckpt"
-        assert run(["train", phase, *phases[phase], "--config", cfg, "--out", str(out)]) == 0
+        # contrastive training reads the ontology only to draw hard negatives
+        hard = kg[:2] if "hard_negatives_per_batch" in changed else []
+        assert run(["train", phase, *phases[phase], *hard, "--config", cfg,
+                    "--out", str(out)]) == 0
         return out.read_bytes()
 
     for phase in phases:
@@ -439,6 +615,7 @@ def test_every_training_key_a_phase_accepts_changes_its_checkpoint(small_world, 
 
 
 _CONTRASTIVE = ["train", "contrastive", "--corpus", "NOPE"]
+_SOUP_NEEDS_VAL = "--models, --metric, --ontology and --strategy greedy require --val"
 
 
 @pytest.mark.parametrize("argv, lines, expected", [
@@ -456,19 +633,35 @@ _CONTRASTIVE = ["train", "contrastive", "--corpus", "NOPE"]
      "CFG: embed_dim: 8 differs from 4 in the base checkpoint BASE"),
     (_CONTRASTIVE, {"batch_size": 1},
      "CFG: batch_size: must be >= 2 for the in-batch objective"),
-    (["pipeline"], {"adapt_hard_negatives_per_batch": 4},
+    ([*_CONTRASTIVE, "--templates", "NOPE"], None, "unrecognized arguments: --templates NOPE"),
+    ([*_CONTRASTIVE, "--ontology", "NOPE"], None,
+     "--ontology goes only with hard_negatives_per_batch > 0"),
+    (_CONTRASTIVE, {"hard_negatives_per_batch": 2},
+     "--ontology is required when hard negatives are enabled"),
+    (["pipeline", "--out-dir", "RUN"], {"adapt_hard_negatives_per_batch": 4},
      "CFG: unknown key(s): adapt_hard_negatives_per_batch"),
-    (["pipeline"], {"readapt_info_nce_scale": 0.5}, "CFG: unknown key(s): readapt_info_nce_scale"),
+    (["pipeline", "--out-dir", "RUN"], {"readapt_info_nce_scale": 0.5},
+     "CFG: unknown key(s): readapt_info_nce_scale"),
+    (["pipeline"], {"seed": 5}, "the following arguments are required: --out-dir"),
+    (["pipeline", "--out-dir", "RUN"], {"out_dir": "NOPE"}, "CFG: unknown key(s): out_dir"),
     (["soup", "--models", "BASE", "BASE", "--val", "NOPE", "--ontology", "NOPE", "--strategy",
       "uniform"], None, "--ontology goes only with --metric nel-top1"),
+    (["soup", "--manifest", "NOPE", "--strategy", "uniform", "--metric", "spearman"], None,
+     _SOUP_NEEDS_VAL),
+    (["soup", "--manifest", "NOPE", "--strategy", "uniform", "--metric", "nel-top1",
+      "--ontology", "NOPE"], None, _SOUP_NEEDS_VAL),
 ], ids=["sts-scale", "sts-hard-negatives", "self-distill-buckets", "contrastive-buckets",
-        "contrastive-embed-dim", "contrastive-batch-of-one", "pipeline-adapt-hard-negatives",
-        "pipeline-readapt-scale", "soup-ontology"])
+        "contrastive-embed-dim", "contrastive-batch-of-one", "contrastive-templates",
+        "contrastive-ontology-without-hard-negatives", "contrastive-hard-negatives-no-ontology",
+        "pipeline-adapt-hard-negatives", "pipeline-readapt-scale", "pipeline-no-out-dir",
+        "pipeline-out-dir-key", "soup-ontology", "soup-metric-without-val",
+        "soup-nel-top1-without-val"])
 def test_unread_key_or_option_exits_64_in_one_line(small_world, tmp_path, capsys, monkeypatch,
                                                    argv, lines, expected):
     # each of these used to exit 0 with the key or option ignored, or, for
-    # the batch of one, exit 2 after loading the corpus; the missing inputs
-    # (NOPE) show that nothing else is read first
+    # the batch of one, exit 2 after loading the corpus, or, for a soup
+    # --ontology without --val, exit 0 without reading it; the missing
+    # inputs (NOPE) show that nothing else is read first
     _no_training(monkeypatch)
     config = enc.EncoderConfig(vocab_buckets=16, embed_dim=4, hidden_dim=4, output_dim=4)
     base = str(tmp_path / "base.ckpt")
@@ -476,15 +669,16 @@ def test_unread_key_or_option_exits_64_in_one_line(small_world, tmp_path, capsys
                                              params=enc.init_params(config)))
     if argv[0] == "pipeline":
         cfg = _mini_pipeline_cfg(small_world, tmp_path, **lines)
-        out = ["--out-dir", str(tmp_path / "run")]
+        out = []
     else:
         cfg = write_text(tmp_path / "c.cfg",
                          "".join(f"{k} = {v}\n" for k, v in (lines or {}).items()))
         out = ["--out", str(tmp_path / "out")]
     argv = argv + (["--config", cfg] if lines else []) + out
     before = sorted(os.listdir(tmp_path))
-    assert run([{"BASE": base, "NOPE": str(tmp_path / "nope")}.get(a, a) for a in argv]) == 64
-    expected = expected.replace("CFG", cfg).replace("BASE", base)
+    paths = {"BASE": base, "NOPE": str(tmp_path / "nope"), "RUN": str(tmp_path / "run")}
+    assert run([paths.get(a, a) for a in argv]) == 64
+    expected = expected.replace("CFG", cfg).replace("BASE", base).replace("NOPE", paths["NOPE"])
     assert capsys.readouterr().err.splitlines() == [f"usage error: {expected}"]
     assert sorted(os.listdir(tmp_path)) == before
 

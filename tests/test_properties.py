@@ -280,7 +280,7 @@ def test_mutated_pipeline_configs_plan_or_fail_in_one_line(pipeline_base, data):
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "p.cfg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in lines + [f"out_dir = {work}/out"]))
+            fh.write("".join(line + "\n" for line in lines))
         try:
             cli.PipelinePlan(path)
         except config.ConfigError as exc:
