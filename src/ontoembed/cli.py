@@ -91,9 +91,10 @@ def _atomic_output(path: str):
         raise
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+def _atomic_write_bytes(path: str, *pieces) -> None:
+    """Write the bytes-like ``pieces`` in turn to ``path``, atomically."""
     with _atomic_output(path) as fh:
-        fh.write(data)
+        fh.writelines(pieces)
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -126,7 +127,7 @@ def _write_manifest(primary_output: str, command: str, config: dict,
 
 
 def _save_checkpoint(path: str, ckpt: enc.Checkpoint) -> None:
-    _atomic_write_bytes(path, enc.checkpoint_to_bytes(ckpt))
+    _atomic_write_bytes(path, *enc.checkpoint_pieces(ckpt))
 
 
 # The loader and the evaluation of each benchmark that yields one report.

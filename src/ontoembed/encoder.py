@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
@@ -147,7 +148,7 @@ class Params:
         self._views: dict[str, np.ndarray] = {}
         pos = 0
         for name, shape in zip(_TENSOR_NAMES, shapes):
-            n = int(np.prod(shape))
+            n = math.prod(shape)
             self._views[name] = flat[pos:pos + n].reshape(shape)
             pos += n
         if pos != flat.size:
@@ -255,15 +256,18 @@ def init_params(config: EncoderConfig) -> Params:
     s = config.init_scale
     v, e, h, o = config.vocab_buckets, config.embed_dim, config.hidden_dim, config.output_dim
     try:
-        # token_table and w1 are adjacent in the flat layout: one draw fills both
-        return unflatten(config, np.concatenate([
-            rng.uniform(-s, s, size=v * e + e * h), np.zeros(h),
-            rng.uniform(-s, s, size=h * o), np.zeros(o),
-        ]))
+        flat = np.zeros(config.base_param_count())
     except MemoryError:
         raise ValueError(f"cannot allocate the {config.base_param_count()} parameters of "
                          f"vocab_buckets {v}, embed_dim {e}, hidden_dim {h}, "
                          f"output_dim {o}") from None
+    # token_table and w1 are adjacent in the flat layout: one draw fills both.
+    # numpy's uniform(-s, s) is -s + (s - -s) * random(), here made in place
+    for weights in (flat[:v * e + e * h], flat[v * e + e * h + h:-o]):
+        rng.random(out=weights)
+        weights *= s - -s
+        weights += -s
+    return unflatten(config, flat)
 
 
 def attach_head(params: Params, config: EncoderConfig, target_dim: int, seed: int) -> Params:
@@ -441,9 +445,13 @@ class Checkpoint:
             self.history = (self.phase,)
 
 
-def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
+def checkpoint_pieces(ckpt: Checkpoint) -> tuple[bytes, memoryview]:
+    """The bytes of ``ckpt``'s file in two pieces, to be written or hashed in
+    turn: the magic and the header line, then the parameter block, a
+    little-endian view of ``ckpt.params.flat`` rather than a copy of it."""
     flat = flatten(ckpt.params)
-    if not np.isfinite(flat).all():
+    # min and max carry any NaN, so this builds no full-size mask
+    if not np.isfinite([flat.min(), flat.max()]).all():
         raise CheckpointFormatError("refusing to serialize non-finite parameters")
     header = {
         "version": CHECKPOINT_VERSION,
@@ -453,12 +461,12 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
         "param_count": int(flat.size),
         "head_dim": ckpt.params.head_dim,
     }
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-    buf.write(b"\n")
-    buf.write(flat.astype("<f8", copy=False).tobytes())
-    return buf.getvalue()
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return CHECKPOINT_MAGIC + line + b"\n", memoryview(flat.astype("<f8", copy=False))
+
+
+def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
+    return b"".join(checkpoint_pieces(ckpt))
 
 
 def _config_from_header(header) -> EncoderConfig:
@@ -501,51 +509,54 @@ def _config_from_header(header) -> EncoderConfig:
     return config
 
 
-def checkpoint_from_bytes(data: bytes) -> Checkpoint:
-    if len(data) < len(CHECKPOINT_MAGIC) or data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+def read_checkpoint(fh) -> Checkpoint:
+    """The checkpoint in the seekable binary handle ``fh``, from its position
+    to its end; the checked block is read in place into one new array."""
+    if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointFormatError("bad magic: not an encoder checkpoint")
-    nl = data.find(b"\n", len(CHECKPOINT_MAGIC))
-    if nl < 0:
+    line = fh.readline()
+    if not line.endswith(b"\n"):
         raise CheckpointTruncatedError("truncated checkpoint: header not terminated")
     try:
-        header = json.loads(data[len(CHECKPOINT_MAGIC):nl].decode("utf-8"))
+        header = json.loads(line[:-1].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointFormatError(f"unreadable checkpoint header: {exc}") from exc
     config = _config_from_header(header)
-    count = header["param_count"]
-    block = data[nl + 1:]
-    if len(block) < 8 * count:
-        raise CheckpointTruncatedError(
-            f"truncated parameter block: expected {8 * count} bytes, got {len(block)}"
-        )
-    if len(block) > 8 * count:
+    count, start = header["param_count"], fh.tell()
+    size = fh.seek(0, io.SEEK_END) - start
+    if size < 8 * count:
+        raise CheckpointTruncatedError(f"truncated parameter block: expected {8 * count} "
+                                       f"bytes, got {size}")
+    if size > 8 * count:
         raise CheckpointFormatError("trailing bytes after parameter block")
-    flat = np.frombuffer(block, dtype="<f8").astype(float)
-    if not np.isfinite(flat).all():
+    fh.seek(start)
+    flat = np.empty(count, dtype="<f8")
+    if fh.readinto(flat) != flat.nbytes:
+        raise CheckpointTruncatedError("truncated parameter block: the file shrank while read")
+    if not np.isfinite([flat.min(), flat.max()]).all():
         raise CheckpointFormatError("checkpoint holds non-finite parameters")
-    return Checkpoint(
-        config=config,
-        phase=header["phase"],
-        params=unflatten(config, flat),
-        history=tuple(header.get("history", ())),
-    )
+    return Checkpoint(config, header["phase"], unflatten(config, flat),
+                      tuple(header.get("history", ())))
+
+
+def checkpoint_from_bytes(data: bytes) -> Checkpoint:
+    return read_checkpoint(io.BytesIO(data))
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    data = checkpoint_to_bytes(ckpt)
+    pieces = checkpoint_pieces(ckpt)
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.writelines(pieces)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """``checkpoint_from_bytes`` of the file at ``path``; a CheckpointError
-    is raised again as the same class, its message prefixed by the path."""
+    """``read_checkpoint`` of the file at ``path``; a CheckpointError is
+    raised again as the same class, its message prefixed by the path."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return checkpoint_from_bytes(data)
-    except CheckpointError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        try:
+            return read_checkpoint(fh)
+        except CheckpointError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
 
 def derive(ckpt: Checkpoint, params: Params, phase: str) -> Checkpoint:

@@ -195,7 +195,11 @@ class EvalReport:
 
 
 def model_digest(ckpt: enc.Checkpoint) -> str:
-    return hashlib.sha256(enc.checkpoint_to_bytes(ckpt)).hexdigest()
+    """The SHA-256 of ``ckpt``'s checkpoint file, hashed without building it."""
+    h = hashlib.sha256()
+    for piece in enc.checkpoint_pieces(ckpt):
+        h.update(piece)
+    return h.hexdigest()
 
 
 def data_digest(rows) -> str:
@@ -214,9 +218,7 @@ def _cosine_rows(model: enc.Checkpoint, pairs) -> np.ndarray:
     left = enc.encode_batch(model.params, model.config, [a for a, _ in pairs])
     right = enc.encode_batch(model.params, model.config, [b for _, b in pairs])
     cos = np.sum(left * right, axis=1)
-    for i, (a, b) in enumerate(pairs):
-        if a == b:
-            cos[i] = 1.0
+    cos[np.array([a == b for a, b in pairs], dtype=bool)] = 1.0
     return cos
 
 
@@ -268,12 +270,8 @@ def build_nel_index(model: enc.Checkpoint, kg: onto.KnowledgeGraph) -> NelIndex:
     by several concepts all stay in the index."""
     if len(kg) == 0:
         raise EvalError("empty knowledge graph")
-    concept_ids: list[str] = []
-    names: list[str] = []
-    for cid in kg.concept_ids:
-        for name in kg.get(cid).names:
-            concept_ids.append(cid)
-            names.append(name)
+    concept_ids = [c.id for c in kg.concepts() for _ in c.names]
+    names = [name for c in kg.concepts() for name in c.names]
     embeddings = enc.encode_batch(model.params, model.config, names)
     return NelIndex(embeddings=embeddings, concept_ids=concept_ids, names=names)
 

@@ -418,13 +418,8 @@ def merge_glossary(kg: KnowledgeGraph, path) -> tuple[KnowledgeGraph, GlossaryMe
     added = sum(len(v) for v in extra.values())
     if skipped:
         log.info("glossary %s: skipped %d entries with unknown ids", path, skipped)
-    merged = {
-        cid: (
-            replace(c, definitions=c.definitions + tuple(extra[cid]))
-            if cid in extra else c
-        )
-        for cid, c in ((cid, kg.get(cid)) for cid in kg.concept_ids)
-    }
+    merged = {c.id: replace(c, definitions=c.definitions + tuple(extra[c.id]))
+              if c.id in extra else c for c in kg.concepts()}
     return KnowledgeGraph(merged, kg.templates), GlossaryMergeStats(added, skipped)
 
 
@@ -433,14 +428,10 @@ def _templated_candidates(kg: KnowledgeGraph, concept: Concept) -> list[Descript
     then is-a parents through the reserved is_a template."""
     templates = kg.templates
     edges = list(concept.relations) + [(IS_A, p) for p in concept.parents]
-    out = []
-    for rtype, target in edges:
-        tmpl = templates.get(rtype)
-        if tmpl is None:
-            continue
-        text = tmpl.render(concept.canonical_name, kg.get(target).canonical_name)
-        out.append(Description(concept.id, text, KIND_TEMPLATED))
-    return out
+    name = concept.canonical_name
+    return [Description(concept.id, templates[rtype].render(name, kg.get(target).canonical_name),
+                        KIND_TEMPLATED)
+            for rtype, target in edges if rtype in templates]
 
 
 def verbalize_relations(

@@ -507,12 +507,10 @@ def _draw_hard_negatives(
     in_batch = set(batch_concepts)
     chosen: list[str] = []
     for offset, cid in enumerate(batch_concepts):
-        ids = onto.sample_hard_negatives(kg, cid, 1, seed + offset)
-        for hn in ids:
-            if hn in in_batch or hn in chosen:
-                continue
-            chosen.append(hn)
-            break
+        # each query draws at most one id
+        for hn in onto.sample_hard_negatives(kg, cid, 1, seed + offset):
+            if hn not in in_batch and hn not in chosen:
+                chosen.append(hn)
         if len(chosen) >= count:
             break
     return chosen

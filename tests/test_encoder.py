@@ -1,10 +1,15 @@
+import hashlib
 import inspect
+import io
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from ontoembed import cli
 from ontoembed import encoder as enc
+from ontoembed import evalsuite as ev
 from ontoembed.cli import EMBED_CHUNK
 
 from oracles import backward_reference, fd_gradient, rel_error
@@ -64,6 +69,18 @@ def test_init_scale_zero_gives_zero_weights():
                             output_dim=3, init_scale=0.0)
     params = enc.init_params(cfg)
     assert all(np.all(arr == 0.0) for _, arr in params.tensor_items())
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.0, 3.0])
+def test_init_draws_the_bits_of_two_uniform_draws(tiny_config, scale):
+    # the weights are drawn in place, and must be the bits numpy's
+    # uniform(-s, s) gives over the same seeded stream
+    cfg = enc.EncoderConfig(**{**tiny_config.to_dict(), "init_scale": scale})
+    v, e, h, o = cfg.vocab_buckets, cfg.embed_dim, cfg.hidden_dim, cfg.output_dim
+    rng = np.random.default_rng(cfg.init_seed)
+    expected = np.concatenate([rng.uniform(-scale, scale, size=v * e + e * h), np.zeros(h),
+                               rng.uniform(-scale, scale, size=h * o), np.zeros(o)])
+    assert enc.init_params(cfg).flat.tobytes() == expected.tobytes()
 
 
 def test_init_biases_zero_and_weights_bounded(tiny_config):
@@ -369,6 +386,78 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_bytes_are_deterministic(tiny_config):
     assert enc.checkpoint_to_bytes(_ckpt(tiny_config)) == enc.checkpoint_to_bytes(_ckpt(tiny_config))
+
+
+@pytest.mark.parametrize("head", [None, 4], ids=["no-head", "head"])
+def test_every_checkpoint_writer_gives_the_same_bytes(tiny_config, tmp_path, head):
+    params = enc.init_params(tiny_config)
+    if head is not None:
+        params = enc.attach_head(params, tiny_config, head, seed=5)
+    ckpt = enc.Checkpoint(config=tiny_config, phase="base", params=params)
+    enc.save_checkpoint(tmp_path / "save.ckpt", ckpt)
+    cli._save_checkpoint(str(tmp_path / "cli.ckpt"), ckpt)
+    data = (tmp_path / "save.ckpt").read_bytes()
+    assert (tmp_path / "cli.ckpt").read_bytes() == data
+    assert enc.checkpoint_to_bytes(ckpt) == data
+    assert ev.model_digest(ckpt) == hashlib.sha256(data).hexdigest()
+    header, block = enc.checkpoint_pieces(ckpt)
+    assert np.shares_memory(np.asarray(block), params.flat)
+    assert header + bytes(block) == data
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_parameters_are_refused_on_write_and_read(tiny_config, value):
+    # under the commands' numeric policy too, where a stray invalid raises
+    ckpt = _ckpt(tiny_config)
+    data = enc.checkpoint_to_bytes(ckpt)
+    ckpt.params.flat[-1] = value
+    bad = data[:-8] + np.array([value], dtype="<f8").tobytes()
+    with np.errstate(all="raise"):
+        with pytest.raises(enc.CheckpointFormatError, match="^refusing to serialize non-finite"):
+            enc.checkpoint_to_bytes(ckpt)
+        with pytest.raises(enc.CheckpointFormatError, match="^checkpoint holds non-finite"):
+            enc.checkpoint_from_bytes(bad)
+
+
+def test_a_short_read_of_the_parameter_block_is_truncation(tiny_config):
+    # the block's length is checked before it is read; a file that shrinks
+    # in between must not leave unread values in the parameters
+    class Shrinking(io.BytesIO):
+        def readinto(self, buffer):
+            return super().readinto(memoryview(buffer).cast("B")[:-1])
+
+    with pytest.raises(enc.CheckpointTruncatedError, match="shrank while read"):
+        enc.read_checkpoint(Shrinking(enc.checkpoint_to_bytes(_ckpt(tiny_config))))
+
+
+def _peak_per_param_byte(call, config):
+    """The peak traced allocation of ``call()``, over the byte size of the
+    parameters of ``config``."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * config.base_param_count())
+
+
+def test_checkpoint_io_and_init_make_no_full_size_copies(tmp_path):
+    # at the student size the token table is 12 MB: init and load hold one
+    # parameter vector, save and digest no copy of it at all
+    config = enc.EncoderConfig(vocab_buckets=32768, embed_dim=48)
+    path = tmp_path / "m.ckpt"
+    params = enc.init_params(config)
+    ckpt = enc.Checkpoint(config=config, phase="base", params=params)
+    peaks = {
+        "init_params": _peak_per_param_byte(lambda: enc.init_params(config), config),
+        "save_checkpoint": _peak_per_param_byte(lambda: enc.save_checkpoint(path, ckpt), config),
+        "load_checkpoint": _peak_per_param_byte(lambda: enc.load_checkpoint(path), config),
+        "model_digest": _peak_per_param_byte(lambda: ev.model_digest(ckpt), config),
+    }
+    bounds = {"init_params": 1.1, "save_checkpoint": 0.25, "load_checkpoint": 1.1,
+              "model_digest": 0.25}
+    assert {k: v for k, v in peaks.items() if v > bounds[k]} == {}
 
 
 def test_checkpoint_refuses_nonfinite_params(tiny_config):

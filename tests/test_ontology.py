@@ -268,6 +268,19 @@ def test_corpus_serialization_is_deterministic(three_node_tree, four_relation_kg
     assert c42 != c44
 
 
+def test_corpus_seed_samples_only_where_a_concept_has_more_than_k(fixtures_dir):
+    # no concept of the bundled world has more than 2 templated descriptions,
+    # so at K = 2 the seed picks nothing and every seed gives one corpus
+    kg = onto.load_ontology(os.path.join(fixtures_dir, "ontology.jsonl"))
+    kg = kg.with_templates(onto.load_templates(os.path.join(fixtures_dir, "templates.tsv")))
+    kg, _ = onto.merge_glossary(kg, os.path.join(fixtures_dir, "glossary.jsonl"))
+    assert max(len(onto.verbalize_relations(kg, cid, 3, 0)) for cid in kg.concept_ids) == 2
+    at_two = onto.build_corpus(kg, 2, 7)
+    assert len(at_two) == 1494 and onto.build_corpus(kg, 2, 8) == at_two
+    at_one = onto.build_corpus(kg, 1, 7)
+    assert len(at_one) == 1110 and onto.build_corpus(kg, 1, 8) != at_one
+
+
 def test_corpus_roundtrip_through_file(three_node_tree, tmp_path):
     pairs = onto.build_corpus(three_node_tree, 1, 3)
     path = tmp_path / "corpus.jsonl"

@@ -89,33 +89,80 @@ def corrupted(draw, data: bytes):
     return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
 
 
+def assert_file_reads_as_bytes(data: bytes, path: str):
+    """``load_checkpoint`` of ``path``, a file holding ``data``, gives what
+    ``checkpoint_from_bytes(data)`` gives: the same checkpoint, or an error
+    of the same class whose message is the path, ": " and the same message.
+    Returns that error, or None."""
+    try:
+        want = enc.checkpoint_from_bytes(data)
+    except enc.CheckpointError as exc:
+        with pytest.raises(enc.CheckpointError) as info:
+            enc.load_checkpoint(path)
+        assert type(info.value) is type(exc) and str(info.value) == f"{path}: {exc}"
+        return exc
+    got = enc.load_checkpoint(path)
+    assert enc.params_equal(got.params, want.params)
+    assert (got.config, got.phase, got.history) == (want.config, want.phase, want.history)
+    return None
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(models(), st.data())
 def test_corrupted_checkpoint_loads_or_fails_in_one_line(model, data):
     config, params = model
     bad = data.draw(corrupted(enc.checkpoint_to_bytes(
         enc.Checkpoint(config=config, phase="base", params=params))))
+    texts = ["fever", "", "peptic ulcer"]
     try:
-        enc.checkpoint_from_bytes(bad)
-        loads = True
+        loaded = enc.checkpoint_from_bytes(bad)
+        # a flipped exponent byte can load as a finite weight so large that
+        # an output overflows; embed then fails in one line as well
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            enc.encode_batch(loaded.params, loaded.config, texts)
+        loads, embeds = True, True
     except enc.CheckpointError:
-        loads = False
+        loads, embeds = False, False
+    except (ValueError, FloatingPointError):
+        loads, embeds = True, False
     with tempfile.TemporaryDirectory() as work:
-        model_path, texts, out = (os.path.join(work, name)
-                                  for name in ("m.ckpt", "texts.txt", "e.tsv"))
+        model_path, texts_path, out = (os.path.join(work, name)
+                                       for name in ("m.ckpt", "texts.txt", "e.tsv"))
         with open(model_path, "wb") as fh:
             fh.write(bad)
-        with open(texts, "w", encoding="utf-8") as fh:
-            fh.write("fever\n\npeptic ulcer\n")
+        assert (assert_file_reads_as_bytes(bad, model_path) is None) == loads
+        with open(texts_path, "w", encoding="utf-8") as fh:
+            fh.write("".join(text + "\n" for text in texts))
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = cli.main(["embed", "--model", model_path, "--in", texts, "--out", out])
+            code = cli.main(["embed", "--model", model_path, "--in", texts_path, "--out", out])
         err = stderr.getvalue().splitlines()
-        if loads:
+        if embeds:
             assert code == 0 and err == [] and os.path.exists(out)
         else:
             assert code == 2 and len(err) == 1 and err[0].startswith("error: "), err
             assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("cut, error, message", [
+    (lambda data: b"", enc.CheckpointFormatError, "bad magic: not an encoder checkpoint"),
+    (lambda data: data[:data.index(b"\n")], enc.CheckpointTruncatedError,
+     "truncated checkpoint: header not terminated"),
+    (lambda data: data[:-1], enc.CheckpointTruncatedError,
+     "truncated parameter block: expected {n} bytes, got {short}"),
+    (lambda data: data + b"\0", enc.CheckpointFormatError,
+     "trailing bytes after parameter block"),
+], ids=["empty", "header-without-newline", "block-one-byte-short", "one-trailing-byte"])
+def test_damaged_checkpoint_file_fails_as_its_bytes(tmp_path, cut, error, message):
+    config = enc.EncoderConfig(vocab_buckets=8, embed_dim=3, hidden_dim=4, output_dim=2)
+    data = enc.checkpoint_to_bytes(enc.Checkpoint(config=config, phase="base",
+                                                  params=enc.init_params(config)))
+    path = str(tmp_path / "m.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(cut(data))
+    exc = assert_file_reads_as_bytes(cut(data), path)
+    n = 8 * config.base_param_count()
+    assert type(exc) is error and str(exc) == message.format(n=n, short=n - 1)
 
 
 @PROPERTY_SETTINGS
