@@ -199,12 +199,18 @@ def _fnv1a64(data: bytes, seed: int) -> int:
     return h
 
 
+# Tokens repeat across texts, and texts across the phases of a run, so both
+# are cached: each distinct token (and text) is hashed once per process, up
+# to 65,536 of each.
+@lru_cache(maxsize=1 << 16)
+def _bucket(vocab_buckets: int, hash_seed: int, token: str) -> int:
+    return _fnv1a64(token.encode("utf-8"), hash_seed) % vocab_buckets
+
+
 @lru_cache(maxsize=1 << 16)
 def _token_ids(vocab_buckets: int, hash_seed: int, text: str) -> tuple[int, ...]:
     tokens = _TOKEN_RE.findall(text.lower())
-    return tuple(
-        _fnv1a64(tok.encode("utf-8"), hash_seed) % vocab_buckets for tok in tokens
-    )
+    return tuple(_bucket(vocab_buckets, hash_seed, tok) for tok in tokens)
 
 
 def tokenize(config: EncoderConfig, text: str) -> list[int]:

@@ -276,12 +276,36 @@ def build_nel_index(model: enc.Checkpoint, kg: onto.KnowledgeGraph) -> NelIndex:
     return NelIndex(embeddings=embeddings, concept_ids=concept_ids, names=names)
 
 
-def _rank_concepts(index: NelIndex, mention_emb: np.ndarray) -> list[str]:
-    """Concept ids by descending max cosine over their names, ties to the
-    smaller id."""
-    scores = index.embeddings @ mention_emb
-    best = np.maximum.reduceat(scores[index.order], index.starts)
-    return index.concepts[np.argsort(-best, kind="stable")].tolist()
+# Mentions scored at a time by ``eval_nel``: its score block holds this many
+# rows of one score per index name.
+NEL_BLOCK = 128
+
+
+def _score_blocks(index: NelIndex, mentions: np.ndarray):
+    """Yield ``(first, scores)`` over blocks of at most NEL_BLOCK mentions:
+    ``scores[r]`` is ``(index.embeddings @ mentions[first + r])[index.order]``,
+    bit for bit. Each row is its own matrix-vector product, because neither
+    one product over the block nor one over the index's rows taken in
+    ``order`` rounds the same. ``scores`` is overwritten by the next block."""
+    block = np.empty((min(len(mentions), NEL_BLOCK), len(index.embeddings)))
+    grouped = np.empty_like(block)
+    for first in range(0, len(mentions), NEL_BLOCK):
+        rows = mentions[first:first + NEL_BLOCK]
+        for r, mention in enumerate(rows):
+            np.matmul(index.embeddings, mention, out=block[r])
+        # order holds valid indices only; with out=, the default mode buffers a copy
+        yield first, np.take(block[:len(rows)], index.order, axis=1, out=grouped[:len(rows)],
+                             mode="clip")
+
+
+def _gold_ranks(best: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    """Row i's place (from 0) of column ``gold[i]`` when the columns of
+    ``best[i]`` are ranked by descending score, ties to the smaller column:
+    the columns scoring higher, plus the columns to its left scoring the
+    same. -0.0 ties +0.0."""
+    own = best[np.arange(len(best)), gold][:, None]
+    left = np.arange(best.shape[1]) < gold[:, None]
+    return np.count_nonzero(best > own, axis=1) + np.count_nonzero((best == own) & left, axis=1)
 
 
 def eval_nel(
@@ -294,6 +318,8 @@ def eval_nel(
 
     Concepts are ranked by max cosine over their synonyms; ties
     break toward the smaller concept id, so results are deterministic.
+    A mention hits at k when fewer than k concepts rank above its gold
+    concept.
     """
     for _, gold in dataset.rows:
         if gold not in kg:
@@ -303,15 +329,14 @@ def eval_nel(
         raise ValueError("k values must be >= 1")
     index = build_nel_index(model, kg)
     mentions = enc.encode_batch(model.params, model.config, [m for m, _ in dataset.rows])
-    hits = {k: 0 for k in k_list}
-    max_k = k_list[-1]
-    for i, (_, gold) in enumerate(dataset.rows):
-        ranking = _rank_concepts(index, mentions[i])[:max_k]
-        for k in k_list:
-            if gold in ranking[:k]:
-                hits[k] += 1
+    gold = np.searchsorted(index.concepts, [g for _, g in dataset.rows])
+    ranks = np.concatenate([
+        _gold_ranks(np.maximum.reduceat(scores, index.starts, axis=1),
+                    gold[first:first + len(scores)])
+        for first, scores in _score_blocks(index, mentions)])
     n = len(dataset.rows)
-    return [EvalReport("nel", f"top{k}_accuracy", hits[k] / n, n) for k in k_list]
+    return [EvalReport("nel", f"top{k}_accuracy", int(np.count_nonzero(ranks < k)) / n, n)
+            for k in k_list]
 
 
 def eval_nli_triplets(model: enc.Checkpoint, dataset: NliTripleDataset) -> EvalReport:

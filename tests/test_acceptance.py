@@ -185,14 +185,15 @@ def test_criterion_4_metric_oracles():
         names = [(cid, v / np.linalg.norm(v)) for cid, v in names]
         mention = rng.normal(size=6)
         mention /= np.linalg.norm(mention)
-        k = int(rng.integers(1, n_concepts + 1))
-        expected = brute_topk_concepts(names, mention, k)
-        # package-side ranking through a synthetic index
+        expected = brute_topk_concepts(names, mention, n_concepts)
+        # package-side count-rank of every concept through a synthetic index
         index = ev.NelIndex(embeddings=np.array([v for _, v in names]),
                             concept_ids=[c for c, _ in names],
                             names=[f"n{i}" for i in range(len(names))])
-        got = ev._rank_concepts(index, mention)[:k]
-        assert got == expected
+        [(_, scores)] = ev._score_blocks(index, mention[None, :])
+        best = np.maximum.reduceat(scores, index.starts, axis=1)
+        got = [int(ev._gold_ranks(best, np.array([j]))[0]) for j in range(n_concepts)]
+        assert got == [expected.index(cid) for cid in index.concepts]
 
     for _ in range(200):
         rows = [tuple(rng.normal(size=5) for _ in range(3)) for _ in range(6)]

@@ -44,6 +44,15 @@ def test_tokenize_fixed_hash_values():
     assert enc.tokenize(cfg17, "fever") == [31006]
 
 
+def test_tokenizer_caches_stay_bounded():
+    for cache in (enc._bucket, enc._token_ids):
+        assert cache.cache_info().maxsize == 1 << 16
+    for i in range((1 << 16) + 100):
+        enc._bucket(64, 3, f"t{i}")
+    assert enc._bucket.cache_info().currsize == 1 << 16
+    assert enc._bucket(64, 3, "t0") == enc._fnv1a64(b"t0", 3) % 64
+
+
 def test_tokenize_hash_seed_changes_buckets(tiny_config):
     other = enc.EncoderConfig(**{**tiny_config.to_dict(), "hash_seed": 99})
     texts = ["alpha beta gamma delta epsilon zeta"]

@@ -9,6 +9,7 @@ from ontoembed import cli
 from ontoembed import encoder as enc
 from ontoembed import evalsuite as ev
 from ontoembed import ontology as onto
+from ontoembed import trainer
 
 from conftest import write_jsonl, write_text
 from oracles import brute_nli_accuracy, brute_topk_concepts, rank_concepts_reference
@@ -271,8 +272,9 @@ def test_nel_unresolvable_gold_id(nel_kg):
 
 
 class _FixedScores:
-    """Stands in for an index's embedding matrix: ``@`` returns set scores,
-    so a test can choose them exactly, signed zeros included."""
+    """Stands in for an index's embedding matrix in ``rank_concepts_reference``:
+    ``@`` returns set scores, so a test can choose them exactly, signed zeros
+    included."""
 
     def __init__(self, scores):
         self.scores = np.asarray(scores, dtype=float)
@@ -285,26 +287,54 @@ class _FixedScores:
 _SCATTERED_IDS = ["c07", "c02", "c07", "c13", "c02", "c40", "c13", "c40", "c02", "c100"]
 
 
-def test_rank_concepts_matches_dict_loop_on_exact_and_signed_zero_ties():
+def _count_places(best):
+    """places[i, j]: ``_gold_ranks`` of column j in row i of ``best``."""
+    return np.stack([ev._gold_ranks(best, np.full(len(best), j)) for j in range(best.shape[1])],
+                    axis=1)
+
+
+def _index_places(index, mentions):
+    """places[i, j]: the count-rank of ``index.concepts[j]`` for mention i, over
+    the blocks ``eval_nel`` scores."""
+    return np.concatenate([_count_places(np.maximum.reduceat(scores, index.starts, axis=1))
+                           for _, scores in ev._score_blocks(index, mentions)])
+
+
+def _reference_places(index, mention):
+    ranking = rank_concepts_reference(index, mention)
+    return [ranking.index(cid) for cid in index.concepts]
+
+
+def test_gold_ranks_match_dict_loop_on_exact_and_signed_zero_ties():
     rng = np.random.default_rng(21)
-    for _ in range(300):
-        scores = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=len(_SCATTERED_IDS))
+    names = [f"n{i}" for i in range(len(_SCATTERED_IDS))]
+    rows = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(300, len(_SCATTERED_IDS)))
+    shape = ev.NelIndex(embeddings=np.zeros((len(names), 1)), concept_ids=_SCATTERED_IDS,
+                        names=names)
+    # best-score rows, one per score row, go to the counting step directly
+    places = _count_places(np.maximum.reduceat(rows[:, shape.order], shape.starts, axis=1))
+    for scores, got in zip(rows, places):
         index = ev.NelIndex(embeddings=_FixedScores(scores), concept_ids=_SCATTERED_IDS,
-                            names=[f"n{i}" for i in range(len(_SCATTERED_IDS))])
-        assert ev._rank_concepts(index, None) == rank_concepts_reference(index, None)
+                            names=names)
+        assert got.tolist() == _reference_places(index, None)
+    # columns w, x, y, z: signed zeros tie, so the smaller column ranks first
+    best = np.array([[-0.0, 0.0, 0.0, -0.0], [0.0, -0.0, -0.0, 0.0]])
+    assert _count_places(best).tolist() == [[0, 1, 2, 3], [0, 1, 2, 3]]
     ties = ev.NelIndex(embeddings=_FixedScores([-0.0, 0.0, 0.0, -0.0]),
                        concept_ids=["z", "y", "x", "w"], names=["a", "b", "c", "d"])
-    assert ev._rank_concepts(ties, None) == ["w", "x", "y", "z"]
+    assert _reference_places(ties, None) == [0, 1, 2, 3]
 
 
-def test_rank_concepts_matches_dict_loop_on_real_scores():
+def test_gold_ranks_match_dict_loop_on_real_scores():
     rng = np.random.default_rng(22)
     # grid vectors give exact dot products, so ties survive any summation order
     grid = rng.choice([-1.0, 0.0, 1.0], size=(len(_SCATTERED_IDS), 4))
     index = ev.NelIndex(embeddings=grid, concept_ids=_SCATTERED_IDS,
                         names=[f"n{i}" for i in range(len(_SCATTERED_IDS))])
-    for mention in rng.choice([-1.0, 0.0, 1.0], size=(200, 4)):
-        assert ev._rank_concepts(index, mention) == rank_concepts_reference(index, mention)
+    # 200 mentions span a full block and a partial one
+    mentions = rng.choice([-1.0, 0.0, 1.0], size=(200, 4))
+    for mention, got in zip(mentions, _index_places(index, mentions)):
+        assert got.tolist() == _reference_places(index, mention)
     # one surface string shared by several concepts ties them exactly
     model = _model()
     names = ["shared name", "alpha", "shared name", "beta gamma", "shared name", "delta"]
@@ -312,9 +342,64 @@ def test_rank_concepts_matches_dict_loop_on_real_scores():
                         concept_ids=["k9", "k1", "k1", "k5", "k30", "k5"], names=names)
     mentions = enc.encode_batch(model.params, model.config,
                                 ["shared name", "alpha", "beta", "name", ""])
-    for mention in mentions:
-        assert ev._rank_concepts(index, mention) == rank_concepts_reference(index, mention)
-    assert ev._rank_concepts(index, mentions[0])[:3] == ["k1", "k30", "k9"]
+    places = _index_places(index, mentions)
+    for mention, got in zip(mentions, places):
+        assert got.tolist() == _reference_places(index, mention)
+    place = dict(zip(index.concepts, places[0]))
+    assert [place["k1"], place["k30"], place["k9"]] == [0, 1, 2]
+
+
+@pytest.fixture(scope="module")
+def trained_nel(small_kg):
+    """A briefly trained contrastive model and 2 * NEL_BLOCK + 1 mentions:
+    names and definitions of the graph with an extra word, each linked to its
+    own concept or, one time in three, to a random one."""
+    corpus = onto.build_corpus(small_kg, 2, 11)
+    cfg = enc.EncoderConfig(vocab_buckets=512, embed_dim=16, hidden_dim=24, output_dim=24,
+                            hash_seed=5, init_seed=2)
+    base = enc.Checkpoint(config=cfg, phase="base", params=enc.init_params(cfg))
+    model, _ = trainer.train_contrastive(
+        base, corpus, small_kg, trainer.TrainConfig(learning_rate=4e-3, epochs=2,
+                                                    batch_size=64, seed=0))
+    rng = np.random.default_rng(24)
+    ids = small_kg.concept_ids
+    rows = []
+    for i in range(2 * ev.NEL_BLOCK + 1):
+        concept = small_kg.get(ids[i % len(ids)])
+        text = rng.choice(list(concept.names) + [d.text for d in concept.definitions])
+        gold = concept.id if rng.random() < 2 / 3 else ids[int(rng.integers(len(ids)))]
+        rows.append((f"{text} {rng.choice(['acute', 'left', 'of', 'type'])}", gold))
+    return model, ev.NelDataset(rows=tuple(rows))
+
+
+def test_nel_over_several_blocks_matches_dict_loop(small_kg, trained_nel):
+    model, dataset = trained_nel
+    index = ev.build_nel_index(model, small_kg)
+    mentions = enc.encode_batch(model.params, model.config, [m for m, _ in dataset.rows])
+    hits = {1: 0, 3: 0, 10: 0}
+    for mention, (_, gold) in zip(mentions, dataset.rows):
+        ranking = rank_concepts_reference(index, mention)
+        for k in hits:
+            hits[k] += gold in ranking[:k]
+    reports = ev.eval_nel(model, small_kg, dataset, [10, 1, 3])
+    n = len(dataset.rows)
+    assert [(r.metric, r.value, r.n) for r in reports] == [
+        (f"top{k}_accuracy", hits[k] / n, n) for k in (1, 3, 10)]
+    assert 0 < hits[1] < hits[10] < n
+
+
+def test_nel_block_scores_are_the_per_mention_products(small_kg, trained_nel):
+    model, dataset = trained_nel
+    index = ev.build_nel_index(model, small_kg)
+    mentions = enc.encode_batch(model.params, model.config, [m for m, _ in dataset.rows])
+    firsts = []
+    for first, scores in ev._score_blocks(index, mentions):
+        firsts.append(first)
+        for r, row in enumerate(scores):
+            expected = (index.embeddings @ mentions[first + r])[index.order]
+            assert row.tobytes() == expected.tobytes()
+    assert firsts == [0, ev.NEL_BLOCK, 2 * ev.NEL_BLOCK]
+    assert len(scores) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Property tests over random small encoder configs, with and without a
 distillation head: the flat parameter layout, checkpoint round trips and
 corrupted checkpoints, uniform soups of identical models and training on
-the reached token rows; over mutated pipeline config files; over mutated
-lines of every TSV and JSONL input; and over mutated option and config
-values of real commands."""
+the reached token rows; over random Unicode tokens and their cached hash
+buckets; over mutated pipeline config files; over mutated lines of every
+TSV and JSONL input; and over mutated option and config values of real
+commands."""
 
 import contextlib
 import io
@@ -182,6 +183,21 @@ def test_assigning_a_tensor_writes_through_to_flat(model, data):
     with pytest.raises(ValueError):
         setattr(params, name, np.zeros(view.shape + (2,)))
     assert np.array_equal(params.flat, before)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(tokens=st.lists(st.text(min_size=1), min_size=1, max_size=8),
+       buckets=st.integers(1, 1 << 20), seed=st.integers(0, 2**64 - 1))
+@hypothesis.example(tokens=["fièvre", "發燒", "🦠", "a"], buckets=32768, seed=17)
+def test_cached_token_buckets_equal_the_fnv1a_hash(tokens, buckets, seed):
+    expected = [enc._fnv1a64(tok.encode("utf-8"), seed) % buckets for tok in tokens]
+    for _ in range(2):  # the second call is served from the cache
+        assert [enc._bucket(buckets, seed, tok) for tok in tokens] == expected
+    text = " ".join(tokens)
+    config = enc.EncoderConfig(vocab_buckets=buckets, hash_seed=seed)
+    assert enc.tokenize(config, text) == [
+        enc._fnv1a64(tok.encode("utf-8"), seed) % buckets
+        for tok in enc._TOKEN_RE.findall(text.lower())]
 
 
 @PROPERTY_SETTINGS
