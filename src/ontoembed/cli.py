@@ -297,9 +297,9 @@ def cmd_soup(args) -> int:
     candidates: list[soup_mod.SoupCandidate] = []
     for path, value, label in listing:
         inputs[path] = _sha256_file(path)
-        ckpt = enc.load_checkpoint(path)
-        candidates.append(soup_mod.candidate_from_checkpoint(
-            ckpt, evaluate(ckpt) if value is None else value, label or os.path.basename(path)))
+        candidates.append(soup_mod.SoupCandidate(
+            path, evaluate(enc.load_checkpoint(path)) if value is None else value,
+            label or os.path.basename(path)))
 
     scores = {c.label: c.validation_score for c in candidates}
     if args.strategy == "uniform":
@@ -520,9 +520,11 @@ def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) 
             "nli": ev.eval_nli_triplets(ckpt, data["nli"]),
         }
 
-    def save(name: str, ckpt: enc.Checkpoint) -> None:
-        _save_checkpoint(os.path.join(stage, name), ckpt)
+    def save(name: str, ckpt: enc.Checkpoint) -> str:
+        path = os.path.join(stage, name)
+        _save_checkpoint(path, ckpt)
         written.append(name)
+        return path
 
     def train(phase: str, regime, *args):
         try:
@@ -532,50 +534,55 @@ def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) 
 
     log.info("pipeline: %d concepts, %d training pairs", len(kg), len(plan.corpus))
 
+    # Each phase is evaluated once it is saved, and each checkpoint is
+    # dropped once no later step reads it; the distilled models are read
+    # back from their files, so the run holds at most three models at once.
     base = enc.Checkpoint(config=plan.encoder, phase="base",
                           params=enc.init_params(plan.encoder))
     save("base.ckpt", base)
+    evals = {"base": benchmarks(base)}
 
     adapted, _ = train("adapt", trainer.adapt_sts, base, data["sts_train"])
+    del base
     save("adapted.ckpt", adapted)
+    evals["sts_adapted"] = benchmarks(adapted)
     log.info("adaptation done")
 
     contrastive, stats = train("contrastive", trainer.train_contrastive,
                                adapted, plan.corpus, kg)
     save("contrastive.ckpt", contrastive)
+    evals["contrastive"] = benchmarks(contrastive)
     log.info("contrastive done: %d steps, final loss %.4f", stats.steps, stats.final_loss)
 
     readapted, _ = train("readapt", trainer.adapt_sts, contrastive, data["sts_train"])
+    del contrastive
     save("readapted.ckpt", readapted)
+    evals["readapted"] = benchmarks(readapted)
 
     _, targets = trainer.build_targets(readapted, kg, k=cfg.pca_dim)
+    del readapted
 
     candidates = []
     distill_detail = []
     for i in range(cfg.distill_runs):
         label = f"distill_{i + 1:02d}"
         distilled, dstats = train(label, trainer.train_self_distill, adapted, targets, kg)
-        save(label + ".ckpt", distilled)
+        path = save(label + ".ckpt", distilled)
         val = ev.eval_sts(distilled, data["sts_val"]).value
-        candidates.append(soup_mod.candidate_from_checkpoint(distilled, val, label))
+        del distilled
+        candidates.append(soup_mod.SoupCandidate(path, val, label))
         distill_detail.append({"label": label, "seed": plan.train[label].seed,
                                "val_pearson": val,
                                "final_loss": dstats.final_loss})
         log.info("%s: val pearson %.4f", label, val)
+    del adapted
 
+    best_single = max(candidates, key=lambda c: c.validation_score)
+    evals["self_distilled"] = benchmarks(best_single.load())
     souped, kept = soup_mod.greedy_soup(candidates,
                                         lambda ckpt: ev.eval_sts(ckpt, data["sts_val"]).value)
     save("soup.ckpt", souped)
-
-    best_single = max(candidates, key=lambda c: c.validation_score)
-    evals = {
-        "base": benchmarks(base),
-        "sts_adapted": benchmarks(adapted),
-        "contrastive": benchmarks(contrastive),
-        "readapted": benchmarks(readapted),
-        "self_distilled": benchmarks(best_single.checkpoint),
-        "souped": benchmarks(souped),
-    }
+    evals["souped"] = benchmarks(souped)
     rows = [{"phase": phase, "benchmark": bench, "metric": result.metric,
              "value": result.value, "n": result.n}
             for phase, results in evals.items() for bench, result in results.items()]

@@ -243,11 +243,14 @@ def eval_bcr(model: enc.Checkpoint, dataset: BcrDataset) -> EvalReport:
 
 @dataclass
 class NelIndex:
-    """Exact-search synonym index: one embedding per (concept, name).
+    """Exact-search synonym index: one entry per (concept, name), and one
+    embedding per distinct name, the rows of ``embeddings`` in the order the
+    names first appear. Entries that share a name share its row, so they
+    score the same bit for bit.
 
-    ``concepts`` holds the distinct concept ids in ascending order; the rows
-    taken in ``order`` group the rows by concept, the group of
-    ``concepts[j]`` starting at ``starts[j]``.
+    ``concepts`` holds the distinct concept ids in ascending order; the
+    embedding rows taken in ``order`` are the entries grouped by concept,
+    the group of ``concepts[j]`` starting at ``starts[j]``.
     """
 
     embeddings: np.ndarray
@@ -258,21 +261,27 @@ class NelIndex:
     starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        row_of: dict[str, int] = {}
+        rows = np.array([row_of.setdefault(name, len(row_of)) for name in self.names],
+                        dtype=np.intp)
+        if len(self.embeddings) != len(row_of):
+            raise ValueError(f"{len(self.embeddings)} embeddings for {len(row_of)} distinct names")
         self.concepts = np.array(sorted(set(self.concept_ids)), dtype=object)
         position = {cid: j for j, cid in enumerate(self.concepts)}
         group = np.array([position[cid] for cid in self.concept_ids], dtype=np.intp)
-        self.order = np.argsort(group, kind="stable")
-        self.starts = np.searchsorted(group[self.order], np.arange(len(self.concepts)))
+        grouped = np.argsort(group, kind="stable")
+        self.order = rows[grouped]
+        self.starts = np.searchsorted(group[grouped], np.arange(len(self.concepts)))
 
 
 def build_nel_index(model: enc.Checkpoint, kg: onto.KnowledgeGraph) -> NelIndex:
-    """Embed every name of every concept. Duplicate surface strings shared
-    by several concepts all stay in the index."""
+    """Index every name of every concept. A surface string shared by several
+    concepts stays an entry of each, and is embedded once."""
     if len(kg) == 0:
         raise EvalError("empty knowledge graph")
     concept_ids = [c.id for c in kg.concepts() for _ in c.names]
     names = [name for c in kg.concepts() for name in c.names]
-    embeddings = enc.encode_batch(model.params, model.config, names)
+    embeddings = enc.encode_batch(model.params, model.config, list(dict.fromkeys(names)))
     return NelIndex(embeddings=embeddings, concept_ids=concept_ids, names=names)
 
 
@@ -288,7 +297,7 @@ def _score_blocks(index: NelIndex, mentions: np.ndarray):
     one product over the block nor one over the index's rows taken in
     ``order`` rounds the same. ``scores`` is overwritten by the next block."""
     block = np.empty((min(len(mentions), NEL_BLOCK), len(index.embeddings)))
-    grouped = np.empty_like(block)
+    grouped = np.empty((len(block), len(index.order)))
     for first in range(0, len(mentions), NEL_BLOCK):
         rows = mentions[first:first + NEL_BLOCK]
         for r, mention in enumerate(rows):

@@ -4,6 +4,11 @@ Averaging runs over encoder parameters only; distillation heads are
 stripped first. The element-wise mean is computed as a running (Welford)
 mean in ascending-label order, which keeps it bit-deterministic and makes
 the average of k identical models bit-equal to that model.
+
+A candidate names its saved checkpoint file, which is read each time the
+candidate is used and never kept, so a soup holds at most the running mean,
+one candidate and the soup being evaluated, whatever the number of
+candidates.
 """
 
 from __future__ import annotations
@@ -24,48 +29,64 @@ class IncompatibleCandidatesError(SoupError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SoupCandidate:
-    checkpoint: enc.Checkpoint
+    """The checkpoint file at ``path``, its validation score and its label."""
+
+    path: str
     validation_score: float
     label: str
+
+    def __post_init__(self):
+        if not np.isfinite(self.validation_score):
+            raise SoupError(f"validation score for {self.label!r} must be finite")
+
+    def load(self) -> enc.Checkpoint:
+        return enc.load_checkpoint(self.path)
 
 
 def _check_compatible(candidates: list[SoupCandidate]) -> None:
     if not candidates:
         raise IncompatibleCandidatesError("need at least one candidate")
-    first = candidates[0]
+    first = candidates[0].load()
+    config, phase = first.config, first.phase
+    del first
     for cand in candidates[1:]:
-        if not first.checkpoint.config.soup_compatible(cand.checkpoint.config):
+        ckpt = cand.load()
+        if not config.soup_compatible(ckpt.config):
             raise IncompatibleCandidatesError(
                 f"candidate {cand.label!r} has a soup-incompatible config"
             )
-        if cand.checkpoint.phase != first.checkpoint.phase:
+        if ckpt.phase != phase:
             raise IncompatibleCandidatesError(
-                f"candidate {cand.label!r} has phase {cand.checkpoint.phase!r}, "
-                f"expected {first.checkpoint.phase!r}"
+                f"candidate {cand.label!r} has phase {ckpt.phase!r}, "
+                f"expected {phase!r}"
             )
 
 
 def _average(candidates: list[SoupCandidate]) -> enc.Checkpoint:
     ordered = sorted(candidates, key=lambda c: c.label)
-    mean = None
-    for i, cand in enumerate(ordered, 1):
-        flat = enc.flatten(cand.checkpoint.params.without_head())
-        if mean is None:
-            mean = flat.copy()
-        else:
-            if flat.shape != mean.shape:
-                raise IncompatibleCandidatesError(
-                    f"candidate {cand.label!r} has a different parameter count"
-                )
-            mean += (flat - mean) / i
-    config = ordered[0].checkpoint.config
+    first = ordered[0].load()
+    config, history = first.config, first.history
+    mean = enc.flatten(first.params.without_head()).copy()
+    del first
+    for i, cand in enumerate(ordered[1:], 2):
+        # a fresh read, so the update may work in its buffer:
+        # mean += (flat - mean) / i, rounded the same
+        flat = enc.flatten(cand.load().params.without_head())
+        if flat.shape != mean.shape:
+            raise IncompatibleCandidatesError(
+                f"candidate {cand.label!r} has a different parameter count"
+            )
+        flat -= mean
+        flat /= i
+        mean += flat
+        del flat  # freed before the next candidate is read
     return enc.Checkpoint(
         config=config,
         phase="souped",
         params=enc.unflatten(config, mean),
-        history=ordered[0].checkpoint.history + ("souped",),
+        history=history + ("souped",),
     )
 
 
@@ -88,7 +109,7 @@ def greedy_soup(
     validation scores are produced by the same ``evaluate`` (as the CLI and
     pipeline do), the result never evaluates below the best single
     candidate: the pool starts at that candidate and every accepted merge is
-    non-decreasing.
+    non-decreasing. Each tentative soup reads its pool's files again.
     """
     _check_compatible(candidates)
     ordered = sorted(candidates, key=lambda c: (-c.validation_score, c.label))
@@ -102,12 +123,5 @@ def greedy_soup(
             pool.append(cand)
             current = tentative
             current_score = tentative_score
+        del tentative  # a rejected soup goes before the next one is built
     return current, [c.label for c in pool]
-
-
-def candidate_from_checkpoint(
-    ckpt: enc.Checkpoint, validation_score: float, label: str
-) -> SoupCandidate:
-    if not np.isfinite(validation_score):
-        raise SoupError(f"validation score for {label!r} must be finite")
-    return SoupCandidate(checkpoint=ckpt, validation_score=validation_score, label=label)

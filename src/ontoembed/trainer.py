@@ -64,6 +64,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if not (0.0 <= self.warmup_fraction <= 1.0):
             raise ValueError("warmup_fraction must be in [0, 1]")
         if self.epochs < 0:

@@ -86,12 +86,13 @@ def brute_topk_concepts(name_embeddings, mention_emb, k):
 
 
 def rank_concepts_reference(index, mention_emb):
-    """NEL ranking by a dict loop over the index rows: each concept's max
+    """NEL ranking by a dict loop over the index entries: each concept's max
     score over its names, concepts by descending max, ties to the smaller
-    id."""
-    scores = index.embeddings @ mention_emb
+    id. The index has one embedding row per distinct name, in the order the
+    names first appear."""
+    score_of = dict(zip(dict.fromkeys(index.names), index.embeddings @ mention_emb))
     per_concept = {}
-    for cid, score in zip(index.concept_ids, scores):
+    for cid, score in zip(index.concept_ids, map(score_of.get, index.names)):
         per_concept.setdefault(cid, []).append(float(score))
     pooled = {cid: max(v) for cid, v in per_concept.items()}
     return sorted(pooled, key=lambda cid: (-pooled[cid], cid))

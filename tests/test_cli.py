@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1254,6 +1255,28 @@ _FAST = dict(adapt_epochs=1, contrastive_epochs=1, readapt_epochs=1, distill_epo
              distill_runs=2)
 
 
+def test_pipeline_memory_does_not_grow_with_the_distillation_runs(small_world, tmp_path):
+    # each phase is evaluated when it is trained and then dropped, and the
+    # soup reads its candidates from their files, so five more distillation
+    # runs add less than one checkpoint to the peak (they used to add five)
+    def peak(runs):
+        (tmp_path / f"runs{runs}").mkdir()
+        cfg = _mini_pipeline_cfg(small_world, tmp_path / f"runs{runs}",
+                                 **{**_FAST, "distill_runs": runs})
+        tracemalloc.start()
+        try:
+            assert run(["pipeline", "--config", cfg, "--out-dir",
+                        str(tmp_path / f"runs{runs}" / "out")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # fills the tokenizer caches, so that both runs below find them full
+    growth = peak(6) - peak(1)
+    params = enc.load_checkpoint(tmp_path / "runs1" / "out" / "soup.ckpt").params
+    assert growth < params.flat.nbytes, (growth, params.flat.nbytes)
+
+
 def _no_training(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a bad config reached training")
@@ -1263,7 +1286,7 @@ def _no_training(monkeypatch):
 @pytest.mark.parametrize("key, value", [
     ("readapt_epochs", "fifteen"), ("distill_batch_size", "0"), ("distill_runs", "0"),
     ("pca_dim", "0"), ("pca_dim", "49"),
-    ("contrastive_learning_rate", "nan"), ("seed", "-1"),
+    ("contrastive_learning_rate", "nan"), ("seed", "-1"), ("distill_weight_decay", "-5"),
 ])
 def test_pipeline_bad_value_exits_64_naming_the_key_before_training(
         small_world, tmp_path, capsys, monkeypatch, key, value):
@@ -1292,6 +1315,18 @@ def test_pipeline_contrastive_batch_of_one_exits_64_naming_the_key_before_traini
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"{cfg}: {key}: must be >= 2" in err[0]
     assert sorted(os.listdir(tmp_path)) == ["demo.cfg"]
+
+
+def test_train_negative_weight_decay_exits_64_naming_the_key_before_training(
+        small_world, tmp_path, capsys, monkeypatch):
+    # a weight decay of -5 used to train and exit 0
+    _no_training(monkeypatch)
+    cfg = _mini_train_cfg(tmp_path, weight_decay=-5)
+    assert run(["train", "sts", "--data", os.path.join(small_world, "sts_train.tsv"),
+                "--config", cfg, "--out", str(tmp_path / "sts.ckpt")]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"usage error: {cfg}: weight_decay: weight_decay must be >= 0"]
+    assert sorted(os.listdir(tmp_path)) == ["train.cfg"]
 
 
 @pytest.mark.parametrize("typo", ["epoch", "learnig_rate", "info_nce_symmetric"])

@@ -52,6 +52,11 @@ def test_build_config_names_the_key_as_written():
         config.build_config(trainer.TrainConfig, mapping, "a.cfg", prefix="distill_")
     with pytest.raises(config.ConfigError, match=r"^a\.cfg: info_nce_scale: scale must be > 0"):
         config.build_config(trainer.TrainConfig, {"info_nce_scale": "-1"}, "a.cfg")
+    # a negative decay grew every weight each step and used to train silently
+    with pytest.raises(config.ConfigError,
+                       match=r"^a\.cfg: weight_decay: weight_decay must be >= 0"):
+        config.build_config(trainer.TrainConfig, {"weight_decay": "-5"}, "a.cfg")
+    assert config.build_config(trainer.TrainConfig, {"weight_decay": "0"}).weight_decay == 0.0
     with pytest.raises(config.ConfigError, match=r"^a\.cfg: init_scale: not a finite number"):
         config.build_config(enc.EncoderConfig, {"init_scale": "inf"}, "a.cfg")
 

@@ -241,6 +241,35 @@ def test_nel_tie_goes_to_smaller_id(tmp_path):
     assert lost.value == 0.0
 
 
+def test_nel_shared_name_ties_wherever_its_rows_fall(tmp_path):
+    # "shared name" is entry 0 and entry 4 of a 5-entry index. BLAS computes
+    # the last n % 4 rows of a matrix-vector product with another kernel, so
+    # two copies of one embedding scored an ulp apart for 6 of these 40
+    # seeds, and z_big could outrank a_small
+    rows = [
+        {"id": "a_small", "names": ["shared name", "alpha"]},
+        {"id": "m_mid", "names": ["beta", "gamma"]},
+        {"id": "z_big", "names": ["shared name"]},
+    ]
+    kg = onto.load_ontology(write_jsonl(tmp_path / "kg.jsonl", rows))
+    for seed in range(40):
+        cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=16, output_dim=96,
+                                hash_seed=3, init_seed=seed)
+        model = enc.Checkpoint(config=cfg, phase="base", params=enc.init_params(cfg))
+        index = ev.build_nel_index(model, kg)
+        assert index.names == ["shared name", "alpha", "beta", "gamma", "shared name"]
+        assert len(index.embeddings) == 4
+        for gold, hit in (("a_small", 1.0), ("z_big", 0.0)):
+            dataset = ev.NelDataset(rows=(("shared name", gold),))
+            assert ev.eval_nel(model, kg, dataset, [1])[0].value == hit, seed
+
+
+def test_nel_index_needs_one_embedding_per_distinct_name():
+    with pytest.raises(ValueError, match="3 embeddings for 2 distinct names"):
+        ev.NelIndex(embeddings=np.zeros((3, 2)), concept_ids=["a", "b", "b"],
+                    names=["x", "y", "x"])
+
+
 def test_nel_matches_brute_force_ranking(small_kg, small_datasets):
     model = _model(7)
     dataset = small_datasets["nel"]
@@ -278,6 +307,9 @@ class _FixedScores:
 
     def __init__(self, scores):
         self.scores = np.asarray(scores, dtype=float)
+
+    def __len__(self):
+        return len(self.scores)
 
     def __matmul__(self, mention):
         return self.scores.copy()
@@ -338,7 +370,8 @@ def test_gold_ranks_match_dict_loop_on_real_scores():
     # one surface string shared by several concepts ties them exactly
     model = _model()
     names = ["shared name", "alpha", "shared name", "beta gamma", "shared name", "delta"]
-    index = ev.NelIndex(embeddings=enc.encode_batch(model.params, model.config, names),
+    index = ev.NelIndex(embeddings=enc.encode_batch(model.params, model.config,
+                                                    list(dict.fromkeys(names))),
                         concept_ids=["k9", "k1", "k1", "k5", "k30", "k5"], names=names)
     mentions = enc.encode_batch(model.params, model.config,
                                 ["shared name", "alpha", "beta", "name", ""])

@@ -205,8 +205,11 @@ def test_cached_token_buckets_equal_the_fnv1a_hash(tokens, buckets, seed):
 def test_uniform_soup_of_identical_models_is_that_model(model, k):
     config, params = model
     ckpt = enc.Checkpoint(config=config, phase="self_distilled", params=params)
-    candidates = [soup.SoupCandidate(ckpt, 0.0, f"m{i}") for i in range(k)]
-    out = soup.uniform_soup(candidates)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        enc.save_checkpoint(path, ckpt)
+        candidates = [soup.SoupCandidate(path, 0.0, f"m{i}") for i in range(k)]
+        out = soup.uniform_soup(candidates)
     assert enc.params_equal(out.params, params.without_head())
 
 

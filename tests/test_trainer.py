@@ -646,7 +646,7 @@ def test_distill_deterministic_per_seed(four_concept_kg):
     assert enc.checkpoint_to_bytes(a) == enc.checkpoint_to_bytes(b)
 
 
-def test_no_regime_mutates_its_inputs(small_setup, small_datasets):
+def test_no_regime_mutates_its_inputs(small_setup, small_datasets, tmp_path):
     # AdamW updates in place, so each regime must train on its own copy and
     # the soup must average into a fresh vector
     kg, corpus, base = small_setup
@@ -665,13 +665,19 @@ def test_no_regime_mutates_its_inputs(small_setup, small_datasets):
         distilled, stats = trainer.train_self_distill(
             base, targets, kg, dataclasses.replace(cfg, seed=seed))
         assert stats.steps > 0
-        candidates.append(soup.candidate_from_checkpoint(distilled, float(seed), f"d{seed}"))
+        path = tmp_path / f"d{seed}.ckpt"
+        enc.save_checkpoint(path, distilled)
+        candidates.append(soup.SoupCandidate(str(path), float(seed), f"d{seed}"))
     assert enc.checkpoint_to_bytes(base) == snapshot
 
-    before = [enc.checkpoint_to_bytes(c.checkpoint) for c in candidates]
-    _, kept = soup.greedy_soup(candidates, lambda ckpt: 0.0)
+    before = [(tmp_path / f"d{seed}.ckpt").read_bytes() for seed in (0, 1, 2)]
+    souped, kept = soup.greedy_soup(candidates, lambda ckpt: 0.0)
     assert len(kept) == 3  # a constant metric admits every candidate
-    assert [enc.checkpoint_to_bytes(c.checkpoint) for c in candidates] == before
+    assert [(tmp_path / f"d{seed}.ckpt").read_bytes() for seed in (0, 1, 2)] == before
+    # the averaging works in the buffers it reads, so a second soup over the
+    # same candidates comes out the same
+    again, _ = soup.greedy_soup(candidates, lambda ckpt: 0.0)
+    assert enc.checkpoint_to_bytes(again) == enc.checkpoint_to_bytes(souped)
 
 
 # ---------------------------------------------------------------------------
