@@ -39,8 +39,10 @@ EXIT_IO = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
-# ``embed`` encodes and writes this many texts at a time.
+# ``embed`` encodes this many texts at a time, and formats this many of
+# their rows at a time: few enough that the block's arrays stay small.
 EMBED_CHUNK = 1024
+EMBED_BLOCK = 128
 
 
 class UsageError(Exception):
@@ -388,6 +390,139 @@ def _read_texts(path) -> list[str]:
     return texts
 
 
+# Tables for _embedding_lines. _POW10_HI + _POW10_LO is Dekker's split of
+# 10**k into two halves of at most 26 significant bits each.
+_POW10 = 10.0 ** np.arange(22)
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_INV10 = 10.0 ** -np.arange(10)
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+
+
+def _uint64_bytes(texts) -> np.ndarray:
+    """Each ASCII text, at most 8 bytes, as the uint64 whose little-endian
+    bytes it is."""
+    return np.array([int.from_bytes(t.encode("ascii"), "little") for t in texts], np.uint64)
+
+
+# "-0.000" right-aligned in bytes 0-5, indexed by 4 * negative + zeros
+_PREFIXES = _uint64_bytes(["\0" * (6 - len(p)) + p for sign in ("", "-")
+                           for p in (sign + "0." + "0" * z for z in range(4))])
+# the first two digits, in bytes 6-7
+_FIRST_PAIRS = _uint64_bytes(f"\0\0\0\0\0\0{i:02d}" for i in range(100))
+
+
+def _digit_bytes(v: np.ndarray) -> np.ndarray:
+    """uint64 values below 10**8 -> their 8 decimal digits (0-9), one a
+    byte, the first digit in the lowest byte. Each step splits every field
+    of the word in two with a multiply-shift quotient, exact for the field's
+    range, and no field carries into the next."""
+    u = np.uint64
+    q = v // u(10000)
+    v = q | ((v - q * u(10000)) << u(32))
+    q = ((v * u(10486)) >> u(20)) & u(0x0000007F0000007F)
+    v = q | ((v - q * u(100)) << u(16))
+    q = ((v * u(103)) >> u(10)) & u(0x000F000F000F000F)
+    return q | ((v - q * u(10)) << u(8))
+
+
+def _embedding_lines(texts: list[str], rows: np.ndarray) -> bytes:
+    """``text<TAB>v1,v2,...<LF>`` for each text and its float64 row, each
+    ``v`` being ``repr`` of the value: its shortest decimal that reads back
+    to it, the nearest one if two are as short.
+
+    Each value with 1e-4 <= |x| < 1 and at least 10 significant digits is
+    written from exact float arithmetic over the whole block:
+    - z = -1 - (decimal exponent of x) comes from comparing |x| with 0.1,
+      0.01 and 0.001, each of which lies just above its power of ten;
+    - S = |x| * 10**k, k = 18 + z, is hi + lo exactly (Dekker's two-product).
+      hi >= 1e17 is an integer, so S splits exactly into the 18-digit integer
+      N = A * 10**10 + B and a fraction f in [0, 1);
+    - half an ulp of x, scaled the same way, is h = 10**k * 2**(e - 54) for
+      |x| = m * 2**e with m in [0.5, 1);
+    - the digits are those of the multiple of 10**j nearest S, for the largest
+      j (at most 8) with some multiple of 10**j strictly inside (S - h, S + h).
+      Neither end of that interval can be a candidate: it needs at least 54
+      decimals, a candidate at most 21. The interval below a power of two is
+      half as wide, which changes nothing: each one in range is a decimal of
+      at most 10 digits, written exactly.
+    Every other value is written by ``repr`` itself: zero, |x| < 1e-4,
+    |x| >= 1, inf and nan, fewer than 10 significant digits (j = 9), and two
+    nearest candidates equally far (``repr`` takes the even one).
+    """
+    x = rows.ravel()
+    n = x.size
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1.0)
+    a[~fast] = 0.30000000000000004  # a stand-in that keeps the arithmetic finite
+    z = (a < 0.1).view(np.int8) + (a < 0.01).view(np.int8) + (a < 0.001).view(np.int8)
+    k = z + np.intp(18)
+    p = _POW10.take(k)
+    hi = a * p
+    c = a * 134217729.0
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p_hi = _POW10_HI.take(k)
+    p_lo = _POW10_LO.take(k)
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    h = np.ldexp(p, np.frexp(a)[1] - 54)
+    f = np.floor(lo)
+    A = np.floor(hi / 1e10)
+    B = (hi - A * 1e10) + f
+    f = lo - f
+    carry = np.floor(B / 1e10)
+    A += carry
+    B -= carry * 1e10
+    # lower and upper lie half an integer outside the first and the last
+    # integer strictly inside (S - h, S + h), less A * 10**10. 10**j has a
+    # multiple among those integers when floor(lower / 10**j) and
+    # floor(upper / 10**j) differ; multiplying by 10**-j gives these floors
+    # exactly, since neither quotient is within 10**-j / 2 of an integer.
+    lower = B + np.floor(f - h) + 0.5
+    upper = B + np.ceil(f + h) - 0.5
+    # 10 always has a multiple inside, since 2h > 11; most values have one
+    # of 100 too, and few of 1000
+    ok = np.floor(upper * 0.01) != np.floor(lower * 0.01)
+    j = ok + np.intp(1)
+    idx = np.flatnonzero(ok)
+    for inv in _INV10[3:]:
+        idx = idx[np.floor(upper[idx] * inv) != np.floor(lower[idx] * inv)]
+        if not idx.size:
+            break
+        j[idx] += 1
+    step = _POW10.take(j)
+    r = B - step * np.floor(B / step)
+    down = r + f
+    up = (step - r) - f
+    # Rounding stays inside B: a multiple of 10**10 would also be a multiple
+    # of 10**9 inside the interval, and j = 9 goes to repr.
+    B += step * (up < down) - r
+    slow = ~fast | (up == down) | (j == 9)
+    first = np.floor(A / 1e6)
+    mid = np.floor(B / 1e8)
+    words = np.zeros((n, 4), "<u8")  # little-endian, so bytes are in reading order
+    words[:, 0] = _PREFIXES.take((x < 0) * 4 + z) | _FIRST_PAIRS.take(first.astype(np.intp))
+    digits = _digit_bytes(np.stack([(A - first * 1e6) * 100 + mid,
+                                    B - mid * 1e8]).astype(np.uint64))
+    words[:, 1] = digits[0] | _ASCII_ZEROS
+    # the last word keeps 8 - j digits, then its separator; the rest stay 0
+    bits = np.uint64(64) - (j.astype(np.uint64) << np.uint64(3))
+    sep = np.full(rows.shape, ord(","), np.uint64)
+    sep[:, -1] = ord("\n")
+    sep = sep.ravel()
+    kept = (np.uint64(1) << bits) - np.uint64(1)
+    words[:, 2] = digits[1] | (_ASCII_ZEROS & kept) | (sep << bits)
+    out = words.view(np.uint8)
+    for i in np.flatnonzero(slow).tolist():
+        text = repr(float(x[i])).encode("ascii")
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+        out[i, len(text)] = sep[i]
+    lines = out.tobytes().translate(None, b"\0").split(b"\n")
+    return b"".join(piece for text, line in zip(texts, lines)
+                    for piece in (text.encode("utf-8"), b"\t", line, b"\n"))
+
+
 def cmd_embed(args) -> int:
     started = time.time()
     inputs = _inputs(args)
@@ -401,8 +536,8 @@ def cmd_embed(args) -> int:
             except enc.NonFiniteOutput as exc:
                 raise ValueError(f"{args.infile}:{i + exc.row + 1}: output norm is not finite "
                                  f"with model {args.model}") from exc
-            fh.write("".join(text + "\t" + ",".join(map(repr, row.tolist())) + "\n"
-                             for text, row in zip(chunk, emb)).encode("utf-8"))
+            for j in range(0, len(chunk), EMBED_BLOCK):
+                fh.write(_embedding_lines(chunk[j:j + EMBED_BLOCK], emb[j:j + EMBED_BLOCK]))
     _write_manifest(args.out, "embed", vars_snapshot(args), inputs,
                     None, [args.out], started, {"rows": len(texts)})
     print(f"embedded {len(texts)} texts -> {args.out}")

@@ -98,6 +98,13 @@ def rank_concepts_reference(index, mention_emb):
     return sorted(pooled, key=lambda cid: (-pooled[cid], cid))
 
 
+def embedding_lines_reference(texts, rows):
+    """The lines ``embed`` writes, built value by value: each text, a tab,
+    the comma-joined ``repr`` of each float64 in its row, and a newline."""
+    return "".join(text + "\t" + ",".join(map(repr, row.tolist())) + "\n"
+                   for text, row in zip(texts, rows)).encode("utf-8")
+
+
 def brute_nli_accuracy(triples):
     """triples: list of (anchor_vec, entailed_vec, contradicted_vec)."""
     wins = 0

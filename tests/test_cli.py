@@ -18,6 +18,7 @@ from ontoembed import fixtures
 from ontoembed import ontology as onto
 from ontoembed import trainer
 
+import oracles
 from conftest import run_child, write_jsonl, write_text
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -904,6 +905,57 @@ def test_embed_rows_equal_encode_batch_across_chunks(small_world, tmp_path):
     assert [text for text, _ in rows] == texts
     got = np.array([[float(x) for x in vec.split(",")] for _, vec in rows])
     assert np.array_equal(got, enc.encode_batch(model.params, model.config, texts))
+
+
+def test_embed_writes_the_repr_bytes_on_every_fallback_class(tmp_path):
+    # 2 embedding and hidden units, 4 outputs, every bias 0. "one" pools to
+    # (1, 0), whose output is (1.0, 0.0, 0.0, 0.0); "tiny" pools to (0, 1),
+    # whose first output is about 9e-6; other words mix the two; "" is the
+    # zero row. The texts span two chunks and many blocks.
+    config = enc.EncoderConfig(vocab_buckets=4096, embed_dim=2, hidden_dim=2, output_dim=4)
+    params = enc.init_params(config)
+    ids = [enc.tokenize_batch(config, [word]).ids[0] for word in ("one", "tiny")]
+    assert ids[0] != ids[1]
+    params.token_table[ids] = np.eye(2)
+    params.w1 = np.eye(2)
+    params.w2 = np.array([[1.0, 0.0, 0.0, 0.0], [1e-5, 1.0, 0.5, -0.25]])
+    model = tmp_path / "m.ckpt"
+    enc.save_checkpoint(model, enc.Checkpoint(config=config, phase="base", params=params))
+    kinds = ["fever ulcer", "one", "", "tiny", "peptic one", "tiny fever", "ulcer"]
+    texts = [kinds[i % 7] for i in range(cli.EMBED_CHUNK + 300)]
+    infile = tmp_path / "texts.txt"
+    infile.write_text("".join(t + "\n" for t in texts))
+    out = tmp_path / "emb.tsv"
+    assert run(["embed", "--model", str(model), "--in", str(infile), "--out", str(out)]) == 0
+    emb = enc.encode_batch(params, config, texts)
+    magnitudes = np.abs(emb)
+    assert (magnitudes == 1.0).any() and ((magnitudes > 0) & (magnitudes < 1e-4)).any()
+    assert (magnitudes.max(axis=1) == 0).any()
+    assert out.read_bytes() == oracles.embedding_lines_reference(texts, emb)
+
+
+def test_embedding_lines_equal_the_repr_writer_in_bulk():
+    # a million components of random unit vectors; random bit patterns in
+    # [1e-4, 1), either sign; dyadic values m / 2**e, many of which have two
+    # nearest shortest decimals; and every power of two, and each power of
+    # ten the writer compares with and its neighbours, either sign
+    rng = np.random.default_rng(5)
+    tens = [np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0])]
+    for _ in range(2):
+        tens = [np.nextafter(tens[0], -1.0), *tens, np.nextafter(tens[-1], 2.0)]
+    edges = np.concatenate([*tens, 2.0 ** np.arange(-1074, 1024)])
+    unit = rng.standard_normal((10_500, 96))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    low, high = np.array([1e-4, 1.0]).view(np.int64)
+    patterns = rng.integers(low, high, (2_000, 100)).view(np.float64)
+    patterns *= rng.choice([-1.0, 1.0], patterns.shape)
+    dyadic = (rng.integers(1, 2**20, (2_000, 50)) / 2.0 ** rng.integers(1, 40, (2_000, 50)))
+    for rows in (unit, patterns, dyadic, np.stack([edges, -edges])):
+        for i in range(0, len(rows), cli.EMBED_BLOCK):
+            texts = [f"t{j}" for j in range(i, min(i + cli.EMBED_BLOCK, len(rows)))]
+            block = rows[i:i + cli.EMBED_BLOCK]
+            assert (cli._embedding_lines(texts, block)
+                    == oracles.embedding_lines_reference(texts, block)), (i, block)
 
 
 # Runs the commands in argv[1] and prints their exit codes and the top-level

@@ -2,9 +2,9 @@
 distillation head: the flat parameter layout, checkpoint round trips and
 corrupted checkpoints, uniform soups of identical models and training on
 the reached token rows; over random Unicode tokens and their cached hash
-buckets; over mutated pipeline config files; over mutated lines of every
-TSV and JSONL input; and over mutated option and config values of real
-commands."""
+buckets; over rows of float64 values as ``embed`` writes them; over
+mutated pipeline config files; over mutated lines of every TSV and JSONL
+input; and over mutated option and config values of real commands."""
 
 import contextlib
 import io
@@ -29,7 +29,7 @@ from ontoembed import soup  # noqa: E402
 from ontoembed import trainer  # noqa: E402
 
 from conftest import run_child  # noqa: E402
-from oracles import dense_fit  # noqa: E402
+from oracles import dense_fit, embedding_lines_reference  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
@@ -198,6 +198,48 @@ def test_cached_token_buckets_equal_the_fnv1a_hash(tokens, buckets, seed):
     assert enc.tokenize(config, text) == [
         enc._fnv1a64(tok.encode("utf-8"), seed) % buckets
         for tok in enc._TOKEN_RE.findall(text.lower())]
+
+
+def _ulps(value: float, steps: int) -> float:
+    """The float ``steps`` representable values above ``value`` (below, if
+    negative)."""
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, np.copysign(np.inf, steps)))
+    return value
+
+
+_FORMAT_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals included
+    st.floats(1e-4, 1.0, exclude_max=True),
+    # 0, 1 and each power of ten the writer compares with, and their neighbours
+    st.builds(_ulps, st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0]), st.integers(-2, 2)),
+    st.sampled_from([2.0 ** e for e in range(-1074, 1024)]),
+    # short decimals and their neighbours
+    st.builds(lambda m, e, steps: _ulps(m / 10.0 ** e, steps),
+              st.integers(1, 10**9), st.integers(0, 12), st.integers(-2, 2)),
+    # values of few bits, which may lie halfway between two shortest decimals
+    st.builds(lambda m, e: m / 2.0 ** e, st.integers(1, 2**20), st.integers(1, 40)),
+)
+
+
+@st.composite
+def embedding_blocks(draw):
+    """(texts, rows): 1-3 texts, each with a row of 1-30 float64 values."""
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 30))
+    texts = draw(st.lists(st.text(st.characters(blacklist_categories=["Cs"]), max_size=6),
+                          min_size=n_rows, max_size=n_rows))
+    values = draw(st.lists(st.tuples(_FORMAT_FLOATS, st.booleans()),
+                           min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    return texts, np.array([-v if negative else v for v, negative in values]).reshape(n_rows, -1)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(embedding_blocks())
+@hypothesis.example((["t"], np.array([[0.6334762573242188, 2.0 ** -13, -0.0, 5e-324, 1.0]])))
+def test_embedding_lines_equal_the_repr_writer(block):
+    texts, rows = block
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        assert cli._embedding_lines(texts, rows) == embedding_lines_reference(texts, rows)
 
 
 @PROPERTY_SETTINGS
