@@ -252,8 +252,8 @@ def cmd_train(args) -> int:
                "phase": ckpt.phase}
     _write_manifest(args.out, f"train {args.phase}", vars_snapshot(args),
                     inputs, cfg.seed, [args.out], started, metrics)
-    print(f"phase={ckpt.phase} steps={stats.steps} final_loss={stats.final_loss:.6f} "
-          f"-> {args.out}")
+    loss = "none" if stats.final_loss is None else f"{stats.final_loss:.6f}"
+    print(f"phase={ckpt.phase} steps={stats.steps} final_loss={loss} -> {args.out}")
     return EXIT_OK
 
 
@@ -296,12 +296,16 @@ def cmd_soup(args) -> int:
     # a --models candidate carries no score, so it is scored on --val
     listing = (_read_listing(args.manifest) if args.manifest
                else [(path, None, "") for path in args.models])
+    labels = [label or os.path.basename(path) for path, _, label in listing]
+    # the report keys scores by label, so a repeated label would merge two candidates
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise soup_mod.SoupError(f"two candidates have the label {label!r}")
     candidates: list[soup_mod.SoupCandidate] = []
-    for path, value, label in listing:
+    for (path, value, _), label in zip(listing, labels):
         inputs[path] = _sha256_file(path)
         candidates.append(soup_mod.SoupCandidate(
-            path, evaluate(enc.load_checkpoint(path)) if value is None else value,
-            label or os.path.basename(path)))
+            path, evaluate(enc.load_checkpoint(path)) if value is None else value, label))
 
     scores = {c.label: c.validation_score for c in candidates}
     if args.strategy == "uniform":
@@ -687,7 +691,8 @@ def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) 
                                adapted, plan.corpus, kg)
     save("contrastive.ckpt", contrastive)
     evals["contrastive"] = benchmarks(contrastive)
-    log.info("contrastive done: %d steps, final loss %.4f", stats.steps, stats.final_loss)
+    log.info("contrastive done: %d steps, final loss %s", stats.steps,
+             "none" if stats.final_loss is None else f"{stats.final_loss:.4f}")
 
     readapted, _ = train("readapt", trainer.adapt_sts, contrastive, data["sts_train"])
     del contrastive

@@ -185,11 +185,6 @@ class Params:
         return Params(self.flat[:sum(v.size for v in views)], [v.shape for v in views])
 
 
-def params_equal(a: Params, b: Params) -> bool:
-    """Bit-exact equality of two parameter sets."""
-    return a.shapes == b.shapes and np.array_equal(a.flat, b.flat)
-
-
 def _fnv1a64(data: bytes, seed: int) -> int:
     """Seeded 64-bit FNV-1a. Pure integer arithmetic, stable everywhere."""
     h = (_FNV_OFFSET ^ (seed & _MASK64)) & _MASK64
@@ -471,10 +466,6 @@ def checkpoint_pieces(ckpt: Checkpoint) -> tuple[bytes, memoryview]:
     return CHECKPOINT_MAGIC + line + b"\n", memoryview(flat.astype("<f8", copy=False))
 
 
-def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
-    return b"".join(checkpoint_pieces(ckpt))
-
-
 def _config_from_header(header) -> EncoderConfig:
     """Validate a decoded header's shape, keys and value types against
     format v1, including that param_count fits the config and head_dim;
@@ -543,10 +534,6 @@ def read_checkpoint(fh) -> Checkpoint:
         raise CheckpointFormatError("checkpoint holds non-finite parameters")
     return Checkpoint(config, header["phase"], unflatten(config, flat),
                       tuple(header.get("history", ())))
-
-
-def checkpoint_from_bytes(data: bytes) -> Checkpoint:
-    return read_checkpoint(io.BytesIO(data))
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

@@ -45,13 +45,18 @@ class SoupCandidate:
         return enc.load_checkpoint(self.path)
 
 
-def _check_compatible(candidates: list[SoupCandidate]) -> None:
+def uniform_soup(candidates: list[SoupCandidate]) -> enc.Checkpoint:
+    """Element-wise arithmetic mean of all candidates' encoder parameters.
+    Each candidate's config and phase are checked against the first's, in
+    label order, when it is read."""
     if not candidates:
         raise IncompatibleCandidatesError("need at least one candidate")
-    first = candidates[0].load()
-    config, phase = first.config, first.phase
+    ordered = sorted(candidates, key=lambda c: c.label)
+    first = ordered[0].load()
+    config, phase, history = first.config, first.phase, first.history
+    mean = enc.flatten(first.params.without_head()).copy()
     del first
-    for cand in candidates[1:]:
+    for i, cand in enumerate(ordered[1:], 2):
         ckpt = cand.load()
         if not config.soup_compatible(ckpt.config):
             raise IncompatibleCandidatesError(
@@ -62,22 +67,10 @@ def _check_compatible(candidates: list[SoupCandidate]) -> None:
                 f"candidate {cand.label!r} has phase {ckpt.phase!r}, "
                 f"expected {phase!r}"
             )
-
-
-def _average(candidates: list[SoupCandidate]) -> enc.Checkpoint:
-    ordered = sorted(candidates, key=lambda c: c.label)
-    first = ordered[0].load()
-    config, history = first.config, first.history
-    mean = enc.flatten(first.params.without_head()).copy()
-    del first
-    for i, cand in enumerate(ordered[1:], 2):
         # a fresh read, so the update may work in its buffer:
         # mean += (flat - mean) / i, rounded the same
-        flat = enc.flatten(cand.load().params.without_head())
-        if flat.shape != mean.shape:
-            raise IncompatibleCandidatesError(
-                f"candidate {cand.label!r} has a different parameter count"
-            )
+        flat = enc.flatten(ckpt.params.without_head())
+        del ckpt
         flat -= mean
         flat /= i
         mean += flat
@@ -88,12 +81,6 @@ def _average(candidates: list[SoupCandidate]) -> enc.Checkpoint:
         params=enc.unflatten(config, mean),
         history=history + ("souped",),
     )
-
-
-def uniform_soup(candidates: list[SoupCandidate]) -> enc.Checkpoint:
-    """Element-wise arithmetic mean of all candidates' encoder parameters."""
-    _check_compatible(candidates)
-    return _average(candidates)
 
 
 def greedy_soup(
@@ -109,15 +96,16 @@ def greedy_soup(
     validation scores are produced by the same ``evaluate`` (as the CLI and
     pipeline do), the result never evaluates below the best single
     candidate: the pool starts at that candidate and every accepted merge is
-    non-decreasing. Each tentative soup reads its pool's files again.
+    non-decreasing. Each tentative soup reads its pool's files again, and
+    checks each candidate when it reads it: every candidate goes into one
+    tentative soup with the first, so an incompatible one always raises.
     """
-    _check_compatible(candidates)
     ordered = sorted(candidates, key=lambda c: (-c.validation_score, c.label))
-    pool = [ordered[0]]
-    current = _average(pool)
+    pool = ordered[:1]
+    current = uniform_soup(pool)
     current_score = evaluate(current)
     for cand in ordered[1:]:
-        tentative = _average(pool + [cand])
+        tentative = uniform_soup(pool + [cand])
         tentative_score = evaluate(tentative)
         if tentative_score >= current_score:
             pool.append(cand)

@@ -187,14 +187,15 @@ class TrainStats:
     """What a regime reports back: total optimizer steps and one loss value
     per epoch. Self-distillation records full-training-set losses at epoch
     boundaries (index 0 is the pre-training loss); the other regimes record
-    the mean minibatch loss of each epoch."""
+    the mean minibatch loss of each epoch. With no epoch run and no loss
+    recorded, ``final_loss`` is None."""
 
     steps: int
     epoch_losses: list[float]
 
     @property
-    def final_loss(self) -> float:
-        return self.epoch_losses[-1] if self.epoch_losses else float("nan")
+    def final_loss(self) -> float | None:
+        return self.epoch_losses[-1] if self.epoch_losses else None
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,30 @@
 Everything here deliberately avoids the code paths under test: finite
 differences instead of analytic gradients, exhaustive enumeration instead of
 indexed lookups, scipy instead of the package's own correlation code.
+The three helpers at the top are not oracles: they compare parameters and
+checkpoints bit for bit, through the package's one writer and one reader.
 """
+
+import io
 
 import numpy as np
 
 from ontoembed import encoder as enc
+
+
+def params_equal(a, b):
+    """Bit-exact equality of two parameter sets."""
+    return a.shapes == b.shapes and np.array_equal(a.flat, b.flat)
+
+
+def checkpoint_to_bytes(ckpt):
+    """The bytes ``save_checkpoint`` writes for ``ckpt``."""
+    return b"".join(enc.checkpoint_pieces(ckpt))
+
+
+def checkpoint_from_bytes(data):
+    """The checkpoint whose file holds ``data``, read as ``load_checkpoint`` reads it."""
+    return enc.read_checkpoint(io.BytesIO(data))
 
 
 def fd_gradient(fn, x, h=1e-6):

@@ -23,7 +23,10 @@ from ontoembed import ontology as onto
 from ontoembed import trainer
 
 from conftest import FIXTURES_DIR
-from oracles import brute_nli_accuracy, brute_topk_concepts, fd_gradient, rel_error
+from oracles import (
+    brute_nli_accuracy, brute_topk_concepts, checkpoint_to_bytes, fd_gradient,
+    params_equal, rel_error,
+)
 
 
 def _ok(criterion: str, detail: str = ""):
@@ -403,8 +406,8 @@ def test_criterion_9_checkpoint_and_golden(tmp_path):
     path = tmp_path / "m.ckpt"
     enc.save_checkpoint(path, ckpt)
     loaded = enc.load_checkpoint(path)
-    assert enc.params_equal(loaded.params, ckpt.params)
-    assert enc.checkpoint_to_bytes(loaded) == enc.checkpoint_to_bytes(ckpt)
+    assert params_equal(loaded.params, ckpt.params)
+    assert checkpoint_to_bytes(loaded) == checkpoint_to_bytes(ckpt)
 
     golden_dir = os.path.join(os.path.dirname(__file__), "golden")
     golden = enc.load_checkpoint(os.path.join(golden_dir, "golden.ckpt"))

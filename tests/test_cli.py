@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import logging
 import os
 import re
 import subprocess
@@ -455,8 +456,26 @@ def test_train_sts_deterministic_checkpoints(small_world, tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-    loaded = enc.checkpoint_from_bytes(outs[0])
+    loaded = oracles.checkpoint_from_bytes(outs[0])
     assert loaded.phase == "sts_adapted"
+
+
+def _strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_train_with_no_epochs_writes_a_strict_json_manifest(small_world, tmp_path, capsys):
+    # with no epoch run there is no loss, and the manifest used to hold NaN
+    out = tmp_path / "sts.ckpt"
+    assert run(["train", "sts", "--data", os.path.join(small_world, "sts_train.tsv"),
+                "--config", _mini_train_cfg(tmp_path), "--epochs", "0",
+                "--out", str(out)]) == 0
+    manifest = _strict_json((tmp_path / "sts.ckpt.manifest.json").read_text())
+    assert manifest["metrics"]["final_loss"] is None
+    assert f"steps=0 final_loss=none -> {out}" in capsys.readouterr().out
 
 
 def test_manifest_digests_the_base_a_run_replaces(small_world, tmp_path):
@@ -711,7 +730,7 @@ def test_soup_uniform_single_model_equals_input(small_world, tmp_path):
     assert code == 0
     souped = enc.load_checkpoint(out)
     original = enc.load_checkpoint(paths[0])
-    assert enc.params_equal(souped.params, original.params.without_head())
+    assert oracles.params_equal(souped.params, original.params.without_head())
     assert souped.phase == "souped"
     report = json.loads((tmp_path / "soup.ckpt.soup_report.json").read_text())
     assert report["kept"] == ["m1.ckpt"]
@@ -1015,7 +1034,7 @@ def _with_config(key, value):
         "string-vocab-buckets", "non-list-history", "list-header"])
 def test_embed_malformed_checkpoint_header_exits_2(tmp_path, mutate):
     cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
-    data = enc.checkpoint_to_bytes(
+    data = oracles.checkpoint_to_bytes(
         enc.Checkpoint(config=cfg, phase="base", params=enc.init_params(cfg)))
     nl = data.index(b"\n")
     header = json.loads(data[len(enc.CHECKPOINT_MAGIC):nl])
@@ -1048,7 +1067,7 @@ def test_unloadable_checkpoint_exits_2_with_one_line(small_world, tmp_path, caps
     # used to load, and eval then failed writing its digest; soup loads the
     # good model first, and the line must name the bad one
     cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
-    data = enc.checkpoint_to_bytes(
+    data = oracles.checkpoint_to_bytes(
         enc.Checkpoint(config=cfg, phase="base", params=enc.init_params(cfg)))
     good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
     good.write_bytes(data)
@@ -1204,6 +1223,36 @@ def test_train_self_distill_checks_pca_dim_before_encoding(small_world, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("form", ["models", "manifest"])
+def test_soup_repeated_label_exits_2_before_reading_a_candidate(small_world, tmp_path, capsys,
+                                                                 monkeypatch, form):
+    # a repeated label used to merge two candidates into one report entry
+    paths = []
+    for seed, sub in ((1, "d1"), (2, "d2")):
+        cfg = enc.EncoderConfig(vocab_buckets=256, embed_dim=12, hidden_dim=16,
+                                output_dim=16, hash_seed=5, init_seed=seed)
+        (tmp_path / sub).mkdir()
+        paths.append(str(tmp_path / sub / "m.ckpt"))
+        enc.save_checkpoint(paths[-1], enc.Checkpoint(config=cfg, phase="self_distilled",
+                                                      params=enc.init_params(cfg)))
+    if form == "models":
+        source, label = ["--models", *paths], "m.ckpt"
+    else:
+        listing = {"candidates": [{"path": p, "score": 0.5, "label": "run"} for p in paths]}
+        (tmp_path / "cands.json").write_text(json.dumps(listing))
+        source, label = ["--manifest", str(tmp_path / "cands.json")], "run"
+    before = sorted(os.listdir(tmp_path))
+
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+    monkeypatch.setattr(enc, "load_checkpoint", no_read)
+    assert run(["soup", *source, "--val", os.path.join(small_world, "sts_val.tsv"),
+                "--out", str(tmp_path / "soup.ckpt")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and repr(label) in err[0], err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -1327,6 +1376,16 @@ def test_pipeline_memory_does_not_grow_with_the_distillation_runs(small_world, t
     growth = peak(6) - peak(1)
     params = enc.load_checkpoint(tmp_path / "runs1" / "out" / "soup.ckpt").params
     assert growth < params.flat.nbytes, (growth, params.flat.nbytes)
+
+
+def test_pipeline_without_contrastive_epochs_logs_no_final_loss(small_world, tmp_path,
+                                                                 caplog):
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, **{**_FAST, "contrastive_epochs": 0})
+    with caplog.at_level(logging.INFO):
+        assert run(["--verbose", "pipeline", "--config", cfg,
+                    "--out-dir", str(tmp_path / "out")]) == 0
+    assert "contrastive done: 0 steps, final loss none" in caplog.messages
+    _strict_json((tmp_path / "out" / "report.json").read_text())
 
 
 def _no_training(monkeypatch):

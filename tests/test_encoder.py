@@ -12,7 +12,10 @@ from ontoembed import encoder as enc
 from ontoembed import evalsuite as ev
 from ontoembed.cli import EMBED_CHUNK
 
-from oracles import backward_reference, fd_gradient, rel_error
+from oracles import (
+    backward_reference, checkpoint_from_bytes, checkpoint_to_bytes, fd_gradient,
+    params_equal, rel_error,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +67,7 @@ def test_tokenize_hash_seed_changes_buckets(tiny_config):
 
 
 def test_init_is_deterministic(tiny_config):
-    assert enc.params_equal(enc.init_params(tiny_config), enc.init_params(tiny_config))
+    assert params_equal(enc.init_params(tiny_config), enc.init_params(tiny_config))
 
 
 def test_init_seed_changes_token_table(tiny_config):
@@ -309,7 +312,7 @@ def test_flatten_roundtrip_bit_exact(tiny_config):
     vec = rng.normal(size=tiny_config.base_param_count())
     assert np.array_equal(enc.flatten(enc.unflatten(tiny_config, vec)), vec)
     params = enc.init_params(tiny_config)
-    assert enc.params_equal(enc.unflatten(tiny_config, enc.flatten(params)), params)
+    assert params_equal(enc.unflatten(tiny_config, enc.flatten(params)), params)
 
 
 def test_default_parameter_count():
@@ -333,7 +336,7 @@ def test_unflatten_infers_head(tiny_config):
     params = enc.attach_head(enc.init_params(tiny_config), tiny_config, 3, seed=1)
     back = enc.unflatten(tiny_config, enc.flatten(params))
     assert back.head_dim == 3
-    assert enc.params_equal(back, params)
+    assert params_equal(back, params)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +353,7 @@ def test_checkpoint_roundtrip_bit_exact(tiny_config, tmp_path):
     path = tmp_path / "m.ckpt"
     enc.save_checkpoint(path, ckpt)
     loaded = enc.load_checkpoint(path)
-    assert enc.params_equal(loaded.params, ckpt.params)
+    assert params_equal(loaded.params, ckpt.params)
     assert loaded.config == ckpt.config
     assert loaded.phase == ckpt.phase
     assert loaded.history == ckpt.history
@@ -363,7 +366,7 @@ def test_checkpoint_roundtrip_with_head(tiny_config, tmp_path):
     path = tmp_path / "m.ckpt"
     enc.save_checkpoint(path, ckpt)
     loaded = enc.load_checkpoint(path)
-    assert enc.params_equal(loaded.params, ckpt.params)
+    assert params_equal(loaded.params, ckpt.params)
     assert loaded.history == ckpt.history
 
 
@@ -378,7 +381,7 @@ def test_checkpoint_truncation_detected(tiny_config, tmp_path):
 
 def test_checkpoint_version_mismatch(tiny_config, tmp_path):
     ckpt = _ckpt(tiny_config)
-    raw = enc.checkpoint_to_bytes(ckpt)
+    raw = checkpoint_to_bytes(ckpt)
     tampered = raw.replace(b'"version":1', b'"version":999', 1)
     path = tmp_path / "m.ckpt"
     path.write_bytes(tampered)
@@ -394,7 +397,7 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_bytes_are_deterministic(tiny_config):
-    assert enc.checkpoint_to_bytes(_ckpt(tiny_config)) == enc.checkpoint_to_bytes(_ckpt(tiny_config))
+    assert checkpoint_to_bytes(_ckpt(tiny_config)) == checkpoint_to_bytes(_ckpt(tiny_config))
 
 
 @pytest.mark.parametrize("head", [None, 4], ids=["no-head", "head"])
@@ -407,7 +410,7 @@ def test_every_checkpoint_writer_gives_the_same_bytes(tiny_config, tmp_path, hea
     cli._save_checkpoint(str(tmp_path / "cli.ckpt"), ckpt)
     data = (tmp_path / "save.ckpt").read_bytes()
     assert (tmp_path / "cli.ckpt").read_bytes() == data
-    assert enc.checkpoint_to_bytes(ckpt) == data
+    assert checkpoint_to_bytes(ckpt) == data
     assert ev.model_digest(ckpt) == hashlib.sha256(data).hexdigest()
     header, block = enc.checkpoint_pieces(ckpt)
     assert np.shares_memory(np.asarray(block), params.flat)
@@ -418,14 +421,14 @@ def test_every_checkpoint_writer_gives_the_same_bytes(tiny_config, tmp_path, hea
 def test_nonfinite_parameters_are_refused_on_write_and_read(tiny_config, value):
     # under the commands' numeric policy too, where a stray invalid raises
     ckpt = _ckpt(tiny_config)
-    data = enc.checkpoint_to_bytes(ckpt)
+    data = checkpoint_to_bytes(ckpt)
     ckpt.params.flat[-1] = value
     bad = data[:-8] + np.array([value], dtype="<f8").tobytes()
     with np.errstate(all="raise"):
         with pytest.raises(enc.CheckpointFormatError, match="^refusing to serialize non-finite"):
-            enc.checkpoint_to_bytes(ckpt)
+            checkpoint_to_bytes(ckpt)
         with pytest.raises(enc.CheckpointFormatError, match="^checkpoint holds non-finite"):
-            enc.checkpoint_from_bytes(bad)
+            checkpoint_from_bytes(bad)
 
 
 def test_a_short_read_of_the_parameter_block_is_truncation(tiny_config):
@@ -436,7 +439,7 @@ def test_a_short_read_of_the_parameter_block_is_truncation(tiny_config):
             return super().readinto(memoryview(buffer).cast("B")[:-1])
 
     with pytest.raises(enc.CheckpointTruncatedError, match="shrank while read"):
-        enc.read_checkpoint(Shrinking(enc.checkpoint_to_bytes(_ckpt(tiny_config))))
+        enc.read_checkpoint(Shrinking(checkpoint_to_bytes(_ckpt(tiny_config))))
 
 
 def _peak_per_param_byte(call, config):
@@ -473,4 +476,4 @@ def test_checkpoint_refuses_nonfinite_params(tiny_config):
     ckpt = _ckpt(tiny_config)
     ckpt.params.w1[0, 0] = np.nan
     with pytest.raises(enc.CheckpointFormatError):
-        enc.checkpoint_to_bytes(ckpt)
+        checkpoint_to_bytes(ckpt)

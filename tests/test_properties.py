@@ -29,7 +29,10 @@ from ontoembed import soup  # noqa: E402
 from ontoembed import trainer  # noqa: E402
 
 from conftest import run_child  # noqa: E402
-from oracles import dense_fit, embedding_lines_reference  # noqa: E402
+from oracles import (  # noqa: E402
+    checkpoint_from_bytes, checkpoint_to_bytes, dense_fit, embedding_lines_reference,
+    params_equal,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
@@ -60,7 +63,7 @@ def models(draw, head_dims=st.none() | st.integers(1, 3)):
 def test_unflatten_of_flatten_is_identity_and_shares_memory(model):
     config, params = model
     back = enc.unflatten(config, enc.flatten(params))
-    assert enc.params_equal(back, params)
+    assert params_equal(back, params)
     assert back.head_dim == params.head_dim
     assert np.shares_memory(back.flat, params.flat)
     for (_, view), (_, original) in zip(back.tensor_items(), params.tensor_items()):
@@ -71,11 +74,11 @@ def test_unflatten_of_flatten_is_identity_and_shares_memory(model):
 @given(models(), st.sampled_from(enc.PHASES))
 def test_checkpoint_bytes_round_trip_bit_exact(model, phase):
     config, params = model
-    data = enc.checkpoint_to_bytes(enc.Checkpoint(config=config, phase=phase, params=params))
-    loaded = enc.checkpoint_from_bytes(data)
-    assert enc.params_equal(loaded.params, params)
+    data = checkpoint_to_bytes(enc.Checkpoint(config=config, phase=phase, params=params))
+    loaded = checkpoint_from_bytes(data)
+    assert params_equal(loaded.params, params)
     assert loaded.config == config and loaded.phase == phase
-    assert enc.checkpoint_to_bytes(loaded) == data
+    assert checkpoint_to_bytes(loaded) == data
 
 
 @st.composite
@@ -96,14 +99,14 @@ def assert_file_reads_as_bytes(data: bytes, path: str):
     of the same class whose message is the path, ": " and the same message.
     Returns that error, or None."""
     try:
-        want = enc.checkpoint_from_bytes(data)
+        want = checkpoint_from_bytes(data)
     except enc.CheckpointError as exc:
         with pytest.raises(enc.CheckpointError) as info:
             enc.load_checkpoint(path)
         assert type(info.value) is type(exc) and str(info.value) == f"{path}: {exc}"
         return exc
     got = enc.load_checkpoint(path)
-    assert enc.params_equal(got.params, want.params)
+    assert params_equal(got.params, want.params)
     assert (got.config, got.phase, got.history) == (want.config, want.phase, want.history)
     return None
 
@@ -112,11 +115,11 @@ def assert_file_reads_as_bytes(data: bytes, path: str):
 @given(models(), st.data())
 def test_corrupted_checkpoint_loads_or_fails_in_one_line(model, data):
     config, params = model
-    bad = data.draw(corrupted(enc.checkpoint_to_bytes(
+    bad = data.draw(corrupted(checkpoint_to_bytes(
         enc.Checkpoint(config=config, phase="base", params=params))))
     texts = ["fever", "", "peptic ulcer"]
     try:
-        loaded = enc.checkpoint_from_bytes(bad)
+        loaded = checkpoint_from_bytes(bad)
         # a flipped exponent byte can load as a finite weight so large that
         # an output overflows; embed then fails in one line as well
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
@@ -156,7 +159,7 @@ def test_corrupted_checkpoint_loads_or_fails_in_one_line(model, data):
 ], ids=["empty", "header-without-newline", "block-one-byte-short", "one-trailing-byte"])
 def test_damaged_checkpoint_file_fails_as_its_bytes(tmp_path, cut, error, message):
     config = enc.EncoderConfig(vocab_buckets=8, embed_dim=3, hidden_dim=4, output_dim=2)
-    data = enc.checkpoint_to_bytes(enc.Checkpoint(config=config, phase="base",
+    data = checkpoint_to_bytes(enc.Checkpoint(config=config, phase="base",
                                                   params=enc.init_params(config)))
     path = str(tmp_path / "m.ckpt")
     with open(path, "wb") as fh:
@@ -252,7 +255,7 @@ def test_uniform_soup_of_identical_models_is_that_model(model, k):
         enc.save_checkpoint(path, ckpt)
         candidates = [soup.SoupCandidate(path, 0.0, f"m{i}") for i in range(k)]
         out = soup.uniform_soup(candidates)
-    assert enc.params_equal(out.params, params.without_head())
+    assert params_equal(out.params, params.without_head())
 
 
 def _fit_with_last_state(fit, params, config, texts, plans, objective, cfg, full_loss):

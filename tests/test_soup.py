@@ -7,7 +7,7 @@ import pytest
 from ontoembed import encoder as enc
 from ontoembed import soup
 
-from oracles import brute_greedy_soup
+from oracles import brute_greedy_soup, checkpoint_to_bytes, params_equal
 
 
 def _model(config, init_seed=None, phase="self_distilled", scale_params=None):
@@ -49,7 +49,7 @@ def test_uniform_of_identical_copies_is_bit_equal(config, cand):
     for k in (1, 2, 3, 7):
         cands = [cand(model, 0.5, f"m{i}") for i in range(k)]
         out = soup.uniform_soup(cands)
-        assert enc.params_equal(out.params, model.params)
+        assert params_equal(out.params, model.params)
         assert out.phase == "souped"
 
 
@@ -82,7 +82,7 @@ def test_uniform_strips_heads(config, cand):
         history=model.history)
     out = soup.uniform_soup([cand(with_head, 0.0, "a")])
     assert not out.params.has_head
-    assert enc.params_equal(out.params, model.params)
+    assert params_equal(out.params, model.params)
 
 
 def test_uniform_permutation_invariant_with_label_order(config, cand):
@@ -90,7 +90,7 @@ def test_uniform_permutation_invariant_with_label_order(config, cand):
     cands = [cand(m, 0.0, f"m{i}") for i, m in enumerate(models)]
     a = soup.uniform_soup(cands)
     b = soup.uniform_soup(list(reversed(cands)))
-    assert enc.checkpoint_to_bytes(a) == enc.checkpoint_to_bytes(b)
+    assert checkpoint_to_bytes(a) == checkpoint_to_bytes(b)
 
 
 def test_uniform_rejects_incompatible_configs(config, cand):
@@ -129,7 +129,7 @@ def test_greedy_single_candidate(config, cand):
     model = _model(config)
     out, kept = soup.greedy_soup([cand(model, 0.9, "only")], lambda c: 1.0)
     assert kept == ["only"]
-    assert enc.params_equal(out.params, model.params)
+    assert params_equal(out.params, model.params)
 
 
 def test_greedy_constant_metric_keeps_everything(config, cand):
@@ -137,7 +137,7 @@ def test_greedy_constant_metric_keeps_everything(config, cand):
     out, kept = soup.greedy_soup(cands, lambda c: 42.0)
     assert sorted(kept) == [f"m{i}" for i in range(5)]
     uniform = soup.uniform_soup(cands)
-    assert enc.checkpoint_to_bytes(out) == enc.checkpoint_to_bytes(uniform)
+    assert checkpoint_to_bytes(out) == checkpoint_to_bytes(uniform)
 
 
 def test_greedy_matches_brute_force_simulation(config, cand):
@@ -189,11 +189,24 @@ def test_greedy_tie_break_by_label(config, cand):
     # equal validation scores: the pool must start from the label-ascending first
     out, kept = soup.greedy_soup(
         [cand(b, 0.5, "zz"), cand(a, 0.5, "aa")],
-        lambda c: -1.0 if enc.params_equal(c.params, b.params) else 0.0)
+        lambda c: -1.0 if params_equal(c.params, b.params) else 0.0)
     # "aa" seeds the pool (score 0.0); adding "zz" would average to something
     # that is neither model, evaluated via the fallback branch (0.0 >= 0.0),
     # so both are kept; the important part is the deterministic seed choice
     assert kept[0] == "aa"
+
+
+def test_greedy_rejects_empty_and_incompatible_candidates(config, cand):
+    # each candidate goes into one tentative soup with the best, so an
+    # incompatible one raises even under a metric that rejects it
+    with pytest.raises(soup.IncompatibleCandidatesError):
+        soup.greedy_soup([], lambda c: 0.0)
+    other_cfg = enc.EncoderConfig(**{**config.to_dict(), "hidden_dim": 6})
+    for odd in (_model(other_cfg), _model(config, phase="contrastive")):
+        cands = [cand(_model(config, init_seed=1), 0.9, "a"), cand(odd, 0.1, "b"),
+                 cand(_model(config, init_seed=2), 0.5, "c")]
+        with pytest.raises(soup.IncompatibleCandidatesError, match="'b'"):
+            soup.greedy_soup(cands, _rejects_all())
 
 
 def test_candidate_score_must_be_finite(config, cand):

@@ -14,7 +14,7 @@ from ontoembed import soup
 from ontoembed import trainer
 
 from conftest import write_jsonl
-from oracles import adamw_reference, dense_fit
+from oracles import adamw_reference, checkpoint_to_bytes, dense_fit, params_equal
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_adamw_zero_grads_zero_decay_is_identity(tiny_config):
     state = trainer.init_adamw(params)
     new_params, new_state = trainer.adamw_step(
         params, _zero_gradient(params), state, lr=0.1, weight_decay=0.0)
-    assert enc.params_equal(new_params, before)
+    assert params_equal(new_params, before)
     assert new_state.step == 1
 
 
@@ -443,7 +443,7 @@ def test_contrastive_deterministic_per_seed(small_setup):
     cfg = trainer.TrainConfig(learning_rate=2e-3, epochs=2, batch_size=32, seed=9)
     a, _ = trainer.train_contrastive(base, corpus, kg, cfg)
     b, _ = trainer.train_contrastive(base, corpus, kg, cfg)
-    assert enc.checkpoint_to_bytes(a) == enc.checkpoint_to_bytes(b)
+    assert checkpoint_to_bytes(a) == checkpoint_to_bytes(b)
 
 
 def test_contrastive_with_hard_negatives_runs(small_setup):
@@ -529,7 +529,7 @@ def test_adapt_zero_epochs_is_bit_exact_identity(small_setup, small_datasets):
     _, _, base = small_setup
     cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=0, batch_size=8, seed=0)
     adapted, stats = trainer.adapt_sts(base, small_datasets["sts_train"], cfg)
-    assert enc.params_equal(adapted.params, base.params)
+    assert params_equal(adapted.params, base.params)
     assert stats.steps == 0
 
 
@@ -599,7 +599,7 @@ def test_distill_seed_changes_head_and_result(four_concept_kg):
         ck, _ = trainer.train_self_distill(teacher, targets, four_concept_kg, cfg)
         outs.append(ck)
     assert not np.array_equal(outs[0].params.head_w, outs[1].params.head_w)
-    assert not enc.params_equal(outs[0].params, outs[1].params)
+    assert not params_equal(outs[0].params, outs[1].params)
 
 
 def test_distill_zero_epochs_keeps_encoder_bit_exact(four_concept_kg):
@@ -609,7 +609,7 @@ def test_distill_zero_epochs_keeps_encoder_bit_exact(four_concept_kg):
     _, targets = trainer.build_targets(teacher, four_concept_kg, k=3)
     cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=0, batch_size=8, seed=0)
     ck, stats = trainer.train_self_distill(teacher, targets, four_concept_kg, cfg)
-    assert enc.params_equal(ck.params.without_head(), teacher.params)
+    assert params_equal(ck.params.without_head(), teacher.params)
     assert stats.steps == 0
     assert len(stats.epoch_losses) == 1  # the initial full-set loss
 
@@ -643,21 +643,21 @@ def test_distill_deterministic_per_seed(four_concept_kg):
     cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=3, batch_size=8, seed=5)
     a, _ = trainer.train_self_distill(teacher, targets, four_concept_kg, cfg)
     b, _ = trainer.train_self_distill(teacher, targets, four_concept_kg, cfg)
-    assert enc.checkpoint_to_bytes(a) == enc.checkpoint_to_bytes(b)
+    assert checkpoint_to_bytes(a) == checkpoint_to_bytes(b)
 
 
 def test_no_regime_mutates_its_inputs(small_setup, small_datasets, tmp_path):
     # AdamW updates in place, so each regime must train on its own copy and
     # the soup must average into a fresh vector
     kg, corpus, base = small_setup
-    snapshot = enc.checkpoint_to_bytes(base)
+    snapshot = checkpoint_to_bytes(base)
     cfg = trainer.TrainConfig(learning_rate=2e-3, epochs=1, batch_size=32, seed=0)
     adapted, stats = trainer.adapt_sts(base, small_datasets["sts_train"], cfg)
     assert stats.steps > 0
-    assert enc.checkpoint_to_bytes(base) == snapshot
+    assert checkpoint_to_bytes(base) == snapshot
     _, stats = trainer.train_contrastive(base, corpus[:64], kg, cfg)
     assert stats.steps > 0
-    assert enc.checkpoint_to_bytes(base) == snapshot
+    assert checkpoint_to_bytes(base) == snapshot
 
     _, targets = trainer.build_targets(adapted, kg, k=4)
     candidates = []
@@ -668,7 +668,7 @@ def test_no_regime_mutates_its_inputs(small_setup, small_datasets, tmp_path):
         path = tmp_path / f"d{seed}.ckpt"
         enc.save_checkpoint(path, distilled)
         candidates.append(soup.SoupCandidate(str(path), float(seed), f"d{seed}"))
-    assert enc.checkpoint_to_bytes(base) == snapshot
+    assert checkpoint_to_bytes(base) == snapshot
 
     before = [(tmp_path / f"d{seed}.ckpt").read_bytes() for seed in (0, 1, 2)]
     souped, kept = soup.greedy_soup(candidates, lambda ckpt: 0.0)
@@ -677,7 +677,7 @@ def test_no_regime_mutates_its_inputs(small_setup, small_datasets, tmp_path):
     # the averaging works in the buffers it reads, so a second soup over the
     # same candidates comes out the same
     again, _ = soup.greedy_soup(candidates, lambda ckpt: 0.0)
-    assert enc.checkpoint_to_bytes(again) == enc.checkpoint_to_bytes(souped)
+    assert checkpoint_to_bytes(again) == checkpoint_to_bytes(souped)
 
 
 # ---------------------------------------------------------------------------
@@ -729,13 +729,13 @@ def test_xlingual_reduces_translation_gap(tmp_path):
 
 def test_xlingual_teacher_frozen(tmp_path):
     teacher, pairs = _teacher_and_pairs(tmp_path)
-    snapshot = enc.checkpoint_to_bytes(teacher)
+    snapshot = checkpoint_to_bytes(teacher)
     student_cfg = enc.EncoderConfig(vocab_buckets=512, embed_dim=16, hidden_dim=24,
                                     output_dim=20, init_seed=77)
     trainer.train_xlingual(teacher, student_cfg, pairs,
                            trainer.TrainConfig(learning_rate=5e-3, epochs=2,
                                                batch_size=6, seed=0))
-    assert enc.checkpoint_to_bytes(teacher) == snapshot
+    assert checkpoint_to_bytes(teacher) == snapshot
 
 
 def test_xlingual_rejects_empty_pairs_and_dim_mismatch(tmp_path):
@@ -756,7 +756,7 @@ def test_xlingual_deterministic_per_seed(tmp_path):
     cfg = trainer.TrainConfig(learning_rate=2e-3, epochs=2, batch_size=6, seed=4)
     a, _ = trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
     b, _ = trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
-    assert enc.checkpoint_to_bytes(a) == enc.checkpoint_to_bytes(b)
+    assert checkpoint_to_bytes(a) == checkpoint_to_bytes(b)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +899,7 @@ def test_regime_equals_full_table_training_byte_for_byte(regime, small_setup, sm
     got, got_stats = run()
     monkeypatch.setattr(trainer, "_fit", dense_fit)
     want, want_stats = run()
-    assert enc.checkpoint_to_bytes(got) == enc.checkpoint_to_bytes(want)
+    assert checkpoint_to_bytes(got) == checkpoint_to_bytes(want)
     assert got_stats == want_stats
     if regime == "contrastive":
         pair_texts = {t for p in corpus[:64] for t in (p.anchor.text, p.positive.text)}
