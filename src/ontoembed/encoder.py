@@ -355,13 +355,19 @@ def encode_batch(params: Params, config: EncoderConfig, texts: list[str]) -> np.
 
 def backward_batch(
     params: Params, config: EncoderConfig, texts: list[str], output_grads: np.ndarray,
-    forward: Forward,
+    forward: Forward, out: Params | None = None,
 ) -> Params:
     """Exact gradient of ``sum(forward.out * output_grads)`` w.r.t. every
     parameter, backpropagated from ``forward``, the ``forward_tokens`` of the
     same params over the ``tokenize_batch`` of ``texts``, as a ``Params``
     shaped like ``params``. Token rows no text in the batch holds are +0.0,
-    and so are the head's slots when ``params`` carry one."""
+    and so are the head's slots when ``params`` carry one.
+
+    With ``out``, a ``Params`` shaped like ``params``, the gradient is
+    written into ``out`` and ``out`` is returned: each encoder tensor is
+    assigned whole and only the batch's token rows are written, so ``out``'s
+    other token rows must already be +0.0, and its head slots are left as
+    they are."""
     output_grads = np.asarray(output_grads, dtype=float)
     if output_grads.shape != (len(texts), config.output_dim):
         raise ValueError("output_grads shape must be (len(texts), output_dim)")
@@ -380,7 +386,7 @@ def backward_batch(
         output_grads / NORM_GUARD,
     )
 
-    grad = Params(np.zeros_like(params.flat), params.shapes)
+    grad = Params(np.zeros_like(params.flat), params.shapes) if out is None else out
     grad.w2 = f.h.T @ grad_z
     grad.b2 = grad_z.sum(axis=0)
     grad_h = grad_z @ params.w2.T
@@ -388,7 +394,11 @@ def backward_batch(
     grad.w1 = f.pooled.T @ grad_a
     grad.b1 = grad_a.sum(axis=0)
     grad_pooled = grad_a @ params.w1.T
-    _gather_sums(grad_pooled / f.counts[:, None], f.text_of, f.ids, grad.token_table)
+    # each of the batch's rows sums its terms in token order from 0.0, as a
+    # scatter over the whole table would, but only those rows are built
+    rows, local = np.unique(f.ids, return_inverse=True)
+    grad.token_table[rows] = _gather_sums(grad_pooled / f.counts[:, None], f.text_of, local,
+                                          np.empty((len(rows), grad_pooled.shape[1])))
     return grad
 
 

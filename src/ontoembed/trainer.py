@@ -14,6 +14,7 @@ sequential in batch order, which is what makes that guarantee hold.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -62,6 +63,10 @@ class TrainConfig:
     info_nce_scale: float = 20.0
 
     def __post_init__(self):
+        # the decay replay of untrained rows holds only for finite rates
+        for name in ("learning_rate", "weight_decay", "info_nce_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.weight_decay < 0:
@@ -336,19 +341,23 @@ _REPLAY_BLOCK = 1 << 15
 def _replay_decay(table: np.ndarray, reached: np.ndarray, rates: list[float],
                   weight_decay: float) -> None:
     """Apply to every row of ``table`` outside ``reached`` the AdamW steps at
-    the learning rates ``rates``, in place.
+    the finite learning rates ``rates``, in place.
 
     No batch touches such a row, so its gradient is +0.0 at every step and
     its moments stay +0.0. ``adamw_step`` then computes the Adam update as
     +0.0 / (sqrt(+0.0) + eps) = +0.0, adds the decay term to it and subtracts
     lr times the sum: theta <- theta - lr * (0.0 + weight_decay * theta).
-    That is replayed here with the same operations in the same order. The
-    ``0.0 +`` is kept: it turns a decay term of -0.0 (theta -0.0, or a tiny
-    theta whose product underflows) into +0.0, and theta - lr * (+0.0) keeps
-    a -0.0 theta where theta - lr * (-0.0) would make it +0.0. Each element's
-    update reads only that element and lr, so replaying every step on one
-    cache-sized block before the next gives the bits the interleaved steps
-    give; with no weight decay the update subtracts +0.0 and changes nothing.
+    That is replayed here in three passes, without the ``0.0 +``, which
+    changes only a decay term of -0.0 (theta -0.0, or a tiny negative theta
+    whose product underflows) into +0.0. For a nonzero theta, subtracting
+    either zero leaves theta as it is; for a -0.0 theta, the step keeps -0.0
+    where the three passes make +0.0, and neither ever makes -0.0 from
+    another value (x - x is +0.0). So the entries that were -0.0 before the
+    replay are set to -0.0 after it, and every bit is what the steps give.
+    Each element's update reads only that element and lr, so replaying every
+    step on one cache-sized block before the next gives the bits the
+    interleaved steps give; with no weight decay the update subtracts +0.0
+    and changes nothing.
     """
     if weight_decay == 0.0:
         return
@@ -358,12 +367,13 @@ def _replay_decay(table: np.ndarray, reached: np.ndarray, rates: list[float],
     for start in range(0, len(table), rows):
         block, keep = table[start:start + rows], untouched[start:start + rows]
         theta = block[keep]
+        negative_zero = (theta == 0.0) & np.signbit(theta)
         decay = np.empty_like(theta)
         for lr in rates:
             np.multiply(theta, weight_decay, out=decay)
-            np.add(0.0, decay, out=decay)
             np.multiply(decay, lr, out=decay)
             np.subtract(theta, decay, out=theta)
+        theta[negative_zero] = -0.0
         block[keep] = theta
 
 
@@ -395,6 +405,9 @@ def _fit(params, config, texts, plans, objective, cfg: TrainConfig, regime: str,
     compact, head = params.take_rows(reached), params.has_head
     total_steps = sum(len(plan) for plan in plans)
     state = init_adamw(compact)
+    # one gradient for the whole run: its token rows are +0.0 outside the
+    # step's own rows, which are zeroed again after each step
+    grad = enc.Params(np.zeros_like(compact.flat), compact.shapes)
     rates = []
 
     def outputs(index):
@@ -417,10 +430,11 @@ def _fit(params, config, texts, plans, objective, cfg: TrainConfig, regime: str,
                 f, y = outputs(index)
                 loss, gy = objective(y, index)
                 grad = enc.backward_batch(compact, config, [texts[i] for i in index],
-                                          gy @ compact.head_w.T if head else gy, f)
+                                          gy @ compact.head_w.T if head else gy, f, grad)
                 if head:
                     grad.head_w, grad.head_b = f.out.T @ gy, gy.sum(axis=0)
                 adamw_step(compact, grad, state, lr, cfg.weight_decay)
+                grad.token_table[f.ids] = 0.0
                 rates.append(lr)
                 step_losses.append(loss)
             where = f"after epoch {epoch}"

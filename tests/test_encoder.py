@@ -230,9 +230,9 @@ def test_batch_entry_points_keep_their_leading_parameters():
 # backward_batch
 
 
-def _backward(params, config, texts, output_grads):
+def _backward(params, config, texts, output_grads, out=None):
     return enc.backward_batch(params, config, texts, output_grads,
-                              enc.forward_tokens(params, enc.tokenize_batch(config, texts)))
+                              enc.forward_tokens(params, enc.tokenize_batch(config, texts)), out)
 
 
 def test_backward_zero_grad_gives_zero(tiny_config):
@@ -294,6 +294,12 @@ def test_backward_token_rows_equal_dense_add_at_bit_exact(texts):
     assert grad.shapes == params.shapes
     for name, got in grad.tensor_items():
         assert got.tobytes() == want[name].tobytes(), name
+    # written into a buffer whose token rows are +0.0: every dense tensor is
+    # overwritten whole
+    out = enc.Params(np.full_like(params.flat, np.nan), params.shapes)
+    out.token_table = np.zeros_like(params.token_table)
+    assert _backward(params, cfg, texts, output_grads, out) is out
+    assert out.flat.tobytes() == grad.flat.tobytes()
 
 
 def test_backward_takes_the_forward_it_is_given(tiny_config):

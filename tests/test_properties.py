@@ -333,6 +333,46 @@ def test_compact_fit_equals_full_table_fit_bit_for_bit(weight_decay, head_dims, 
             8 * (table[0] - len(reached)) * table[1])
 
 
+# Values whose decay terms underflow to -0.0 or +0.0 (the subnormals), keep
+# a sign of zero, or overflow at large rates, among ordinary ones.
+_REPLAY_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                                  1e300, -1e300]) | st.floats(-10.0, 10.0)
+# The rates include 0.0 and, with the larger weight decays, lr * wd >= 1.
+_REPLAY_RATES = st.sampled_from([0.0, 1e-3, 0.04, 1.0, 30.0, 1e3]) | st.floats(0.0, 1e3)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data(), rows=st.integers(1, 12), width=st.integers(1, 4),
+       weight_decay=st.sampled_from([0.0, 1e-310, 0.01, 0.05, 0.5, 2.0]),
+       rates=st.lists(_REPLAY_RATES, max_size=6),
+       reached_kind=st.sampled_from(["empty", "full", "mixed"]),
+       block=st.sampled_from([1, 3, 8, 1 << 15]))
+def test_replay_decay_equals_the_per_step_update_bit_for_bit(data, rows, width, weight_decay,
+                                                             rates, reached_kind, block):
+    # the reference is adamw_step on a row it never trains: at each rate,
+    # theta <- theta - (0.0 + theta * wd) * lr, over every row outside reached
+    table = np.array(data.draw(st.lists(_REPLAY_VALUES, min_size=rows * width,
+                                        max_size=rows * width))).reshape(rows, width)
+    if reached_kind == "mixed":
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    else:
+        mask = np.full(rows, reached_kind == "full")
+    reached = np.flatnonzero(mask)
+    want = table.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = want[~mask]
+        for lr in rates:
+            decay = theta * weight_decay
+            decay = 0.0 + decay
+            decay = decay * lr
+            theta = theta - decay
+        want[~mask] = theta
+        got = table.copy()
+        with mock.patch.object(trainer, "_REPLAY_BLOCK", block):
+            trainer._replay_decay(got, reached, rates, weight_decay)
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # pipeline config files
 

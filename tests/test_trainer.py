@@ -488,9 +488,9 @@ def test_contrastive_batches_audited_during_training(small_setup, monkeypatch):
     seen_batches = []
     real_backward = trainer.enc.backward_batch
 
-    def spy_backward(params, config, texts, grads, forward):
+    def spy_backward(params, config, texts, grads, forward, out=None):
         seen_batches.append(list(texts))
-        return real_backward(params, config, texts, grads, forward)
+        return real_backward(params, config, texts, grads, forward, out)
 
     monkeypatch.setattr(trainer.enc, "backward_batch", spy_backward)
     cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=2, batch_size=16, seed=1)
@@ -806,6 +806,15 @@ def test_train_config_validation():
         trainer.TrainConfig(epochs=-1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "info_nce_scale"])
+def test_train_config_rejects_non_finite_rates(name, value):
+    # nan compares False with every bound, and inf passes the lower ones
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        trainer.TrainConfig(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # one forward pass per optimizer step
 
@@ -859,6 +868,45 @@ def test_each_step_runs_the_forward_once(regime, small_setup, small_world, tmp_p
             assert calls[i - 1] == "forward" and calls[i + 1] == "backward returned"
 
 
+@pytest.mark.parametrize("regime", ["sts", "self-distill"])
+def test_reused_gradient_buffer_carries_no_stale_rows(regime, small_setup, small_world,
+                                                      monkeypatch):
+    # _fit writes every step's gradient into one buffer; each gradient
+    # AdamW is given must equal, bit for bit, the gradient a fresh
+    # backward_batch allocates for the same step, though consecutive steps
+    # touch different token rows
+    kg, _, base = small_setup
+    cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, seed=3)
+    if regime == "sts":
+        sts = ev.load_sts_dataset(os.path.join(small_world, "sts_train.tsv"))
+        run = lambda: trainer.adapt_sts(base, sts, cfg)  # noqa: E731
+    else:
+        teacher = enc.Checkpoint(config=base.config, phase="sts_adapted", params=base.params)
+        _, targets = trainer.build_targets(teacher, kg, k=4)
+        run = lambda: trainer.train_self_distill(base, targets, kg, cfg)  # noqa: E731
+
+    real_backward, real_adamw = enc.backward_batch, trainer.adamw_step
+    backward_args, step_rows, buffers = [], [], set()
+
+    def spy_backward(params, config, texts, grads, forward, out=None):
+        backward_args.append((config, texts, grads, forward))
+        return real_backward(params, config, texts, grads, forward, out)
+
+    def spy_adamw(params, grads, state, lr, weight_decay=0.0):
+        config, texts, output_grads, forward = backward_args.pop()
+        fresh = real_backward(params, config, texts, output_grads, forward)
+        assert grads.without_head().flat.tobytes() == fresh.without_head().flat.tobytes()
+        step_rows.append(set(forward.ids.tolist()))
+        buffers.add(id(grads.flat))
+        return real_adamw(params, grads, state, lr, weight_decay)
+
+    monkeypatch.setattr(enc, "backward_batch", spy_backward)
+    monkeypatch.setattr(trainer, "adamw_step", spy_adamw)
+    _, stats = run()
+    assert len(step_rows) == stats.steps > 2 and len(buffers) == 1
+    assert all(before - after for before, after in zip(step_rows, step_rows[1:]))
+
+
 # ---------------------------------------------------------------------------
 # training the reachable token rows against training the full table
 
@@ -891,9 +939,9 @@ def test_regime_equals_full_table_training_byte_for_byte(regime, small_setup, sm
     trained_texts = []
     real_backward = enc.backward_batch
 
-    def spy_backward(params, config, texts, grads, forward):
+    def spy_backward(params, config, texts, grads, forward, out=None):
         trained_texts.extend(texts)
-        return real_backward(params, config, texts, grads, forward)
+        return real_backward(params, config, texts, grads, forward, out)
 
     monkeypatch.setattr(enc, "backward_batch", spy_backward)
     got, got_stats = run()
