@@ -16,8 +16,6 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -185,36 +183,13 @@ class Params:
         return Params(self.flat[:sum(v.size for v in views)], [v.shape for v in views])
 
 
-def _fnv1a64(data: bytes, seed: int) -> int:
-    """Seeded 64-bit FNV-1a. Pure integer arithmetic, stable everywhere."""
-    h = (_FNV_OFFSET ^ (seed & _MASK64)) & _MASK64
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
-# Tokens repeat across texts, and texts across the phases of a run, so both
-# are cached: each distinct token (and text) is hashed once per process, up
-# to 65,536 of each.
-@lru_cache(maxsize=1 << 16)
-def _bucket(vocab_buckets: int, hash_seed: int, token: str) -> int:
-    return _fnv1a64(token.encode("utf-8"), hash_seed) % vocab_buckets
-
-
-@lru_cache(maxsize=1 << 16)
-def _token_ids(vocab_buckets: int, hash_seed: int, text: str) -> tuple[int, ...]:
-    tokens = _TOKEN_RE.findall(text.lower())
-    return tuple(_bucket(vocab_buckets, hash_seed, tok) for tok in tokens)
-
-
 def tokenize(config: EncoderConfig, text: str) -> list[int]:
     """Lowercase, split on runs of non-alphanumerics, hash into buckets.
 
     The hash is seeded FNV-1a over each token's UTF-8 bytes, modulo
     ``vocab_buckets``, so the mapping is identical on every platform.
     """
-    return list(_token_ids(config.vocab_buckets, config.hash_seed, text))
+    return tokenize_batch(config, [text]).ids.tolist()
 
 
 @dataclass(frozen=True)
@@ -241,13 +216,58 @@ class Tokens:
 
 
 def tokenize_batch(config: EncoderConfig, texts: list[str]) -> Tokens:
-    """``tokenize`` of every text in ``texts``, as one ``Tokens``."""
-    id_lists = [_token_ids(config.vocab_buckets, config.hash_seed, t) for t in texts]
+    """``tokenize`` of every text in ``texts``, as one ``Tokens``.
+
+    Each distinct token is numbered when first seen and hashed once, all
+    together, so the result depends on nothing but the arguments.
+    """
+    numbers: dict[str, int] = {}
+    setdefault = numbers.setdefault
+    codes: list[int] = []
+    lengths: list[int] = []
+    for text in texts:
+        tokens = _TOKEN_RE.findall(text.lower())
+        lengths.append(len(tokens))
+        codes += [setdefault(tok, len(numbers)) for tok in tokens]
     offsets = np.zeros(len(texts) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, id_lists), dtype=np.intp, count=len(texts)),
-              out=offsets[1:])
-    ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.intp, count=int(offsets[-1]))
-    return Tokens(ids, offsets)
+    np.cumsum(lengths, out=offsets[1:])
+    buckets = _fnv1a64(list(numbers), config.hash_seed) % np.uint64(config.vocab_buckets)
+    return Tokens(buckets.astype(np.intp).take(np.array(codes, dtype=np.intp)), offsets)
+
+
+def _fnv1a64(tokens: list[str], seed: int) -> np.ndarray:
+    """Seeded 64-bit FNV-1a of each token's UTF-8 bytes, as uint64.
+
+    The tokens run longest first, so the hashes still reading a byte at
+    position j are a prefix of ``h``, updated together; numpy's uint64
+    products wrap modulo 2**64. Each step gathers one byte of each running
+    token from the concatenated buffer, so memory is linear in the bytes.
+    The bytes only the longest token reaches are hashed with Python ints:
+    for one token, a numpy step per byte costs far more than it saves.
+    """
+    encoded = [tok.encode("utf-8") for tok in tokens]
+    sizes = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    data = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    order = np.argsort(-sizes, kind="stable")
+    ranked, pos = sizes[order], (np.cumsum(sizes) - sizes)[order]
+    shared = int(ranked[1]) if len(ranked) > 1 else 0
+    # running[j]: how many tokens are longer than j bytes
+    running = np.searchsorted(-ranked, -np.arange(shared))
+    h = np.full(len(tokens), _FNV_OFFSET ^ (seed & _MASK64), dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for n in running.tolist():
+        head, at = h[:n], pos[:n]
+        head ^= data.take(at)
+        head *= prime
+        at += 1
+    if len(tokens):
+        x = int(h[0])
+        for b in data[pos[0]:pos[0] + ranked[0] - shared].tolist():
+            x = ((x ^ b) * _FNV_PRIME) & _MASK64
+        h[0] = x
+    out = np.empty_like(h)
+    out[order] = h
+    return out
 
 
 def init_params(config: EncoderConfig) -> Params:

@@ -29,6 +29,16 @@ def checkpoint_from_bytes(data):
     return enc.read_checkpoint(io.BytesIO(data))
 
 
+def fnv1a64(data, seed):
+    """Seeded 64-bit FNV-1a of ``data``, one byte at a time in Python."""
+    mask = (1 << 64) - 1
+    h = (0xCBF29CE484222325 ^ (seed & mask)) & mask
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & mask
+    return h
+
+
 def fd_gradient(fn, x, h=1e-6):
     """Central finite differences of a scalar function over an array."""
     x = np.asarray(x, dtype=float)

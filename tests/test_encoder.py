@@ -14,7 +14,7 @@ from ontoembed.cli import EMBED_CHUNK
 
 from oracles import (
     backward_reference, checkpoint_from_bytes, checkpoint_to_bytes, fd_gradient,
-    params_equal, rel_error,
+    fnv1a64, params_equal, rel_error,
 )
 
 
@@ -47,13 +47,51 @@ def test_tokenize_fixed_hash_values():
     assert enc.tokenize(cfg17, "fever") == [31006]
 
 
-def test_tokenizer_caches_stay_bounded():
-    for cache in (enc._bucket, enc._token_ids):
-        assert cache.cache_info().maxsize == 1 << 16
-    for i in range((1 << 16) + 100):
-        enc._bucket(64, 3, f"t{i}")
-    assert enc._bucket.cache_info().currsize == 1 << 16
-    assert enc._bucket(64, 3, "t0") == enc._fnv1a64(b"t0", 3) % 64
+def test_tokenize_batch_depends_only_on_its_arguments():
+    # embed tokenizes its input in chunks: any split of a list, tokenized in
+    # any order and between other configs' calls, must give the whole list's ids
+    cfg = enc.EncoderConfig(vocab_buckets=97, hash_seed=5)
+    other = enc.EncoderConfig(vocab_buckets=13, hash_seed=6)
+    texts = ["Fever and cough", "", "fever", "Fever and cough", "chills, FEVER!",
+             "", "發燒 fever", "cough cough", "", "fever"]
+    whole = enc.tokenize_batch(cfg, texts)
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        cuts = np.sort(rng.choice(np.arange(1, len(texts)), rng.integers(0, len(texts)),
+                                  replace=False))
+        parts = np.split(np.arange(len(texts)), cuts)
+        done = {}
+        for i in rng.permutation(len(parts)):
+            enc.tokenize_batch(other, [texts[j] for j in parts[-1 - i]])
+            done[i] = enc.tokenize_batch(cfg, [texts[j] for j in parts[i]])
+        pieces = [done[i] for i in range(len(parts))]
+        assert np.array_equal(np.concatenate([p.ids for p in pieces]), whole.ids)
+        assert np.array_equal(np.concatenate([p.lengths for p in pieces]), whole.lengths)
+    assert [enc.tokenize(cfg, t) for t in texts] == [
+        whole.ids[a:b].tolist() for a, b in zip(whole.offsets, whole.offsets[1:])]
+    # and nothing is kept between calls: 5,000 new tokens leave no trace
+    tracemalloc.start()
+    try:
+        enc.tokenize_batch(cfg, [f"fresh{i}" for i in range(5000)])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 16 << 10
+
+
+def test_tokenize_batch_memory_is_linear_in_the_bytes():
+    # a (tokens x longest token) matrix would need about 400 MB here
+    cfg = enc.EncoderConfig(vocab_buckets=4096, hash_seed=3)
+    texts = [f"t{i}" for i in range(1000)] + ["x" * 200_000] + [f"u{i}" for i in range(1000)]
+    tracemalloc.start()
+    try:
+        tokens = enc.tokenize_batch(cfg, texts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert tokens.ids[1000] == fnv1a64(b"x" * 200_000, 3) % 4096
+    assert tokens.ids[:2].tolist() == [fnv1a64(b"t0", 3) % 4096, fnv1a64(b"t1", 3) % 4096]
 
 
 def test_tokenize_hash_seed_changes_buckets(tiny_config):

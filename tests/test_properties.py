@@ -1,7 +1,7 @@
 """Property tests over random small encoder configs, with and without a
 distillation head: the flat parameter layout, checkpoint round trips and
 corrupted checkpoints, uniform soups of identical models and training on
-the reached token rows; over random Unicode tokens and their cached hash
+the reached token rows; over random Unicode tokens and their hash
 buckets; over rows of float64 values as ``embed`` writes them; over
 mutated pipeline config files; over mutated lines of every TSV and JSONL
 input; and over mutated option and config values of real commands."""
@@ -31,7 +31,7 @@ from ontoembed import trainer  # noqa: E402
 from conftest import run_child  # noqa: E402
 from oracles import (  # noqa: E402
     checkpoint_from_bytes, checkpoint_to_bytes, dense_fit, embedding_lines_reference,
-    params_equal,
+    fnv1a64, params_equal,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -188,19 +188,29 @@ def test_assigning_a_tensor_writes_through_to_flat(model, data):
     assert np.array_equal(params.flat, before)
 
 
+# texts of random Unicode, some with a token of one to a few hundred
+# repeated characters, so that tokens run from 1 byte to over 1,000 bytes
+_HASH_TEXTS = st.lists(st.one_of(
+    st.text(), st.builds(lambda chars, n: chars * n, st.text(min_size=1, max_size=3),
+                         st.integers(1, 400))), max_size=4).map(" ".join)
+
+
 @settings(max_examples=200, deadline=None, database=None)
-@given(tokens=st.lists(st.text(min_size=1), min_size=1, max_size=8),
-       buckets=st.integers(1, 1 << 20), seed=st.integers(0, 2**64 - 1))
-@hypothesis.example(tokens=["fièvre", "發燒", "🦠", "a"], buckets=32768, seed=17)
-def test_cached_token_buckets_equal_the_fnv1a_hash(tokens, buckets, seed):
-    expected = [enc._fnv1a64(tok.encode("utf-8"), seed) % buckets for tok in tokens]
-    for _ in range(2):  # the second call is served from the cache
-        assert [enc._bucket(buckets, seed, tok) for tok in tokens] == expected
-    text = " ".join(tokens)
+@given(texts=st.lists(_HASH_TEXTS, max_size=5), buckets=st.integers(1, 1 << 62),
+       seed=st.one_of(st.integers(max_value=-1), st.integers(0, 2**64 - 1),
+                      st.integers(min_value=2**64)))
+@hypothesis.example(texts=["fièvre 發燒 🦠 a"], buckets=32768, seed=17)
+@hypothesis.example(texts=["é" * 600 + " x " + "z" * 1001], buckets=1, seed=-1)
+@hypothesis.example(texts=[], buckets=7, seed=0)
+@hypothesis.example(texts=["", " ", "_"], buckets=7, seed=2**64)
+def test_token_buckets_equal_the_fnv1a_hash(texts, buckets, seed):
+    expected = [[fnv1a64(tok.encode("utf-8"), seed) % buckets
+                 for tok in enc._TOKEN_RE.findall(text.lower())] for text in texts]
     config = enc.EncoderConfig(vocab_buckets=buckets, hash_seed=seed)
-    assert enc.tokenize(config, text) == [
-        enc._fnv1a64(tok.encode("utf-8"), seed) % buckets
-        for tok in enc._TOKEN_RE.findall(text.lower())]
+    tokens = enc.tokenize_batch(config, texts)
+    assert tokens.offsets.tolist() == np.cumsum([0] + [len(ids) for ids in expected]).tolist()
+    assert tokens.ids.tolist() == [i for ids in expected for i in ids]
+    assert [enc.tokenize(config, text) for text in texts] == expected
 
 
 def _ulps(value: float, steps: int) -> float:
