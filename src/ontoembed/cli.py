@@ -25,12 +25,12 @@ import time
 
 import numpy as np
 
+# Every command reads the config schema and the encoder; each ``cmd_*``
+# function imports the other modules it runs, so that a command loads only
+# those (``--help`` and ``embed`` load just this module, config and encoder).
 from . import encoder as enc
-from . import evalsuite as ev
-from . import ontology as onto
-from . import soup as soup_mod
-from . import trainer
-from .config import ConfigError, build_config, config_keys, read_config
+from .config import (CONTRASTIVE_ONLY_KEYS, TRAIN_CONFIG_KEYS, ConfigError, DomainError,
+                     TrainConfig, build_config, config_keys, read_config)
 
 log = logging.getLogger("ontoembed")
 
@@ -132,13 +132,9 @@ def _save_checkpoint(path: str, ckpt: enc.Checkpoint) -> None:
     _atomic_write_bytes(path, *enc.checkpoint_pieces(ckpt))
 
 
-# The loader and the evaluation of each benchmark that yields one report.
-_BENCHMARKS = {"sts": (ev.load_sts_dataset, ev.eval_sts),
-               "bcr": (ev.load_bcr_dataset, ev.eval_bcr),
-               "nli": (ev.load_nli_dataset, ev.eval_nli_triplets)}
-
-
 def _load_kg(ontology_path, templates_path, glossary_path=None):
+    from . import ontology as onto
+
     kg = onto.load_ontology(ontology_path).with_templates(onto.load_templates(templates_path))
     stats = None
     if glossary_path:
@@ -151,6 +147,8 @@ def _load_kg(ontology_path, templates_path, glossary_path=None):
 
 
 def cmd_verbalize(args) -> int:
+    from . import ontology as onto
+
     started = time.time()
     inputs = _inputs(args)
     kg, gloss_stats = _load_kg(args.ontology, args.templates, args.glossary)
@@ -185,10 +183,10 @@ def _inputs(args) -> dict[str, str]:
 
 
 def _train_config(phase: str, mapping: dict[str, str], path, prefix: str = "",
-                  base=None) -> trainer.TrainConfig:
+                  base=None) -> TrainConfig:
     """``build_config``'s TrainConfig for training ``phase``; the contrastive
     phase's in-batch objective needs a batch_size of at least 2."""
-    cfg = build_config(trainer.TrainConfig, mapping, path, prefix, base)
+    cfg = build_config(TrainConfig, mapping, path, prefix, base)
     if phase == "contrastive" and cfg.batch_size < 2:
         key = prefix + "batch_size" if prefix + "batch_size" in mapping else "batch_size"
         raise ConfigError(f"{path}: {key}: must be >= 2 for the in-batch objective")
@@ -209,6 +207,10 @@ def _base_checkpoint(args, mapping: dict[str, str], config: enc.EncoderConfig) -
 
 
 def cmd_train(args) -> int:
+    from . import evalsuite as ev
+    from . import ontology as onto
+    from . import trainer
+
     started = time.time()
     # every key is read and checked before anything is loaded or trained
     mapping = read_config(args.config, TRAIN_KEYS[args.phase]) if args.config else {}
@@ -268,6 +270,9 @@ def _read_listing(path: str) -> list[tuple[str, float, str]]:
     """The (path, score, label) candidates of a ``soup --manifest`` listing,
     ``{"candidates": [{"path": str, "score": number, "label": str}, ...]}``;
     a missing label is ""."""
+    from . import ontology as onto
+    from . import soup as soup_mod
+
     try:
         with open(path, encoding="utf-8") as fh:
             listing = json.load(fh)
@@ -279,6 +284,8 @@ def _read_listing(path: str) -> list[tuple[str, float, str]]:
 
 
 def cmd_soup(args) -> int:
+    from . import soup as soup_mod
+
     started = time.time()
     if not args.val and (args.models or args.strategy == "greedy" or args.metric or args.ontology):
         raise UsageError("--models, --metric, --ontology and --strategy greedy require --val")
@@ -341,16 +348,25 @@ def cmd_soup(args) -> int:
 def _scorer(benchmark: str, data: str, ontology, topk):
     """The ``benchmark`` dataset at ``data`` and a function that scores a
     checkpoint on it: for ``nel``, over ``ontology``, one report per k in ``topk``."""
+    from . import evalsuite as ev
+
     if benchmark == "nel":
+        from . import ontology as onto
+
         kg = onto.load_ontology(ontology)
         dataset = ev.load_nel_dataset(data)
         return dataset, lambda ckpt: ev.eval_nel(ckpt, kg, dataset, topk)
-    load, evaluate = _BENCHMARKS[benchmark]
+    # looked up when the command runs, so a traced run sees each call
+    load, evaluate = {"sts": (ev.load_sts_dataset, ev.eval_sts),
+                      "bcr": (ev.load_bcr_dataset, ev.eval_bcr),
+                      "nli": (ev.load_nli_dataset, ev.eval_nli_triplets)}[benchmark]
     dataset = load(data)
     return dataset, lambda ckpt: [evaluate(ckpt, dataset)]
 
 
 def cmd_eval(args) -> int:
+    from . import evalsuite as ev
+
     started = time.time()
     inputs = _inputs(args)
     model = enc.load_checkpoint(args.model)
@@ -386,10 +402,12 @@ def _read_texts(path) -> list[str]:
     for line_no, raw in enumerate(lines, 1):
         try:
             text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
+            if "\t" in text:
+                raise ValueError("input texts must not contain tab characters")
+        except ValueError as exc:  # a UnicodeDecodeError is a ValueError
+            from . import ontology as onto
+
             raise onto.ParseError(path, line_no, str(exc)) from exc
-        if "\t" in text:
-            raise onto.ParseError(path, line_no, "input texts must not contain tab characters")
         texts.append(text)
     return texts
 
@@ -582,8 +600,8 @@ class PipelineConfig:
 
 def _training_keys(phase: str) -> tuple[str, ...]:
     """The training keys that ``phase`` reads."""
-    return tuple(k for k in trainer.TRAIN_CONFIG_KEYS
-                 if phase == "contrastive" or k not in trainer.CONTRASTIVE_ONLY_KEYS)
+    return tuple(k for k in TRAIN_CONFIG_KEYS
+                 if phase == "contrastive" or k not in CONTRASTIVE_ONLY_KEYS)
 
 
 # Each ``train`` phase takes the encoder keys and the training keys it reads.
@@ -593,7 +611,7 @@ TRAIN_KEYS = {phase: enc.ENCODER_CONFIG_KEYS + _training_keys(phase)
               for phase in ("contrastive", "sts", "self-distill", "xlingual")}
 _PIPELINE_PHASES = ("adapt", "contrastive", "readapt", "distill")
 PIPELINE_KEYS = frozenset(
-    config_keys(PipelineConfig) + enc.ENCODER_CONFIG_KEYS + trainer.TRAIN_CONFIG_KEYS
+    config_keys(PipelineConfig) + enc.ENCODER_CONFIG_KEYS + TRAIN_CONFIG_KEYS
     + tuple(f"{phase}_{key}" for phase in _PIPELINE_PHASES for key in _training_keys(phase))
 )
 _DATASETS = ("ontology", "templates", "sts_train", "sts_val", "sts_test", "bcr", "nel", "nli")
@@ -607,13 +625,17 @@ class PipelinePlan:
     config."""
 
     def __init__(self, path: str):
+        from . import evalsuite as ev
+        from . import ontology as onto
+        from . import trainer
+
         self.mapping = mapping = read_config(path, PIPELINE_KEYS)
         self.cfg = cfg = build_config(PipelineConfig, mapping, path)
         self.encoder = enc.config_from_mapping(mapping, source=path)
         # a phase is seeded with the pipeline seed unless the file sets
         # <phase>_seed; distillation run i (from 0) adds i to its seed
         self.train = {phase: _train_config(phase, mapping, path, phase + "_",
-                                           trainer.TrainConfig(seed=cfg.seed))
+                                           TrainConfig(seed=cfg.seed))
                       for phase in _PIPELINE_PHASES}
         distill = self.train.pop("distill")
         for i in range(cfg.distill_runs):
@@ -647,6 +669,10 @@ class PipelinePlan:
 def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) -> dict:
     """Train, evaluate and report as ``plan`` says, writing every output into
     the directory ``stage``; the manifest lists them under ``out_dir``."""
+    from . import evalsuite as ev
+    from . import soup as soup_mod
+    from . import trainer
+
     cfg, kg, data = plan.cfg, plan.kg, plan.data
     written = ["report.json"]
 
@@ -876,8 +902,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (onto.OntologyError, ev.EvalError, trainer.TrainError, soup_mod.SoupError,
-            enc.CheckpointError, ValueError, FloatingPointError) as exc:
+    except (DomainError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

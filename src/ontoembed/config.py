@@ -2,6 +2,10 @@
 dataclasses. A dataclass's fields are its keys, each with its type and
 default written once, on the field; range checks stay in the class's
 ``__post_init__``. Every field is an int, a finite float or a string.
+
+Also here, so that every command can name them without loading the modules
+that use them: the training hyperparameters (``TrainConfig``) and
+``DomainError``, the base of every error the commands exit 2 on.
 """
 
 from __future__ import annotations
@@ -13,6 +17,11 @@ import math
 class ConfigError(ValueError):
     """A bad config file; the one-line message names the file and the key,
     or the line."""
+
+
+class DomainError(Exception):
+    """The base of the package's domain and validation errors (ontology,
+    checkpoint, evaluation, training, soup); a command exits 2 on one."""
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -92,3 +101,49 @@ def build_config(cls, mapping: dict[str, str], source="config", prefix: str = ""
         except ValueError as exc:
             raise ConfigError(f"{source}: {key}: {exc}") from exc
     return cls(**kwargs)
+
+
+@dataclasses.dataclass(frozen=True)
+class TrainConfig:
+    """Shared hyperparameters for all training regimes.
+
+    The recorded defaults follow the reference setup (lr 2e-5, weight decay
+    0.01, 5% warmup, batch 128); desk-scale runs usually override the
+    learning rate upwards since the toy encoder is trained from scratch.
+    """
+
+    learning_rate: float = 2e-5
+    weight_decay: float = 0.01
+    warmup_fraction: float = 0.05
+    epochs: int = 1
+    batch_size: int = 128
+    seed: int = 0
+    hard_negatives_per_batch: int = 0
+    info_nce_scale: float = 20.0
+
+    def __post_init__(self):
+        # the decay replay of untrained rows holds only for finite rates
+        for name in ("learning_rate", "weight_decay", "info_nce_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
+        if not (0.0 <= self.warmup_fraction <= 1.0):
+            raise ValueError("warmup_fraction must be in [0, 1]")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.hard_negatives_per_batch < 0:
+            raise ValueError("hard_negatives_per_batch must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.info_nce_scale <= 0:
+            raise ValueError("scale must be > 0")
+
+
+# Every key a training config file may set, and those only contrastive training reads.
+TRAIN_CONFIG_KEYS = config_keys(TrainConfig)
+CONTRASTIVE_ONLY_KEYS = ("hard_negatives_per_batch", "info_nce_scale")

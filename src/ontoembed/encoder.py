@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import build_config, config_keys
+from .config import DomainError, build_config, config_keys
 
 CHECKPOINT_MAGIC = b"OEMBCKPT"
 CHECKPOINT_VERSION = 1
@@ -43,7 +43,7 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-class CheckpointError(Exception):
+class CheckpointError(DomainError):
     """Base class for checkpoint I/O failures."""
 
 

@@ -21,9 +21,10 @@ import numpy as np
 
 from . import encoder as enc
 from . import ontology as onto
+from .config import DomainError
 
 
-class EvalError(Exception):
+class EvalError(DomainError):
     pass
 
 

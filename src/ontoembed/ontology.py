@@ -23,6 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import DomainError
+
 log = logging.getLogger(__name__)
 
 KIND_NAME = "name"
@@ -37,7 +39,7 @@ DEF_SOURCES = ("human", "generated")
 IS_A = "is_a"
 
 
-class OntologyError(Exception):
+class OntologyError(DomainError):
     pass
 
 

@@ -19,9 +19,10 @@ from typing import Callable
 import numpy as np
 
 from . import encoder as enc
+from .config import DomainError
 
 
-class SoupError(Exception):
+class SoupError(DomainError):
     pass
 
 

@@ -14,7 +14,6 @@ sequential in batch order, which is what makes that guarantee hold.
 from __future__ import annotations
 
 import logging
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import encoder as enc
 from . import losses
 from . import ontology as onto
-from .config import config_keys, parse_kv_file  # noqa: F401 (read as trainer.parse_kv_file)
+from .config import DomainError, TrainConfig, parse_kv_file  # noqa: F401 (read as trainer.parse_kv_file)
 
 log = logging.getLogger(__name__)
 
@@ -35,59 +34,13 @@ EPSILON = 1e-8
 _NO_DECAY = {"b1", "b2", "head_b"}
 
 
-class TrainError(Exception):
+class TrainError(DomainError):
     pass
 
 
 class PhaseError(TrainError):
     """Raised when a checkpoint's phase or lineage violates a regime's
     preconditions."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Shared hyperparameters for all regimes.
-
-    The recorded defaults follow the reference setup (lr 2e-5, weight decay
-    0.01, 5% warmup, batch 128); desk-scale runs usually override the
-    learning rate upwards since the toy encoder is trained from scratch.
-    """
-
-    learning_rate: float = 2e-5
-    weight_decay: float = 0.01
-    warmup_fraction: float = 0.05
-    epochs: int = 1
-    batch_size: int = 128
-    seed: int = 0
-    hard_negatives_per_batch: int = 0
-    info_nce_scale: float = 20.0
-
-    def __post_init__(self):
-        # the decay replay of untrained rows holds only for finite rates
-        for name in ("learning_rate", "weight_decay", "info_nce_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if not (0.0 <= self.warmup_fraction <= 1.0):
-            raise ValueError("warmup_fraction must be in [0, 1]")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.hard_negatives_per_batch < 0:
-            raise ValueError("hard_negatives_per_batch must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.info_nce_scale <= 0:
-            raise ValueError("scale must be > 0")
-
-
-# Every key a training config file may set, and those only contrastive training reads.
-TRAIN_CONFIG_KEYS = config_keys(TrainConfig)
-CONTRASTIVE_ONLY_KEYS = ("hard_negatives_per_batch", "info_nce_scale")
 
 
 @dataclass

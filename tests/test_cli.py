@@ -18,6 +18,7 @@ from ontoembed import evalsuite as ev
 from ontoembed import fixtures
 from ontoembed import ontology as onto
 from ontoembed import trainer
+from ontoembed.config import TRAIN_CONFIG_KEYS
 
 import oracles
 from conftest import run_child, write_jsonl, write_text
@@ -598,7 +599,7 @@ def test_every_training_key_a_phase_accepts_changes_its_checkpoint(small_world, 
     # a key a phase accepted without reading it, such as info_nce_scale for
     # train sts, left the checkpoint as it was
     w = small_world
-    assert set(_CHANGED) == set(trainer.TRAIN_CONFIG_KEYS)
+    assert set(_CHANGED) == set(TRAIN_CONFIG_KEYS)
     config = enc.EncoderConfig(vocab_buckets=64, embed_dim=4, hidden_dim=4, output_dim=4)
     base = str(tmp_path / "base.ckpt")
     enc.save_checkpoint(base, enc.Checkpoint(config=config, phase="sts_adapted",
@@ -977,42 +978,148 @@ def test_embedding_lines_equal_the_repr_writer_in_bulk():
                     == oracles.embedding_lines_reference(texts, block)), (i, block)
 
 
-# Runs the commands in argv[1] and prints their exit codes and the top-level
-# names of the modules they imported. A module with no spec was not imported
+# Runs the commands in argv[1] and prints their exit codes (a SystemExit's,
+# for --help), the top-level names of the modules they imported, and the
+# package's submodules among those. A module with no spec was not imported
 # but made by extension code, as numpy's Cython modules make cython_runtime.
 _IMPORTED_TOP_LEVEL = """
 import json, sys
 before = set(sys.modules)
 from ontoembed import cli
-codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted({name.split(".")[0] for name, module in sys.modules.items()
-                                 if name not in before and module.__spec__ is not None})]))
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(cli.main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+new = [name for name, module in sys.modules.items()
+       if name not in before and module.__spec__ is not None]
+print(json.dumps([codes, sorted({name.split(".")[0] for name in new}),
+                  sorted(name for name in new if name.startswith("ontoembed."))]))
 """
+
+
+def _imported(argvs):
+    """(exit codes, top-level module names, ``ontoembed.*`` modules) of
+    running ``argvs`` one after another in a fresh process."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", _IMPORTED_TOP_LEVEL, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _tiny_model(path):
+    cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
+    enc.save_checkpoint(path, enc.Checkpoint(config=cfg, phase="base",
+                                             params=enc.init_params(cfg)))
+    return str(path)
 
 
 def test_commands_import_only_the_standard_library_numpy_and_ontoembed(fixtures_dir,
                                                                       tmp_path):
     # numpy is the one runtime dependency: a test or fixture tool (pytest,
     # scipy, hypothesis) imported by a command would show here
-    cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
-    model = str(tmp_path / "m.ckpt")
-    enc.save_checkpoint(model, enc.Checkpoint(config=cfg, phase="base",
-                                              params=enc.init_params(cfg)))
+    model = _tiny_model(tmp_path / "m.ckpt")
     argvs = [["verbalize", "--ontology", os.path.join(fixtures_dir, "ontology.jsonl"),
               "--templates", os.path.join(fixtures_dir, "templates.tsv"),
               "--out", str(tmp_path / "corpus.jsonl")],
              ["eval", "sts", "--model", model, "--data",
               os.path.join(fixtures_dir, "sts_test.tsv"), "--out", str(tmp_path / "sts.jsonl")]]
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-c", _IMPORTED_TOP_LEVEL, json.dumps(argvs)],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    codes, imported = json.loads(proc.stdout.splitlines()[-1])
+    codes, imported, _ = _imported(argvs)
     assert codes == [0, 0]
     assert "numpy" in imported and "ontoembed" in imported
     assert [m for m in imported
             if m not in sys.stdlib_module_names and m not in ("numpy", "ontoembed")] == []
+
+
+# The ontoembed modules each command loads.
+_EVERY_COMMAND = {"cli", "config", "encoder"}
+_EVAL = _EVERY_COMMAND | {"evalsuite", "ontology"}
+_LOADS = {"--help": _EVERY_COMMAND, "embed": _EVERY_COMMAND, "eval sts": _EVAL,
+          "eval nel": _EVAL, "verbalize": _EVERY_COMMAND | {"ontology"},
+          "train sts": _EVAL | {"trainer", "losses"},
+          "pipeline": _EVAL | {"trainer", "losses", "soup"}}
+
+
+@pytest.mark.parametrize("command", list(_LOADS))
+def test_each_command_loads_only_the_modules_it_runs(small_world, tmp_path, command):
+    # cli used to import every module at start-up, so that each short embed
+    # or eval process compiled the training code it never runs
+    w = small_world
+    model = _tiny_model(tmp_path / "m.ckpt")
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "--help": ["--help"],
+        "embed": ["embed", "--model", model, "--in", write_text(tmp_path / "in.txt", "fever\n")]
+                 + out,
+        "eval sts": ["eval", "sts", "--model", model, "--data", os.path.join(w, "sts_test.tsv")]
+                    + out,
+        "eval nel": ["eval", "nel", "--model", model, "--data", os.path.join(w, "nel.tsv"),
+                     "--ontology", os.path.join(w, "ontology.jsonl")] + out,
+        "verbalize": ["verbalize", "--ontology", os.path.join(w, "ontology.jsonl"),
+                      "--templates", os.path.join(w, "templates.tsv")] + out,
+        "train sts": ["train", "sts", "--data", os.path.join(w, "sts_train.tsv"),
+                      "--config", _mini_train_cfg(tmp_path, epochs=1)] + out,
+        "pipeline": ["pipeline", "--config", _mini_pipeline_cfg(w, tmp_path, **_FAST),
+                     "--out-dir", str(tmp_path / "run")],
+    }[command]
+    codes, _, loaded = _imported([argv])
+    assert codes == [0]
+    assert loaded == sorted(f"ontoembed.{m}" for m in _LOADS[command])
+
+
+def _one_error_line(proc, code):
+    err = proc.stderr.splitlines()
+    assert proc.returncode == code and len(err) == 1 and "Traceback" not in proc.stderr, err
+    return err[0]
+
+
+@pytest.mark.parametrize("case", ["embed-tab", "nel-unknown-gold", "soup-repeated-label",
+                                  "eval-truncated-checkpoint"])
+def test_errors_of_lazily_loaded_modules_exit_2_in_one_line(small_world, tmp_path, case):
+    # the in-process tests import every module up front, so only a fresh
+    # process shows that main catches an error of a module the command
+    # loaded only when it ran, or only when it failed
+    w = small_world
+    model = _tiny_model(tmp_path / "m.ckpt")
+    out = ["--out", str(tmp_path / "out")]
+    if case == "embed-tab":
+        infile = write_text(tmp_path / "in.txt", "fever\nbad\ttext\n")
+        argv = ["embed", "--model", model, "--in", infile] + out
+        expected = f"error: {infile}:2: input texts must not contain tab characters"
+    elif case == "nel-unknown-gold":
+        nel = write_text(tmp_path / "nel.tsv", "fever\tNOPE:1\n")
+        argv = ["eval", "nel", "--model", model, "--data", nel,
+                "--ontology", os.path.join(w, "ontology.jsonl")] + out
+        expected = "error: gold concept id 'NOPE:1' does not resolve"
+    elif case == "soup-repeated-label":
+        listing = tmp_path / "listing.json"
+        listing.write_text(json.dumps({"candidates": [
+            {"path": model, "score": 0.5, "label": "a"},
+            {"path": model, "score": 0.6, "label": "a"}]}))
+        argv = ["soup", "--manifest", str(listing), "--strategy", "uniform"] + out
+        expected = "error: two candidates have the label 'a'"
+    else:
+        truncated = tmp_path / "short.ckpt"
+        truncated.write_bytes((tmp_path / "m.ckpt").read_bytes()[:-8])
+        argv = ["eval", "sts", "--model", str(truncated),
+                "--data", os.path.join(w, "sts_test.tsv")] + out
+        expected = f"error: {truncated}: "
+    line = _one_error_line(run_child(argv), 2)
+    assert line.startswith(expected), line
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0_and_an_unknown_config_key_exits_64_in_a_fresh_process(small_world,
+                                                                            tmp_path):
+    proc = run_child(["--help"])
+    assert proc.returncode == 0 and proc.stderr == "" and "usage: ontoembed" in proc.stdout
+    cfg = write_text(tmp_path / "bad.cfg", "colour = 1\n")
+    proc = run_child(["train", "sts", "--data", os.path.join(small_world, "sts_train.tsv"),
+                      "--config", cfg, "--out", str(tmp_path / "out")])
+    assert _one_error_line(proc, 64) == f"usage error: {cfg}: unknown key(s): colour"
 
 
 def _drop(key):

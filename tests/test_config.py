@@ -10,7 +10,6 @@ import pytest
 from ontoembed import cli
 from ontoembed import config
 from ontoembed import encoder as enc
-from ontoembed import trainer
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -30,10 +29,10 @@ def test_key_sets_derive_from_the_dataclass_fields():
     assert enc.ENCODER_CONFIG_KEYS == (
         "vocab_buckets", "embed_dim", "hidden_dim", "output_dim",
         "hash_seed", "init_seed", "init_scale")
-    assert trainer.TRAIN_CONFIG_KEYS == (
+    assert config.TRAIN_CONFIG_KEYS == (
         "learning_rate", "weight_decay", "warmup_fraction", "epochs", "batch_size", "seed",
         "hard_negatives_per_batch", "info_nce_scale")
-    assert tuple(dataclasses.asdict(trainer.TrainConfig())) == trainer.TRAIN_CONFIG_KEYS
+    assert tuple(dataclasses.asdict(config.TrainConfig())) == config.TRAIN_CONFIG_KEYS
     assert enc.EncoderConfig().to_dict() == dataclasses.asdict(enc.EncoderConfig())
 
 
@@ -47,16 +46,16 @@ def test_parse_kv_file_rejects_a_duplicate_key_naming_both_lines(tmp_path):
 
 def test_build_config_names_the_key_as_written():
     mapping = {"batch_size": "8", "distill_batch_size": "0"}
-    assert config.build_config(trainer.TrainConfig, mapping, "a.cfg").batch_size == 8
+    assert config.build_config(config.TrainConfig, mapping, "a.cfg").batch_size == 8
     with pytest.raises(config.ConfigError, match=r"^a\.cfg: distill_batch_size: batch_size "):
-        config.build_config(trainer.TrainConfig, mapping, "a.cfg", prefix="distill_")
+        config.build_config(config.TrainConfig, mapping, "a.cfg", prefix="distill_")
     with pytest.raises(config.ConfigError, match=r"^a\.cfg: info_nce_scale: scale must be > 0"):
-        config.build_config(trainer.TrainConfig, {"info_nce_scale": "-1"}, "a.cfg")
+        config.build_config(config.TrainConfig, {"info_nce_scale": "-1"}, "a.cfg")
     # a negative decay grew every weight each step and used to train silently
     with pytest.raises(config.ConfigError,
                        match=r"^a\.cfg: weight_decay: weight_decay must be >= 0"):
-        config.build_config(trainer.TrainConfig, {"weight_decay": "-5"}, "a.cfg")
-    assert config.build_config(trainer.TrainConfig, {"weight_decay": "0"}).weight_decay == 0.0
+        config.build_config(config.TrainConfig, {"weight_decay": "-5"}, "a.cfg")
+    assert config.build_config(config.TrainConfig, {"weight_decay": "0"}).weight_decay == 0.0
     with pytest.raises(config.ConfigError, match=r"^a\.cfg: init_scale: not a finite number"):
         config.build_config(enc.EncoderConfig, {"init_scale": "inf"}, "a.cfg")
 
@@ -72,13 +71,13 @@ def test_readme_key_tables_list_exactly_the_config_keys():
     tables = _readme_tables()
     assert list(tables) == ["Encoder keys", "Training keys", "Pipeline keys"]
     assert tuple(tables["Encoder keys"]) == enc.ENCODER_CONFIG_KEYS
-    assert tuple(tables["Training keys"]) == trainer.TRAIN_CONFIG_KEYS
+    assert tuple(tables["Training keys"]) == config.TRAIN_CONFIG_KEYS
     assert tuple(tables["Pipeline keys"]) == config.config_keys(cli.PipelineConfig)
 
 
 def test_readme_key_tables_match_the_schema():
     tables = _readme_tables()
-    classes = {"Encoder keys": enc.EncoderConfig(), "Training keys": trainer.TrainConfig(),
+    classes = {"Encoder keys": enc.EncoderConfig(), "Training keys": config.TrainConfig(),
                "Pipeline keys": cli.PipelineConfig()}
     assert set(tables) == set(classes)
     for heading, instance in classes.items():
@@ -89,9 +88,9 @@ def test_readme_key_tables_match_the_schema():
     documented = set().union(*map(set, tables.values()))
     assert documented == set(cli.PIPELINE_KEYS) - {
         prefix + key for prefix in ("adapt_", "contrastive_", "readapt_", "distill_")
-        for key in trainer.TRAIN_CONFIG_KEYS}
+        for key in config.TRAIN_CONFIG_KEYS}
     assert set(cli.TRAIN_KEYS["contrastive"]) == \
         set(tables["Encoder keys"]) | set(tables["Training keys"])
     with open(README, encoding="utf-8") as fh:
         marked = re.findall(r"^\| `(\w+)` \| [^|]+ \| \*contrastive only\*", fh.read(), re.M)
-    assert tuple(marked) == trainer.CONTRASTIVE_ONLY_KEYS
+    assert tuple(marked) == config.CONTRASTIVE_ONLY_KEYS
