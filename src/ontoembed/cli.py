@@ -29,8 +29,8 @@ import numpy as np
 # function imports the other modules it runs, so that a command loads only
 # those (``--help`` and ``embed`` load just this module, config and encoder).
 from . import encoder as enc
-from .config import (CONTRASTIVE_ONLY_KEYS, TRAIN_CONFIG_KEYS, ConfigError, DomainError,
-                     TrainConfig, build_config, config_keys, read_config)
+from .config import (TRAIN_CONFIG_KEYS, ConfigError, DomainError, TrainConfig, build_config,
+                     config_keys, read_config)
 
 log = logging.getLogger("ontoembed")
 
@@ -213,21 +213,16 @@ def cmd_train(args) -> int:
 
     started = time.time()
     # every key is read and checked before anything is loaded or trained
-    mapping = read_config(args.config, TRAIN_KEYS[args.phase]) if args.config else {}
+    mapping = read_config(args.config, TRAIN_KEYS) if args.config else {}
     cfg = _train_config(args.phase, mapping, args.config)
     enc_cfg = enc.config_from_mapping(mapping, source=args.config)
     overrides = {"seed": args.seed, "epochs": args.epochs}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
     if args.phase == "contrastive":
-        if (cfg.hard_negatives_per_batch > 0) != bool(args.ontology):
-            raise UsageError("--ontology goes only with hard_negatives_per_batch > 0"
-                             if args.ontology else
-                             "--ontology is required when hard negatives are enabled")
         base = _base_checkpoint(args, mapping, enc_cfg)
         corpus = onto.load_corpus(args.corpus)
-        kg = onto.load_ontology(args.ontology) if args.ontology else onto.KnowledgeGraph({})
-        ckpt, stats = trainer.train_contrastive(base, corpus, kg, cfg)
+        ckpt, stats = trainer.train_contrastive(base, corpus, cfg)
     elif args.phase == "sts":
         base = _base_checkpoint(args, mapping, enc_cfg)
         dataset = ev.load_sts_dataset(args.data)
@@ -598,21 +593,14 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-def _training_keys(phase: str) -> tuple[str, ...]:
-    """The training keys that ``phase`` reads."""
-    return tuple(k for k in TRAIN_CONFIG_KEYS
-                 if phase == "contrastive" or k not in CONTRASTIVE_ONLY_KEYS)
-
-
-# Each ``train`` phase takes the encoder keys and the training keys it reads.
-# ``pipeline`` takes its own keys, the encoder and training keys, and behind
-# a phase prefix each training key that phase reads.
-TRAIN_KEYS = {phase: enc.ENCODER_CONFIG_KEYS + _training_keys(phase)
-              for phase in ("contrastive", "sts", "self-distill", "xlingual")}
+# Every ``train`` phase takes the encoder keys and the training keys.
+# ``pipeline`` takes its own keys, the encoder and training keys, and each
+# training key behind a phase prefix.
+TRAIN_KEYS = enc.ENCODER_CONFIG_KEYS + TRAIN_CONFIG_KEYS
 _PIPELINE_PHASES = ("adapt", "contrastive", "readapt", "distill")
 PIPELINE_KEYS = frozenset(
-    config_keys(PipelineConfig) + enc.ENCODER_CONFIG_KEYS + TRAIN_CONFIG_KEYS
-    + tuple(f"{phase}_{key}" for phase in _PIPELINE_PHASES for key in _training_keys(phase))
+    config_keys(PipelineConfig) + TRAIN_KEYS
+    + tuple(f"{phase}_{key}" for phase in _PIPELINE_PHASES for key in TRAIN_CONFIG_KEYS)
 )
 _DATASETS = ("ontology", "templates", "sts_train", "sts_val", "sts_test", "bcr", "nel", "nli")
 
@@ -714,7 +702,7 @@ def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) 
     log.info("adaptation done")
 
     contrastive, stats = train("contrastive", trainer.train_contrastive,
-                               adapted, plan.corpus, kg)
+                               adapted, plan.corpus)
     save("contrastive.ckpt", contrastive)
     evals["contrastive"] = benchmarks(contrastive)
     log.info("contrastive done: %d steps, final loss %s", stats.steps,
@@ -838,7 +826,6 @@ def build_parser() -> _Parser:
     p = phases.add_parser("contrastive", parents=[common])
     p.add_argument("--corpus", required=True, help="training-pair JSONL")
     p.add_argument("--base", help=base_help)
-    p.add_argument("--ontology", help="required by, and only with, hard_negatives_per_batch > 0")
     p = phases.add_parser("sts", parents=[common])
     p.add_argument("--data", required=True, help="STS TSV")
     p.add_argument("--base", help=base_help)

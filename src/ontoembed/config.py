@@ -118,12 +118,10 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 128
     seed: int = 0
-    hard_negatives_per_batch: int = 0
-    info_nce_scale: float = 20.0
 
     def __post_init__(self):
         # the decay replay of untrained rows holds only for finite rates
-        for name in ("learning_rate", "weight_decay", "info_nce_scale"):
+        for name in ("learning_rate", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0:
@@ -136,14 +134,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.hard_negatives_per_batch < 0:
-            raise ValueError("hard_negatives_per_batch must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.info_nce_scale <= 0:
-            raise ValueError("scale must be > 0")
 
 
-# Every key a training config file may set, and those only contrastive training reads.
+# Every key a training config file may set; every training phase reads them all.
 TRAIN_CONFIG_KEYS = config_keys(TrainConfig)
-CONTRASTIVE_ONLY_KEYS = ("hard_negatives_per_batch", "info_nce_scale")

@@ -20,16 +20,15 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def info_nce(
     anchors: np.ndarray,
     positives: np.ndarray,
-    extra_negatives: np.ndarray | None = None,
     scale: float = 20.0,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
-    """In-batch InfoNCE: each anchor's positive is the matching row among
-    candidates = positives ++ extra_negatives, with logits ``scale`` times
-    the dot products (scale 20 is softmax temperature 0.05).
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """In-batch InfoNCE: each anchor's positive is the matching row of
+    ``positives`` and every other row is a negative, with logits ``scale``
+    times the dot products (scale 20 is softmax temperature 0.05).
 
     Every row is expected to be unit-norm, as the encoder's outputs are;
-    that is not checked. Returns (loss, grad_anchors, grad_positives,
-    grad_extras). Log-sum-exp uses max subtraction for stability.
+    that is not checked. Returns (loss, grad_anchors, grad_positives).
+    Log-sum-exp uses max subtraction for stability.
     """
     anchors = np.asarray(anchors, dtype=float)
     positives = np.asarray(positives, dtype=float)
@@ -37,27 +36,18 @@ def info_nce(
         raise ValueError("anchors and positives must be matching 2-d arrays")
     if anchors.shape[0] < 1:
         raise ValueError("batch must contain at least one row")
-    extras = None
-    if extra_negatives is not None and len(extra_negatives) > 0:
-        extras = np.asarray(extra_negatives, dtype=float)
-        if extras.ndim != 2 or extras.shape[1] != anchors.shape[1]:
-            raise ValueError("extra_negatives must be 2-d with matching width")
     if not np.isfinite(anchors).all() or not np.isfinite(positives).all():
         raise ValueError("non-finite embeddings")
-    if extras is not None and not np.isfinite(extras).all():
-        raise ValueError("non-finite extra negatives")
 
-    candidates = positives if extras is None else np.vstack([positives, extras])
     b = anchors.shape[0]
-    logp = _log_softmax(scale * (anchors @ candidates.T))
+    logp = _log_softmax(scale * (anchors @ positives.T))
     loss = -logp[np.arange(b), np.arange(b)].mean()
     dlogits = np.exp(logp)
     dlogits[np.arange(b), np.arange(b)] -= 1.0
     dlogits /= b
-    grad_anchors = scale * (dlogits @ candidates)
-    grad_candidates = scale * (dlogits.T @ anchors)
-    return (float(loss), grad_anchors, grad_candidates[:b],
-            None if extras is None else grad_candidates[b:])
+    grad_anchors = scale * (dlogits @ positives)
+    grad_positives = scale * (dlogits.T @ anchors)
+    return float(loss), grad_anchors, grad_positives
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

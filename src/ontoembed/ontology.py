@@ -229,18 +229,13 @@ class ParallelPair:
 class KnowledgeGraph:
     """Concepts indexed by id plus relation templates.
 
-    Instances are built once by the loaders and never mutated afterwards;
-    the children index is precomputed so sibling lookups stay cheap.
+    Instances are built once by the loaders and never mutated afterwards.
     """
 
     def __init__(self, concepts: dict[str, Concept],
                  templates: dict[str, RelationTemplate] | None = None):
         self._concepts = dict(concepts)
         self._templates = dict(templates or {})
-        self._children: dict[str, list[str]] = {cid: [] for cid in self._concepts}
-        for concept in self._concepts.values():
-            for parent in concept.parents:
-                self._children[parent].append(concept.id)
 
     def __len__(self) -> int:
         return len(self._concepts)
@@ -265,23 +260,6 @@ class KnowledgeGraph:
 
     def concepts(self) -> list[Concept]:
         return list(self._concepts.values())
-
-    def children(self, concept_id: str) -> list[str]:
-        if concept_id not in self._concepts:
-            raise UnknownConceptError(concept_id)
-        return list(self._children[concept_id])
-
-    def ancestors(self, concept_id: str) -> frozenset[str]:
-        """Transitive closure of is-a parents, direct parents included."""
-        seen: set[str] = set()
-        stack = list(self.get(concept_id).parents)
-        while stack:
-            cid = stack.pop()
-            if cid in seen:
-                continue
-            seen.add(cid)
-            stack.extend(self._concepts[cid].parents)
-        return frozenset(seen)
 
     def with_templates(self, templates: dict[str, RelationTemplate]) -> "KnowledgeGraph":
         return KnowledgeGraph(self._concepts, templates)
@@ -485,32 +463,6 @@ def build_corpus(
             for positive in positives:
                 pairs.append(TrainingPair(anchor=anchor, positive=positive))
     return pairs
-
-
-def sample_hard_negatives(
-    kg: KnowledgeGraph, concept_id: str, n: int, rng_seed: int
-) -> list[str]:
-    """Ontological hard negatives: children of the concept's ancestors,
-    minus the concept itself and all of its ancestors.
-
-    Uniform without-replacement sample of min(n, pool size) ids; the pool
-    is sorted before sampling so the draw depends only on rng_seed.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    ancestors = kg.ancestors(concept_id)
-    pool_set: set[str] = set()
-    for anc in ancestors:
-        pool_set.update(kg.children(anc))
-    pool_set.discard(concept_id)
-    pool_set -= ancestors
-    pool = sorted(pool_set)
-    take = min(n, len(pool))
-    if take == 0:
-        return []
-    rng = np.random.default_rng(rng_seed)
-    idx = rng.choice(len(pool), size=take, replace=False)
-    return [pool[int(i)] for i in idx]
 
 
 def load_parallel_pairs(path) -> list[ParallelPair]:

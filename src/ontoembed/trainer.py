@@ -420,12 +420,10 @@ def _shuffled_plans(n: int, copies: int, cfg: TrainConfig, rng) -> list[list[np.
 def train_contrastive(
     base: enc.Checkpoint,
     corpus: list[onto.TrainingPair],
-    kg: onto.KnowledgeGraph,
     cfg: TrainConfig,
 ) -> tuple[enc.Checkpoint, TrainStats]:
     """Contrastive phase: attract each name to its paired description and
-    repel the rest of the batch, optionally with ontological hard negatives
-    appended as shared extra candidates."""
+    repel the rest of the batch."""
     if base.phase not in ("base", "sts_adapted"):
         raise PhaseError(
             f"contrastive base must be phase base or sts_adapted, got {base.phase!r}"
@@ -436,54 +434,23 @@ def train_contrastive(
     if cfg.batch_size < 2:
         raise TrainError("batch_size must be >= 2 for the in-batch objective")
 
-    # texts: every anchor, then every positive, then, when hard negatives
-    # are drawn, every concept's canonical name
+    # texts: every anchor, then every positive; a step is its anchors, then
+    # their positives
     n = len(corpus)
-    names = kg.concept_ids if cfg.hard_negatives_per_batch > 0 else []
-    texts = ([p.anchor.text for p in corpus] + [p.positive.text for p in corpus]
-             + [kg.get(cid).canonical_name for cid in names])
-    name_index = {cid: 2 * n + k for k, cid in enumerate(names)}
+    texts = [p.anchor.text for p in corpus] + [p.positive.text for p in corpus]
     rng = np.random.default_rng(cfg.seed)
-
-    def step(batch):
-        # a step is its anchors, their positives, then its hard negatives' names
-        hard = _draw_hard_negatives(kg, [corpus[i].concept_id for i in batch],
-                                    cfg.hard_negatives_per_batch, rng)
-        return np.array(batch + [i + n for i in batch] + [name_index[cid] for cid in hard])
-
-    plans = [[step(batch)
+    plans = [[np.array(batch + [i + n for i in batch])
               for batch in _dedup_batches(corpus, rng.permutation(n), cfg.batch_size)]
              for _ in range(cfg.epochs)]
 
     def objective(y, index):
-        b = int(np.count_nonzero(index < n))
-        loss, ga, gp, gx = losses.info_nce(y[:b], y[b:2 * b], y[2 * b:], cfg.info_nce_scale)
-        return loss, np.vstack([ga, gp] + ([gx] if gx is not None else []))
+        b = len(index) // 2
+        loss, ga, gp = losses.info_nce(y[:b], y[b:])
+        return loss, np.vstack([ga, gp])
 
     params = base.params.copy()
     stats = _fit(params, base.config, texts, plans, objective, cfg, "contrastive")
     return enc.derive(base, params, "contrastive"), stats
-
-
-def _draw_hard_negatives(
-    kg: onto.KnowledgeGraph, batch_concepts: list[str], count: int, rng
-) -> list[str]:
-    """Collect up to ``count`` hard-negative concept ids for a batch, one
-    query per batch concept in order, skipping ids already present. Unless
-    ``count`` is 0, the queries are seeded from one draw of ``rng``."""
-    if count <= 0:
-        return []
-    seed = int(rng.integers(0, 2**63))
-    in_batch = set(batch_concepts)
-    chosen: list[str] = []
-    for offset, cid in enumerate(batch_concepts):
-        # each query draws at most one id
-        for hn in onto.sample_hard_negatives(kg, cid, 1, seed + offset):
-            if hn not in in_batch and hn not in chosen:
-                chosen.append(hn)
-        if len(chosen) >= count:
-            break
-    return chosen
 
 
 def adapt_sts(model, sts_train, cfg: TrainConfig) -> tuple[enc.Checkpoint, TrainStats]:

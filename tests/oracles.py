@@ -61,30 +61,6 @@ def rel_error(analytic, numeric):
     return np.linalg.norm(analytic - numeric) / denom
 
 
-def brute_ancestors(kg, cid):
-    seen = set()
-    frontier = [cid]
-    while frontier:
-        node = frontier.pop()
-        for parent in kg.get(node).parents:
-            if parent not in seen:
-                seen.add(parent)
-                frontier.append(parent)
-    return seen
-
-
-def brute_hard_negative_pool(kg, cid):
-    ancestors = brute_ancestors(kg, cid)
-    pool = set()
-    for anc in ancestors:
-        for other in kg.concept_ids:
-            if anc in kg.get(other).parents:
-                pool.add(other)
-    pool.discard(cid)
-    pool -= ancestors
-    return sorted(pool)
-
-
 def brute_has_cycle(parent_map):
     """Exhaustive cycle check: walk every possible path up to |V| steps."""
     nodes = list(parent_map)

@@ -95,14 +95,14 @@ def test_criterion_1_gradient_correctness():
         rows = rng.normal(size=(n, d))
         return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
-    for trial in range(20):
-        b, m, d = 4, 3, 5
+    for _ in range(20):
+        b, d = 4, 5
         scale = float(rng.uniform(1, 20))
-        a, p, x = unit(b, d), unit(b, d), unit(m, d)
-        _, ga, gp, gx = losses.info_nce(a, p, x, scale)
-        for arr, grad, which in ((a, ga, 0), (p, gp, 1), (x, gx, 2)):
+        a, p = unit(b, d), unit(b, d)
+        _, ga, gp = losses.info_nce(a, p, scale)
+        for arr, grad, which in ((a, ga, 0), (p, gp, 1)):
             def f(v, which=which):
-                args = [a, p, x]
+                args = [a, p]
                 args[which] = v.reshape(args[which].shape)
                 return losses.info_nce(*args, scale)[0]
             assert rel_error(grad, fd_gradient(f, arr)) < tol
@@ -226,7 +226,7 @@ def test_criterion_5_ablation_ordering(bundled):
             base, sts_train,
             trainer.TrainConfig(learning_rate=2e-3, epochs=30, batch_size=32, seed=seed))
         contrastive, _ = trainer.train_contrastive(
-            adapted, corpus, kg,
+            adapted, corpus,
             trainer.TrainConfig(learning_rate=4e-3, epochs=40, batch_size=64, seed=seed))
         readapted, _ = trainer.adapt_sts(
             contrastive, sts_train,

@@ -392,8 +392,7 @@ def trained_nel(small_kg):
                             hash_seed=5, init_seed=2)
     base = enc.Checkpoint(config=cfg, phase="base", params=enc.init_params(cfg))
     model, _ = trainer.train_contrastive(
-        base, corpus, small_kg, trainer.TrainConfig(learning_rate=4e-3, epochs=2,
-                                                    batch_size=64, seed=0))
+        base, corpus, trainer.TrainConfig(learning_rate=4e-3, epochs=2, batch_size=64, seed=0))
     rng = np.random.default_rng(24)
     ids = small_kg.concept_ids
     rows = []

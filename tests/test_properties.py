@@ -576,12 +576,11 @@ _FLOATS = ["-1", "0", "1e-300", "1e308", "nan", "-inf"]
 _DRAWN = {
     **dict.fromkeys(["--seed", "--per-concept", "--pca-dim", "seed", "vocab_buckets",
                      "embed_dim", "hidden_dim", "output_dim", "hash_seed", "init_seed",
-                     "batch_size", "hard_negatives_per_batch", "pca_dim",
-                     "per_concept_templated"], _SIZES),
+                     "batch_size", "pca_dim", "per_concept_templated"], _SIZES),
     **dict.fromkeys(["--epochs", "epochs", "contrastive_epochs", "distill_runs"],
                     _RUN_LENGTHS),
-    **dict.fromkeys(["learning_rate", "weight_decay", "warmup_fraction", "info_nce_scale",
-                     "init_scale"], _FLOATS),
+    **dict.fromkeys(["learning_rate", "weight_decay", "warmup_fraction", "init_scale"],
+                    _FLOATS),
     "--topk": _SIZES + ["", ",", "1,", "1,,5"],
 }
 
@@ -600,10 +599,10 @@ def commands(small_world, pipeline_base, tmp_path_factory):
     return {
         "verbalize": (["verbalize", *kg, "--seed", "0", "--per-concept", "2"], None, ()),
         "train sts": (["train", "sts", "--data", f"{w}/sts_train.tsv", "--seed", "0",
-                       "--epochs", "1"], train, cli.TRAIN_KEYS["sts"]),
+                       "--epochs", "1"], train, cli.TRAIN_KEYS),
         "train self-distill": (["train", "self-distill", "--base", model, "--teacher", model,
                                 *kg, "--pca-dim", "2", "--epochs", "1"], train,
-                               cli.TRAIN_KEYS["self-distill"]),
+                               cli.TRAIN_KEYS),
         "eval nel": (["eval", "nel", "--model", model, "--data", f"{w}/nel.tsv",
                       "--ontology", f"{w}/ontology.jsonl", "--topk", "1,5"], None, ()),
         "pipeline": (["pipeline"], pipeline_base, cli.PIPELINE_KEYS),

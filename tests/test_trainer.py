@@ -404,7 +404,7 @@ def small_setup(request):
 def test_contrastive_improves_heldout_nel(small_setup, small_datasets):
     kg, corpus, base = small_setup
     cfg = trainer.TrainConfig(learning_rate=4e-3, epochs=30, batch_size=64, seed=0)
-    trained, stats = trainer.train_contrastive(base, corpus, kg, cfg)
+    trained, stats = trainer.train_contrastive(base, corpus, cfg)
     nel = small_datasets["nel"]
     base_top1 = ev.eval_nel(base, kg, nel, [1])[0].value
     trained_top1 = ev.eval_nel(trained, kg, nel, [1])[0].value
@@ -418,14 +418,14 @@ def test_contrastive_rejects_single_pair(small_setup):
     kg, corpus, base = small_setup
     cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=1, batch_size=2, seed=0)
     with pytest.raises(trainer.TrainError):
-        trainer.train_contrastive(base, corpus[:1], kg, cfg)
+        trainer.train_contrastive(base, corpus[:1], cfg)
 
 
 def test_contrastive_rejects_tiny_batch(small_setup):
     kg, corpus, base = small_setup
     cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=1, batch_size=1, seed=0)
     with pytest.raises(trainer.TrainError):
-        trainer.train_contrastive(base, corpus, kg, cfg)
+        trainer.train_contrastive(base, corpus, cfg)
 
 
 def test_contrastive_rejects_wrong_phase(small_setup):
@@ -435,22 +435,21 @@ def test_contrastive_rejects_wrong_phase(small_setup):
                                     history=("base", "contrastive"))
     cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=1, batch_size=8, seed=0)
     with pytest.raises(trainer.PhaseError):
-        trainer.train_contrastive(distilled_like, corpus, kg, cfg)
+        trainer.train_contrastive(distilled_like, corpus, cfg)
 
 
 def test_contrastive_deterministic_per_seed(small_setup):
     kg, corpus, base = small_setup
     cfg = trainer.TrainConfig(learning_rate=2e-3, epochs=2, batch_size=32, seed=9)
-    a, _ = trainer.train_contrastive(base, corpus, kg, cfg)
-    b, _ = trainer.train_contrastive(base, corpus, kg, cfg)
+    a, _ = trainer.train_contrastive(base, corpus, cfg)
+    b, _ = trainer.train_contrastive(base, corpus, cfg)
     assert checkpoint_to_bytes(a) == checkpoint_to_bytes(b)
 
 
 def test_contrastive_with_hard_negatives_runs(small_setup):
     kg, corpus, base = small_setup
-    cfg = trainer.TrainConfig(learning_rate=2e-3, epochs=1, batch_size=16, seed=3,
-                              hard_negatives_per_batch=4)
-    trained, stats = trainer.train_contrastive(base, corpus[:64], kg, cfg)
+    cfg = trainer.TrainConfig(learning_rate=2e-3, epochs=1, batch_size=16, seed=3)
+    trained, stats = trainer.train_contrastive(base, corpus[:64], cfg)
     assert stats.steps == len(trainer._dedup_batches(
         corpus[:64], np.random.default_rng(3).permutation(64), 16))
 
@@ -479,9 +478,9 @@ def test_contrastive_batches_audited_during_training(small_setup, monkeypatch):
     real = losses_mod.info_nce
     audited = []
 
-    def spy(anchors, positives, extras=None, scale=20.0):
+    def spy(anchors, positives, scale=20.0):
         audited.append(anchors.shape[0])
-        return real(anchors, positives, extras, scale)
+        return real(anchors, positives, scale)
 
     monkeypatch.setattr(trainer.losses, "info_nce", spy)
 
@@ -494,7 +493,7 @@ def test_contrastive_batches_audited_during_training(small_setup, monkeypatch):
 
     monkeypatch.setattr(trainer.enc, "backward_batch", spy_backward)
     cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=2, batch_size=16, seed=1)
-    trainer.train_contrastive(base, corpus[:120], kg, cfg)
+    trainer.train_contrastive(base, corpus[:120], cfg)
     assert audited, "training never reached the loss"
     for texts, n_anchors in zip(seen_batches, audited):
         batch_concepts = []
@@ -655,7 +654,7 @@ def test_no_regime_mutates_its_inputs(small_setup, small_datasets, tmp_path):
     adapted, stats = trainer.adapt_sts(base, small_datasets["sts_train"], cfg)
     assert stats.steps > 0
     assert checkpoint_to_bytes(base) == snapshot
-    _, stats = trainer.train_contrastive(base, corpus[:64], kg, cfg)
+    _, stats = trainer.train_contrastive(base, corpus[:64], cfg)
     assert stats.steps > 0
     assert checkpoint_to_bytes(base) == snapshot
 
@@ -770,7 +769,7 @@ def test_parse_kv_file_and_train_config(tmp_path):
         "learning_rate = 0.004\n"
         "epochs = 3\n"
         "batch_size=16\n"
-        "info_nce_scale = 10\n"
+        "weight_decay = 0.1\n"
         "seed = 42  # trailing comment\n"
     )
     mapping = trainer.parse_kv_file(path)
@@ -779,7 +778,7 @@ def test_parse_kv_file_and_train_config(tmp_path):
     assert cfg.epochs == 3
     assert cfg.batch_size == 16
     assert cfg.seed == 42
-    assert cfg.info_nce_scale == 10.0
+    assert cfg.weight_decay == 0.1
 
 
 def test_parse_kv_file_rejects_garbage(tmp_path):
@@ -808,7 +807,7 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
                          ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "info_nce_scale"])
+@pytest.mark.parametrize("name", ["learning_rate", "weight_decay"])
 def test_train_config_rejects_non_finite_rates(name, value):
     # nan compares False with every bound, and inf passes the lower ones
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
@@ -828,7 +827,7 @@ def test_each_step_runs_the_forward_once(regime, small_setup, small_world, tmp_p
     # after each epoch (self-distillation), the teacher table (xlingual)
     extra = {"self-distill": cfg.epochs + 1, "xlingual": 1}.get(regime, 0)
     if regime == "contrastive":
-        run = lambda: trainer.train_contrastive(base, corpus[:64], kg, cfg)  # noqa: E731
+        run = lambda: trainer.train_contrastive(base, corpus[:64], cfg)  # noqa: E731
     elif regime == "sts":
         sts = ev.load_sts_dataset(os.path.join(small_world, "sts_train.tsv"))
         run = lambda: trainer.adapt_sts(base, sts, cfg)  # noqa: E731
@@ -915,14 +914,12 @@ def test_reused_gradient_buffer_carries_no_stale_rows(regime, small_setup, small
 def test_regime_equals_full_table_training_byte_for_byte(regime, small_setup, small_world,
                                                          tmp_path, monkeypatch):
     # the same regime once with trainer._fit and once with the full-table
-    # loop it replaced; contrastive draws hard negatives, whose names must be
-    # among the trained rows, and the xlingual student has twice the
-    # teacher's buckets
+    # loop it replaced; the xlingual student has twice the teacher's buckets
     kg, corpus, base = small_setup
     cfg = trainer.TrainConfig(learning_rate=5e-3, weight_decay=0.05, epochs=2, batch_size=16,
-                              seed=4, hard_negatives_per_batch=3)
+                              seed=4)
     if regime == "contrastive":
-        run = lambda: trainer.train_contrastive(base, corpus[:64], kg, cfg)  # noqa: E731
+        run = lambda: trainer.train_contrastive(base, corpus[:64], cfg)  # noqa: E731
     elif regime == "sts":
         sts = ev.load_sts_dataset(os.path.join(small_world, "sts_train.tsv"))
         run = lambda: trainer.adapt_sts(base, sts, cfg)  # noqa: E731
@@ -936,19 +933,8 @@ def test_regime_equals_full_table_training_byte_for_byte(regime, small_setup, sm
                                         output_dim=20, init_seed=77)
         run = lambda: trainer.train_xlingual(teacher, student_cfg, pairs, cfg)  # noqa: E731
 
-    trained_texts = []
-    real_backward = enc.backward_batch
-
-    def spy_backward(params, config, texts, grads, forward, out=None):
-        trained_texts.extend(texts)
-        return real_backward(params, config, texts, grads, forward, out)
-
-    monkeypatch.setattr(enc, "backward_batch", spy_backward)
     got, got_stats = run()
     monkeypatch.setattr(trainer, "_fit", dense_fit)
     want, want_stats = run()
     assert checkpoint_to_bytes(got) == checkpoint_to_bytes(want)
     assert got_stats == want_stats
-    if regime == "contrastive":
-        pair_texts = {t for p in corpus[:64] for t in (p.anchor.text, p.positive.text)}
-        assert set(trained_texts) - pair_texts, "no hard negative from outside the pairs"
