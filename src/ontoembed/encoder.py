@@ -320,9 +320,14 @@ class Forward:
 
 def _matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x @ w`` with each row rounded the same whatever the batch size.
-    numpy hands a one-row ``x`` to BLAS gemv, which sums in a different order
-    from the gemm taller batches get, so a lone row is computed as two."""
-    return x @ w if len(x) != 1 else (np.vstack([x, x]) @ w)[:1]
+    A BLAS gemm may compute the rows left over after its last full block
+    with other code, which sums in a different order (numpy hands a lone
+    row to gemv), so ``x`` is padded with zero rows to a multiple of 8,
+    which leaves no such tail on any OpenBLAS kernel tried (SkylakeX,
+    Haswell, Sandybridge, Nehalem), and the pad's rows are dropped from
+    the product."""
+    pad = -len(x) % 8
+    return x @ w if not pad else (np.concatenate((x, np.zeros((pad, x.shape[1])))) @ w)[:len(x)]
 
 
 def _gather_sums(source: np.ndarray, gather: np.ndarray, index: np.ndarray,
@@ -330,9 +335,32 @@ def _gather_sums(source: np.ndarray, gather: np.ndarray, index: np.ndarray,
     """``out[index[i]] += source[gather[i]]`` for each i in order, with
     ``out`` first set to zero, and return ``out``: the additions
     ``np.add.at`` makes, in its order, as one ``np.bincount`` per column, so
-    no (len(index), width) array is ever built."""
+    no (len(index), width) array is ever built. The backward's scatter of
+    token gradients; the forward pools with ``_pool_sums``."""
     for j in range(source.shape[1]):
         out[:, j] = np.bincount(index, weights=source[:, j][gather], minlength=len(out))
+    return out
+
+
+def _pool_sums(table: np.ndarray, tokens: Tokens) -> np.ndarray:
+    """Each text's sum of its token rows of ``table``, added in token order
+    from +0.0, one token position at a time.
+
+    The texts run longest first, so those still holding a token at
+    position p are a prefix of the sums, which take that token's row all
+    together. The loop runs once per position of the longest text, and
+    each step builds only a (texts, width) block.
+    """
+    lengths = tokens.lengths
+    order = np.argsort(-lengths, kind="stable")
+    ranked, starts = lengths[order], tokens.offsets[:-1][order]
+    # running[p]: how many texts are longer than p tokens
+    running = np.searchsorted(-ranked, -np.arange(lengths.max(initial=0)))
+    sums = np.zeros((len(lengths), table.shape[1]))
+    for p, n in enumerate(running.tolist()):
+        sums[:n] += table.take(tokens.ids.take(starts[:n] + p), axis=0)
+    out = np.empty_like(sums)
+    out[order] = sums
     return out
 
 
@@ -340,7 +368,7 @@ def forward_tokens(params: Params, tokens: Tokens) -> Forward:
     """The network's one forward pass, over a batch of tokenized texts whose
     ids index ``params.token_table``.
 
-    Mean pooling sums each text's token rows by ``_gather_sums`` and divides
+    Mean pooling sums each text's token rows by ``_pool_sums`` and divides
     by the token counts: the same additions, in the same order, as each
     text's ``token_table[ids].mean(axis=0)``. A text whose output norm is
     not finite (its squares overflow) raises NonFiniteOutput naming its row.
@@ -348,8 +376,7 @@ def forward_tokens(params: Params, tokens: Tokens) -> Forward:
     lengths = tokens.lengths
     text_of = np.repeat(np.arange(len(lengths)), lengths)
     counts = np.maximum(lengths, 1)
-    pooled = _gather_sums(params.token_table, tokens.ids, text_of,
-                          np.empty((len(lengths), params.token_table.shape[1])))
+    pooled = _pool_sums(params.token_table, tokens)
     pooled /= counts[:, None]
     h = np.tanh(_matmul_rows(pooled, params.w1) + params.b1)
     z = _matmul_rows(h, params.w2) + params.b2

@@ -159,13 +159,27 @@ def adamw_reference(tensors, grads, m, v, step, lr, weight_decay):
     return new_p, new_m, new_v
 
 
+def pooled_reference(table, id_lists):
+    """Mean pooling in a Python loop over floats: each text's row is
+    ``0.0 + table[id0] + table[id1] + ...``, column by column in token
+    order, divided by its token count (an empty text by 1)."""
+    rows = []
+    for ids in id_lists:
+        sums = [0.0] * table.shape[1]
+        for i in ids:
+            sums = [a + b for a, b in zip(sums, table[i].tolist())]
+        rows.append([a / max(len(ids), 1) for a in sums])
+    return np.array(rows, dtype=float).reshape(len(id_lists), table.shape[1])
+
+
 def backward_reference(params, config, texts, output_grads):
     """Dense gradient of ``sum(encode_batch(texts) * output_grads)`` with the
     batch arithmetic of the encoder, but with pooling and the token-table
     gradient scattered by ``np.add.at`` into zero arrays. Returns a dict of
     tensor name -> array."""
-    def matmul_rows(x, w):  # a lone row is computed as two, as in the encoder
-        return x @ w if len(x) != 1 else (np.vstack([x, x]) @ w)[:1]
+    def matmul_rows(x, w):  # zero rows pad x to a multiple of 8, as in the encoder
+        pad = np.zeros((-len(x) % 8, x.shape[1]))
+        return (np.vstack([x, pad]) @ w)[:len(x)]
 
     id_lists = [enc.tokenize(config, text) for text in texts]
     ids = np.array([i for id_list in id_lists for i in id_list], dtype=np.intp)

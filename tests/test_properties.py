@@ -2,7 +2,8 @@
 distillation head: the flat parameter layout, checkpoint round trips and
 corrupted checkpoints, uniform soups of identical models and training on
 the reached token rows; over random Unicode tokens and their hash
-buckets; over rows of float64 values as ``embed`` writes them; over
+buckets; over batches of token ids mean-pooled against a sequential
+sum; over rows of float64 values as ``embed`` writes them; over
 mutated pipeline config files; over mutated lines of every TSV and JSONL
 input; and over mutated option and config values of real commands."""
 
@@ -31,7 +32,7 @@ from ontoembed import trainer  # noqa: E402
 from conftest import run_child  # noqa: E402
 from oracles import (  # noqa: E402
     checkpoint_from_bytes, checkpoint_to_bytes, dense_fit, embedding_lines_reference,
-    fnv1a64, params_equal,
+    fnv1a64, params_equal, pooled_reference,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -211,6 +212,39 @@ def test_token_buckets_equal_the_fnv1a_hash(texts, buckets, seed):
     assert tokens.offsets.tolist() == np.cumsum([0] + [len(ids) for ids in expected]).tolist()
     assert tokens.ids.tolist() == [i for ids in expected for i in ids]
     assert [enc.tokenize(config, text) for text in texts] == expected
+
+
+@st.composite
+def token_batches(draw):
+    """(params, id_lists): a random model whose token rows span 12 orders of
+    magnitude, and up to 8 lists of up to 60 token ids, repeated within and
+    across lists; sometimes one list of several hundred ids is among them."""
+    config, params = draw(models(head_dims=st.none()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    params.token_table *= 10.0 ** rng.integers(-6, 7, size=(config.vocab_buckets, 1))
+    ids = st.integers(0, config.vocab_buckets - 1)
+    id_lists = draw(st.lists(st.lists(ids, max_size=60), max_size=8))
+    if id_lists and draw(st.booleans()):
+        cycle = draw(st.lists(ids, min_size=1, max_size=8))
+        long = (cycle * 600)[:draw(st.integers(200, 600))]
+        id_lists[draw(st.integers(0, len(id_lists) - 1))] = long
+    return params, id_lists
+
+
+_POOL_PARAMS = enc.init_params(enc.EncoderConfig(vocab_buckets=3, embed_dim=2, hidden_dim=2,
+                                                 output_dim=2))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(token_batches())
+@hypothesis.example((_POOL_PARAMS, []))
+@hypothesis.example((_POOL_PARAMS, [[], [0, 0, 1], [], [1] * 300 + [2], [2, 1]]))
+def test_pooling_equals_the_sequential_sum_oracle(batch):
+    params, id_lists = batch
+    tokens = enc.Tokens(np.array([i for ids in id_lists for i in ids], dtype=np.intp),
+                        np.cumsum([0] + [len(ids) for ids in id_lists]).astype(np.intp))
+    pooled = enc.forward_tokens(params, tokens).pooled
+    assert pooled.tobytes() == pooled_reference(params.token_table, id_lists).tobytes()
 
 
 def _ulps(value: float, steps: int) -> float:
