@@ -12,7 +12,6 @@ success, 1 I/O, 2 domain or validation failure, 64 usage or config file.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -29,8 +28,8 @@ import numpy as np
 # function imports the other modules it runs, so that a command loads only
 # those (``--help`` and ``embed`` load just this module, config and encoder).
 from . import encoder as enc
-from .config import (TRAIN_CONFIG_KEYS, ConfigError, DomainError, TrainConfig, build_config,
-                     config_keys, read_config)
+from .config import (TRAIN_CONFIG_KEYS, ConfigError, DomainError, TrainConfig, _read_lines,
+                     atomic_output, build_config, config_keys, json_field, read_config)
 
 log = logging.getLogger("ontoembed")
 
@@ -75,32 +74,9 @@ def _topk_list(text: str) -> list[int]:
 # Small helpers
 
 
-@contextlib.contextmanager
-def _atomic_output(path: str):
-    """Yield a binary file handle on a temporary file next to ``path``; the
-    file is renamed onto ``path`` when the block succeeds and deleted when
-    it raises."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            yield fh
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
-def _atomic_write_bytes(path: str, *pieces) -> None:
-    """Write the bytes-like ``pieces`` in turn to ``path``, atomically."""
-    with _atomic_output(path) as fh:
-        fh.writelines(pieces)
-
-
 def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    with atomic_output(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _sha256_file(path: str) -> str:
@@ -126,10 +102,6 @@ def _write_manifest(primary_output: str, command: str, config: dict,
     path = f"{primary_output}.manifest.json"
     _atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
-
-
-def _save_checkpoint(path: str, ckpt: enc.Checkpoint) -> None:
-    _atomic_write_bytes(path, *enc.checkpoint_pieces(ckpt))
 
 
 def _load_kg(ontology_path, templates_path, glossary_path=None):
@@ -244,7 +216,7 @@ def cmd_train(args) -> int:
         ckpt, stats = trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
 
     inputs = _inputs(args)
-    _save_checkpoint(args.out, ckpt)
+    enc.save_checkpoint(args.out, ckpt)
     metrics = {"steps": stats.steps, "final_loss": stats.final_loss,
                "phase": ckpt.phase}
     _write_manifest(args.out, f"train {args.phase}", vars_snapshot(args),
@@ -265,15 +237,14 @@ def _read_listing(path: str) -> list[tuple[str, float, str]]:
     """The (path, score, label) candidates of a ``soup --manifest`` listing,
     ``{"candidates": [{"path": str, "score": number, "label": str}, ...]}``;
     a missing label is ""."""
-    from . import ontology as onto
     from . import soup as soup_mod
 
     try:
         with open(path, encoding="utf-8") as fh:
             listing = json.load(fh)
-        return [(onto.json_field(entry, "path"), float(onto.json_field(entry, "score", float)),
-                 onto.json_field(entry, "label", default=""))
-                for entry in onto.json_field(listing, "candidates", (dict,))]
+        return [(json_field(entry, "path"), float(json_field(entry, "score", float)),
+                 json_field(entry, "label", default=""))
+                for entry in json_field(listing, "candidates", (dict,))]
     except (OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise soup_mod.SoupError(f"{path}: {exc}") from exc
 
@@ -317,7 +288,7 @@ def cmd_soup(args) -> int:
         result, kept = soup_mod.greedy_soup(candidates, evaluate)
 
     soup_score = evaluate(result) if args.val else None
-    _save_checkpoint(args.out, result)
+    enc.save_checkpoint(args.out, result)
     report = {
         "strategy": args.strategy,
         "metric": metric,
@@ -390,20 +361,14 @@ def _read_texts(path) -> list[str]:
     """The lines of the UTF-8 text file at ``path``, each one text, blank
     lines included. A line that is not UTF-8 or holds a tab raises
     ParseError naming ``path`` and the line."""
-    with open(path, "rb") as fh:
-        # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
-        lines = fh.read().splitlines()
     texts = []
-    for line_no, raw in enumerate(lines, 1):
-        try:
-            text = raw.decode("utf-8")
-            if "\t" in text:
-                raise ValueError("input texts must not contain tab characters")
-        except ValueError as exc:  # a UnicodeDecodeError is a ValueError
-            from . import ontology as onto
 
-            raise onto.ParseError(path, line_no, str(exc)) from exc
+    def read_line(line_no: int, text: str) -> None:
+        if "\t" in text:
+            raise ValueError("input texts must not contain tab characters")
         texts.append(text)
+
+    _read_lines(path, read_line)
     return texts
 
 
@@ -545,7 +510,7 @@ def cmd_embed(args) -> int:
     inputs = _inputs(args)
     model = enc.load_checkpoint(args.model)
     texts = _read_texts(args.infile)
-    with _atomic_output(args.out) as fh:
+    with atomic_output(args.out) as fh:
         for i in range(0, len(texts), EMBED_CHUNK):
             chunk = texts[i:i + EMBED_CHUNK]
             try:
@@ -675,7 +640,7 @@ def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) 
 
     def save(name: str, ckpt: enc.Checkpoint) -> str:
         path = os.path.join(stage, name)
-        _save_checkpoint(path, ckpt)
+        enc.save_checkpoint(path, ckpt)
         written.append(name)
         return path
 

@@ -4,14 +4,19 @@ default written once, on the field; range checks stay in the class's
 ``__post_init__``. Every field is an int, a finite float or a string.
 
 Also here, so that every command can name them without loading the modules
-that use them: the training hyperparameters (``TrainConfig``) and
-``DomainError``, the base of every error the commands exit 2 on.
+that use them: the training hyperparameters (``TrainConfig``), ``DomainError``
+(the base of every error the commands exit 2 on), the one reader of every
+input line file and the one atomic writer of every output file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import json
 import math
+import os
+import tempfile
 
 
 class ConfigError(ValueError):
@@ -24,29 +29,128 @@ class DomainError(Exception):
     checkpoint, evaluation, training, soup); a command exits 2 on one."""
 
 
+class ParseError(DomainError):
+    """A malformed line of an input file; the message names the file and line."""
+
+    def __init__(self, path, line_no: int, message: str):
+        super().__init__(f"{path}:{line_no}: {message}")
+        self.line_no = line_no
+
+
+def _read_lines(path, read_line) -> None:
+    """Call ``read_line(line_no, line)`` on each line of the UTF-8 file at
+    ``path``, in file order. A line that is not UTF-8, or that ``read_line``
+    rejects with KeyError, TypeError, ValueError or RecursionError, raises
+    ParseError naming ``path`` and the line."""
+    with open(path, "rb") as fh:
+        # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
+        lines = fh.read().splitlines()
+    for line_no, raw in enumerate(lines, 1):
+        try:
+            read_line(line_no, raw.decode("utf-8"))
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            reason = f"invalid JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError) \
+                else str(exc)
+            raise ParseError(path, line_no, reason) from exc
+
+
+def read_records(path, parse, columns: int | None = None) -> list:
+    """The records of the UTF-8 line file at ``path``, in file order.
+
+    With ``columns`` set the file is a TSV: each line must split into exactly
+    that many tab-separated fields, and ``parse(*fields)`` makes its record;
+    a line is blank only when it is empty. Otherwise the file is JSONL:
+    ``parse(value)`` makes a record from each line's JSON value, and a line
+    of whitespace is blank. Blank lines are skipped. A line that is not
+    UTF-8, not valid (JSON nested too deep to decode included), or that
+    ``parse`` rejects with KeyError, TypeError or ValueError raises
+    ParseError naming ``path`` and the line.
+    """
+    records = []
+
+    def read_line(line_no: int, line: str) -> None:
+        if columns is None:
+            line = line.strip()
+            if line:
+                records.append(parse(json.loads(line)))
+        elif line:
+            fields = line.split("\t")
+            if len(fields) != columns:
+                raise ValueError(f"expected {columns} tab-separated columns, got {len(fields)}")
+            records.append(parse(*fields))
+
+    _read_lines(path, read_line)
+    return records
+
+
+_REQUIRED = object()
+_JSON_KINDS = {str: "a string", dict: "an object", float: "a number",
+               (str,): "a list of strings", (dict,): "a list of objects"}
+
+
+def _is_kind(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return type(value) is list and all(type(v) is kind[0] for v in value)
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def json_field(obj, key: str, kind=str, default=_REQUIRED):
+    """``obj[key]`` of the decoded JSON object ``obj``, which must be of
+    ``kind``: ``str``, ``dict``, ``float`` for any number, or ``(str,)`` and
+    ``(dict,)`` for a list of strings or objects. A missing key gives
+    ``default``, or ValueError when there is none; a value of another kind
+    raises TypeError. Nothing is coerced."""
+    if type(obj) is not dict:
+        raise TypeError("expected a JSON object")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"missing {key!r}")
+        return default
+    if not _is_kind(obj[key], kind):
+        raise TypeError(f"{key!r} must be {_JSON_KINDS[kind]}")
+    return obj[key]
+
+
+@contextlib.contextmanager
+def atomic_output(path):
+    """Yield a binary file handle on a temporary file next to ``path``; the
+    file is renamed onto ``path`` when the block succeeds and deleted when
+    it raises."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
+
+
 def parse_kv_file(path) -> dict[str, str]:
     """Parse a plain-text UTF-8 ``key = value`` config file. '#' starts a
     comment; blank lines are skipped; a line that is not UTF-8, has no '='
     or repeats a key is rejected."""
     out: dict[str, str] = {}
     line_of: dict[str, int] = {}
-    with open(path, "rb") as fh:
-        # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
-        lines = fh.read().splitlines()
-    for line_no, raw in enumerate(lines, 1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}:{line_no}: {exc}") from exc
+
+    def read_line(line_no: int, line: str) -> None:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
-            continue
+            return
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{line_no}: expected key = value")
+            raise ValueError("expected key = value")
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key in out:
-            raise ConfigError(f"{path}:{line_no}: {key} is already set on line {line_of[key]}")
+            raise ValueError(f"{key} is already set on line {line_of[key]}")
         out[key], line_of[key] = value, line_no
+
+    try:
+        _read_lines(path, read_line)
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from exc
     return out
 
 

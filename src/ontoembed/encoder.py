@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import DomainError, build_config, config_keys
+from .config import DomainError, atomic_output, build_config, config_keys
 
 CHECKPOINT_MAGIC = b"OEMBCKPT"
 CHECKPOINT_VERSION = 1
@@ -550,6 +550,7 @@ def _config_from_header(header) -> EncoderConfig:
     history = header.get("history", [])
     require(isinstance(history, list) and all(h in PHASES for h in history),
             "history must be a list of phase names")
+    require(not history or history[-1] == header["phase"], "history must end with the phase")
     head_dim = header.get("head_dim")
     require(head_dim is None or (is_int(head_dim) and head_dim >= 1),
             "head_dim must be null or a positive integer")
@@ -594,9 +595,10 @@ def read_checkpoint(fh) -> Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    pieces = checkpoint_pieces(ckpt)
-    with open(path, "wb") as fh:
-        fh.writelines(pieces)
+    """Write ``ckpt`` to ``path`` atomically: a failed write leaves any file
+    already at ``path`` as it was."""
+    with atomic_output(path) as fh:
+        fh.writelines(checkpoint_pieces(ckpt))
 
 
 def load_checkpoint(path) -> Checkpoint:

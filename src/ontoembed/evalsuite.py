@@ -5,7 +5,7 @@ All evaluations are read-only over the model and graph, row order is
 canonical (file order), and every metric has an independently implemented
 oracle in the test suite that it must match to 1e-12.
 
-Dataset files, TSVs read through ``ontology.read_records``:
+Dataset files, TSVs read through ``config.read_records``:
   STS / BCR  text_a <TAB> text_b <TAB> gold
   NEL        mention <TAB> concept_id
   NLI        anchor <TAB> entailed <TAB> contradicted
@@ -15,13 +15,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import encoder as enc
-from . import ontology as onto
-from .config import DomainError
+from .config import DomainError, ParseError, read_records
+
+if TYPE_CHECKING:
+    from . import ontology as onto
 
 
 class EvalError(DomainError):
@@ -103,8 +107,8 @@ def _load(dataset_cls, path, columns: int, row=lambda *fields: fields):
     """``dataset_cls`` over the rows ``row`` makes from the lines of the TSV
     at ``path``; every error names the file, and a malformed line its line."""
     try:
-        rows = onto.read_records(path, row, columns)
-    except onto.ParseError as exc:
+        rows = read_records(path, row, columns)
+    except ParseError as exc:
         raise DatasetError(str(exc)) from exc
     try:
         return dataset_cls(rows=tuple(rows))
@@ -113,6 +117,8 @@ def _load(dataset_cls, path, columns: int, row=lambda *fields: fields):
 
 
 def _scored(a: str, b: str, gold: str) -> tuple[str, str, float]:
+    if not math.isfinite(float(gold)):
+        raise ValueError(f"gold {gold} is not a finite number")
     return a, b, float(gold)
 
 
@@ -162,16 +168,8 @@ def pearson(xs, ys) -> float:
 
 def _average_ranks(xs: np.ndarray) -> np.ndarray:
     """Ranks starting at 1; ties receive the mean of their rank positions."""
-    order = np.argsort(xs, kind="stable")
-    ranks = np.empty(len(xs))
-    i = 0
-    while i < len(xs):
-        j = i
-        while j + 1 < len(xs) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def spearman(xs, ys) -> float:

@@ -6,7 +6,7 @@ threads. Surface text comes out of the graph in four flavours (names, human
 definitions, generated definitions, templated relation descriptions), and
 the corpus builder turns those into anchor/positive training pairs.
 
-File formats, each read through ``read_records``:
+File formats, each read through ``config.read_records``:
   ontology JSONL  one concept object per line, see ``load_ontology``
   templates TSV   relation_type <TAB> template with {SOURCE} and {TARGET}
   glossary JSONL  {"id": ..., "definition": ...}
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DomainError
+from .config import DomainError, json_field, read_records
 
 log = logging.getLogger(__name__)
 
@@ -43,12 +43,6 @@ class OntologyError(DomainError):
     pass
 
 
-class ParseError(OntologyError):
-    def __init__(self, path, line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.line_no = line_no
-
-
 class ValidationError(OntologyError):
     def __init__(self, message: str, concept_id: str | None = None):
         super().__init__(message)
@@ -65,70 +59,6 @@ class UnknownConceptError(OntologyError):
     def __init__(self, concept_id: str):
         super().__init__(f"unknown concept id {concept_id!r}")
         self.concept_id = concept_id
-
-
-def read_records(path, parse, columns: int | None = None) -> list:
-    """The records of the UTF-8 line file at ``path``, in file order.
-
-    With ``columns`` set the file is a TSV: each line must split into exactly
-    that many tab-separated fields, and ``parse(*fields)`` makes its record;
-    a line is blank only when it is empty. Otherwise the file is JSONL:
-    ``parse(value)`` makes a record from each line's JSON value, and a line
-    of whitespace is blank. Blank lines are skipped. A line that is not
-    UTF-8, not valid (JSON nested too deep to decode included), or that
-    ``parse`` rejects with KeyError, TypeError or ValueError raises
-    ParseError naming ``path`` and the line.
-    """
-    with open(path, "rb") as fh:
-        # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
-        lines = fh.read().splitlines()
-    records = []
-    for line_no, raw in enumerate(lines, 1):
-        try:
-            line = raw.decode("utf-8")
-            if columns is None:
-                line = line.strip()
-                if line:
-                    records.append(parse(json.loads(line)))
-            elif line:
-                fields = line.split("\t")
-                if len(fields) != columns:
-                    raise ValueError(f"expected {columns} tab-separated columns, "
-                                     f"got {len(fields)}")
-                records.append(parse(*fields))
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            reason = f"invalid JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError) \
-                else str(exc)
-            raise ParseError(path, line_no, reason) from exc
-    return records
-
-
-_REQUIRED = object()
-_JSON_KINDS = {str: "a string", dict: "an object", float: "a number",
-               (str,): "a list of strings", (dict,): "a list of objects"}
-
-
-def _is_kind(value, kind) -> bool:
-    if isinstance(kind, tuple):
-        return type(value) is list and all(type(v) is kind[0] for v in value)
-    return type(value) in ((int, float) if kind is float else (kind,))
-
-
-def json_field(obj, key: str, kind=str, default=_REQUIRED):
-    """``obj[key]`` of the decoded JSON object ``obj``, which must be of
-    ``kind``: ``str``, ``dict``, ``float`` for any number, or ``(str,)`` and
-    ``(dict,)`` for a list of strings or objects. A missing key gives
-    ``default``, or ValueError when there is none; a value of another kind
-    raises TypeError. Nothing is coerced."""
-    if type(obj) is not dict:
-        raise TypeError("expected a JSON object")
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ValueError(f"missing {key!r}")
-        return default
-    if not _is_kind(obj[key], kind):
-        raise TypeError(f"{key!r} must be {_JSON_KINDS[kind]}")
-    return obj[key]
 
 
 @dataclass(frozen=True)

@@ -240,3 +240,18 @@ def dense_fit(params, config, texts, plans, objective, cfg, regime, full_loss=Fa
         epoch_losses.append(objective(outputs(every)[1], every)[0] if full_loss
                             else float(np.mean(step_losses)))
     return trainer.TrainStats(state.step, epoch_losses)
+
+
+def average_ranks_reference(xs):
+    """Ranks starting at 1 by a loop over the stable sort order; each run of
+    equal values gets the mean of its positions."""
+    order = np.argsort(xs, kind="stable")
+    ranks = np.empty(len(xs))
+    i = 0
+    while i < len(xs):
+        j = i
+        while j + 1 < len(xs) and xs[order[j + 1]] == xs[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

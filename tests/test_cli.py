@@ -1036,11 +1036,11 @@ def test_commands_import_only_the_standard_library_numpy_and_ontoembed(fixtures_
 
 # The ontoembed modules each command loads.
 _EVERY_COMMAND = {"cli", "config", "encoder"}
-_EVAL = _EVERY_COMMAND | {"evalsuite", "ontology"}
+_EVAL = _EVERY_COMMAND | {"evalsuite"}
 _LOADS = {"--help": _EVERY_COMMAND, "embed": _EVERY_COMMAND, "eval sts": _EVAL,
-          "eval nel": _EVAL, "verbalize": _EVERY_COMMAND | {"ontology"},
-          "train sts": _EVAL | {"trainer", "losses"},
-          "pipeline": _EVAL | {"trainer", "losses", "soup"}}
+          "eval nel": _EVAL | {"ontology"}, "verbalize": _EVERY_COMMAND | {"ontology"},
+          "train sts": _EVAL | {"ontology", "trainer", "losses"},
+          "pipeline": _EVAL | {"ontology", "trainer", "losses", "soup"}}
 
 
 @pytest.mark.parametrize("command", list(_LOADS))
@@ -1136,9 +1136,11 @@ def _with_config(key, value):
     _with_config("colour", 1),
     _with_config("vocab_buckets", "64"),
     lambda header: {**header, "history": 5},
+    lambda header: {**header, "phase": "souped", "history": ["base", "contrastive"]},
     lambda header: [header],
 ], ids=["missing-config", "missing-phase", "unknown-config-key",
-        "string-vocab-buckets", "non-list-history", "list-header"])
+        "string-vocab-buckets", "non-list-history", "history-not-ending-in-phase",
+        "list-header"])
 def test_embed_malformed_checkpoint_header_exits_2(tmp_path, mutate):
     cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
     data = oracles.checkpoint_to_bytes(

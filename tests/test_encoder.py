@@ -1,13 +1,14 @@
 import hashlib
 import inspect
 import io
+import json
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from ontoembed import cli
 from ontoembed import encoder as enc
 from ontoembed import evalsuite as ev
 from ontoembed.cli import EMBED_CHUNK
@@ -423,6 +424,40 @@ def test_checkpoint_truncation_detected(tiny_config, tmp_path):
         enc.load_checkpoint(path)
 
 
+def test_failed_checkpoint_write_keeps_the_old_file(tiny_config, tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    enc.save_checkpoint(path, _ckpt(tiny_config))
+    old = path.read_bytes()
+    # the header is written, then the parameter block fails
+    monkeypatch.setattr(enc, "checkpoint_pieces", lambda ckpt: (b"header\n", None))
+    with pytest.raises(TypeError):
+        enc.save_checkpoint(path, _ckpt(tiny_config, "sts_adapted"))
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
+@pytest.mark.parametrize("history, loads_as", [
+    (["base", "sts_adapted"], ("base", "sts_adapted")),
+    ([], ("sts_adapted",)),
+    (None, ("sts_adapted",)),
+    (["base", "contrastive"], None),
+], ids=["ends-with-phase", "empty", "missing", "ends-with-another-phase"])
+def test_checkpoint_history_must_end_with_its_phase(tiny_config, tmp_path, history, loads_as):
+    data = checkpoint_to_bytes(_ckpt(tiny_config, "sts_adapted"))
+    start, nl = len(enc.CHECKPOINT_MAGIC), data.index(b"\n")
+    header = {k: v for k, v in json.loads(data[start:nl]).items() if k != "history"}
+    if history is not None:
+        header["history"] = history
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(enc.CHECKPOINT_MAGIC + json.dumps(header).encode() + data[nl:])
+    if loads_as is None:
+        with pytest.raises(enc.CheckpointFormatError,
+                           match=rf"^{re.escape(str(path))}: .*history must end with the phase"):
+            enc.load_checkpoint(path)
+    else:
+        assert enc.load_checkpoint(path).history == loads_as
+
+
 def test_checkpoint_version_mismatch(tiny_config, tmp_path):
     ckpt = _ckpt(tiny_config)
     raw = checkpoint_to_bytes(ckpt)
@@ -451,9 +486,7 @@ def test_every_checkpoint_writer_gives_the_same_bytes(tiny_config, tmp_path, hea
         params = enc.attach_head(params, tiny_config, head, seed=5)
     ckpt = enc.Checkpoint(config=tiny_config, phase="base", params=params)
     enc.save_checkpoint(tmp_path / "save.ckpt", ckpt)
-    cli._save_checkpoint(str(tmp_path / "cli.ckpt"), ckpt)
     data = (tmp_path / "save.ckpt").read_bytes()
-    assert (tmp_path / "cli.ckpt").read_bytes() == data
     assert checkpoint_to_bytes(ckpt) == data
     assert ev.model_digest(ckpt) == hashlib.sha256(data).hexdigest()
     header, block = enc.checkpoint_pieces(ckpt)

@@ -12,7 +12,8 @@ from ontoembed import ontology as onto
 from ontoembed import trainer
 
 from conftest import write_jsonl, write_text
-from oracles import brute_nli_accuracy, brute_topk_concepts, rank_concepts_reference
+from oracles import (average_ranks_reference, brute_nli_accuracy, brute_topk_concepts,
+                     rank_concepts_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,15 @@ def test_spearman_tie_hand_value():
     # ranks [1, 2.5, 2.5, 4] vs [1, 2, 3, 4]: pearson = 4.5 / sqrt(4.5 * 5)
     assert ev.spearman([1, 2, 2, 4], [1, 2, 3, 4]) == pytest.approx(
         0.9486832980505138, abs=1e-12)
+
+
+def test_average_ranks_equal_the_tie_loop_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for trial in range(400):
+        n = int(rng.integers(1, 40))
+        xs = [rng.integers(0, 5, size=n).astype(float), rng.normal(size=n),
+              np.round(rng.normal(size=n), 1), rng.choice([0.0, -0.0, 1.0], size=n)][trial % 4]
+        assert ev._average_ranks(xs).tobytes() == average_ranks_reference(xs).tobytes()
 
 
 def test_correlations_match_scipy_on_random_instances():
@@ -102,6 +112,11 @@ def test_bcr_loader_accepts_any_scale(tmp_path):
     path = write_text(tmp_path / "bcr.tsv", "a\tb\t-3.5\nc\td\t117\n")
     dataset = ev.load_bcr_dataset(path)
     assert dataset.rows[0][2] == -3.5
+    # a NaN gold used to load and take a rank of its own
+    for gold in ("nan", "inf"):
+        path = write_text(tmp_path / "bcr.tsv", f"a\tb\t1\nc\td\t{gold}\n")
+        with pytest.raises(ev.DatasetError, match=rf"bcr\.tsv:2: gold {gold} is not a finite"):
+            ev.load_bcr_dataset(path)
 
 
 # ---------------------------------------------------------------------------

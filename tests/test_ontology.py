@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from ontoembed import config
 from ontoembed import ontology as onto
 
 from conftest import write_jsonl, write_text
@@ -78,14 +79,14 @@ def test_load_rejects_duplicate_id(tmp_path):
 def test_load_reports_line_number_for_bad_json(tmp_path):
     path = write_text(tmp_path / "kg.jsonl",
                       '{"id": "A", "names": ["alpha"]}\nnot json\n')
-    with pytest.raises(onto.ParseError) as err:
+    with pytest.raises(config.ParseError) as err:
         onto.load_ontology(path)
     assert err.value.line_no == 2
 
 
 def test_load_rejects_empty_names(tmp_path):
     path = write_jsonl(tmp_path / "kg.jsonl", [{"id": "A", "names": ["  "]}])
-    with pytest.raises(onto.ParseError):
+    with pytest.raises(config.ParseError):
         onto.load_ontology(path)
 
 
@@ -318,14 +319,14 @@ def test_parallel_six_language_counts_match_line_oracle(fixtures_dir):
 
 def test_parallel_bad_column_count_names_line(tmp_path):
     path = write_text(tmp_path / "p.tsv", "a\tb\tes\nonly one col\n")
-    with pytest.raises(onto.ParseError) as err:
+    with pytest.raises(config.ParseError) as err:
         onto.load_parallel_pairs(path)
     assert err.value.line_no == 2
 
 
 def test_parallel_empty_field_rejected(tmp_path):
     path = write_text(tmp_path / "p.tsv", "a\t\tes\n")
-    with pytest.raises(onto.ParseError):
+    with pytest.raises(config.ParseError):
         onto.load_parallel_pairs(path)
     with pytest.raises(ValueError):
         onto.ParallelPair("a", "b", "")
@@ -339,30 +340,30 @@ def test_read_records_blank_lines_and_line_endings(tmp_path):
     # \n, \r\n and \r each end a line; a TSV line is blank only when empty
     tsv = tmp_path / "r.tsv"
     tsv.write_bytes(b"a\tb\r\n\nc\td\re\tf\n")
-    assert onto.read_records(tsv, lambda *fields: fields, columns=2) == [
+    assert config.read_records(tsv, lambda *fields: fields, columns=2) == [
         ("a", "b"), ("c", "d"), ("e", "f")]
     tsv.write_bytes(b"a\tb\n \n")
-    with pytest.raises(onto.ParseError) as err:
-        onto.read_records(tsv, lambda *fields: fields, columns=2)
+    with pytest.raises(config.ParseError) as err:
+        config.read_records(tsv, lambda *fields: fields, columns=2)
     assert err.value.line_no == 2
     # a JSONL line of whitespace is blank
     jsonl = tmp_path / "r.jsonl"
     jsonl.write_bytes(b'{"a": "x"}\n \t\n\r\n{"a": "y"}\n')
-    assert onto.read_records(jsonl, lambda obj: onto.json_field(obj, "a")) == ["x", "y"]
+    assert config.read_records(jsonl, lambda obj: config.json_field(obj, "a")) == ["x", "y"]
 
 
 def test_json_field_checks_kinds_and_never_coerces():
     obj = {"s": "x", "n": 5, "b": True, "z": None, "ls": ["a"], "lo": [{}], "mixed": ["a", 1]}
-    assert onto.json_field(obj, "s") == "x"
-    assert onto.json_field(obj, "n", float) == 5
-    assert onto.json_field(obj, "ls", (str,)) == ["a"]
-    assert onto.json_field(obj, "lo", (dict,)) == [{}]
-    assert onto.json_field(obj, "absent", default="d") == "d"
+    assert config.json_field(obj, "s") == "x"
+    assert config.json_field(obj, "n", float) == 5
+    assert config.json_field(obj, "ls", (str,)) == ["a"]
+    assert config.json_field(obj, "lo", (dict,)) == [{}]
+    assert config.json_field(obj, "absent", default="d") == "d"
     for key, kind in [("n", str), ("z", str), ("b", float), ("s", (str,)), ("mixed", (str,)),
                       ("ls", (dict,))]:
         with pytest.raises(TypeError, match=f"^'{key}' must be "):
-            onto.json_field(obj, key, kind)
+            config.json_field(obj, key, kind)
     with pytest.raises(ValueError, match="^missing 'absent'$"):
-        onto.json_field(obj, "absent")
+        config.json_field(obj, "absent")
     with pytest.raises(TypeError, match="^expected a JSON object$"):
-        onto.json_field(["s"], "s")
+        config.json_field(["s"], "s")

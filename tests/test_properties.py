@@ -554,34 +554,39 @@ def reader_inputs(small_world, small_kg):
             return fh.read().splitlines()[:limit]
 
     corpus = [onto.corpus_line(p).encode() for p in onto.build_corpus(small_kg, 2, 0)[:30]]
+    texts = [line.split(b"\t")[0] for line in lines("sts_train.tsv")]
     return {
-        "ontology.jsonl": (lines("ontology.jsonl"), onto.load_ontology, onto.OntologyError),
+        "ontology.jsonl": (lines("ontology.jsonl"), onto.load_ontology, config.ParseError),
         "glossary.jsonl": (lines("glossary.jsonl"), lambda path: onto.merge_glossary(
-            small_kg, path), onto.OntologyError),
-        "corpus.jsonl": (corpus, onto.load_corpus, onto.OntologyError),
-        "templates.tsv": (lines("templates.tsv"), onto.load_templates, onto.OntologyError),
+            small_kg, path), config.ParseError),
+        "corpus.jsonl": (corpus, onto.load_corpus, config.ParseError),
+        "templates.tsv": (lines("templates.tsv"), onto.load_templates, config.ParseError),
         "parallel.tsv": (lines("parallel.tsv", 30), onto.load_parallel_pairs,
-                         onto.OntologyError),
+                         config.ParseError),
         "sts_train.tsv": (lines("sts_train.tsv"), ev.load_sts_dataset, ev.DatasetError),
         "bcr.tsv": (lines("bcr.tsv"), ev.load_bcr_dataset, ev.DatasetError),
         "nel.tsv": (lines("nel.tsv"), ev.load_nel_dataset, ev.DatasetError),
         "nli.tsv": (lines("nli.tsv"), ev.load_nli_dataset, ev.DatasetError),
+        "demo.cfg": (lines("demo.cfg"), config.parse_kv_file, config.ConfigError),
+        "texts.txt": (texts, cli._read_texts, config.ParseError),
     }
 
 
 @pytest.mark.parametrize("name", ["ontology.jsonl", "glossary.jsonl", "corpus.jsonl",
                                   "templates.tsv", "parallel.tsv", "sts_train.tsv", "bcr.tsv",
-                                  "nel.tsv", "nli.tsv"])
+                                  "nel.tsv", "nli.tsv", "demo.cfg", "texts.txt"])
 @settings(max_examples=100, deadline=None, database=None)
 @given(data=st.data())
 def test_mutated_input_line_loads_or_fails_naming_the_line(reader_inputs, name, data):
     # One line of a fixture file gets a wrong JSON kind, a null, a dropped
-    # key or item, a tab too many or too few, or bytes that are not UTF-8.
+    # key or item, a tab too many or too few, or bytes that are not UTF-8;
+    # a config or a text file gets only the bytes that are not UTF-8.
     # The loader raises its documented error with one line that names the
     # file and that line; only a file with a dropped key or item may load.
     lines, load, error = reader_inputs[name]
     line_no = data.draw(st.integers(1, len(lines)), label="line_no")
     mutate = data.draw(st.sampled_from(
+        [not_utf8] if name.endswith((".cfg", ".txt")) else
         [mutated_json_line if name.endswith(".jsonl") else mutated_tsv_line, not_utf8]))
     lines = list(lines)
     lines[line_no - 1], may_load = data.draw(mutate(lines[line_no - 1]), label="line")

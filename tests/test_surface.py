@@ -11,7 +11,6 @@ SRC = ROOT / "src" / "ontoembed"
 # the benchmark harness reads it.
 READ_BY_PERFBENCH = {
     "encoder.tokenize": "perfbench/child.py",
-    "encoder.save_checkpoint": "perfbench/workloads.py",
     "trainer.translation_gap": "perfbench/workloads.py",
 }
 
