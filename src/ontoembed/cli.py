@@ -12,7 +12,9 @@ success, 1 I/O, 2 domain or validation failure, 64 usage or config file.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import json
 import logging
@@ -98,10 +100,30 @@ def _write_manifest(primary_output: str, command: str, config: dict,
         "outputs": [str(p) for p in outputs],
         "duration_s": round(time.time() - started, 3),
         "metrics": metrics,
+        "numeric": _numeric_environment(),
     }
     path = f"{primary_output}.manifest.json"
     _atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
+
+
+def _numeric_environment() -> dict:
+    """What the output bits depend on besides the inputs: numpy, its BLAS, its
+    SIMD baseline and the features it found on this CPU, and the kernel that
+    the OpenBLAS bundled with numpy chose, where that can be read."""
+    build = np.show_config(mode="dicts")
+    blas = build.get("Build Dependencies", {}).get("blas", {})
+    simd = build.get("SIMD Extensions", {})
+    numeric = {"numpy": np.__version__,
+               "blas": {key: blas.get(key) for key in ("name", "version")},
+               "simd": {key: simd.get(key) for key in ("baseline", "found")}}
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            numeric["openblas_core"] = corename().decode("ascii")
+    return numeric
 
 
 def _load_kg(ontology_path, templates_path, glossary_path=None):
@@ -261,7 +283,8 @@ def cmd_soup(args) -> int:
     if metric == "nel-top1" and not args.ontology:
         raise UsageError("--ontology is required with --metric nel-top1")
     inputs = _inputs(args)
-    score = _scorer(_SOUP_METRICS[metric], args.val, args.ontology, [1])[1] if args.val else None
+    kg = _load_graph(args.ontology)
+    score = _scorer(_SOUP_METRICS[metric], args.val, kg)[1] if args.val else None
 
     def evaluate(ckpt: enc.Checkpoint) -> float:
         return score(ckpt)[0].value
@@ -311,15 +334,21 @@ def cmd_soup(args) -> int:
 # eval
 
 
-def _scorer(benchmark: str, data: str, ontology, topk):
+def _load_graph(path):
+    """The ontology at ``path``, or None (loading no module) without one."""
+    if not path:
+        return None
+    from . import ontology as onto
+
+    return onto.load_ontology(path)
+
+
+def _scorer(benchmark: str, data: str, kg=None, topk=(1,)):
     """The ``benchmark`` dataset at ``data`` and a function that scores a
-    checkpoint on it: for ``nel``, over ``ontology``, one report per k in ``topk``."""
+    checkpoint on it, as reports: for ``nel``, over ``kg``, one per k in ``topk``."""
     from . import evalsuite as ev
 
     if benchmark == "nel":
-        from . import ontology as onto
-
-        kg = onto.load_ontology(ontology)
         dataset = ev.load_nel_dataset(data)
         return dataset, lambda ckpt: ev.eval_nel(ckpt, kg, dataset, topk)
     # looked up when the command runs, so a traced run sees each call
@@ -337,8 +366,8 @@ def cmd_eval(args) -> int:
     inputs = _inputs(args)
     model = enc.load_checkpoint(args.model)
     # only eval nel has --ontology and --topk
-    dataset, score = _scorer(args.benchmark, args.data, getattr(args, "ontology", None),
-                             getattr(args, "topk", None))
+    kg = _load_graph(getattr(args, "ontology", None))
+    dataset, score = _scorer(args.benchmark, args.data, kg, getattr(args, "topk", None))
     reports = score(model)
 
     digests = dict(model_digest=ev.model_digest(model), data_digest=ev.data_digest(dataset.rows))
@@ -567,7 +596,9 @@ PIPELINE_KEYS = frozenset(
     config_keys(PipelineConfig) + TRAIN_KEYS
     + tuple(f"{phase}_{key}" for phase in _PIPELINE_PHASES for key in TRAIN_CONFIG_KEYS)
 )
-_DATASETS = ("ontology", "templates", "sts_train", "sts_val", "sts_test", "bcr", "nel", "nli")
+# the benchmarks the pipeline's report scores, in order, each with its dataset kind
+_REPORTED = {"sts_val": "sts", "sts_test": "sts", "bcr": "bcr", "nel": "nel", "nli": "nli"}
+_DATASETS = ("ontology", "templates", "sts_train") + tuple(_REPORTED)
 
 
 class PipelinePlan:
@@ -575,7 +606,7 @@ class PipelinePlan:
     at ``path`` and every input it names. Building a plan writes nothing; a
     bad config raises ConfigError. ``train`` maps each training phase
     (``adapt``, ``contrastive``, ``readapt``, ``distill_01``, ...) to its
-    config."""
+    config, and ``scorers`` each reported benchmark to its ``_scorer``."""
 
     def __init__(self, path: str):
         from . import evalsuite as ev
@@ -609,34 +640,25 @@ class PipelinePlan:
             raise ConfigError(f"{path}: pca_dim: must be at most {limit} with output_dim "
                               f"{self.encoder.output_dim} and {len(self.kg)} concepts")
         self.corpus = onto.build_corpus(self.kg, cfg.per_concept_templated, cfg.seed)
-        self.data = {
-            "sts_train": ev.load_sts_dataset(paths["sts_train"]),
-            "sts_val": ev.load_sts_dataset(paths["sts_val"]),
-            "sts_test": ev.load_sts_dataset(paths["sts_test"]),
-            "bcr": ev.load_bcr_dataset(paths["bcr"]),
-            "nel": ev.load_nel_dataset(paths["nel"]),
-            "nli": ev.load_nli_dataset(paths["nli"]),
-        }
+        self.sts_train = ev.load_sts_dataset(paths["sts_train"])
+        self.scorers = {name: _scorer(kind, paths[name], self.kg)[1]
+                        for name, kind in _REPORTED.items()}
 
 
 def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) -> dict:
     """Train, evaluate and report as ``plan`` says, writing every output into
     the directory ``stage``; the manifest lists them under ``out_dir``."""
-    from . import evalsuite as ev
     from . import soup as soup_mod
     from . import trainer
 
-    cfg, kg, data = plan.cfg, plan.kg, plan.data
+    cfg, kg = plan.cfg, plan.kg
     written = ["report.json"]
 
-    def benchmarks(ckpt: enc.Checkpoint) -> dict[str, ev.EvalReport]:
-        return {
-            "sts_val": ev.eval_sts(ckpt, data["sts_val"]),
-            "sts_test": ev.eval_sts(ckpt, data["sts_test"]),
-            "bcr": ev.eval_bcr(ckpt, data["bcr"]),
-            "nel": ev.eval_nel(ckpt, kg, data["nel"], [1])[0],
-            "nli": ev.eval_nli_triplets(ckpt, data["nli"]),
-        }
+    def benchmarks(ckpt: enc.Checkpoint) -> dict:
+        return {name: score(ckpt)[0] for name, score in plan.scorers.items()}
+
+    def val_pearson(ckpt: enc.Checkpoint) -> float:
+        return plan.scorers["sts_val"](ckpt)[0].value
 
     def save(name: str, ckpt: enc.Checkpoint) -> str:
         path = os.path.join(stage, name)
@@ -660,7 +682,7 @@ def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) 
     save("base.ckpt", base)
     evals = {"base": benchmarks(base)}
 
-    adapted, _ = train("adapt", trainer.adapt_sts, base, data["sts_train"])
+    adapted, _ = train("adapt", trainer.adapt_sts, base, plan.sts_train)
     del base
     save("adapted.ckpt", adapted)
     evals["sts_adapted"] = benchmarks(adapted)
@@ -673,7 +695,7 @@ def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) 
     log.info("contrastive done: %d steps, final loss %s", stats.steps,
              "none" if stats.final_loss is None else f"{stats.final_loss:.4f}")
 
-    readapted, _ = train("readapt", trainer.adapt_sts, contrastive, data["sts_train"])
+    readapted, _ = train("readapt", trainer.adapt_sts, contrastive, plan.sts_train)
     del contrastive
     save("readapted.ckpt", readapted)
     evals["readapted"] = benchmarks(readapted)
@@ -687,7 +709,7 @@ def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) 
         label = f"distill_{i + 1:02d}"
         distilled, dstats = train(label, trainer.train_self_distill, adapted, targets, kg)
         path = save(label + ".ckpt", distilled)
-        val = ev.eval_sts(distilled, data["sts_val"]).value
+        val = val_pearson(distilled)
         del distilled
         candidates.append(soup_mod.SoupCandidate(path, val, label))
         distill_detail.append({"label": label, "seed": plan.train[label].seed,
@@ -698,8 +720,7 @@ def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) 
 
     best_single = max(candidates, key=lambda c: c.validation_score)
     evals["self_distilled"] = benchmarks(best_single.load())
-    souped, kept = soup_mod.greedy_soup(candidates,
-                                        lambda ckpt: ev.eval_sts(ckpt, data["sts_val"]).value)
+    souped, kept = soup_mod.greedy_soup(candidates, val_pearson)
     save("soup.ckpt", souped)
     evals["souped"] = benchmarks(souped)
     rows = [{"phase": phase, "benchmark": bench, "metric": result.metric,

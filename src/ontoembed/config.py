@@ -39,12 +39,12 @@ class ParseError(DomainError):
 
 def _read_lines(path, read_line) -> None:
     """Call ``read_line(line_no, line)`` on each line of the UTF-8 file at
-    ``path``, in file order. A line that is not UTF-8, or that ``read_line``
-    rejects with KeyError, TypeError, ValueError or RecursionError, raises
-    ParseError naming ``path`` and the line."""
+    ``path`` in file order, past a byte order mark that starts it. A line
+    that is not UTF-8, or that ``read_line`` rejects with KeyError, TypeError,
+    ValueError or RecursionError, raises ParseError naming ``path`` and it."""
     with open(path, "rb") as fh:
         # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does
-        lines = fh.read().splitlines()
+        lines = fh.read().removeprefix(b"\xef\xbb\xbf").splitlines()
     for line_no, raw in enumerate(lines, 1):
         try:
             read_line(line_no, raw.decode("utf-8"))

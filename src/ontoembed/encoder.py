@@ -305,13 +305,12 @@ def attach_head(params: Params, config: EncoderConfig, target_dim: int, seed: in
 @dataclass
 class Forward:
     """One batch's forward pass: the output rows plus what the backward pass
-    reads. ``ids`` concatenates every text's token ids, ``text_of`` names the
-    text each id belongs to, ``counts`` is tokens per text, at least 1, and
-    ``norms`` is each row's norm before normalization, at least NORM_GUARD."""
+    reads. ``tokens`` is the batch it was given, ``counts`` is tokens per
+    text, at least 1, and ``norms`` is each row's norm before normalization,
+    at least NORM_GUARD."""
 
     out: np.ndarray
-    ids: np.ndarray
-    text_of: np.ndarray
+    tokens: Tokens
     counts: np.ndarray
     pooled: np.ndarray
     h: np.ndarray
@@ -373,9 +372,7 @@ def forward_tokens(params: Params, tokens: Tokens) -> Forward:
     text's ``token_table[ids].mean(axis=0)``. A text whose output norm is
     not finite (its squares overflow) raises NonFiniteOutput naming its row.
     """
-    lengths = tokens.lengths
-    text_of = np.repeat(np.arange(len(lengths)), lengths)
-    counts = np.maximum(lengths, 1)
+    counts = np.maximum(tokens.lengths, 1)
     pooled = _pool_sums(params.token_table, tokens)
     pooled /= counts[:, None]
     h = np.tanh(_matmul_rows(pooled, params.w1) + params.b1)
@@ -386,7 +383,7 @@ def forward_tokens(params: Params, tokens: Tokens) -> Forward:
     if len(overflowed):
         raise NonFiniteOutput(int(overflowed[0]))
     norms = np.maximum(raw_norms, NORM_GUARD)
-    return Forward(z / norms[:, None], tokens.ids, text_of, counts, pooled, h, norms)
+    return Forward(z / norms[:, None], tokens, counts, pooled, h, norms)
 
 
 def encode_batch(params: Params, config: EncoderConfig, texts: list[str]) -> np.ndarray:
@@ -443,8 +440,9 @@ def backward_batch(
     grad_pooled = grad_a @ params.w1.T
     # each of the batch's rows sums its terms in token order from 0.0, as a
     # scatter over the whole table would, but only those rows are built
-    rows, local = np.unique(f.ids, return_inverse=True)
-    grad.token_table[rows] = _gather_sums(grad_pooled / f.counts[:, None], f.text_of, local,
+    text_of = np.repeat(np.arange(len(f.counts)), f.tokens.lengths)
+    rows, local = np.unique(f.tokens.ids, return_inverse=True)
+    grad.token_table[rows] = _gather_sums(grad_pooled / f.counts[:, None], text_of, local,
                                           np.empty((len(rows), grad_pooled.shape[1])))
     return grad
 

@@ -219,19 +219,13 @@ def pca_dim_limit(concepts: int, output_dim: int) -> int:
     return min(concepts - 1, output_dim)
 
 
-@dataclass(frozen=True)
-class DistillTarget:
-    concept_id: str
-    target: np.ndarray
-
-
 def build_targets(
     teacher: enc.Checkpoint, kg: onto.KnowledgeGraph, k: int = 64
-) -> tuple[PCAModel, list[DistillTarget]]:
-    """Distillation targets: for each concept, the teacher embeddings of its
-    canonical name and canonical definition are averaged (without
-    re-normalizing) and projected onto the top-k PCA directions fitted over
-    all concepts' averages."""
+) -> tuple[PCAModel, np.ndarray]:
+    """Distillation targets, one row per concept in ``kg.concept_ids`` order:
+    the teacher embeddings of its canonical name and canonical definition,
+    averaged (without re-normalizing) and projected onto the top-k PCA
+    directions fitted over all concepts' averages."""
     if teacher.phase not in ("contrastive", "sts_adapted"):
         raise PhaseError(
             f"teacher phase must be contrastive or sts_adapted, got {teacher.phase!r}"
@@ -244,9 +238,7 @@ def build_targets(
     emb = enc.encode_batch(teacher.params, teacher.config, texts)
     raws = 0.5 * (emb[:len(ids)] + emb[len(ids):])
     model = pca_fit(raws, k)
-    projected = pca_project(model, raws)
-    targets = [DistillTarget(cid, projected[i].copy()) for i, cid in enumerate(ids)]
-    return model, targets
+    return model, pca_project(model, raws)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +379,7 @@ def _fit(params, config, texts, plans, objective, cfg: TrainConfig, regime: str,
                 if head:
                     grad.head_w, grad.head_b = f.out.T @ gy, gy.sum(axis=0)
                 adamw_step(compact, grad, state, lr, cfg.weight_decay)
-                grad.token_table[f.ids] = 0.0
+                grad.token_table[f.tokens.ids] = 0.0
                 rates.append(lr)
                 step_losses.append(loss)
             where = f"after epoch {epoch}"
@@ -477,26 +469,14 @@ def adapt_sts(model, sts_train, cfg: TrainConfig) -> tuple[enc.Checkpoint, Train
     return enc.derive(model, params, "sts_adapted"), stats
 
 
-def _distill_examples(
-    kg: onto.KnowledgeGraph, targets: list[DistillTarget]
-) -> tuple[list[str], np.ndarray]:
-    texts: list[str] = []
-    rows: list[np.ndarray] = []
-    for t in targets:
-        for desc in onto.all_descriptions(kg, t.concept_id):
-            texts.append(desc.text)
-            rows.append(t.target)
-    return texts, np.array(rows)
-
-
 def train_self_distill(
     base: enc.Checkpoint,
-    targets: list[DistillTarget],
+    targets: np.ndarray,
     kg: onto.KnowledgeGraph,
     cfg: TrainConfig,
 ) -> tuple[enc.Checkpoint, TrainStats]:
     """Self-distillation: attach a fresh linear head and regress every
-    textual variant of each concept onto that concept's PCA target.
+    textual variant of each concept onto its PCA target, its row of ``targets``.
 
     The base must not have gone through the contrastive phase (that is the
     whole point of distilling into a past version of the lineage). The head
@@ -507,16 +487,17 @@ def train_self_distill(
         raise PhaseError(
             "self-distillation base must not have undergone the contrastive phase"
         )
-    if not targets:
-        raise TrainError("no distillation targets")
+    if np.ndim(targets) != 2 or len(targets) != len(kg) or not len(kg):
+        raise TrainError(f"targets need one row per concept ({len(kg)}), got {np.shape(targets)}")
     _require_no_head(base.params, "train_self_distill")
-    k = targets[0].target.shape[0]
-    if any(t.target.shape != (k,) for t in targets):
-        raise TrainError("inconsistent target dimensions")
 
     rng = np.random.default_rng(cfg.seed)
-    params = enc.attach_head(base.params, base.config, k, int(rng.integers(0, 2**63)))
-    texts, target_matrix = _distill_examples(kg, targets)
+    params = enc.attach_head(base.params, base.config, targets.shape[1],
+                             int(rng.integers(0, 2**63)))
+    examples = [(desc.text, row) for row, cid in enumerate(kg.concept_ids)
+                for desc in onto.all_descriptions(kg, cid)]
+    texts = [text for text, _ in examples]
+    target_matrix = targets[[row for _, row in examples]]
     plans = _shuffled_plans(len(texts), 1, cfg, rng)
     stats = _fit(params, base.config, texts, plans,
                  lambda y, index: losses.mse(y, target_matrix[index]), cfg, "self-distill",

@@ -26,12 +26,12 @@ def write_text(path, text):
     return str(path)
 
 
-def run_child(argv):
+def run_child(argv, **env):
     """Run the real command in a child process with every warning shown
     (``-W default``), so that a traceback or a warning would show on its
-    stderr."""
+    stderr; ``env`` adds to its environment."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ,
+    env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-W", "default", "-m", "ontoembed.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)

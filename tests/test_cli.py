@@ -494,6 +494,36 @@ def test_manifest_digests_the_base_a_run_replaces(small_world, tmp_path):
     assert hashlib.sha256(model.read_bytes()).hexdigest() != base_digest
 
 
+def test_train_and_pipeline_manifests_name_the_numeric_environment(small_world, tmp_path):
+    # an output's bits depend on the numpy build, its BLAS and the CPU
+    # features too, so each manifest names them
+    assert run(["train", "sts", "--data", os.path.join(small_world, "sts_train.tsv"),
+                "--config", _mini_train_cfg(tmp_path, epochs=1),
+                "--out", str(tmp_path / "sts.ckpt")]) == 0
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, **_FAST)
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 0
+    for path in (tmp_path / "sts.ckpt.manifest.json",
+                 tmp_path / "run" / "report.json.manifest.json"):
+        numeric = json.loads(path.read_text())["numeric"]
+        assert numeric["numpy"] == np.__version__
+        assert isinstance(numeric["blas"]["name"], str) and numeric["blas"]["name"]
+        assert set(numeric["simd"]) == {"baseline", "found"}
+
+
+def test_manifest_names_the_openblas_kernel_the_run_used(tmp_path):
+    # OpenBLAS picks its kernel per process, from OPENBLAS_CORETYPE if set
+    model = _tiny_model(tmp_path / "m.ckpt")
+    infile = write_text(tmp_path / "in.txt", "fever\n")
+    out = tmp_path / "e.tsv"
+    proc = run_child(["embed", "--model", model, "--in", infile, "--out", str(out)],
+                     OPENBLAS_CORETYPE="Haswell")
+    assert proc.returncode == 0, proc.stderr
+    numeric = json.loads((tmp_path / "e.tsv.manifest.json").read_text())["numeric"]
+    if "openblas_core" not in numeric:
+        pytest.skip("this numpy's OpenBLAS does not report its kernel")
+    assert numeric["openblas_core"] == "Haswell"
+
+
 def test_train_divergence_names_regime_epoch_and_step(small_world, tmp_path, capsys,
                                                        monkeypatch):
     # at step 3 the gradient has a NaN in the row of the batch's largest
@@ -506,7 +536,7 @@ def test_train_divergence_names_regime_epoch_and_step(small_world, tmp_path, cap
         grad = real_backward(params, config, texts, output_grads, forward, out)
         bad_buckets.append(max(i for text in texts for i in enc.tokenize(config, text)))
         if len(bad_buckets) == 3:
-            grad.token_table[forward.ids.max(), 0] = np.nan
+            grad.token_table[forward.tokens.ids.max(), 0] = np.nan
         return grad
 
     monkeypatch.setattr(trainer.enc, "backward_batch", nan_at_third_step)
@@ -1068,6 +1098,33 @@ def test_each_command_loads_only_the_modules_it_runs(small_world, tmp_path, comm
     codes, _, loaded = _imported([argv])
     assert codes == [0]
     assert loaded == sorted(f"ontoembed.{m}" for m in _LOADS[command])
+
+
+@pytest.mark.parametrize("kind", ["config", "ontology", "sts", "embed"])
+def test_a_leading_byte_order_mark_is_skipped(small_world, tmp_path, kind):
+    # an editor may save a UTF-8 file with a byte order mark; it used to be
+    # read as part of the first key, JSON value, TSV field or text
+    w = small_world
+    model = _tiny_model(tmp_path / "m.ckpt")
+    plain = {"config": _mini_train_cfg(tmp_path, epochs=1),
+             "ontology": os.path.join(w, "ontology.jsonl"),
+             "sts": os.path.join(w, "sts_test.tsv"),
+             "embed": write_text(tmp_path / "in.txt", "fever\nchronic pain\n")}[kind]
+    marked = tmp_path / ("bom-" + os.path.basename(plain))
+    with open(plain, "rb") as fh:
+        marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    outputs = []
+    for path in (plain, str(marked)):
+        out = tmp_path / f"out-{len(outputs)}"
+        argv = {"config": ["train", "sts", "--data", os.path.join(w, "sts_train.tsv"),
+                           "--config", path],
+                "ontology": ["verbalize", "--ontology", path,
+                             "--templates", os.path.join(w, "templates.tsv")],
+                "sts": ["eval", "sts", "--model", model, "--data", path],
+                "embed": ["embed", "--model", model, "--in", path]}[kind]
+        assert run(argv + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _one_error_line(proc, code):
@@ -1686,6 +1743,29 @@ def test_pipeline_distill_seed_offsets_each_run(small_world, tmp_path):
     report = json.loads((out_dir / "report.json").read_text())
     assert [r["seed"] for r in report["distill_runs"]] == [4, 5]
     assert (out_dir / "distill_01.ckpt").read_bytes() != (out_dir / "distill_02.ckpt").read_bytes()
+
+
+def test_pipeline_report_equals_eval_of_the_soup(small_world, tmp_path):
+    # the report and eval score through one function: each souped row is the
+    # value eval writes for soup.ckpt on the same dataset
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, **_FAST)
+    out_dir = tmp_path / "run"
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    souped = {r["benchmark"]: r for r in report["rows"] if r["phase"] == "souped"}
+    assert list(souped) == ["sts_val", "sts_test", "bcr", "nel", "nli"]
+    for bench, row in souped.items():
+        kind = bench.split("_")[0]
+        out = tmp_path / f"{bench}.jsonl"
+        argv = ["eval", kind, "--model", str(out_dir / "soup.ckpt"),
+                "--data", os.path.join(small_world, f"{bench}.tsv"), "--out", str(out)]
+        if kind == "nel":
+            argv += ["--ontology", os.path.join(small_world, "ontology.jsonl")]
+        assert run(argv) == 0
+        [line] = out.read_text().splitlines()
+        result = json.loads(line)
+        assert [result[key] for key in ("benchmark", "metric", "value", "n")] == [
+            kind, row["metric"], row["value"], row["n"]], bench
 
 
 # ---------------------------------------------------------------------------

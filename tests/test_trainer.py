@@ -351,8 +351,8 @@ def test_build_targets_name_equals_definition(tmp_path, tiny_config):
                                       [kg.get(c).canonical_name])[0]
                      for c in kg.concept_ids])
     expected = trainer.pca_project(model, raws)
-    for i, t in enumerate(targets):
-        assert np.allclose(t.target, expected[i], atol=1e-15)
+    for i, target in enumerate(targets):
+        assert np.allclose(target, expected[i], atol=1e-15)
 
 
 def test_build_targets_matches_independent_pipeline(four_concept_kg):
@@ -380,8 +380,8 @@ def test_build_targets_matches_independent_pipeline(four_concept_kg):
         if row[j] < 0:
             row *= -1.0
     expected = (x - mu) @ comps.T
-    for i, t in enumerate(targets):
-        assert np.max(np.abs(t.target - expected[i])) < 1e-10
+    for i, target in enumerate(targets):
+        assert np.max(np.abs(target - expected[i])) < 1e-10
     assert np.allclose(model.explained_variance, eigvals[order], atol=1e-10)
 
 
@@ -578,7 +578,9 @@ def test_distill_initial_loss_and_convergence(four_concept_kg):
     # initial loss is exactly mse(head0(encode_batch(texts)), targets)
     head_seed = int(np.random.default_rng(cfg.seed).integers(0, 2**63))
     params0 = enc.attach_head(teacher.params, config, 3, head_seed)
-    texts, tmat = trainer._distill_examples(four_concept_kg, targets)
+    pairs = [(d.text, targets[row]) for row, cid in enumerate(four_concept_kg.concept_ids)
+             for d in onto.all_descriptions(four_concept_kg, cid)]
+    texts, tmat = [text for text, _ in pairs], np.array([target for _, target in pairs])
     e = enc.encode_batch(params0, config, texts)
     manual = float(np.mean((e @ params0.head_w + params0.head_b - tmat) ** 2))
     assert stats.epoch_losses[0] == pytest.approx(manual, abs=1e-15)
@@ -632,6 +634,20 @@ def test_distill_rejects_empty_targets(four_concept_kg):
     with pytest.raises(trainer.TrainError):
         trainer.train_self_distill(_adapted(config), [], four_concept_kg,
                                    trainer.TrainConfig(learning_rate=1e-3, epochs=1))
+
+
+def test_distill_rejects_a_target_matrix_not_one_row_per_concept(four_concept_kg):
+    # row j is the target of concept j, so a matrix of another height has no
+    # row for some concept or a row for no concept
+    config = enc.EncoderConfig(vocab_buckets=256, embed_dim=16, hidden_dim=24,
+                               output_dim=20, init_seed=4)
+    teacher = _adapted(config)
+    _, targets = trainer.build_targets(teacher, four_concept_kg, k=3)
+    assert targets.shape == (len(four_concept_kg), 3)
+    for bad in (targets[:-1], np.vstack([targets, targets[:1]]), targets[0]):
+        with pytest.raises(trainer.TrainError, match=r"one row per concept \(4\)"):
+            trainer.train_self_distill(teacher, bad, four_concept_kg,
+                                       trainer.TrainConfig(learning_rate=1e-3, epochs=1))
 
 
 def test_distill_deterministic_per_seed(four_concept_kg):
@@ -895,7 +911,7 @@ def test_reused_gradient_buffer_carries_no_stale_rows(regime, small_setup, small
         config, texts, output_grads, forward = backward_args.pop()
         fresh = real_backward(params, config, texts, output_grads, forward)
         assert grads.without_head().flat.tobytes() == fresh.without_head().flat.tobytes()
-        step_rows.append(set(forward.ids.tolist()))
+        step_rows.append(set(forward.tokens.ids.tolist()))
         buffers.add(id(grads.flat))
         return real_adamw(params, grads, state, lr, weight_decay)
 
