@@ -262,7 +262,7 @@ def _read_listing(path: str) -> list[tuple[str, float, str]]:
     from . import soup as soup_mod
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             listing = json.load(fh)
         return [(json_field(entry, "path"), float(json_field(entry, "score", float)),
                  json_field(entry, "label", default=""))
@@ -408,19 +408,15 @@ _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _INV10 = 10.0 ** -np.arange(10)
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
-
-
-def _uint64_bytes(texts) -> np.ndarray:
-    """Each ASCII text, at most 8 bytes, as the uint64 whose little-endian
-    bytes it is."""
-    return np.array([int.from_bytes(t.encode("ascii"), "little") for t in texts], np.uint64)
-
-
-# "-0.000" right-aligned in bytes 0-5, indexed by 4 * negative + zeros
-_PREFIXES = _uint64_bytes(["\0" * (6 - len(p)) + p for sign in ("", "-")
-                           for p in (sign + "0." + "0" * z for z in range(4))])
+# "-0.000" right-aligned in bytes 0-5 of a word, by 4 * negative + zeros
+_PREFIXES = np.array([int.from_bytes(f"{s}0.{'0' * z}".rjust(6, "\0").encode(), "little")
+                      for s in ("", "-") for z in range(4)], np.uint64)
 # the first two digits, in bytes 6-7
-_FIRST_PAIRS = _uint64_bytes(f"\0\0\0\0\0\0{i:02d}" for i in range(100))
+_FIRST_PAIRS = (np.uint64(0x3030 << 48) | (np.arange(100, dtype=np.uint64) // 10 << 48)
+                | (np.arange(100, dtype=np.uint64) % 10 << 56))
+# by j from 1 to 8: ASCII zeros in bytes 0 to 7 - j and a comma in byte 8 - j
+_BITS = np.uint64(64) - np.arange(10, dtype=np.uint64) * np.uint64(8)
+_TAILS = (_ASCII_ZEROS & ((np.uint64(1) << _BITS) - np.uint64(1))) | (np.uint64(44) << _BITS)
 
 
 def _digit_bytes(v: np.ndarray) -> np.ndarray:
@@ -462,7 +458,6 @@ def _embedding_lines(texts: list[str], rows: np.ndarray) -> bytes:
     nearest candidates equally far (``repr`` takes the even one).
     """
     x = rows.ravel()
-    n = x.size
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1.0)
     a[~fast] = 0.30000000000000004  # a stand-in that keeps the arithmetic finite
@@ -491,12 +486,12 @@ def _embedding_lines(texts: list[str], rows: np.ndarray) -> bytes:
     # exactly, since neither quotient is within 10**-j / 2 of an integer.
     lower = B + np.floor(f - h) + 0.5
     upper = B + np.ceil(f + h) - 0.5
-    # 10 always has a multiple inside, since 2h > 11; most values have one
-    # of 100 too, and few of 1000
-    ok = np.floor(upper * 0.01) != np.floor(lower * 0.01)
-    j = ok + np.intp(1)
-    idx = np.flatnonzero(ok)
-    for inv in _INV10[3:]:
+    # 10 always has a multiple inside, since 2h > 11, and a multiple of 10**j
+    # is one of 10**(j - 1) too, so j counts them; few reach 1000 and go on.
+    j = ((np.floor(upper * 0.01) != np.floor(lower * 0.01)).view(np.int8)
+         + (np.floor(upper * _INV10[3]) != np.floor(lower * _INV10[3])).view(np.int8) + np.intp(1))
+    idx = np.flatnonzero(j == 3)
+    for inv in _INV10[4:]:
         idx = idx[np.floor(upper[idx] * inv) != np.floor(lower[idx] * inv)]
         if not idx.size:
             break
@@ -508,30 +503,34 @@ def _embedding_lines(texts: list[str], rows: np.ndarray) -> bytes:
     # Rounding stays inside B: a multiple of 10**10 would also be a multiple
     # of 10**9 inside the interval, and j = 9 goes to repr.
     B += step * (up < down) - r
-    slow = ~fast | (up == down) | (j == 9)
+    slow = np.flatnonzero(~fast | (up == down) | (j == 9))
+    reprs = [repr(v).encode("ascii") + b"," for v in x.take(slow).tolist()]
+    lens = np.fromiter(map(len, reprs), np.intp, slow.size)
+    # A slot of three little-endian words per value, bytes in reading order:
+    # the prefix and the first two digits; 8 digits; the last 8 - j digits
+    # and a comma. NUL bytes fill the rest, and a block with a repr fallback
+    # of more than 23 characters gets a fourth word.
+    words = np.empty((x.size, 4 if slow.size and lens.max() > 24 else 3), "<u8")
+    words[:, 3:] = 0  # the fourth word, where there is one
     first = np.floor(A / 1e6)
     mid = np.floor(B / 1e8)
-    words = np.zeros((n, 4), "<u8")  # little-endian, so bytes are in reading order
-    words[:, 0] = _PREFIXES.take((x < 0) * 4 + z) | _FIRST_PAIRS.take(first.astype(np.intp))
-    digits = _digit_bytes(np.stack([(A - first * 1e6) * 100 + mid,
-                                    B - mid * 1e8]).astype(np.uint64))
-    words[:, 1] = digits[0] | _ASCII_ZEROS
-    # the last word keeps 8 - j digits, then its separator; the rest stay 0
-    bits = np.uint64(64) - (j.astype(np.uint64) << np.uint64(3))
-    sep = np.full(rows.shape, ord(","), np.uint64)
-    sep[:, -1] = ord("\n")
-    sep = sep.ravel()
-    kept = (np.uint64(1) << bits) - np.uint64(1)
-    words[:, 2] = digits[1] | (_ASCII_ZEROS & kept) | (sep << bits)
+    neg = (x < 0).view(np.int8)
+    words[:, 0] = _PREFIXES.take(neg * np.int8(4) + z) | _FIRST_PAIRS.take(first.astype(np.intp))
+    words[:, 1] = _digit_bytes(((A - first * 1e6) * 100 + mid).astype(np.uint64)) | _ASCII_ZEROS
+    words[:, 2] = _digit_bytes((B - mid * 1e8).astype(np.uint64)) | _TAILS.take(j)
     out = words.view(np.uint8)
-    for i in np.flatnonzero(slow).tolist():
-        text = repr(float(x[i])).encode("ascii")
-        out[i] = 0
-        out[i, :len(text)] = np.frombuffer(text, np.uint8)
-        out[i, len(text)] = sep[i]
-    lines = out.tobytes().translate(None, b"\0").split(b"\n")
-    return b"".join(piece for text, line in zip(texts, lines)
-                    for piece in (text.encode("utf-8"), b"\t", line, b"\n"))
+    out[slow] = np.frombuffer(b"".join(r.ljust(out.shape[1], b"\0") for r in reprs),
+                              np.uint8).reshape(-1, out.shape[1])
+    # one pass drops every NUL byte; each row's byte count finds its slice,
+    # whose last comma gives way to the newline
+    size = neg + z - j + 21
+    size[slow] = lens
+    ends = np.cumsum(size.reshape(rows.shape).sum(1)).tolist()
+    body = memoryview(out.tobytes().translate(None, b"\0"))
+    pieces = [b"\n"] * (3 * len(texts))
+    pieces[::3] = [(text + "\t").encode("utf-8") for text in texts]
+    pieces[1::3] = [body[start:end - 1] for start, end in zip([0] + ends, ends)]
+    return b"".join(pieces)
 
 
 def cmd_embed(args) -> int:

@@ -984,6 +984,46 @@ def test_embed_writes_the_repr_bytes_on_every_fallback_class(tmp_path):
     assert out.read_bytes() == oracles.embedding_lines_reference(texts, emb)
 
 
+def _edge_blocks(case):
+    """The (texts, rows) blocks of one edge of the writer's slot layout."""
+    rng = np.random.default_rng(11)
+    ordinary = rng.standard_normal((2, 4, 96)) / 10
+    # a repr of 24 characters widens the slots of its own block only
+    ordinary[0, 2, 7] = -2.2250738585072014e-308
+    assert len(repr(float(ordinary[0, 2, 7]))) == 24
+    specials = np.zeros((3, 96))
+    specials[1] = np.tile([0.0, 1.0, -1.0, -0.0], 24)
+    specials[2, :3] = [-0.0, 1.0, 0.123456789012345]
+    return {
+        "wide-slots-next-to-narrow": [([f"t{i}" for i in range(4)], block)
+                                      for block in ordinary],
+        "zeros-ones-and-negative-zero": [(["z", "mixed", "first"], specials)],
+        # texts are joined outside the compacted bytes, so a NUL stays
+        "nul-newline-non-ascii-and-empty-texts": [
+            (["\x00", "a\x00b\n", "caf\u00e9 \u6587\U0001FA7A", ""], ordinary[1])],
+        "one-by-one": [(["x"], np.array([[0.6334762573242188]]))],
+        "no-rows": [([], np.empty((0, 96)))],  # b""
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["wide-slots-next-to-narrow", "zeros-ones-and-negative-zero",
+                                  "nul-newline-non-ascii-and-empty-texts", "one-by-one",
+                                  "no-rows"])
+def test_embedding_lines_at_the_edges_of_the_slot_layout(case):
+    for texts, rows in _edge_blocks(case):
+        assert cli._embedding_lines(texts, rows) == oracles.embedding_lines_reference(texts, rows)
+
+
+def test_embed_of_an_empty_file_writes_no_lines(tmp_path):
+    model = _tiny_model(tmp_path / "m.ckpt")
+    infile = write_text(tmp_path / "empty.txt", "")
+    out = tmp_path / "emb.tsv"
+    assert run(["embed", "--model", model, "--in", infile, "--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+    manifest = json.loads((tmp_path / "emb.tsv.manifest.json").read_text())
+    assert manifest["metrics"] == {"rows": 0}
+
+
 def test_embedding_lines_equal_the_repr_writer_in_bulk():
     # a million components of random unit vectors; random bit patterns in
     # [1e-4, 1), either sign; dyadic values m / 2**e, many of which have two
@@ -1100,16 +1140,19 @@ def test_each_command_loads_only_the_modules_it_runs(small_world, tmp_path, comm
     assert loaded == sorted(f"ontoembed.{m}" for m in _LOADS[command])
 
 
-@pytest.mark.parametrize("kind", ["config", "ontology", "sts", "embed"])
+@pytest.mark.parametrize("kind", ["config", "ontology", "sts", "embed", "soup"])
 def test_a_leading_byte_order_mark_is_skipped(small_world, tmp_path, kind):
     # an editor may save a UTF-8 file with a byte order mark; it used to be
-    # read as part of the first key, JSON value, TSV field or text
+    # read as part of the first key, JSON value, TSV field or text, and a
+    # soup listing that starts with one was refused
     w = small_world
     model = _tiny_model(tmp_path / "m.ckpt")
     plain = {"config": _mini_train_cfg(tmp_path, epochs=1),
              "ontology": os.path.join(w, "ontology.jsonl"),
              "sts": os.path.join(w, "sts_test.tsv"),
-             "embed": write_text(tmp_path / "in.txt", "fever\nchronic pain\n")}[kind]
+             "embed": write_text(tmp_path / "in.txt", "fever\nchronic pain\n"),
+             "soup": write_text(tmp_path / "cands.json", json.dumps(
+                 {"candidates": [{"path": model, "score": 0.5, "label": "m"}]}))}[kind]
     marked = tmp_path / ("bom-" + os.path.basename(plain))
     with open(plain, "rb") as fh:
         marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
@@ -1121,7 +1164,8 @@ def test_a_leading_byte_order_mark_is_skipped(small_world, tmp_path, kind):
                 "ontology": ["verbalize", "--ontology", path,
                              "--templates", os.path.join(w, "templates.tsv")],
                 "sts": ["eval", "sts", "--model", model, "--data", path],
-                "embed": ["embed", "--model", model, "--in", path]}[kind]
+                "embed": ["embed", "--model", model, "--in", path],
+                "soup": ["soup", "--manifest", path, "--strategy", "uniform"]}[kind]
         assert run(argv + ["--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
