@@ -126,11 +126,17 @@ def _numeric_environment() -> dict:
     return numeric
 
 
-def _load_kg(ontology_path, templates_path, glossary_path=None):
+def _load_kg(ontology_path, templates_path=None, glossary_path=None):
+    """The ontology at ``ontology_path``, with the templates and the glossary
+    when given, and the glossary's merge stats; (None, None), loading no
+    module, without a path."""
+    if ontology_path is None:
+        return None, None
     from . import ontology as onto
 
-    kg = onto.load_ontology(ontology_path).with_templates(onto.load_templates(templates_path))
-    stats = None
+    kg, stats = onto.load_ontology(ontology_path), None
+    if templates_path is not None:
+        kg = kg.with_templates(onto.load_templates(templates_path))
     if glossary_path:
         kg, stats = onto.merge_glossary(kg, glossary_path)
     return kg, stats
@@ -283,7 +289,7 @@ def cmd_soup(args) -> int:
     if metric == "nel-top1" and not args.ontology:
         raise UsageError("--ontology is required with --metric nel-top1")
     inputs = _inputs(args)
-    kg = _load_graph(args.ontology)
+    kg = _load_kg(args.ontology)[0]
     score = _scorer(_SOUP_METRICS[metric], args.val, kg)[1] if args.val else None
 
     def evaluate(ckpt: enc.Checkpoint) -> float:
@@ -334,15 +340,6 @@ def cmd_soup(args) -> int:
 # eval
 
 
-def _load_graph(path):
-    """The ontology at ``path``, or None (loading no module) without one."""
-    if not path:
-        return None
-    from . import ontology as onto
-
-    return onto.load_ontology(path)
-
-
 def _scorer(benchmark: str, data: str, kg=None, topk=(1,)):
     """The ``benchmark`` dataset at ``data`` and a function that scores a
     checkpoint on it, as reports: for ``nel``, over ``kg``, one per k in ``topk``."""
@@ -366,7 +363,7 @@ def cmd_eval(args) -> int:
     inputs = _inputs(args)
     model = enc.load_checkpoint(args.model)
     # only eval nel has --ontology and --topk
-    kg = _load_graph(getattr(args, "ontology", None))
+    kg = _load_kg(getattr(args, "ontology", None))[0]
     dataset, score = _scorer(args.benchmark, args.data, kg, getattr(args, "topk", None))
     reports = score(model)
 

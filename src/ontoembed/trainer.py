@@ -6,9 +6,10 @@ and an objective that returns the loss and its gradient on a step's output
 rows; ``_fit`` tokenizes the texts once and, for every step, runs the
 forward pass, the optional linear head, the objective, the backward pass
 and AdamW at a warmup-linear rate over the token rows those texts reach.
-Every regime is a deterministic function of (inputs, seed): re-running
-produces bit-identical checkpoints. Gradient accumulation is strictly
-sequential in batch order, which is what makes that guarantee hold.
+The three pair regimes lay out their steps through ``_fit_pairs``. Every
+regime is a deterministic function of (inputs, seed): re-running produces
+bit-identical checkpoints. Gradient accumulation is strictly sequential in
+batch order, which is what makes that guarantee hold.
 """
 
 from __future__ import annotations
@@ -247,15 +248,15 @@ def build_targets(
 
 def _dedup_batches(
     pairs: list[onto.TrainingPair], order: np.ndarray, batch_size: int
-) -> list[list[int]]:
-    """Greedy batching with at most one pair per concept per batch.
+) -> list[np.ndarray]:
+    """Greedy index-array batches with at most one pair per concept each.
 
     Conflicting pairs are deferred (swap-ahead): they go back to the front
     of the queue and open the next batch. This can produce more batches
     than ceil(n / batch_size) when one concept dominates the remainder.
     """
     remaining = deque(int(i) for i in order)
-    batches: list[list[int]] = []
+    batches: list[np.ndarray] = []
     while remaining:
         batch: list[int] = []
         seen: set[str] = set()
@@ -269,7 +270,7 @@ def _dedup_batches(
                 batch.append(i)
                 seen.add(cid)
         remaining.extendleft(reversed(skipped))
-        batches.append(batch)
+        batches.append(np.array(batch, dtype=np.int64))
     return batches
 
 
@@ -396,17 +397,31 @@ def _fit(params, config, texts, plans, objective, cfg: TrainConfig, regime: str,
     return TrainStats(state.step, epoch_losses)
 
 
-def _shuffled_plans(n: int, copies: int, cfg: TrainConfig, rng) -> list[list[np.ndarray]]:
-    """One plan per epoch: a fresh ``rng`` permutation of range(n) cut into
-    batches of ``cfg.batch_size``. A step indexes its batch in each of
-    ``copies`` consecutive blocks of n texts, such as every pair's left
-    side, then every pair's right side."""
-    plans = []
-    for _ in range(cfg.epochs):
-        order, size = rng.permutation(n), cfg.batch_size
-        plans.append([np.concatenate([order[i:i + size] + k * n for k in range(copies)])
-                      for i in range(0, n, size)])
-    return plans
+def _shuffled_batches(n: int, cfg: TrainConfig, rng) -> list[list[np.ndarray]]:
+    """One list of batches per epoch: a fresh ``rng`` permutation of
+    range(n) cut into batches of ``cfg.batch_size``. Every epoch's
+    permutation is drawn before the first is returned."""
+    orders = [rng.permutation(n) for _ in range(cfg.epochs)]
+    return [[order[i:i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
+            for order in orders]
+
+
+def _fit_pairs(params, config, lefts, rights, batches, pair_objective, cfg: TrainConfig,
+               regime: str) -> TrainStats:
+    """``_fit`` over pairs: the texts are every left text, then every right
+    one, and a batch of pair indices (one list of batches per epoch) is the
+    step ``concat(batch, batch + n)``, its lefts then their rights.
+    ``loss, g_left, g_right = pair_objective(left_y, right_y, batch)`` is
+    given the two halves of the step's output rows."""
+    n = len(lefts)
+    plans = [[np.concatenate([batch, batch + n]) for batch in epoch] for epoch in batches]
+
+    def objective(y, index):
+        b = len(index) // 2
+        loss, g_left, g_right = pair_objective(y[:b], y[b:], index[:b])
+        return loss, np.vstack([g_left, g_right])
+
+    return _fit(params, config, lefts + rights, plans, objective, cfg, regime)
 
 
 def train_contrastive(
@@ -426,22 +441,13 @@ def train_contrastive(
     if cfg.batch_size < 2:
         raise TrainError("batch_size must be >= 2 for the in-batch objective")
 
-    # texts: every anchor, then every positive; a step is its anchors, then
-    # their positives
-    n = len(corpus)
-    texts = [p.anchor.text for p in corpus] + [p.positive.text for p in corpus]
     rng = np.random.default_rng(cfg.seed)
-    plans = [[np.array(batch + [i + n for i in batch])
-              for batch in _dedup_batches(corpus, rng.permutation(n), cfg.batch_size)]
-             for _ in range(cfg.epochs)]
-
-    def objective(y, index):
-        b = len(index) // 2
-        loss, ga, gp = losses.info_nce(y[:b], y[b:])
-        return loss, np.vstack([ga, gp])
-
+    batches = [_dedup_batches(corpus, rng.permutation(len(corpus)), cfg.batch_size)
+               for _ in range(cfg.epochs)]
     params = base.params.copy()
-    stats = _fit(params, base.config, texts, plans, objective, cfg, "contrastive")
+    stats = _fit_pairs(params, base.config, [p.anchor.text for p in corpus],
+                       [p.positive.text for p in corpus], batches,
+                       lambda a, p, batch: losses.info_nce(a, p), cfg, "contrastive")
     return enc.derive(base, params, "contrastive"), stats
 
 
@@ -454,18 +460,12 @@ def adapt_sts(model, sts_train, cfg: TrainConfig) -> tuple[enc.Checkpoint, Train
         raise TrainError("empty STS dataset")
     _require_no_head(model.params, "adapt_sts")
 
-    n = len(rows)
-    plans = _shuffled_plans(n, 2, cfg, np.random.default_rng(cfg.seed))
-    texts = [a for a, _, _ in rows] + [b for _, b, _ in rows]
+    batches = _shuffled_batches(len(rows), cfg, np.random.default_rng(cfg.seed))
     gold = np.array([g for _, _, g in rows]) / 5.0
-
-    def objective(y, index):
-        b = len(index) // 2
-        loss, gu, gv = losses.cosine_regression(y[:b], y[b:], gold[index[:b]])
-        return loss, np.vstack([gu, gv])
-
     params = model.params.copy()
-    stats = _fit(params, model.config, texts, plans, objective, cfg, "sts")
+    stats = _fit_pairs(params, model.config, [a for a, _, _ in rows], [b for _, b, _ in rows],
+                       batches, lambda u, v, batch: losses.cosine_regression(u, v, gold[batch]),
+                       cfg, "sts")
     return enc.derive(model, params, "sts_adapted"), stats
 
 
@@ -498,7 +498,7 @@ def train_self_distill(
                 for desc in onto.all_descriptions(kg, cid)]
     texts = [text for text, _ in examples]
     target_matrix = targets[[row for _, row in examples]]
-    plans = _shuffled_plans(len(texts), 1, cfg, rng)
+    plans = _shuffled_batches(len(texts), cfg, rng)
     stats = _fit(params, base.config, texts, plans,
                  lambda y, index: losses.mse(y, target_matrix[index]), cfg, "self-distill",
                  full_loss=True)
@@ -527,20 +527,16 @@ def train_xlingual(
     teacher_emb = dict(zip(sources, enc.encode_batch(teacher.params, teacher.config, sources)))
 
     params = enc.init_params(student_cfg)
-    n = len(pairs)
-    plans = _shuffled_plans(n, 2, cfg, np.random.default_rng(cfg.seed))
-    # texts: every pair's source, then every pair's target
-    texts = [p.source_text for p in pairs] + [p.target_text for p in pairs]
+    batches = _shuffled_batches(len(pairs), cfg, np.random.default_rng(cfg.seed))
     targets = np.array([teacher_emb[p.source_text] for p in pairs])
 
-    def objective(y, index):
-        b = len(index) // 2
-        t = targets[index[:b]]
-        de, df = y[:b] - t, y[b:] - t
-        loss = 0.5 * float((de * de).sum() + (df * df).sum()) / b
-        return loss, np.vstack([de, df]) / b
+    def objective(ye, yf, batch):
+        b, t = len(batch), targets[batch]
+        de, df = ye - t, yf - t
+        return 0.5 * float((de * de).sum() + (df * df).sum()) / b, de / b, df / b
 
-    stats = _fit(params, student_cfg, texts, plans, objective, cfg, "xlingual")
+    stats = _fit_pairs(params, student_cfg, [p.source_text for p in pairs],
+                       [p.target_text for p in pairs], batches, objective, cfg, "xlingual")
     return enc.Checkpoint(config=student_cfg, phase="xlingual_student", params=params), stats
 
 

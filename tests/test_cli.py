@@ -183,6 +183,18 @@ def test_eval_nel_without_ontology_is_usage_error(small_world, tmp_path):
     assert code == 64
 
 
+def test_eval_nel_with_an_empty_ontology_path_exits_1_in_one_line(small_world, tmp_path,
+                                                                 capsys):
+    # an empty --ontology used to be taken for no ontology at all, and the
+    # scorer then ended in a TypeError traceback
+    code = run(["eval", "nel", "--model", _tiny_model(tmp_path / "m.ckpt"),
+                "--data", os.path.join(small_world, "nel.tsv"), "--ontology", "",
+                "--out", str(tmp_path / "r.jsonl")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "i/o error: [Errno 2] No such file or directory: ''"]
+
+
 def test_unknown_flag_is_usage_error():
     assert run(["verbalize", "--does-not-exist", "x"]) == 64
 

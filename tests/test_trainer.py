@@ -954,3 +954,64 @@ def test_regime_equals_full_table_training_byte_for_byte(regime, small_setup, sm
     want, want_stats = run()
     assert checkpoint_to_bytes(got) == checkpoint_to_bytes(want)
     assert got_stats == want_stats
+
+
+@pytest.mark.parametrize("regime", ["contrastive", "sts", "self-distill", "xlingual"])
+def test_each_regime_trains_on_its_layout(regime, small_setup, small_world, tmp_path,
+                                          monkeypatch):
+    # the texts and steps each regime gives _fit, rebuilt from its seed: a
+    # pair regime's texts are every left text, then every right one, and a
+    # step is its batch of pairs, then the same batch shifted by n;
+    # self-distillation's steps are slices of each epoch's permutation
+    kg, corpus, base = small_setup
+    cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=2, batch_size=5, seed=6)
+    rng, size = np.random.default_rng(cfg.seed), cfg.batch_size
+
+    def shuffled(n):
+        perms = [rng.permutation(n) for _ in range(cfg.epochs)]
+        return [[perm[i:i + size] for i in range(0, n, size)] for perm in perms]
+
+    def paired(batches, n):
+        return [[np.concatenate([np.asarray(b), np.asarray(b) + n]) for b in epoch]
+                for epoch in batches]
+
+    if regime == "contrastive":
+        pairs = corpus[:40]
+        texts = [p.anchor.text for p in pairs] + [p.positive.text for p in pairs]
+        plans = paired([trainer._dedup_batches(pairs, rng.permutation(40), size)
+                        for _ in range(cfg.epochs)], 40)
+        run = lambda: trainer.train_contrastive(base, pairs, cfg)  # noqa: E731
+    elif regime == "sts":
+        sts = ev.load_sts_dataset(os.path.join(small_world, "sts_train.tsv"))
+        texts = [a for a, _, _ in sts.rows] + [b for _, b, _ in sts.rows]
+        plans = paired(shuffled(len(sts.rows)), len(sts.rows))
+        run = lambda: trainer.adapt_sts(base, sts, cfg)  # noqa: E731
+    elif regime == "self-distill":
+        teacher = enc.Checkpoint(config=base.config, phase="sts_adapted", params=base.params)
+        _, targets = trainer.build_targets(teacher, kg, k=4)
+        rng.integers(0, 2**63)  # the head's seed is drawn first
+        texts = [d.text for cid in kg.concept_ids for d in onto.all_descriptions(kg, cid)]
+        plans = shuffled(len(texts))
+        run = lambda: trainer.train_self_distill(base, targets, kg, cfg)  # noqa: E731
+    else:
+        teacher, pairs = _teacher_and_pairs(tmp_path)
+        student_cfg = enc.EncoderConfig(vocab_buckets=1024, embed_dim=16, hidden_dim=24,
+                                        output_dim=20, init_seed=77)
+        texts = [p.source_text for p in pairs] + [p.target_text for p in pairs]
+        plans = paired(shuffled(len(pairs)), len(pairs))
+        run = lambda: trainer.train_xlingual(teacher, student_cfg, pairs, cfg)  # noqa: E731
+
+    real_fit, seen = trainer._fit, []
+
+    def recorder(params, config, texts, plans, *args, **kwargs):
+        seen.append((list(texts), plans))
+        return real_fit(params, config, texts, plans, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_fit", recorder)
+    run()
+    [(got_texts, got_plans)] = seen
+    assert got_texts == texts
+    assert [len(plan) for plan in got_plans] == [len(plan) for plan in plans]
+    for got_plan, plan in zip(got_plans, plans):
+        for got, want in zip(got_plan, plan):
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
