@@ -19,19 +19,18 @@ import hashlib
 import json
 import logging
 import os
-import shutil
 import sys
-import tempfile
 import time
 
 import numpy as np
 
 # Every command reads the config schema and the encoder; each ``cmd_*``
-# function imports the other modules it runs, so that a command loads only
-# those (``--help`` and ``embed`` load just this module, config and encoder).
+# function imports the other modules it runs, ``pipeline`` among them, so
+# that a command loads only those (``--help`` and ``embed`` load just this
+# module, config and encoder).
 from . import encoder as enc
 from .config import (TRAIN_CONFIG_KEYS, ConfigError, DomainError, TrainConfig, _read_lines,
-                     atomic_output, build_config, config_keys, json_field, read_config)
+                     atomic_output, build_config, json_field, read_config)
 
 log = logging.getLogger("ontoembed")
 
@@ -204,6 +203,10 @@ def _base_checkpoint(args, mapping: dict[str, str], config: enc.EncoderConfig) -
             raise ConfigError(f"{args.config}: {key}: {getattr(config, key)} differs from "
                               f"{getattr(base.config, key)} in the base checkpoint {args.base}")
     return base
+
+
+# Every ``train`` phase takes the encoder keys and the training keys.
+TRAIN_KEYS = enc.ENCODER_CONFIG_KEYS + TRAIN_CONFIG_KEYS
 
 
 def cmd_train(args) -> int:
@@ -555,225 +558,9 @@ def cmd_embed(args) -> int:
 # pipeline
 
 
-@dataclasses.dataclass(frozen=True)
-class PipelineConfig:
-    """The pipeline's own keys. Dataset paths are resolved relative to the
-    config file; all but ``glossary`` are required."""
-
-    ontology: str | None = None
-    templates: str | None = None
-    glossary: str | None = None
-    sts_train: str | None = None
-    sts_val: str | None = None
-    sts_test: str | None = None
-    bcr: str | None = None
-    nel: str | None = None
-    nli: str | None = None
-    seed: int = 7
-    per_concept_templated: int = 2
-    distill_runs: int = 7
-    pca_dim: int = 64
-
-    def __post_init__(self):
-        for name in ("seed", "per_concept_templated"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("distill_runs", "pca_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-
-# Every ``train`` phase takes the encoder keys and the training keys.
-# ``pipeline`` takes its own keys, the encoder and training keys, and each
-# training key behind a phase prefix.
-TRAIN_KEYS = enc.ENCODER_CONFIG_KEYS + TRAIN_CONFIG_KEYS
-_PIPELINE_PHASES = ("adapt", "contrastive", "readapt", "distill")
-PIPELINE_KEYS = frozenset(
-    config_keys(PipelineConfig) + TRAIN_KEYS
-    + tuple(f"{phase}_{key}" for phase in _PIPELINE_PHASES for key in TRAIN_CONFIG_KEYS)
-)
-# the benchmarks the pipeline's report scores, in order, each with its dataset kind
-_REPORTED = {"sts_val": "sts", "sts_test": "sts", "bcr": "bcr", "nel": "nel", "nli": "nli"}
-_DATASETS = ("ontology", "templates", "sts_train") + tuple(_REPORTED)
-
-
-class PipelinePlan:
-    """What ``pipeline`` reads and checks before it trains: the config file
-    at ``path`` and every input it names. Building a plan writes nothing; a
-    bad config raises ConfigError. ``train`` maps each training phase
-    (``adapt``, ``contrastive``, ``readapt``, ``distill_01``, ...) to its
-    config, and ``scorers`` each reported benchmark to its ``_scorer``."""
-
-    def __init__(self, path: str):
-        from . import evalsuite as ev
-        from . import ontology as onto
-        from . import trainer
-
-        self.mapping = mapping = read_config(path, PIPELINE_KEYS)
-        self.cfg = cfg = build_config(PipelineConfig, mapping, path)
-        self.encoder = enc.config_from_mapping(mapping, source=path)
-        # a phase is seeded with the pipeline seed unless the file sets
-        # <phase>_seed; distillation run i (from 0) adds i to its seed
-        self.train = {phase: _train_config(phase, mapping, path, phase + "_",
-                                           TrainConfig(seed=cfg.seed))
-                      for phase in _PIPELINE_PHASES}
-        distill = self.train.pop("distill")
-        for i in range(cfg.distill_runs):
-            self.train[f"distill_{i + 1:02d}"] = dataclasses.replace(distill,
-                                                                     seed=distill.seed + i)
-
-        paths = {key: os.path.join(os.path.dirname(os.path.abspath(path)), getattr(cfg, key))
-                 for key in _DATASETS + ("glossary",) if getattr(cfg, key) is not None}
-        for key in _DATASETS:
-            if key not in paths:
-                raise ConfigError(f"{path}: missing the {key!r} path")
-        self.inputs = {p: _sha256_file(p) for p in paths.values()}
-        self.kg, gloss_stats = _load_kg(paths["ontology"], paths["templates"],
-                                        paths.get("glossary"))
-        self.glossary_added = gloss_stats.added if gloss_stats else 0
-        limit = trainer.pca_dim_limit(len(self.kg), self.encoder.output_dim)
-        if cfg.pca_dim > limit:
-            raise ConfigError(f"{path}: pca_dim: must be at most {limit} with output_dim "
-                              f"{self.encoder.output_dim} and {len(self.kg)} concepts")
-        self.corpus = onto.build_corpus(self.kg, cfg.per_concept_templated, cfg.seed)
-        self.sts_train = ev.load_sts_dataset(paths["sts_train"])
-        self.scorers = {name: _scorer(kind, paths[name], self.kg)[1]
-                        for name, kind in _REPORTED.items()}
-
-
-def _run_pipeline(plan: PipelinePlan, stage: str, out_dir: str, started: float) -> dict:
-    """Train, evaluate and report as ``plan`` says, writing every output into
-    the directory ``stage``; the manifest lists them under ``out_dir``."""
-    from . import soup as soup_mod
-    from . import trainer
-
-    cfg, kg = plan.cfg, plan.kg
-    written = ["report.json"]
-
-    def benchmarks(ckpt: enc.Checkpoint) -> dict:
-        return {name: score(ckpt)[0] for name, score in plan.scorers.items()}
-
-    def val_pearson(ckpt: enc.Checkpoint) -> float:
-        return plan.scorers["sts_val"](ckpt)[0].value
-
-    def save(name: str, ckpt: enc.Checkpoint) -> str:
-        path = os.path.join(stage, name)
-        enc.save_checkpoint(path, ckpt)
-        written.append(name)
-        return path
-
-    def train(phase: str, regime, *args):
-        try:
-            return regime(*args, plan.train[phase])
-        except trainer.TrainError as exc:
-            raise trainer.TrainError(f"{phase}: {exc}") from exc
-
-    log.info("pipeline: %d concepts, %d training pairs", len(kg), len(plan.corpus))
-
-    # Each phase is evaluated once it is saved, and each checkpoint is
-    # dropped once no later step reads it; the distilled models are read
-    # back from their files, so the run holds at most three models at once.
-    base = enc.Checkpoint(config=plan.encoder, phase="base",
-                          params=enc.init_params(plan.encoder))
-    save("base.ckpt", base)
-    evals = {"base": benchmarks(base)}
-
-    adapted, _ = train("adapt", trainer.adapt_sts, base, plan.sts_train)
-    del base
-    save("adapted.ckpt", adapted)
-    evals["sts_adapted"] = benchmarks(adapted)
-    log.info("adaptation done")
-
-    contrastive, stats = train("contrastive", trainer.train_contrastive,
-                               adapted, plan.corpus)
-    save("contrastive.ckpt", contrastive)
-    evals["contrastive"] = benchmarks(contrastive)
-    log.info("contrastive done: %d steps, final loss %s", stats.steps,
-             "none" if stats.final_loss is None else f"{stats.final_loss:.4f}")
-
-    readapted, _ = train("readapt", trainer.adapt_sts, contrastive, plan.sts_train)
-    del contrastive
-    save("readapted.ckpt", readapted)
-    evals["readapted"] = benchmarks(readapted)
-
-    _, targets = trainer.build_targets(readapted, kg, k=cfg.pca_dim)
-    del readapted
-
-    candidates = []
-    distill_detail = []
-    for i in range(cfg.distill_runs):
-        label = f"distill_{i + 1:02d}"
-        distilled, dstats = train(label, trainer.train_self_distill, adapted, targets, kg)
-        path = save(label + ".ckpt", distilled)
-        val = val_pearson(distilled)
-        del distilled
-        candidates.append(soup_mod.SoupCandidate(path, val, label))
-        distill_detail.append({"label": label, "seed": plan.train[label].seed,
-                               "val_pearson": val,
-                               "final_loss": dstats.final_loss})
-        log.info("%s: val pearson %.4f", label, val)
-    del adapted
-
-    best_single = max(candidates, key=lambda c: c.validation_score)
-    evals["self_distilled"] = benchmarks(best_single.load())
-    souped, kept = soup_mod.greedy_soup(candidates, val_pearson)
-    save("soup.ckpt", souped)
-    evals["souped"] = benchmarks(souped)
-    rows = [{"phase": phase, "benchmark": bench, "metric": result.metric,
-             "value": result.value, "n": result.n}
-            for phase, results in evals.items() for bench, result in results.items()]
-
-    report = {
-        "seed": cfg.seed,
-        "concepts": len(kg),
-        "training_pairs": len(plan.corpus),
-        "glossary_added": plan.glossary_added,
-        "phases": list(evals),
-        "rows": rows,
-        "distill_runs": distill_detail,
-        "soup": {
-            "strategy": "greedy",
-            "kept": kept,
-            "validation_pearson": evals["souped"]["sts_val"].value,
-            "best_single_label": best_single.label,
-            "best_single_validation": best_single.validation_score,
-        },
-    }
-    report_path = os.path.join(stage, "report.json")
-    _atomic_write_text(report_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _write_manifest(report_path, "pipeline", dict(sorted(plan.mapping.items())),
-                    plan.inputs, cfg.seed, [os.path.join(out_dir, name) for name in written],
-                    started, {"soup_validation_pearson": report["soup"]["validation_pearson"]})
-    return report
-
-
 def cmd_pipeline(args) -> int:
-    started = time.time()
-    plan = PipelinePlan(args.config)
-    out_dir = os.path.abspath(args.out_dir)
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise NotADirectoryError(f"output directory {out_dir} is not a directory")
-    # Every output is written into a fresh directory next to out_dir, on the
-    # same file system, and moved into out_dir only when the run succeeds.
-    os.makedirs(os.path.dirname(out_dir), exist_ok=True)
-    stage = tempfile.mkdtemp(dir=os.path.dirname(out_dir), prefix=".pipeline-")
-    try:
-        report = _run_pipeline(plan, stage, out_dir, started)
-        os.makedirs(out_dir, exist_ok=True)
-        for name in os.listdir(stage):
-            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
-
-    print(f"{'phase':<16} {'benchmark':<10} {'metric':<16} value")
-    for row in report["rows"]:
-        print(f"{row['phase']:<16} {row['benchmark']:<10} {row['metric']:<16} "
-              f"{row['value']:+.4f}")
-    soup = report["soup"]
-    print(f"soup kept {len(soup['kept'])}/{len(report['distill_runs'])} ingredients; "
-          f"validation pearson {soup['validation_pearson']:.4f} "
-          f"(best single {soup['best_single_validation']:.4f})")
-    return EXIT_OK
+    from . import pipeline
+    return pipeline.cmd_pipeline(args)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from ontoembed import encoder as enc
 from ontoembed import evalsuite as ev
 from ontoembed import losses
 from ontoembed import ontology as onto
+from ontoembed import pipeline
 from ontoembed import trainer
 
 from conftest import FIXTURES_DIR
@@ -436,3 +437,28 @@ def test_criterion_10_demo_time_budget(demo_run):
     seen = {(r["phase"], r["benchmark"]) for r in report["rows"]}
     assert seen == {(p, b) for p in phases for b in benchmarks}
     _ok("10", f"(cmd_pipeline demo finished in {demo_run['elapsed']:.1f}s < 300s)")
+
+
+# ---------------------------------------------------------------------------
+# 14. what the glossary and the relation templates add to the contrastive phase
+
+
+def test_criterion_14_glossary_and_templates_ground_the_contrastive_phase(demo_run):
+    # The contrastive phase trains twice more from the demo's adapted.ckpt
+    # with the demo's settings: on the corpus built without the glossary's
+    # generated definitions, and on the one without templated sentences.
+    plan = pipeline.PipelinePlan(os.path.join(FIXTURES_DIR, "demo.cfg"))
+    adapted = enc.load_checkpoint(os.path.join(demo_run["out_dir"], "adapted.ckpt"))
+    kg = onto.load_ontology(os.path.join(FIXTURES_DIR, "ontology.jsonl"))
+    kg = kg.with_templates(onto.load_templates(os.path.join(FIXTURES_DIR, "templates.tsv")))
+    corpora = {"no glossary": onto.build_corpus(kg, plan.cfg.per_concept_templated, plan.cfg.seed),
+               "no templates": onto.build_corpus(plan.kg, 0, plan.cfg.seed)}
+    scores = {"full": {r["benchmark"]: r["value"] for r in demo_run["report"]["rows"]
+                       if r["phase"] == "contrastive"}}
+    for source, corpus in corpora.items():
+        model, _ = trainer.train_contrastive(adapted, corpus, plan.train["contrastive"])
+        scores[source] = {b: r.value for b, r in plan.score(source, model, ("nel", "bcr")).items()}
+    assert scores["full"]["nel"] > scores["no glossary"]["nel"]
+    assert scores["full"]["bcr"] >= scores["no templates"]["bcr"] + 0.2
+    _ok("14", "(contrastive NEL / BCR: " + "; ".join(
+        f"{source} {s['nel']:.3f} / {s['bcr']:.3f}" for source, s in scores.items()) + ")")

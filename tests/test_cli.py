@@ -17,6 +17,7 @@ from ontoembed import encoder as enc
 from ontoembed import evalsuite as ev
 from ontoembed import fixtures
 from ontoembed import ontology as onto
+from ontoembed import pipeline
 from ontoembed import trainer
 from ontoembed.config import TRAIN_CONFIG_KEYS
 
@@ -1122,7 +1123,7 @@ _EVAL = _EVERY_COMMAND | {"evalsuite"}
 _LOADS = {"--help": _EVERY_COMMAND, "embed": _EVERY_COMMAND, "eval sts": _EVAL,
           "eval nel": _EVAL | {"ontology"}, "verbalize": _EVERY_COMMAND | {"ontology"},
           "train sts": _EVAL | {"ontology", "trainer", "losses"},
-          "pipeline": _EVAL | {"ontology", "trainer", "losses", "soup"}}
+          "pipeline": _EVAL | {"ontology", "trainer", "losses", "soup", "pipeline"}}
 
 
 @pytest.mark.parametrize("command", list(_LOADS))
@@ -1541,7 +1542,7 @@ def test_pipeline_keys_cover_the_demo_configs(fixtures_dir, tmp_path):
     # the bundled demo.cfg and the one fixtures.write_fixtures generates
     bundled = trainer.parse_kv_file(os.path.join(fixtures_dir, "demo.cfg"))
     generated = trainer.parse_kv_file(write_text(tmp_path / "demo.cfg", fixtures.DEMO_CONFIG))
-    assert set(bundled) | set(generated) <= cli.PIPELINE_KEYS
+    assert set(bundled) | set(generated) <= pipeline.PIPELINE_KEYS
 
 
 def test_pipeline_report_structure_and_guarantee(small_world, tmp_path):
@@ -1608,6 +1609,18 @@ def test_pipeline_without_contrastive_epochs_logs_no_final_loss(small_world, tmp
                     "--out-dir", str(tmp_path / "out")]) == 0
     assert "contrastive done: 0 steps, final loss none" in caplog.messages
     _strict_json((tmp_path / "out" / "report.json").read_text())
+
+
+def test_pipeline_verbose_logs_each_trained_phase_in_run_order(small_world, tmp_path, caplog):
+    # adapt used to log only "adaptation done", and readapt nothing
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, **_FAST)
+    with caplog.at_level(logging.INFO):
+        assert run(["--verbose", "pipeline", "--config", cfg,
+                    "--out-dir", str(tmp_path / "out")]) == 0
+    trained = r"\w+ done: \d+ steps, final loss [\d.]+|\w+: val pearson [\d.-]+"
+    phases = [m.split(":")[0] for m in caplog.messages if re.fullmatch(trained, m)]
+    assert phases == ["adapt done", "contrastive done", "readapt done", "distill_01 done",
+                      "distill_01", "distill_02 done", "distill_02"]
 
 
 def _no_training(monkeypatch):
@@ -1772,6 +1785,31 @@ def test_pipeline_distill_loss_before_training_names_the_phase(small_world, tmp_
     assert capsys.readouterr().err.splitlines() == [
         "error: distill_01: self-distill training failed before epoch 1: "
         "output norm of batch row 0 is not finite"]
+    assert sorted(os.listdir(tmp_path)) == ["demo.cfg"]
+
+
+@pytest.mark.parametrize("phase, name", [("base", "base"), ("self_distilled", "distill_01"),
+                                         ("souped", "soup")], ids=["base", "distill", "soup"])
+def test_pipeline_scoring_error_names_the_checkpoint_and_the_benchmark(
+        small_world, tmp_path, capsys, monkeypatch, phase, name):
+    # these used to exit 2 with only "error: overflow encountered in matmul".
+    # The base overflows for real; a distillation run's score and the first
+    # greedy soup trial are made to fail the same way.
+    real_eval_sts = ev.eval_sts
+
+    def eval_sts(ckpt, dataset):
+        if ckpt.phase == phase:
+            raise FloatingPointError("overflow encountered in matmul")
+        return real_eval_sts(ckpt, dataset)
+
+    if phase == "base":
+        cfg = _mini_pipeline_cfg(small_world, tmp_path, **_FAST, init_scale="1e200")
+    else:
+        monkeypatch.setattr(ev, "eval_sts", eval_sts)
+        cfg = _mini_pipeline_cfg(small_world, tmp_path, **_FAST)
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {name}: scoring sts_val failed: overflow encountered in matmul"]
     assert sorted(os.listdir(tmp_path)) == ["demo.cfg"]
 
 

@@ -10,6 +10,7 @@ import pytest
 from ontoembed import cli
 from ontoembed import config
 from ontoembed import encoder as enc
+from ontoembed import pipeline
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -72,13 +73,13 @@ def test_readme_key_tables_list_exactly_the_config_keys():
     assert list(tables) == ["Encoder keys", "Training keys", "Pipeline keys"]
     assert tuple(tables["Encoder keys"]) == enc.ENCODER_CONFIG_KEYS
     assert tuple(tables["Training keys"]) == config.TRAIN_CONFIG_KEYS
-    assert tuple(tables["Pipeline keys"]) == config.config_keys(cli.PipelineConfig)
+    assert tuple(tables["Pipeline keys"]) == config.config_keys(pipeline.PipelineConfig)
 
 
 def test_readme_key_tables_match_the_schema():
     tables = _readme_tables()
     classes = {"Encoder keys": enc.EncoderConfig(), "Training keys": config.TrainConfig(),
-               "Pipeline keys": cli.PipelineConfig()}
+               "Pipeline keys": pipeline.PipelineConfig()}
     assert set(tables) == set(classes)
     for heading, instance in classes.items():
         defaults = dataclasses.asdict(instance)
@@ -86,7 +87,7 @@ def test_readme_key_tables_match_the_schema():
             value = defaults[key]
             assert written in (("required", "none") if value is None else (f"`{value}`",)), key
     documented = set().union(*map(set, tables.values()))
-    assert documented == set(cli.PIPELINE_KEYS) - {
+    assert documented == set(pipeline.PIPELINE_KEYS) - {
         prefix + key for prefix in ("adapt_", "contrastive_", "readapt_", "distill_")
         for key in config.TRAIN_CONFIG_KEYS}
     assert set(cli.TRAIN_KEYS) == set(tables["Encoder keys"]) | set(tables["Training keys"])

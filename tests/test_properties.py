@@ -26,6 +26,7 @@ from ontoembed import config  # noqa: E402
 from ontoembed import encoder as enc  # noqa: E402
 from ontoembed import evalsuite as ev  # noqa: E402
 from ontoembed import ontology as onto  # noqa: E402
+from ontoembed import pipeline  # noqa: E402
 from ontoembed import soup  # noqa: E402
 from ontoembed import trainer  # noqa: E402
 
@@ -422,7 +423,7 @@ def test_replay_decay_equals_the_per_step_update_bit_for_bit(data, rows, width, 
 
 _PATH_KEYS = ("ontology", "templates", "glossary", "sts_train", "sts_val", "sts_test",
               "bcr", "nel", "nli")
-_VALUE_KEYS = sorted(set(cli.PIPELINE_KEYS) - set(_PATH_KEYS))
+_VALUE_KEYS = sorted(set(pipeline.PIPELINE_KEYS) - set(_PATH_KEYS))
 # Values without decimal digits, plus a few numeric edge cases; a long digit
 # string could ask the plan for billions of distillation runs.
 _GARBAGE = st.sampled_from(["-1", "0", "1", "3", "2.5", "nan", "inf", "1e400", "true",
@@ -443,7 +444,7 @@ def pipeline_config_lines(draw, base: dict):
             lines.append(f"{draw(st.sampled_from(_VALUE_KEYS))} = {draw(_GARBAGE)}")
         elif kind == "unknown":
             key = draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
-                       .filter(lambda k: k not in cli.PIPELINE_KEYS))
+                       .filter(lambda k: k not in pipeline.PIPELINE_KEYS))
             lines.append(f"{key} = 1")
         elif kind == "no_equals":
             lines.append(draw(st.text(st.characters(blacklist_categories=("Cs",),
@@ -477,7 +478,7 @@ def test_mutated_pipeline_configs_plan_or_fail_in_one_line(pipeline_base, data):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("".join(line + "\n" for line in lines))
         try:
-            cli.PipelinePlan(path)
+            pipeline.PipelinePlan(path)
         except config.ConfigError as exc:
             assert str(exc).startswith(path) and "\n" not in str(exc)
         assert os.listdir(work) == ["p.cfg"]
@@ -644,7 +645,7 @@ def commands(small_world, pipeline_base, tmp_path_factory):
                                cli.TRAIN_KEYS),
         "eval nel": (["eval", "nel", "--model", model, "--data", f"{w}/nel.tsv",
                       "--ontology", f"{w}/ontology.jsonl", "--topk", "1,5"], None, ()),
-        "pipeline": (["pipeline"], pipeline_base, cli.PIPELINE_KEYS),
+        "pipeline": (["pipeline"], pipeline_base, pipeline.PIPELINE_KEYS),
     }
 
 
