@@ -368,7 +368,10 @@ def cmd_eval(args) -> int:
     # only eval nel has --ontology and --topk
     kg = _load_kg(getattr(args, "ontology", None))[0]
     dataset, score = _scorer(args.benchmark, args.data, kg, getattr(args, "topk", None))
-    reports = score(model)
+    try:
+        reports = score(model)
+    except (FloatingPointError, enc.NonFiniteOutput) as exc:
+        raise ev.EvalError(f"{args.model}: scoring {args.benchmark} failed: {exc}") from exc
 
     digests = dict(model_digest=ev.model_digest(model), data_digest=ev.data_digest(dataset.rows))
     lines = [json.dumps({**dataclasses.asdict(r), **digests}, sort_keys=True,
@@ -546,6 +549,9 @@ def cmd_embed(args) -> int:
             except enc.NonFiniteOutput as exc:
                 raise ValueError(f"{args.infile}:{i + exc.row + 1}: output norm is not finite "
                                  f"with model {args.model}") from exc
+            except FloatingPointError as exc:
+                raise ValueError(f"{args.infile}: lines {i + 1}-{i + len(chunk)}: {exc} "
+                                 f"with model {args.model}") from exc
             for j in range(0, len(chunk), EMBED_BLOCK):
                 fh.write(_embedding_lines(chunk[j:j + EMBED_BLOCK], emb[j:j + EMBED_BLOCK]))
     _write_manifest(args.out, "embed", vars_snapshot(args), inputs,
@@ -667,4 +673,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # under ``python -m`` this file runs as __main__; registered under its
+    # own name too, it is the module pipeline's ``from .cli import`` finds,
+    # where that import would otherwise run the whole file again
+    sys.modules.setdefault("ontoembed.cli", sys.modules[__name__])
     raise SystemExit(main())

@@ -317,16 +317,19 @@ class Forward:
     norms: np.ndarray
 
 
-def _matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _matmul_rows(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``x @ w`` with each row rounded the same whatever the batch size.
     A BLAS gemm may compute the rows left over after its last full block
     with other code, which sums in a different order (numpy hands a lone
     row to gemv), so ``x`` is padded with zero rows to a multiple of 8,
     which leaves no such tail on any OpenBLAS kernel tried (SkylakeX,
     Haswell, Sandybridge, Nehalem), and the pad's rows are dropped from
-    the product."""
-    pad = -len(x) % 8
-    return x @ w if not pad else (np.concatenate((x, np.zeros((pad, x.shape[1])))) @ w)[:len(x)]
+    the product. Given ``out``, with room for the padded rows, the product
+    is written into its first rows."""
+    n, pad = len(x), -len(x) % 8
+    if pad:
+        x = np.concatenate((x, np.zeros((pad, x.shape[1]))))
+    return (x @ w if out is None else np.matmul(x, w, out=out[:len(x)]))[:n]
 
 
 def _gather_sums(source: np.ndarray, gather: np.ndarray, index: np.ndarray,

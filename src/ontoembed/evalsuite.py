@@ -3,7 +3,9 @@ a synonym index) and entailment-triplet accuracy.
 
 All evaluations are read-only over the model and graph, row order is
 canonical (file order), and every metric has an independently implemented
-oracle in the test suite that it must match to 1e-12.
+oracle in the test suite that it must match to 1e-12. NEL scores each block
+of mentions with one matrix product padded on both axes, so a score does
+not depend on the block its mention is in or the column its name is in.
 
 Dataset files, TSVs read through ``config.read_records``:
   STS / BCR  text_a <TAB> text_b <TAB> gold
@@ -17,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -247,30 +250,38 @@ class NelIndex:
     names first appear. Entries that share a name share its row, so they
     score the same bit for bit.
 
-    ``concepts`` holds the distinct concept ids in ascending order; the
-    embedding rows taken in ``order`` are the entries grouped by concept,
-    the group of ``concepts[j]`` starting at ``starts[j]``.
+    ``concepts`` holds the distinct concept ids in ascending order, and row
+    j of ``slots`` the embedding rows of the names of ``concepts[j]``, in
+    entry order; a concept with fewer names than the widest repeats its
+    first row, which leaves its best score unchanged.
     """
 
     embeddings: np.ndarray
     concept_ids: list[str]
     names: list[str]
     concepts: np.ndarray = field(init=False, repr=False)  # of str objects
-    order: np.ndarray = field(init=False, repr=False)
-    starts: np.ndarray = field(init=False, repr=False)
+    slots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         row_of: dict[str, int] = {}
-        rows = np.array([row_of.setdefault(name, len(row_of)) for name in self.names],
-                        dtype=np.intp)
+        rows = [row_of.setdefault(name, len(row_of)) for name in self.names]
         if len(self.embeddings) != len(row_of):
             raise ValueError(f"{len(self.embeddings)} embeddings for {len(row_of)} distinct names")
         self.concepts = np.array(sorted(set(self.concept_ids)), dtype=object)
-        position = {cid: j for j, cid in enumerate(self.concepts)}
-        group = np.array([position[cid] for cid in self.concept_ids], dtype=np.intp)
-        grouped = np.argsort(group, kind="stable")
-        self.order = rows[grouped]
-        self.starts = np.searchsorted(group[grouped], np.arange(len(self.concepts)))
+        members: dict[str, list[int]] = {cid: [] for cid in self.concepts}
+        for cid, row in zip(self.concept_ids, rows):
+            members[cid].append(row)
+        width = max(map(len, members.values()))
+        self.slots = np.array([m + m[:1] * (width - len(m)) for m in members.values()],
+                              dtype=np.intp)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """``embeddings.T`` with zero columns added up to a multiple of 8."""
+        n, width = self.embeddings.shape
+        columns = np.zeros((width, n + -n % 8))
+        columns[:, :n] = self.embeddings.T
+        return columns
 
 
 def build_nel_index(model: enc.Checkpoint, kg: onto.KnowledgeGraph) -> NelIndex:
@@ -289,21 +300,29 @@ def build_nel_index(model: enc.Checkpoint, kg: onto.KnowledgeGraph) -> NelIndex:
 NEL_BLOCK = 128
 
 
-def _score_blocks(index: NelIndex, mentions: np.ndarray):
-    """Yield ``(first, scores)`` over blocks of at most NEL_BLOCK mentions:
-    ``scores[r]`` is ``(index.embeddings @ mentions[first + r])[index.order]``,
-    bit for bit. Each row is its own matrix-vector product, because neither
-    one product over the block nor one over the index's rows taken in
-    ``order`` rounds the same. ``scores`` is overwritten by the next block."""
-    block = np.empty((min(len(mentions), NEL_BLOCK), len(index.embeddings)))
-    grouped = np.empty((len(block), len(index.order)))
+def _best_scores(index: NelIndex, mentions: np.ndarray):
+    """Yield ``(first, best)`` over blocks of at most NEL_BLOCK mentions:
+    ``best[r, j]`` is the highest score of ``mentions[first + r]`` over the
+    names of ``index.concepts[j]``.
+
+    A block's scores are one product with ``index.columns``. ``_matmul_rows``
+    pads the block to a multiple of 8 rows and the columns are padded to a
+    multiple of 8 too, so that the gemm has no leftover row or column to
+    compute with other code: a mention's scores are the same bits in any
+    block, and copies of one embedding score the same in any column. The
+    best scores are a running ``np.maximum`` over the columns of
+    ``index.slots``. ``best`` is overwritten by the next block."""
+    scores = np.empty((NEL_BLOCK, index.columns.shape[1]))
+    best = np.empty((NEL_BLOCK, len(index.concepts)))
+    taken = np.empty_like(best)
     for first in range(0, len(mentions), NEL_BLOCK):
-        rows = mentions[first:first + NEL_BLOCK]
-        for r, mention in enumerate(rows):
-            np.matmul(index.embeddings, mention, out=block[r])
-        # order holds valid indices only; with out=, the default mode buffers a copy
-        yield first, np.take(block[:len(rows)], index.order, axis=1, out=grouped[:len(rows)],
-                             mode="clip")
+        block = enc._matmul_rows(mentions[first:first + NEL_BLOCK], index.columns, out=scores)
+        top, slot_scores = best[:len(block)], taken[:len(block)]
+        # slots hold valid indices only; with out=, the default mode buffers a copy
+        np.take(block, index.slots[:, 0], axis=1, out=top, mode="clip")
+        for slot in index.slots.T[1:]:
+            np.maximum(top, np.take(block, slot, axis=1, out=slot_scores, mode="clip"), out=top)
+        yield first, top
 
 
 def _gold_ranks(best: np.ndarray, gold: np.ndarray) -> np.ndarray:
@@ -338,10 +357,8 @@ def eval_nel(
     index = build_nel_index(model, kg)
     mentions = enc.encode_batch(model.params, model.config, [m for m, _ in dataset.rows])
     gold = np.searchsorted(index.concepts, [g for _, g in dataset.rows])
-    ranks = np.concatenate([
-        _gold_ranks(np.maximum.reduceat(scores, index.starts, axis=1),
-                    gold[first:first + len(scores)])
-        for first, scores in _score_blocks(index, mentions)])
+    ranks = np.concatenate([_gold_ranks(best, gold[first:first + len(best)])
+                            for first, best in _best_scores(index, mentions)])
     n = len(dataset.rows)
     return [EvalReport("nel", f"top{k}_accuracy", int(np.count_nonzero(ranks < k)) / n, n)
             for k in k_list]

@@ -194,8 +194,7 @@ def test_criterion_4_metric_oracles():
         index = ev.NelIndex(embeddings=np.array([v for _, v in names]),
                             concept_ids=[c for c, _ in names],
                             names=[f"n{i}" for i in range(len(names))])
-        [(_, scores)] = ev._score_blocks(index, mention[None, :])
-        best = np.maximum.reduceat(scores, index.starts, axis=1)
+        [(_, best)] = ev._best_scores(index, mention[None, :])
         got = [int(ev._gold_ranks(best, np.array([j]))[0]) for j in range(n_concepts)]
         assert got == [expected.index(cid) for cid in index.concepts]
 

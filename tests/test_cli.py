@@ -917,6 +917,31 @@ def test_eval_degenerate_model_exits_2(tmp_path, small_world):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["eval sts", "eval nel", "embed"])
+def test_a_numeric_fault_names_the_model_and_the_input(small_world, tmp_path, capsys, command):
+    # a forward pass that overflows used to end in a bare "error: overflow
+    # encountered in matmul", naming neither the model nor what it scored
+    cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8,
+                            init_scale=1e200)
+    model = str(tmp_path / "big.ckpt")
+    enc.save_checkpoint(model, enc.Checkpoint(config=cfg, phase="base",
+                                              params=enc.init_params(cfg)))
+    infile = write_text(tmp_path / "in.txt", "fever\nacute cough\n")
+    fault = "overflow encountered in matmul"
+    argv, expected = {
+        "eval sts": (["eval", "sts", "--data", os.path.join(small_world, "sts_test.tsv")],
+                     f"error: {model}: scoring sts failed: {fault}"),
+        "eval nel": (["eval", "nel", "--data", os.path.join(small_world, "nel.tsv"),
+                      "--ontology", os.path.join(small_world, "ontology.jsonl")],
+                     f"error: {model}: scoring nel failed: {fault}"),
+        "embed": (["embed", "--in", infile],
+                  f"error: {infile}: lines 1-2: {fault} with model {model}"),
+    }[command]
+    assert run(argv + ["--model", model, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert sorted(os.listdir(tmp_path)) == ["big.ckpt", "in.txt"]
+
+
 # ---------------------------------------------------------------------------
 # embed
 
@@ -1234,6 +1259,20 @@ def test_help_exits_0_and_an_unknown_config_key_exits_64_in_a_fresh_process(smal
     proc = run_child(["train", "sts", "--data", os.path.join(small_world, "sts_train.tsv"),
                       "--config", cfg, "--out", str(tmp_path / "out")])
     assert _one_error_line(proc, 64) == f"usage error: {cfg}: unknown key(s): colour"
+
+
+def test_python_m_loads_cli_once(tmp_path):
+    # under ``python -m ontoembed.cli`` the running module is __main__, and
+    # pipeline's ``from .cli import`` used to load cli.py a second time
+    cfg = write_text(tmp_path / "bad.cfg", "colour = 1\n")
+    proc = run_child(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")],
+                     PYTHONPROFILEIMPORTTIME="1")
+    assert proc.returncode == 64
+    timed = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    imported = [line.rsplit("|", 1)[1].strip() for line in timed]
+    assert "ontoembed.pipeline" in imported and "ontoembed.cli" not in imported
+    assert [line for line in proc.stderr.splitlines() if line not in timed] == [
+        f"usage error: {cfg}: unknown key(s): colour"]
 
 
 def _drop(key):

@@ -343,8 +343,7 @@ def _count_places(best):
 def _index_places(index, mentions):
     """places[i, j]: the count-rank of ``index.concepts[j]`` for mention i, over
     the blocks ``eval_nel`` scores."""
-    return np.concatenate([_count_places(np.maximum.reduceat(scores, index.starts, axis=1))
-                           for _, scores in ev._score_blocks(index, mentions)])
+    return np.concatenate([_count_places(best) for _, best in ev._best_scores(index, mentions)])
 
 
 def _reference_places(index, mention):
@@ -359,7 +358,7 @@ def test_gold_ranks_match_dict_loop_on_exact_and_signed_zero_ties():
     shape = ev.NelIndex(embeddings=np.zeros((len(names), 1)), concept_ids=_SCATTERED_IDS,
                         names=names)
     # best-score rows, one per score row, go to the counting step directly
-    places = _count_places(np.maximum.reduceat(rows[:, shape.order], shape.starts, axis=1))
+    places = _count_places(rows[:, shape.slots].max(axis=2))
     for scores, got in zip(rows, places):
         index = ev.NelIndex(embeddings=_FixedScores(scores), concept_ids=_SCATTERED_IDS,
                             names=names)
@@ -435,18 +434,62 @@ def test_nel_over_several_blocks_matches_dict_loop(small_kg, trained_nel):
     assert 0 < hits[1] < hits[10] < n
 
 
-def test_nel_block_scores_are_the_per_mention_products(small_kg, trained_nel):
+def test_nel_best_scores_do_not_depend_on_the_block(small_kg, trained_nel):
+    # each mention is one row of a gemm whose rows and columns are padded to
+    # a multiple of 8, so its best scores round the same alone and in any
+    # block, and equal the slot max over its own product
     model, dataset = trained_nel
     index = ev.build_nel_index(model, small_kg)
+    n = len(index.embeddings)
+    assert index.columns.shape == (model.config.output_dim, n + -n % 8) and n % 8
+    assert (index.columns[:, :n] == index.embeddings.T).all() and not index.columns[:, n:].any()
     mentions = enc.encode_batch(model.params, model.config, [m for m, _ in dataset.rows])
-    firsts = []
-    for first, scores in ev._score_blocks(index, mentions):
-        firsts.append(first)
-        for r, row in enumerate(scores):
-            expected = (index.embeddings @ mentions[first + r])[index.order]
-            assert row.tobytes() == expected.tobytes()
-    assert firsts == [0, ev.NEL_BLOCK, 2 * ev.NEL_BLOCK]
-    assert len(scores) == 1
+    alone = np.array([next(ev._best_scores(index, m[None, :]))[1][0] for m in mentions])
+    for mention, row in zip(mentions, alone):
+        product = enc._matmul_rows(mention[None, :], index.columns)[0]
+        assert row.tobytes() == product[index.slots].max(axis=1).tobytes()
+    for size in range(1, len(mentions) + 1):
+        for start in range(0, len(mentions), size):
+            firsts = []
+            for first, best in ev._best_scores(index, mentions[start:start + size]):
+                firsts.append(first)
+                assert best.tobytes() == alone[start + first:start + first + len(best)].tobytes()
+            assert firsts == list(range(0, min(size, len(mentions) - start), ev.NEL_BLOCK))
+    assert len(mentions) == 2 * ev.NEL_BLOCK + 1
+
+
+def test_nel_token_swapped_names_tie_wherever_their_rows_fall():
+    # "alpha beta" and "beta alpha" pool the same tokens, so their embeddings
+    # are equal bit for bit, and so must their scores be. One of the two is
+    # in the last n % 8 rows of a 333-name index: a matrix-vector product
+    # computes the last n % 4 rows with another kernel, and a gemm over
+    # unpadded columns its last columns, so either scored the copy an ulp
+    # apart for some mentions and ranked the two concepts by row, not by id
+    cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=16, output_dim=96,
+                            hash_seed=3, init_seed=0)
+    model = enc.Checkpoint(config=cfg, phase="base", params=enc.init_params(cfg))
+    fillers = [f"filler {i}" for i in range(331)]
+    n = len(fillers) + 2
+    mentions = np.random.default_rng(32).normal(size=(ev.NEL_BLOCK, cfg.output_dim))
+    mentions /= np.linalg.norm(mentions, axis=1, keepdims=True)
+    ids = {"alpha beta": "k_a", "beta alpha": "k_b"}
+    for tail_row in range(n - n % 8, n):
+        for other_row in (0, n // 2, n - n % 8 - 1):
+            for pair in (["alpha beta", "beta alpha"], ["beta alpha", "alpha beta"]):
+                names = list(fillers)
+                for row, name in sorted(zip((other_row, tail_row), pair)):
+                    names.insert(row, name)
+                embeddings = enc.encode_batch(model.params, model.config, names)
+                assert embeddings[tail_row].tobytes() == embeddings[other_row].tobytes()
+                index = ev.NelIndex(embeddings=embeddings, names=names,
+                                    concept_ids=[ids.get(name, name) for name in names])
+                a = list(index.concepts).index("k_a")
+                assert index.concepts[a + 1] == "k_b"
+                [(_, best)] = ev._best_scores(index, mentions)
+                layout = (tail_row, other_row, pair)
+                assert best[:, a].tobytes() == best[:, a + 1].tobytes(), layout
+                ranks = [ev._gold_ranks(best, np.full(len(best), j)) for j in (a, a + 1)]
+                assert (ranks[1] == ranks[0] + 1).all(), layout
 
 
 # ---------------------------------------------------------------------------
