@@ -42,6 +42,12 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+# tokenize_batch's byte table: 1 for a byte of a token (an ASCII letter or
+# digit, or any byte of a non-ASCII character's UTF-8 encoding), else 0
+_TOKEN_BYTE = bytes(b >= 0x80 or chr(b).isalnum() for b in range(256))
+# how many of the longest tokens _fnv1a64 finishes with Python ints
+_PYTHON_TAIL = 8
+
 
 class CheckpointError(DomainError):
     """Base class for checkpoint I/O failures."""
@@ -218,53 +224,58 @@ class Tokens:
 def tokenize_batch(config: EncoderConfig, texts: list[str]) -> Tokens:
     """``tokenize`` of every text in ``texts``, as one ``Tokens``.
 
-    Each distinct token is numbered when first seen and hashed once, all
-    together, so the result depends on nothing but the arguments.
+    The texts are joined by spaces into one UTF-8 buffer: an ASCII text as
+    it is, any other as its lowercased tokens joined by spaces, so every
+    byte of a token is an ASCII letter or digit or part of a non-ASCII
+    character. The buffer is lowercased, its token runs are found through
+    a 256-entry byte table, and each run is hashed where it lies. The
+    result depends on nothing but the arguments.
     """
-    numbers: dict[str, int] = {}
-    setdefault = numbers.setdefault
-    codes: list[int] = []
-    lengths: list[int] = []
-    for text in texts:
-        tokens = _TOKEN_RE.findall(text.lower())
-        lengths.append(len(tokens))
-        codes += [setdefault(tok, len(numbers)) for tok in tokens]
-    offsets = np.zeros(len(texts) + 1, dtype=np.intp)
-    np.cumsum(lengths, out=offsets[1:])
-    buckets = _fnv1a64(list(numbers), config.hash_seed) % np.uint64(config.vocab_buckets)
-    return Tokens(buckets.astype(np.intp).take(np.array(codes, dtype=np.intp)), offsets)
+    encoded = [text.encode() if text.isascii()
+               else " ".join(_TOKEN_RE.findall(text.lower())).encode() for text in texts]
+    # bytes.lower lowers only ASCII A-Z; the rewritten texts are lowercase
+    buffer = b" ".join([b"", *encoded, b""]).lower()
+    is_token = np.frombuffer(buffer.translate(_TOKEN_BYTE), dtype=bool)
+    # token k runs from edges[2k] up to edges[2k + 1]
+    edges = np.flatnonzero(np.diff(is_token)) + 1
+    starts = edges[0::2]
+    buckets = _fnv1a64(np.frombuffer(buffer, dtype=np.uint8), starts, edges[1::2] - starts,
+                       config.hash_seed)
+    buckets %= np.uint64(config.vocab_buckets)
+    # the space before each text, and the last one
+    bounds = np.cumsum([0, *(len(text) + 1 for text in encoded)])
+    return Tokens(buckets.astype(np.intp), np.searchsorted(starts, bounds))
 
 
-def _fnv1a64(tokens: list[str], seed: int) -> np.ndarray:
-    """Seeded 64-bit FNV-1a of each token's UTF-8 bytes, as uint64.
+def _fnv1a64(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, seed: int) -> np.ndarray:
+    """Seeded 64-bit FNV-1a of each token ``data[starts[i]:starts[i] + lengths[i]]``
+    of the byte array ``data``, as uint64.
 
     The tokens run longest first, so the hashes still reading a byte at
     position j are a prefix of ``h``, updated together; numpy's uint64
     products wrap modulo 2**64. Each step gathers one byte of each running
-    token from the concatenated buffer, so memory is linear in the bytes.
-    The bytes only the longest token reaches are hashed with Python ints:
-    for one token, a numpy step per byte costs far more than it saves.
+    token, so memory is linear in the bytes. Once only ``_PYTHON_TAIL``
+    tokens still run, each is finished alone with Python ints: for so few
+    tokens, a numpy step per byte costs far more than it saves.
     """
-    encoded = [tok.encode("utf-8") for tok in tokens]
-    sizes = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
-    data = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    order = np.argsort(-sizes, kind="stable")
-    ranked, pos = sizes[order], (np.cumsum(sizes) - sizes)[order]
-    shared = int(ranked[1]) if len(ranked) > 1 else 0
-    # running[j]: how many tokens are longer than j bytes
+    order = np.argsort(-lengths)
+    ranked, pos = lengths[order], starts[order]
+    shared = int(ranked[_PYTHON_TAIL]) if len(ranked) > _PYTHON_TAIL else 0
+    # running[j]: how many tokens are longer than j bytes, always more than
+    # _PYTHON_TAIL
     running = np.searchsorted(-ranked, -np.arange(shared))
-    h = np.full(len(tokens), _FNV_OFFSET ^ (seed & _MASK64), dtype=np.uint64)
+    h = np.full(len(order), _FNV_OFFSET ^ (seed & _MASK64), dtype=np.uint64)
     prime = np.uint64(_FNV_PRIME)
     for n in running.tolist():
         head, at = h[:n], pos[:n]
         head ^= data.take(at)
         head *= prime
         at += 1
-    if len(tokens):
-        x = int(h[0])
-        for b in data[pos[0]:pos[0] + ranked[0] - shared].tolist():
+    for i in range(min(len(order), _PYTHON_TAIL)):
+        x = int(h[i])
+        for b in data[pos[i]:pos[i] + ranked[i] - shared].tobytes():
             x = ((x ^ b) * _FNV_PRIME) & _MASK64
-        h[0] = x
+        h[i] = x
     out = np.empty_like(h)
     out[order] = h
     return out

@@ -11,6 +11,7 @@ import pytest
 
 from ontoembed import encoder as enc
 from ontoembed import evalsuite as ev
+from ontoembed import fixtures
 from ontoembed.cli import EMBED_CHUNK
 
 from oracles import (
@@ -93,6 +94,37 @@ def test_tokenize_batch_memory_is_linear_in_the_bytes():
     assert peak < 8 << 20
     assert tokens.ids[1000] == fnv1a64(b"x" * 200_000, 3) % 4096
     assert tokens.ids[:2].tolist() == [fnv1a64(b"t0", 3) % 4096, fnv1a64(b"t1", 3) % 4096]
+
+
+def test_tokenize_batch_long_tokens_are_linear_in_the_bytes():
+    # every occurrence is hashed, equal ones too, and the few longest tokens
+    # are finished one by one: neither pair may run a numpy step per byte
+    cfg = enc.EncoderConfig(vocab_buckets=4096, hash_seed=3)
+    long = ["x" * 200_000, "x" * 200_000, "y" * 200_000, "y" * 199_999 + "z"]
+    texts = [f"t{i}" for i in range(1000)] + long + [f"u{i}" for i in range(1000)]
+    tracemalloc.start()
+    try:
+        tokens = enc.tokenize_batch(cfg, texts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert tokens.ids.tolist() == [fnv1a64(text.encode(), 3) % 4096 for text in texts]
+
+
+def test_world_texts_tokenize_as_one_batch_to_the_per_text_oracle():
+    world = fixtures.generate_world(fixtures.WorldSpec())
+    texts = [t for c in world.concepts
+             for t in (*c.names, c.definition, c.glossary_def, c.heldout_mention) if t]
+    for rows in (world.templates, world.sts_train, world.sts_val, world.sts_test, world.bcr,
+                 world.nli, world.nel, world.nel_xlingual, world.parallel):
+        texts += [t for row in rows for t in row if isinstance(t, str)]
+    cfg = enc.EncoderConfig(vocab_buckets=32768, hash_seed=17)
+    expected = [[fnv1a64(tok.encode(), 17) % 32768 for tok in enc._TOKEN_RE.findall(t.lower())]
+                for t in texts]
+    tokens = enc.tokenize_batch(cfg, texts)
+    assert tokens.offsets.tolist() == np.cumsum([0] + [len(ids) for ids in expected]).tolist()
+    assert tokens.ids.tolist() == [i for ids in expected for i in ids]
 
 
 def test_tokenize_hash_seed_changes_buckets(tiny_config):

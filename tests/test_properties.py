@@ -190,21 +190,33 @@ def test_assigning_a_tensor_writes_through_to_flat(model, data):
     assert np.array_equal(params.flat, before)
 
 
-# texts of random Unicode, some with a token of one to a few hundred
-# repeated characters, so that tokens run from 1 byte to over 1,000 bytes
-_HASH_TEXTS = st.lists(st.one_of(
-    st.text(), st.builds(lambda chars, n: chars * n, st.text(min_size=1, max_size=3),
-                         st.integers(1, 400))), max_size=4).map(" ".join)
+def _hash_texts(chars):
+    """Texts of ``chars``, some with a token of one to a few hundred repeated
+    characters, so that tokens run from 1 byte to over 1,000 bytes."""
+    return st.lists(st.one_of(
+        st.text(chars), st.builds(lambda run, n: run * n, st.text(chars, min_size=1, max_size=3),
+                                  st.integers(1, 400))), max_size=4).map(" ".join)
+
+
+# random Unicode, and ASCII rich in the join separator, \r, \t and NUL; a
+# list may mix both kinds
+_HASH_TEXTS = _hash_texts(st.characters(codec="utf-8"))
+_ASCII_HASH_TEXTS = _hash_texts(st.one_of(st.sampled_from("aZ9_ \r\t\n\x00"),
+                                          st.characters(max_codepoint=0x7F)))
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(texts=st.lists(_HASH_TEXTS, max_size=5), buckets=st.integers(1, 1 << 62),
+@given(texts=st.lists(st.one_of(_HASH_TEXTS, _ASCII_HASH_TEXTS), max_size=5),
+       buckets=st.integers(1, 1 << 62),
        seed=st.one_of(st.integers(max_value=-1), st.integers(0, 2**64 - 1),
                       st.integers(min_value=2**64)))
 @hypothesis.example(texts=["fièvre 發燒 🦠 a"], buckets=32768, seed=17)
 @hypothesis.example(texts=["é" * 600 + " x " + "z" * 1001], buckets=1, seed=-1)
 @hypothesis.example(texts=[], buckets=7, seed=0)
 @hypothesis.example(texts=["", " ", "_"], buckets=7, seed=2**64)
+@hypothesis.example(texts=["İı", "ﬁ", "é", "a_b", "x\ny", ""], buckets=1 << 40, seed=5)
+@hypothesis.example(texts=["Fever\x00COUGH\r\n", "x" * 300 + " é", "\tab  cd\t"], buckets=97,
+                    seed=3)
 def test_token_buckets_equal_the_fnv1a_hash(texts, buckets, seed):
     expected = [[fnv1a64(tok.encode("utf-8"), seed) % buckets
                  for tok in enc._TOKEN_RE.findall(text.lower())] for text in texts]
