@@ -295,8 +295,9 @@ def cmd_soup(args) -> int:
     kg = _load_kg(args.ontology)[0]
     score = _scorer(_SOUP_METRICS[metric], args.val, kg)[1] if args.val else None
 
-    def evaluate(ckpt: enc.Checkpoint) -> float:
-        return score(ckpt)[0].value
+    # a tentative soup is named by the file the soup is written to
+    def evaluate(ckpt: enc.Checkpoint, name: str = args.out) -> float:
+        return score(ckpt, name)[0].value
 
     # a --models candidate carries no score, so it is scored on --val
     listing = (_read_listing(args.manifest) if args.manifest
@@ -310,7 +311,7 @@ def cmd_soup(args) -> int:
     for (path, value, _), label in zip(listing, labels):
         inputs[path] = _sha256_file(path)
         candidates.append(soup_mod.SoupCandidate(
-            path, evaluate(enc.load_checkpoint(path)) if value is None else value, label))
+            path, evaluate(enc.load_checkpoint(path), path) if value is None else value, label))
 
     scores = {c.label: c.validation_score for c in candidates}
     if args.strategy == "uniform":
@@ -343,20 +344,29 @@ def cmd_soup(args) -> int:
 # eval
 
 
-def _scorer(benchmark: str, data: str, kg=None, topk=(1,)):
-    """The ``benchmark`` dataset at ``data`` and a function that scores a
-    checkpoint on it, as reports: for ``nel``, over ``kg``, one per k in ``topk``."""
+def _scorer(benchmark: str, data: str, kg=None, topk=(1,), label=None):
+    """The ``benchmark`` dataset at ``data`` and ``score(ckpt, name)``, the
+    reports of the checkpoint ``name`` on it: for ``nel``, over ``kg``, one
+    per k in ``topk``. A fault of the model (numeric, or constant
+    predictions) is raised again as an EvalError naming ``name`` and
+    ``label``, by default ``benchmark``."""
     from . import evalsuite as ev
 
-    if benchmark == "nel":
-        dataset = ev.load_nel_dataset(data)
-        return dataset, lambda ckpt: ev.eval_nel(ckpt, kg, dataset, topk)
     # looked up when the command runs, so a traced run sees each call
-    load, evaluate = {"sts": (ev.load_sts_dataset, ev.eval_sts),
+    load, evaluate = {"nel": (ev.load_nel_dataset, ev.eval_nel),
+                      "sts": (ev.load_sts_dataset, ev.eval_sts),
                       "bcr": (ev.load_bcr_dataset, ev.eval_bcr),
                       "nli": (ev.load_nli_dataset, ev.eval_nli_triplets)}[benchmark]
     dataset = load(data)
-    return dataset, lambda ckpt: [evaluate(ckpt, dataset)]
+
+    def score(ckpt: enc.Checkpoint, name: str) -> list:
+        try:
+            return (evaluate(ckpt, kg, dataset, topk) if benchmark == "nel"
+                    else [evaluate(ckpt, dataset)])
+        except (FloatingPointError, enc.NonFiniteOutput, ev.DegenerateModelError) as exc:
+            raise ev.EvalError(f"{name}: scoring {label or benchmark} failed: {exc}") from exc
+
+    return dataset, score
 
 
 def cmd_eval(args) -> int:
@@ -368,10 +378,7 @@ def cmd_eval(args) -> int:
     # only eval nel has --ontology and --topk
     kg = _load_kg(getattr(args, "ontology", None))[0]
     dataset, score = _scorer(args.benchmark, args.data, kg, getattr(args, "topk", None))
-    try:
-        reports = score(model)
-    except (FloatingPointError, enc.NonFiniteOutput) as exc:
-        raise ev.EvalError(f"{args.model}: scoring {args.benchmark} failed: {exc}") from exc
+    reports = score(model, args.model)
 
     digests = dict(model_digest=ev.model_digest(model), data_digest=ev.data_digest(dataset.rows))
     lines = [json.dumps({**dataclasses.asdict(r), **digests}, sort_keys=True,

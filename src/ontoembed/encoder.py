@@ -422,10 +422,9 @@ def backward_batch(
     and so are the head's slots when ``params`` carry one.
 
     With ``out``, a ``Params`` shaped like ``params``, the gradient is
-    written into ``out`` and ``out`` is returned: each encoder tensor is
-    assigned whole and only the batch's token rows are written, so ``out``'s
-    other token rows must already be +0.0, and its head slots are left as
-    they are."""
+    written into ``out`` and ``out`` is returned: each encoder tensor,
+    the whole token table included, is assigned whole, and the head's
+    slots are left as they are."""
     output_grads = np.asarray(output_grads, dtype=float)
     if output_grads.shape != (len(texts), config.output_dim):
         raise ValueError("output_grads shape must be (len(texts), output_dim)")
@@ -452,12 +451,11 @@ def backward_batch(
     grad.w1 = f.pooled.T @ grad_a
     grad.b1 = grad_a.sum(axis=0)
     grad_pooled = grad_a @ params.w1.T
-    # each of the batch's rows sums its terms in token order from 0.0, as a
-    # scatter over the whole table would, but only those rows are built
+    # each row sums its terms in token order from 0.0; the sums are built
+    # column by column in a (width, rows) block, so each column is contiguous
     text_of = np.repeat(np.arange(len(f.counts)), f.tokens.lengths)
-    rows, local = np.unique(f.tokens.ids, return_inverse=True)
-    grad.token_table[rows] = _gather_sums(grad_pooled / f.counts[:, None], text_of, local,
-                                          np.empty((len(rows), grad_pooled.shape[1])))
+    grad.token_table = _gather_sums(grad_pooled / f.counts[:, None], text_of, f.tokens.ids,
+                                    np.empty(params.token_table.shape[::-1]).T)
     return grad
 
 

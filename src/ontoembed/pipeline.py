@@ -19,8 +19,8 @@ from . import soup as soup_mod
 from . import trainer
 from .cli import (EXIT_OK, TRAIN_KEYS, _atomic_write_text, _load_kg, _scorer, _sha256_file,
                   _train_config, _write_manifest, log)
-from .config import (TRAIN_CONFIG_KEYS, ConfigError, DomainError, TrainConfig, build_config,
-                     config_keys, read_config)
+from .config import (TRAIN_CONFIG_KEYS, ConfigError, TrainConfig, build_config, config_keys,
+                     read_config)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,18 +104,12 @@ class PipelinePlan:
                               f"{self.encoder.output_dim} and {len(self.kg)} concepts")
         self.corpus = onto.build_corpus(self.kg, cfg.per_concept_templated, cfg.seed)
         self.sts_train = ev.load_sts_dataset(paths["sts_train"])
-        self.scorers = {name: _scorer(kind, paths[name], self.kg)[1]
+        self.scorers = {name: _scorer(kind, paths[name], self.kg, label=name)[1]
                         for name, kind in _REPORTED.items()}
 
     def score(self, name: str, ckpt: enc.Checkpoint, benchmarks=tuple(_REPORTED)) -> dict:
-        """The checkpoint ``name``'s report on each benchmark; an error names both."""
-        reports = {}
-        for benchmark in benchmarks:
-            try:
-                reports[benchmark] = self.scorers[benchmark](ckpt)[0]
-            except (DomainError, ValueError, FloatingPointError) as exc:
-                raise ev.EvalError(f"{name}: scoring {benchmark} failed: {exc}") from exc
-        return reports
+        """The checkpoint ``name``'s report on each benchmark; a model's fault names both."""
+        return {benchmark: self.scorers[benchmark](ckpt, name)[0] for benchmark in benchmarks}
 
     def val_pearson(self, name: str, ckpt: enc.Checkpoint) -> float:
         return self.score(name, ckpt, ("sts_val",))["sts_val"].value

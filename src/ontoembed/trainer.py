@@ -351,8 +351,7 @@ def _fit(params, config, texts, plans, objective, cfg: TrainConfig, regime: str,
     compact, head = params.take_rows(reached), params.has_head
     total_steps = sum(len(plan) for plan in plans)
     state = init_adamw(compact)
-    # one gradient for the whole run: its token rows are +0.0 outside the
-    # step's own rows, which are zeroed again after each step
+    # one gradient for the whole run, rewritten by each step's backward
     grad = enc.Params(np.zeros_like(compact.flat), compact.shapes)
     rates = []
 
@@ -380,7 +379,6 @@ def _fit(params, config, texts, plans, objective, cfg: TrainConfig, regime: str,
                 if head:
                     grad.head_w, grad.head_b = f.out.T @ gy, gy.sum(axis=0)
                 adamw_step(compact, grad, state, lr, cfg.weight_decay)
-                grad.token_table[f.tokens.ids] = 0.0
                 rates.append(lr)
                 step_losses.append(loss)
             where = f"after epoch {epoch}"

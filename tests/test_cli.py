@@ -870,6 +870,37 @@ def test_soup_incompatible_configs_exit_2(small_world, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("failing", ["candidate", "tentative soup"])
+def test_soup_scoring_error_names_the_model_and_the_benchmark(small_world, tmp_path, capsys,
+                                                              monkeypatch, failing):
+    # soup --val used to exit 2 with only "error: overflow encountered in
+    # matmul". The second candidate overflows for real; a tentative soup is
+    # made to fail the same way, and is named by --out
+    fault = "overflow encountered in matmul"
+    models = []
+    for name, scale in (("a.ckpt", 0.1), ("b.ckpt", 1e200 if failing == "candidate" else 0.2)):
+        cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8,
+                                init_scale=scale)
+        models.append(str(tmp_path / name))
+        enc.save_checkpoint(models[-1], enc.Checkpoint(config=cfg, phase="base",
+                                                       params=enc.init_params(cfg)))
+    real_eval_sts = ev.eval_sts
+
+    def eval_sts(ckpt, dataset):
+        if ckpt.phase == "souped":
+            raise FloatingPointError(fault)
+        return real_eval_sts(ckpt, dataset)
+
+    monkeypatch.setattr(ev, "eval_sts", eval_sts)
+    out = str(tmp_path / "soup.ckpt")
+    assert run(["soup", "--models", *models, "--val", os.path.join(small_world, "sts_val.tsv"),
+                "--out", out]) == 2
+    named = models[1] if failing == "candidate" else out
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {named}: scoring sts failed: {fault}"]
+    assert sorted(os.listdir(tmp_path)) == ["a.ckpt", "b.ckpt"]
+
+
 # ---------------------------------------------------------------------------
 # eval
 

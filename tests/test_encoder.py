@@ -81,10 +81,16 @@ def test_tokenize_batch_depends_only_on_its_arguments():
     assert held < 16 << 10
 
 
+# A long token of the two tests below: with its 2,000 short neighbours, a
+# (tokens x longest token) byte matrix would need over 84 MB, ten times the
+# 8 MB bound, while tracemalloc's cost of the Python-int finish of so few
+# bytes stays small
+_LONG = 42_000
+
+
 def test_tokenize_batch_memory_is_linear_in_the_bytes():
-    # a (tokens x longest token) matrix would need about 400 MB here
     cfg = enc.EncoderConfig(vocab_buckets=4096, hash_seed=3)
-    texts = [f"t{i}" for i in range(1000)] + ["x" * 200_000] + [f"u{i}" for i in range(1000)]
+    texts = [f"t{i}" for i in range(1000)] + ["x" * _LONG] + [f"u{i}" for i in range(1000)]
     tracemalloc.start()
     try:
         tokens = enc.tokenize_batch(cfg, texts)
@@ -92,7 +98,7 @@ def test_tokenize_batch_memory_is_linear_in_the_bytes():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
-    assert tokens.ids[1000] == fnv1a64(b"x" * 200_000, 3) % 4096
+    assert tokens.ids[1000] == fnv1a64(b"x" * _LONG, 3) % 4096
     assert tokens.ids[:2].tolist() == [fnv1a64(b"t0", 3) % 4096, fnv1a64(b"t1", 3) % 4096]
 
 
@@ -100,7 +106,7 @@ def test_tokenize_batch_long_tokens_are_linear_in_the_bytes():
     # every occurrence is hashed, equal ones too, and the few longest tokens
     # are finished one by one: neither pair may run a numpy step per byte
     cfg = enc.EncoderConfig(vocab_buckets=4096, hash_seed=3)
-    long = ["x" * 200_000, "x" * 200_000, "y" * 200_000, "y" * 199_999 + "z"]
+    long = ["x" * _LONG, "x" * _LONG, "y" * _LONG, "y" * (_LONG - 1) + "z"]
     texts = [f"t{i}" for i in range(1000)] + long + [f"u{i}" for i in range(1000)]
     tracemalloc.start()
     try:
@@ -371,6 +377,26 @@ def test_backward_token_rows_equal_dense_add_at_bit_exact(texts):
     out.token_table = np.zeros_like(params.token_table)
     assert _backward(params, cfg, texts, output_grads, out) is out
     assert out.flat.tobytes() == grad.flat.tobytes()
+
+
+def test_backward_into_a_buffer_overwrites_every_token_row_and_keeps_the_head():
+    # the buffer may hold anything: every encoder tensor, each token row
+    # the batch does not hold included, comes out as a fresh backward's,
+    # and the head's slots are the caller's
+    cfg = enc.EncoderConfig(vocab_buckets=16, embed_dim=5, hidden_dim=7, output_dim=6,
+                            hash_seed=3, init_seed=4)
+    params = enc.attach_head(enc.init_params(cfg), cfg, target_dim=3, seed=5)
+    texts = ["alpha beta alpha", "", "gamma"]
+    output_grads = np.random.default_rng(6).normal(size=(len(texts), cfg.output_dim))
+    fresh = _backward(params, cfg, texts, output_grads)
+    out = enc.Params(np.random.default_rng(7).normal(size=params.flat.size), params.shapes)
+    encoder_size = fresh.without_head().flat.size
+    head = out.flat[encoder_size:].copy()
+    assert _backward(params, cfg, texts, output_grads, out) is out
+    assert out.flat[:encoder_size].tobytes() == fresh.flat[:encoder_size].tobytes()
+    assert out.flat[encoder_size:].tobytes() == head.tobytes()
+    # the batch leaves some token rows untouched
+    assert np.count_nonzero(np.any(fresh.token_table, axis=1)) < len(fresh.token_table)
 
 
 def test_backward_takes_the_forward_it_is_given(tiny_config):
