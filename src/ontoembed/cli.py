@@ -88,6 +88,49 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+class _HashingReader:
+    """The binary file ``fh``, whose reads feed SHA-256 the bytes they
+    return, in order; ``head`` keeps those of ``read`` and ``readline``.
+    ``read_checkpoint`` reads the magic and the header line with these, and
+    then the parameter block in place, which is hashed as a view of the
+    array it was read into; ``seek`` and ``tell`` are the file's own."""
+
+    def __init__(self, fh):
+        self._fh, self.sha256, self.head = fh, hashlib.sha256(), b""
+        self.seek, self.tell = fh.seek, fh.tell
+
+    def read(self, size=-1) -> bytes:
+        return self._hashed(self._fh.read(size))
+
+    def readline(self) -> bytes:
+        return self._hashed(self._fh.readline())
+
+    def _hashed(self, data: bytes) -> bytes:
+        self.sha256.update(data)
+        self.head += data
+        return data
+
+    def readinto(self, buffer) -> int:
+        count = self._fh.readinto(buffer)
+        self.sha256.update(memoryview(buffer).cast("B")[:count])
+        return count
+
+
+def _load_input(path: str, inputs: dict[str, str]) -> tuple[enc.Checkpoint, bytes]:
+    """``load_checkpoint`` of ``path``, which also records in ``inputs`` the
+    SHA-256 of the bytes it read, with the magic and header line it read.
+    ``read_checkpoint`` accepts a file only once it has read every byte of
+    it, each once and in order, so this is the digest of the whole file."""
+    with open(path, "rb") as fh:
+        reader = _HashingReader(fh)
+        try:
+            ckpt = enc.read_checkpoint(reader)
+        except enc.CheckpointError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+    inputs[path] = reader.sha256.hexdigest()
+    return ckpt, reader.head
+
+
 def _write_manifest(primary_output: str, command: str, config: dict,
                     inputs: dict[str, str], seed, outputs: list[str],
                     started: float, metrics: dict) -> str:
@@ -170,11 +213,13 @@ def vars_snapshot(args) -> dict:
 
 def _inputs(args) -> dict[str, str]:
     """The SHA-256 of each file named by an input option of ``args`` that is
-    set; a command takes them once its checks pass, before it writes."""
+    set, but a checkpoint's (``--base``, ``--teacher``, ``--model``), which
+    ``_load_input`` hashes as it loads it; a command takes them once its
+    checks pass, before it writes."""
     return {path: _sha256_file(path) for path in
-            [getattr(args, key) for key in ("config", "base", "teacher", "corpus", "data", "pairs",
-                                            "ontology", "templates", "glossary", "model", "infile",
-                                            "val", "manifest") if getattr(args, key, None)]}
+            [getattr(args, key) for key in ("config", "corpus", "data", "pairs", "ontology",
+                                            "templates", "glossary", "infile", "val", "manifest")
+             if getattr(args, key, None)]}
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +237,14 @@ def _train_config(phase: str, mapping: dict[str, str], path, prefix: str = "",
     return cfg
 
 
-def _base_checkpoint(args, mapping: dict[str, str], config: enc.EncoderConfig) -> enc.Checkpoint:
-    """The ``--base`` checkpoint, or a fresh base of ``config`` without one.
-    Each encoder key the config file sets must repeat the base's value."""
+def _base_checkpoint(args, mapping: dict[str, str], config: enc.EncoderConfig,
+                     inputs: dict[str, str]) -> enc.Checkpoint:
+    """The ``--base`` checkpoint, its digest put in ``inputs``, or a fresh
+    base of ``config`` without one. Each encoder key the config file sets
+    must repeat the base's value."""
     if not args.base:
         return enc.Checkpoint(config=config, phase="base", params=enc.init_params(config))
-    base = enc.load_checkpoint(args.base)
+    base = _load_input(args.base, inputs)[0]
     for key in enc.ENCODER_CONFIG_KEYS:
         if key in mapping and getattr(config, key) != getattr(base.config, key):
             raise ConfigError(f"{args.config}: {key}: {getattr(config, key)} differs from "
@@ -222,17 +269,18 @@ def cmd_train(args) -> int:
     overrides = {"seed": args.seed, "epochs": args.epochs}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
+    inputs: dict[str, str] = {}
     if args.phase == "contrastive":
-        base = _base_checkpoint(args, mapping, enc_cfg)
+        base = _base_checkpoint(args, mapping, enc_cfg, inputs)
         corpus = onto.load_corpus(args.corpus)
         ckpt, stats = trainer.train_contrastive(base, corpus, cfg)
     elif args.phase == "sts":
-        base = _base_checkpoint(args, mapping, enc_cfg)
+        base = _base_checkpoint(args, mapping, enc_cfg, inputs)
         dataset = ev.load_sts_dataset(args.data)
         ckpt, stats = trainer.adapt_sts(base, dataset, cfg)
     elif args.phase == "self-distill":
-        base = _base_checkpoint(args, mapping, enc_cfg)
-        teacher = enc.load_checkpoint(args.teacher)
+        base = _base_checkpoint(args, mapping, enc_cfg, inputs)
+        teacher = _load_input(args.teacher, inputs)[0]
         kg, _ = _load_kg(args.ontology, args.templates, args.glossary)
         limit = trainer.pca_dim_limit(len(kg), teacher.config.output_dim)
         if args.pca_dim > limit:
@@ -241,12 +289,12 @@ def cmd_train(args) -> int:
         _, targets = trainer.build_targets(teacher, kg, k=args.pca_dim)
         ckpt, stats = trainer.train_self_distill(base, targets, kg, cfg)
     else:  # xlingual
-        teacher = enc.load_checkpoint(args.teacher)
+        teacher = _load_input(args.teacher, inputs)[0]
         pairs = onto.load_parallel_pairs(args.pairs)
         student_cfg = enc.config_from_mapping(mapping, teacher.config, args.config)
         ckpt, stats = trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
 
-    inputs = _inputs(args)
+    inputs.update(_inputs(args))
     enc.save_checkpoint(args.out, ckpt)
     metrics = {"steps": stats.steps, "final_loss": stats.final_loss,
                "phase": ckpt.phase}
@@ -309,9 +357,11 @@ def cmd_soup(args) -> int:
             raise soup_mod.SoupError(f"two candidates have the label {label!r}")
     candidates: list[soup_mod.SoupCandidate] = []
     for (path, value, _), label in zip(listing, labels):
-        inputs[path] = _sha256_file(path)
-        candidates.append(soup_mod.SoupCandidate(
-            path, evaluate(enc.load_checkpoint(path), path) if value is None else value, label))
+        if value is None:
+            value = evaluate(_load_input(path, inputs)[0], path)
+        else:
+            inputs[path] = _sha256_file(path)
+        candidates.append(soup_mod.SoupCandidate(path, value, label))
 
     scores = {c.label: c.validation_score for c in candidates}
     if args.strategy == "uniform":
@@ -374,13 +424,16 @@ def cmd_eval(args) -> int:
 
     started = time.time()
     inputs = _inputs(args)
-    model = enc.load_checkpoint(args.model)
+    model, head = _load_input(args.model, inputs)
     # only eval nel has --ontology and --topk
     kg = _load_kg(getattr(args, "ontology", None))[0]
     dataset, score = _scorer(args.benchmark, args.data, kg, getattr(args, "topk", None))
     reports = score(model, args.model)
 
-    digests = dict(model_digest=ev.model_digest(model), data_digest=ev.data_digest(dataset.rows))
+    # a file whose header line is the one this program writes for the model
+    # holds exactly the bytes that model_digest hashes
+    digest = inputs[args.model] if head == enc.checkpoint_head(model) else ev.model_digest(model)
+    digests = dict(model_digest=digest, data_digest=ev.data_digest(dataset.rows))
     lines = [json.dumps({**dataclasses.asdict(r), **digests}, sort_keys=True,
                         separators=(",", ":")) for r in reports]
     for line in lines:
@@ -545,8 +598,9 @@ def _embedding_lines(texts: list[str], rows: np.ndarray) -> bytes:
 
 def cmd_embed(args) -> int:
     started = time.time()
-    inputs = _inputs(args)
-    model = enc.load_checkpoint(args.model)
+    inputs: dict[str, str] = {}
+    model = _load_input(args.model, inputs)[0]
+    inputs.update(_inputs(args))
     texts = _read_texts(args.infile)
     with atomic_output(args.out) as fh:
         for i in range(0, len(texts), EMBED_CHUNK):

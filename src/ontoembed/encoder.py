@@ -513,24 +513,29 @@ class Checkpoint:
             self.history = (self.phase,)
 
 
-def checkpoint_pieces(ckpt: Checkpoint) -> tuple[bytes, memoryview]:
-    """The bytes of ``ckpt``'s file in two pieces, to be written or hashed in
-    turn: the magic and the header line, then the parameter block, a
-    little-endian view of ``ckpt.params.flat`` rather than a copy of it."""
-    flat = flatten(ckpt.params)
-    # min and max carry any NaN, so this builds no full-size mask
-    if not np.isfinite([flat.min(), flat.max()]).all():
-        raise CheckpointFormatError("refusing to serialize non-finite parameters")
+def checkpoint_head(ckpt: Checkpoint) -> bytes:
+    """The magic and the header line that begin ``ckpt``'s file."""
     header = {
         "version": CHECKPOINT_VERSION,
         "config": ckpt.config.to_dict(),
         "phase": ckpt.phase,
         "history": list(ckpt.history),
-        "param_count": int(flat.size),
+        "param_count": int(flatten(ckpt.params).size),
         "head_dim": ckpt.params.head_dim,
     }
     line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return CHECKPOINT_MAGIC + line + b"\n", memoryview(flat.astype("<f8", copy=False))
+    return CHECKPOINT_MAGIC + line + b"\n"
+
+
+def checkpoint_pieces(ckpt: Checkpoint) -> tuple[bytes, memoryview]:
+    """The bytes of ``ckpt``'s file in two pieces, to be written or hashed in
+    turn: ``checkpoint_head``, then the parameter block, a little-endian
+    view of ``ckpt.params.flat`` rather than a copy of it."""
+    flat = flatten(ckpt.params)
+    # min and max carry any NaN, so this builds no full-size mask
+    if not np.isfinite([flat.min(), flat.max()]).all():
+        raise CheckpointFormatError("refusing to serialize non-finite parameters")
+    return checkpoint_head(ckpt), memoryview(flat.astype("<f8", copy=False))
 
 
 def _config_from_header(header) -> EncoderConfig:

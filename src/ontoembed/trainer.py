@@ -348,6 +348,7 @@ def _fit(params, config, texts, plans, objective, cfg: TrainConfig, regime: str,
     tokens = enc.tokenize_batch(config, texts)
     reached, remapped = np.unique(tokens.ids, return_inverse=True)
     ids = enc.Tokens(remapped, tokens.offsets)
+    del tokens  # its bucket ids would otherwise live as long as the run
     compact, head = params.take_rows(reached), params.has_head
     total_steps = sum(len(plan) for plan in plans)
     state = init_adamw(compact)
@@ -521,15 +522,17 @@ def train_xlingual(
     if student_cfg.output_dim != teacher.config.output_dim:
         raise TrainError("student output_dim must match the teacher's")
 
-    sources = list(dict.fromkeys(p.source_text for p in pairs))
-    teacher_emb = dict(zip(sources, enc.encode_batch(teacher.params, teacher.config, sources)))
+    # each distinct source is encoded once; a pair's target is its row
+    source_rows: dict[str, int] = {}
+    target_of = np.array([source_rows.setdefault(p.source_text, len(source_rows))
+                          for p in pairs])
+    targets = enc.encode_batch(teacher.params, teacher.config, list(source_rows))
 
     params = enc.init_params(student_cfg)
     batches = _shuffled_batches(len(pairs), cfg, np.random.default_rng(cfg.seed))
-    targets = np.array([teacher_emb[p.source_text] for p in pairs])
 
     def objective(ye, yf, batch):
-        b, t = len(batch), targets[batch]
+        b, t = len(batch), targets[target_of[batch]]
         de, df = ye - t, yf - t
         return 0.5 * float((de * de).sum() + (df * df).sum()) / b, de / b, df / b
 

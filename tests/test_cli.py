@@ -4,6 +4,7 @@ import itertools
 import json
 import logging
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -899,6 +900,136 @@ def test_soup_scoring_error_names_the_model_and_the_benchmark(small_world, tmp_p
     assert capsys.readouterr().err.splitlines() == [
         f"error: {named}: scoring sts failed: {fault}"]
     assert sorted(os.listdir(tmp_path)) == ["a.ckpt", "b.ckpt"]
+
+
+# ---------------------------------------------------------------------------
+# checkpoint inputs
+
+
+def _checkpoint_command(command, small_world, tmp_path):
+    """The argv of ``command`` over checkpoints of its own, the checkpoints
+    it loads, and its output."""
+    models = _three_seed_models(tmp_path, phase="base")
+    argv = {"eval": ["eval", "sts", "--model", models[0],
+                     "--data", os.path.join(small_world, "sts_test.tsv")],
+            "embed": ["embed", "--model", models[0],
+                      "--in", write_text(tmp_path / "texts.txt", "fever\n")],
+            "train": ["train", "sts", "--base", models[0], "--epochs", "1",
+                      "--data", os.path.join(small_world, "sts_train.tsv")],
+            "soup": ["soup", "--models", *models,
+                     "--val", os.path.join(small_world, "sts_val.tsv")]}[command]
+    out = str(tmp_path / "out")
+    return argv + ["--out", out], models if command == "soup" else models[:1], out
+
+
+def _sha256_of(path):
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["eval", "embed", "train", "soup"])
+def test_each_checkpoint_is_hashed_as_it_loads(small_world, tmp_path, monkeypatch, command):
+    # each checkpoint used to be read once for its manifest digest and once
+    # more to load it, and eval serialized the model again for model_digest;
+    # soup reads a candidate again for each soup it goes into
+    argv, checkpoints, out = _checkpoint_command(command, small_world, tmp_path)
+    digests = {path: _sha256_of(path) for path in checkpoints}
+    hashed, opened, digested = [], [], []
+    sha256_file, real_open, model_digest = cli._sha256_file, open, ev.model_digest
+
+    def spy_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_sha256_file", lambda path: hashed.append(path) or sha256_file(path))
+    monkeypatch.setattr(ev, "model_digest", lambda ckpt: digested.append(ckpt) or model_digest(ckpt))
+    monkeypatch.setattr("builtins.open", spy_open)
+    assert run(argv) == 0
+    monkeypatch.undo()
+    assert [path for path in hashed if path in checkpoints] == []
+    assert digested == []
+    if command != "soup":
+        assert opened.count(checkpoints[0]) == 1
+    with open(out + ".manifest.json", encoding="utf-8") as fh:
+        inputs = json.load(fh)["inputs"]
+    assert {path: inputs[path] for path in checkpoints} == digests
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda header: json.dumps(header, sort_keys=True, separators=(",", ":")).encode(),
+    lambda header: json.dumps(dict(reversed(list(header.items())))).encode(),
+    lambda header: json.dumps({k: v for k, v in header.items() if k != "history"},
+                              sort_keys=True, separators=(",", ":")).encode(),
+    lambda header: json.dumps(header, sort_keys=True).encode(),
+], ids=["canonical", "keys-reordered", "history-missing", "spaced"])
+def test_eval_model_digest_of_any_valid_header(small_world, tmp_path, monkeypatch, rewrite):
+    # the digest of the file eval read is its model_digest only when the
+    # header line is the one save_checkpoint writes for the model it holds
+    data = pathlib.Path(_three_seed_models(tmp_path, phase="base")[0]).read_bytes()
+    nl = data.index(b"\n")
+    header = json.loads(data[len(enc.CHECKPOINT_MAGIC):nl])
+    model = tmp_path / "rewritten.ckpt"
+    model.write_bytes(enc.CHECKPOINT_MAGIC + rewrite(header) + data[nl:])
+    canonical = model.read_bytes() == data
+    digested = []
+    model_digest = ev.model_digest
+    monkeypatch.setattr(ev, "model_digest", lambda ckpt: digested.append(ckpt) or model_digest(ckpt))
+    out = tmp_path / "sts.jsonl"
+    assert run(["eval", "sts", "--model", str(model), "--out", str(out),
+                "--data", os.path.join(small_world, "sts_test.tsv")]) == 0
+    row = json.loads(out.read_text())
+    assert row["model_digest"] == model_digest(enc.load_checkpoint(model))
+    assert (row["model_digest"] == _sha256_of(model)) == canonical
+    assert len(digested) == (not canonical)
+    manifest = json.loads((tmp_path / "sts.jsonl.manifest.json").read_text())
+    assert manifest["inputs"][str(model)] == _sha256_of(model)
+
+
+# (argv, exit code, the one line on stderr); GOOD is a checkpoint, CUT one
+# with its last parameter cut off and OPEN one whose header line is not
+# terminated, NOPE and MISSING are missing files
+_UNREADABLE_INPUTS = {
+    "eval-data-and-model-missing": (["eval", "sts", "--model", "NOPE", "--data", "MISSING"], 1,
+                                    "i/o error: [Errno 2] No such file or directory: 'MISSING'"),
+    "eval-model-missing": (["eval", "sts", "--model", "NOPE", "--data", "STS"], 1,
+                           "i/o error: [Errno 2] No such file or directory: 'NOPE'"),
+    "eval-model-cut": (["eval", "sts", "--model", "CUT", "--data", "STS"], 2,
+                       "error: CUT: truncated parameter block: expected BLOCK bytes, got SHORT"),
+    "eval-model-cut-data-missing": (["eval", "sts", "--model", "CUT", "--data", "MISSING"], 1,
+                                    "i/o error: [Errno 2] No such file or directory: 'MISSING'"),
+    "embed-model-and-in-missing": (["embed", "--model", "NOPE", "--in", "MISSING"], 1,
+                                   "i/o error: [Errno 2] No such file or directory: 'NOPE'"),
+    "embed-header-open": (["embed", "--model", "OPEN", "--in", "STS"], 2,
+                          "error: OPEN: truncated checkpoint: header not terminated"),
+    "train-base-missing-data-missing": (["train", "sts", "--base", "NOPE", "--data", "MISSING"], 1,
+                                        "i/o error: [Errno 2] No such file or directory: 'NOPE'"),
+    "train-teacher-cut": (["train", "xlingual", "--teacher", "CUT", "--pairs", "PAIRS"], 2,
+                          "error: CUT: truncated parameter block: expected BLOCK bytes, got SHORT"),
+    "soup-candidate-missing": (["soup", "--models", "GOOD", "NOPE", "--val", "STS"], 1,
+                               "i/o error: [Errno 2] No such file or directory: 'NOPE'"),
+    "soup-candidate-cut": (["soup", "--models", "GOOD", "CUT", "--val", "STS"], 2,
+                           "error: CUT: truncated parameter block: expected BLOCK bytes, got SHORT"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE_INPUTS))
+def test_a_missing_or_truncated_input_is_named_in_one_line(small_world, tmp_path, capsys, case):
+    # hashing each checkpoint as it loads keeps which input is named first
+    argv, code, expected = _UNREADABLE_INPUTS[case]
+    good = _tiny_model(tmp_path / "good.ckpt")
+    data = pathlib.Path(good).read_bytes()
+    block = len(data) - data.index(b"\n") - 1
+    (tmp_path / "cut.ckpt").write_bytes(data[:-8])
+    (tmp_path / "open.ckpt").write_bytes(data[:data.index(b"\n")])
+    names = {"GOOD": good, "CUT": str(tmp_path / "cut.ckpt"), "OPEN": str(tmp_path / "open.ckpt"),
+             "NOPE": str(tmp_path / "nope.ckpt"), "MISSING": str(tmp_path / "missing.tsv"),
+             "STS": os.path.join(small_world, "sts_val.tsv"),
+             "PAIRS": os.path.join(small_world, "parallel.tsv"),
+             "BLOCK": str(block), "SHORT": str(block - 8)}
+    out = tmp_path / "out"
+    assert run([names.get(a, a) for a in argv] + ["--out", str(out)]) == code
+    expected = re.sub("|".join(names), lambda m: names[m.group()], expected)
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
