@@ -176,12 +176,22 @@ class Params:
     def copy(self) -> "Params":
         return Params(self.flat.copy(), self.shapes)
 
-    def take_rows(self, rows: np.ndarray) -> "Params":
+    def take_rows(self, rows: np.ndarray | None) -> "Params":
         """A copy of these params whose token table holds only the rows
-        ``rows``, in that order."""
-        table = self.token_table
-        shapes = [(len(rows), table.shape[1])] + self.shapes[1:]
-        return Params(np.concatenate([table[rows].ravel(), self.flat[table.size:]]), shapes)
+        ``rows``, in that order, gathered straight into the one new vector;
+        with ``rows`` None, a copy of them whole."""
+        if rows is None:
+            return self.copy()
+        table, n = self.token_table, len(rows)
+        # a take into ``out`` in numpy's default mode goes through a buffer;
+        # "wrap" writes in place and agrees with it on every index in range
+        if n and not (-len(table) <= rows.min() and rows.max() < len(table)):
+            raise IndexError(f"token rows out of range for a table of {len(table)} rows")
+        size = n * table.shape[1]
+        flat = np.empty(size + self.flat.size - table.size)
+        np.take(table, rows, axis=0, out=flat[:size].reshape(n, -1), mode="wrap")
+        flat[size:] = self.flat[table.size:]
+        return Params(flat, [(n, table.shape[1])] + self.shapes[1:])
 
     def without_head(self) -> "Params":
         """The encoder part of these params, sharing their memory."""
@@ -304,13 +314,14 @@ def init_params(config: EncoderConfig) -> Params:
 
 def attach_head(params: Params, config: EncoderConfig, target_dim: int, seed: int) -> Params:
     """Return a copy of ``params`` with a freshly seeded linear head
-    (output_dim x target_dim weights, zero bias) attached."""
+    (output_dim x target_dim weights, zero bias) attached. ``params`` may
+    hold any rows of the token table."""
     rng = np.random.default_rng(seed)
-    s = config.init_scale
-    return unflatten(config, np.concatenate([
-        params.without_head().flat,
-        rng.uniform(-s, s, size=config.output_dim * target_dim), np.zeros(target_dim),
-    ]))
+    s, encoder = config.init_scale, params.without_head()
+    return Params(np.concatenate([
+        encoder.flat, rng.uniform(-s, s, size=config.output_dim * target_dim),
+        np.zeros(target_dim),
+    ]), encoder.shapes + [(config.output_dim, target_dim), (target_dim,)])
 
 
 @dataclass
@@ -437,11 +448,10 @@ def backward_batch(
     # d(out . g)/dz: through z/||z|| when above the guard, else z/1e-8 is
     # linear in z so the gradient is g / guard.
     dot = np.sum(f.out * output_grads, axis=1)
-    grad_z = np.where(
-        (f.norms > NORM_GUARD)[:, None],
-        (output_grads - f.out * dot[:, None]) / f.norms[:, None],
-        output_grads / NORM_GUARD,
-    )
+    grad_z = (output_grads - f.out * dot[:, None]) / f.norms[:, None]
+    guarded = f.norms <= NORM_GUARD
+    if guarded.any():
+        grad_z[guarded] = output_grads[guarded] / NORM_GUARD
 
     grad = Params(np.zeros_like(params.flat), params.shapes) if out is None else out
     grad.w2 = f.h.T @ grad_z

@@ -6,6 +6,8 @@ and an objective that returns the loss and its gradient on a step's output
 rows; ``_fit`` tokenizes the texts once and, for every step, runs the
 forward pass, the optional linear head, the objective, the backward pass
 and AdamW at a warmup-linear rate over the token rows those texts reach.
+A regime gives its starting params as a source of rows, not as a table:
+``_fit`` makes the trained model's whole table only after the last step.
 The three pair regimes lay out their steps through ``_fit_pairs``. Every
 regime is a deterministic function of (inputs, seed): re-running produces
 bit-identical checkpoints. Gradient accumulation is strictly sequential in
@@ -323,19 +325,24 @@ def _replay_decay(table: np.ndarray, reached: np.ndarray, rates: list[float],
         block[keep] = theta
 
 
-def _fit(params, config, texts, plans, objective, cfg: TrainConfig, regime: str,
-         full_loss=False) -> TrainStats:
+def _fit(source, config, texts, plans, objective, cfg: TrainConfig, regime: str,
+         full_loss=False) -> tuple[enc.Params, TrainStats]:
     """The one training loop: walk ``plans`` (one list of steps per epoch) in
     order. A step is an index array into ``texts``: it encodes those texts,
-    takes ``y = out @ head_w + head_b`` when ``params`` carry a head (else
+    takes ``y = out @ head_w + head_b`` when the params carry a head (else
     ``y = out``) and ``loss, gy = objective(y, index)``, backpropagates
-    ``gy`` and takes one AdamW step at the warmup-linear rate.
+    ``gy`` and takes one AdamW step at the warmup-linear rate. Returns the
+    trained params and the run's stats.
 
+    ``source(rows)`` makes the params training starts from, as a new
+    ``Params``: with an index array ``rows``, holding only those token
+    rows; with None, whole. Every call must give the same values.
     ``texts`` are tokenized once; their ids name every token row the run
-    can reach. The steps train ``compact``, a copy of ``params`` holding
-    only those rows. At the end the trained rows and tensors are written
-    back into ``params``, and every other row gets the decay the steps gave
-    it (``_replay_decay``): bit for bit what full-table AdamW would leave.
+    can reach. The steps train ``compact``, ``source`` of those rows. Only
+    after the steps, with the moments and the gradient freed, is the whole
+    table made, by ``source(None)``: the trained rows and tensors are
+    written into it, and every other row gets the decay the steps gave it
+    (``_replay_decay``): bit for bit what full-table AdamW would leave.
 
     Epoch losses are the mean step loss of each epoch, or, with
     ``full_loss``, the objective over every text before training and after
@@ -349,7 +356,8 @@ def _fit(params, config, texts, plans, objective, cfg: TrainConfig, regime: str,
     reached, remapped = np.unique(tokens.ids, return_inverse=True)
     ids = enc.Tokens(remapped, tokens.offsets)
     del tokens  # its bucket ids would otherwise live as long as the run
-    compact, head = params.take_rows(reached), params.has_head
+    compact = source(reached)
+    head, step_texts = compact.has_head, np.array(texts, dtype=object)
     total_steps = sum(len(plan) for plan in plans)
     state = init_adamw(compact)
     # one gradient for the whole run, rewritten by each step's backward
@@ -375,7 +383,7 @@ def _fit(params, config, texts, plans, objective, cfg: TrainConfig, regime: str,
                                    cfg.warmup_fraction)
                 f, y = outputs(index)
                 loss, gy = objective(y, index)
-                grad = enc.backward_batch(compact, config, [texts[i] for i in index],
+                grad = enc.backward_batch(compact, config, step_texts[index],
                                           gy @ compact.head_w.T if head else gy, f, grad)
                 if head:
                     grad.head_w, grad.head_b = f.out.T @ gy, gy.sum(axis=0)
@@ -389,11 +397,14 @@ def _fit(params, config, texts, plans, objective, cfg: TrainConfig, regime: str,
         if isinstance(exc, NonFiniteGradient) and exc.row is not None:
             reason = NonFiniteGradient(exc.tensor, int(reached[exc.row]))
         raise TrainError(f"{regime} training failed {where}: {reason}") from exc
+    stats = TrainStats(state.step, epoch_losses)
+    del state, grad
+    params = source(None)
     table = params.token_table
     _replay_decay(table, reached, rates, cfg.weight_decay)
     table[reached] = compact.token_table
     params.flat[table.size:] = compact.flat[compact.token_table.size:]
-    return TrainStats(state.step, epoch_losses)
+    return params, stats
 
 
 def _shuffled_batches(n: int, cfg: TrainConfig, rng) -> list[list[np.ndarray]]:
@@ -405,8 +416,8 @@ def _shuffled_batches(n: int, cfg: TrainConfig, rng) -> list[list[np.ndarray]]:
             for order in orders]
 
 
-def _fit_pairs(params, config, lefts, rights, batches, pair_objective, cfg: TrainConfig,
-               regime: str) -> TrainStats:
+def _fit_pairs(source, config, lefts, rights, batches, pair_objective, cfg: TrainConfig,
+               regime: str) -> tuple[enc.Params, TrainStats]:
     """``_fit`` over pairs: the texts are every left text, then every right
     one, and a batch of pair indices (one list of batches per epoch) is the
     step ``concat(batch, batch + n)``, its lefts then their rights.
@@ -420,7 +431,7 @@ def _fit_pairs(params, config, lefts, rights, batches, pair_objective, cfg: Trai
         loss, g_left, g_right = pair_objective(y[:b], y[b:], index[:b])
         return loss, np.vstack([g_left, g_right])
 
-    return _fit(params, config, lefts + rights, plans, objective, cfg, regime)
+    return _fit(source, config, lefts + rights, plans, objective, cfg, regime)
 
 
 def train_contrastive(
@@ -443,10 +454,10 @@ def train_contrastive(
     rng = np.random.default_rng(cfg.seed)
     batches = [_dedup_batches(corpus, rng.permutation(len(corpus)), cfg.batch_size)
                for _ in range(cfg.epochs)]
-    params = base.params.copy()
-    stats = _fit_pairs(params, base.config, [p.anchor.text for p in corpus],
-                       [p.positive.text for p in corpus], batches,
-                       lambda a, p, batch: losses.info_nce(a, p), cfg, "contrastive")
+    params, stats = _fit_pairs(
+        base.params.take_rows, base.config, [p.anchor.text for p in corpus],
+        [p.positive.text for p in corpus], batches,
+        lambda a, p, batch: losses.info_nce(a, p), cfg, "contrastive")
     return enc.derive(base, params, "contrastive"), stats
 
 
@@ -461,10 +472,9 @@ def adapt_sts(model, sts_train, cfg: TrainConfig) -> tuple[enc.Checkpoint, Train
 
     batches = _shuffled_batches(len(rows), cfg, np.random.default_rng(cfg.seed))
     gold = np.array([g for _, _, g in rows]) / 5.0
-    params = model.params.copy()
-    stats = _fit_pairs(params, model.config, [a for a, _, _ in rows], [b for _, b, _ in rows],
-                       batches, lambda u, v, batch: losses.cosine_regression(u, v, gold[batch]),
-                       cfg, "sts")
+    params, stats = _fit_pairs(
+        model.params.take_rows, model.config, [a for a, _, _ in rows], [b for _, b, _ in rows],
+        batches, lambda u, v, batch: losses.cosine_regression(u, v, gold[batch]), cfg, "sts")
     return enc.derive(model, params, "sts_adapted"), stats
 
 
@@ -491,16 +501,20 @@ def train_self_distill(
     _require_no_head(base.params, "train_self_distill")
 
     rng = np.random.default_rng(cfg.seed)
-    params = enc.attach_head(base.params, base.config, targets.shape[1],
-                             int(rng.integers(0, 2**63)))
+    head_seed = int(rng.integers(0, 2**63))
+
+    def with_head(rows):
+        rows_of = base.params if rows is None else base.params.take_rows(rows)
+        return enc.attach_head(rows_of, base.config, targets.shape[1], head_seed)
+
     examples = [(desc.text, row) for row, cid in enumerate(kg.concept_ids)
                 for desc in onto.all_descriptions(kg, cid)]
     texts = [text for text, _ in examples]
     target_matrix = targets[[row for _, row in examples]]
     plans = _shuffled_batches(len(texts), cfg, rng)
-    stats = _fit(params, base.config, texts, plans,
-                 lambda y, index: losses.mse(y, target_matrix[index]), cfg, "self-distill",
-                 full_loss=True)
+    params, stats = _fit(with_head, base.config, texts, plans,
+                         lambda y, index: losses.mse(y, target_matrix[index]), cfg,
+                         "self-distill", full_loss=True)
     return enc.derive(base, params, "self_distilled"), stats
 
 
@@ -528,16 +542,22 @@ def train_xlingual(
                           for p in pairs])
     targets = enc.encode_batch(teacher.params, teacher.config, list(source_rows))
 
-    params = enc.init_params(student_cfg)
     batches = _shuffled_batches(len(pairs), cfg, np.random.default_rng(cfg.seed))
+
+    def student(rows):
+        # one draw for the reached rows and one for the table the steps end
+        # in: the table is not held while the steps run
+        params = enc.init_params(student_cfg)
+        return params if rows is None else params.take_rows(rows)
 
     def objective(ye, yf, batch):
         b, t = len(batch), targets[target_of[batch]]
         de, df = ye - t, yf - t
         return 0.5 * float((de * de).sum() + (df * df).sum()) / b, de / b, df / b
 
-    stats = _fit_pairs(params, student_cfg, [p.source_text for p in pairs],
-                       [p.target_text for p in pairs], batches, objective, cfg, "xlingual")
+    params, stats = _fit_pairs(student, student_cfg, [p.source_text for p in pairs],
+                               [p.target_text for p in pairs], batches, objective, cfg,
+                               "xlingual")
     return enc.Checkpoint(config=student_cfg, phase="xlingual_student", params=params), stats
 
 

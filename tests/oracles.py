@@ -205,14 +205,16 @@ def backward_reference(params, config, texts, output_grads):
             "w2": h.T @ grad_z, "b2": grad_z.sum(axis=0)}
 
 
-def dense_fit(params, config, texts, plans, objective, cfg, regime, full_loss=False):
+def dense_fit(source, config, texts, plans, objective, cfg, regime, full_loss=False):
     """``trainer._fit`` as the full-table loop it replaced: every step
-    encodes through ``params`` and the bucket ids of ``texts`` directly and
-    runs ``trainer.adamw_step`` over the whole parameter vector. It takes
-    ``_fit``'s arguments, so a test may put it in ``_fit``'s place;
-    ``regime`` is unused, since a failed step is not rewrapped."""
+    encodes through the whole params ``source(None)`` and the bucket ids of
+    ``texts`` directly and runs ``trainer.adamw_step`` over the whole
+    parameter vector. It takes ``_fit``'s arguments and returns what it
+    returns, so a test may put it in ``_fit``'s place; ``regime`` is unused,
+    since a failed step is not rewrapped."""
     from ontoembed import trainer
 
+    params = source(None)
     tokens = enc.tokenize_batch(config, texts)
     every = np.arange(len(texts))
 
@@ -239,7 +241,7 @@ def dense_fit(params, config, texts, plans, objective, cfg, regime, full_loss=Fa
             step_losses.append(loss)
         epoch_losses.append(objective(outputs(every)[1], every)[0] if full_loss
                             else float(np.mean(step_losses)))
-    return trainer.TrainStats(state.step, epoch_losses)
+    return params, trainer.TrainStats(state.step, epoch_losses)
 
 
 def average_ranks_reference(xs):

@@ -1603,13 +1603,16 @@ def _eight_wide_teacher(path):
     ("vocab-buckets", 2, "error: cannot allocate the 64000000024832 parameters of "
                          "vocab_buckets 1000000000000, embed_dim 64, hidden_dim 128, "
                          "output_dim 128"),
+    ("student-buckets", 2, "error: cannot allocate the 4000000000086 parameters of "
+                           "vocab_buckets 1000000000000, embed_dim 4, hidden_dim 6, output_dim 8"),
     ("pca-dim", 64, "usage error: --pca-dim must be at most 8 with teacher output_dim 8 "
                     "and 50 concepts"),
-], ids=["learning-rate", "vocab-buckets", "pca-dim"])
+], ids=["learning-rate", "vocab-buckets", "student-buckets", "pca-dim"])
 def test_numeric_fault_exits_with_its_code_and_one_line(small_world, tmp_path, probe, code,
                                                         message):
     # each printed a numpy warning or a traceback, or failed late naming no
-    # option; the 466 TiB table request fails at once, without touching memory
+    # option; the 466 TiB table request fails at once, without touching memory,
+    # and so does a cross-lingual student's, drawn once its texts are tokenized
     out = str(tmp_path / "out.ckpt")
     sts = ["train", "sts", "--data", os.path.join(small_world, "sts_train.tsv"), "--out", out,
            "--config"]
@@ -1617,6 +1620,10 @@ def test_numeric_fault_exits_with_its_code_and_one_line(small_world, tmp_path, p
         argv = sts + [_mini_train_cfg(tmp_path, learning_rate=1e308)]
     elif probe == "vocab-buckets":
         argv = sts + [write_text(tmp_path / "big.cfg", "vocab_buckets = 1000000000000\n")]
+    elif probe == "student-buckets":
+        argv = ["train", "xlingual", "--teacher", _eight_wide_teacher(tmp_path / "teacher.ckpt"),
+                "--pairs", os.path.join(small_world, "parallel.tsv"), "--out", out, "--config",
+                write_text(tmp_path / "big.cfg", "vocab_buckets = 1000000000000\n")]
     else:
         teacher = _eight_wide_teacher(tmp_path / "teacher.ckpt")
         argv = ["train", "self-distill", "--base", teacher, "--teacher", teacher,

@@ -315,8 +315,9 @@ def test_uniform_soup_of_identical_models_is_that_model(model, k):
     assert params_equal(out.params, params.without_head())
 
 
-def _fit_with_last_state(fit, params, config, texts, plans, objective, cfg, full_loss):
-    """``fit``'s stats and the AdamW state after its last step."""
+def _fit_with_last_state(fit, source, config, texts, plans, objective, cfg, full_loss):
+    """``fit``'s trained params and stats, and the AdamW state after its
+    last step."""
     states = []
     real = trainer.adamw_step
 
@@ -325,8 +326,8 @@ def _fit_with_last_state(fit, params, config, texts, plans, objective, cfg, full
         return real(params, grads, state, lr, weight_decay)
 
     with mock.patch.object(trainer, "adamw_step", spy):
-        stats = fit(params, config, texts, plans, objective, cfg, "property", full_loss)
-    return stats, states[-1]
+        params, stats = fit(source, config, texts, plans, objective, cfg, "property", full_loss)
+    return params, stats, states[-1]
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.05], ids=["no-decay", "decay"])
@@ -370,11 +371,11 @@ def test_compact_fit_equals_full_table_fit_bit_for_bit(weight_decay, head_dims, 
         gy[grng.random(gy.shape) < 0.2] = -0.0
         return float(np.sum(y * gy)), gy
 
-    got, want = params.copy(), params.copy()
-    stats, state = _fit_with_last_state(trainer._fit, got, config, texts, plans, objective,
-                                        cfg, with_full_loss)
-    want_stats, want_state = _fit_with_last_state(dense_fit, want, config, texts, plans,
-                                                  objective, cfg, with_full_loss)
+    got, stats, state = _fit_with_last_state(trainer._fit, params.take_rows, config, texts,
+                                             plans, objective, cfg, with_full_loss)
+    want, want_stats, want_state = _fit_with_last_state(dense_fit, params.take_rows, config,
+                                                        texts, plans, objective, cfg,
+                                                        with_full_loss)
     assert got.flat.tobytes() == want.flat.tobytes()
     assert np.array(stats.epoch_losses).tobytes() == np.array(want_stats.epoch_losses).tobytes()
     # the compact moments are the full moments' reached rows and dense tensors;

@@ -742,6 +742,38 @@ def test_xlingual_reduces_translation_gap(tmp_path):
     assert student.phase == "xlingual_student"
 
 
+def test_xlingual_holds_no_student_table_while_training(monkeypatch):
+    # the student's table, 20 times its compact params, is drawn for the
+    # reached rows and dropped, and drawn again only once the moments are
+    # freed: the traced peak stays below the table plus the moments m and v,
+    # which holding the table through the steps would pass
+    teacher_cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=4, hidden_dim=6, output_dim=8)
+    teacher = enc.Checkpoint(config=teacher_cfg, phase="contrastive",
+                             params=enc.init_params(teacher_cfg))
+    pairs = [onto.ParallelPair(f"word{i} term{i}", f"mot{i} terme{i}", "fr") for i in range(600)]
+    student_cfg = enc.EncoderConfig(vocab_buckets=49152, embed_dim=128, hidden_dim=8,
+                                    output_dim=8, init_seed=5)
+    cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=2, batch_size=128, seed=0)
+    real_init, moments = trainer.init_adamw, []
+
+    def spy_init(params):
+        state = real_init(params)
+        moments.append((params.flat.nbytes, state.m.nbytes + state.v.nbytes))
+        return state
+
+    monkeypatch.setattr(trainer, "init_adamw", spy_init)
+    table = 8 * student_cfg.vocab_buckets * student_cfg.embed_dim
+    tracemalloc.start()
+    try:
+        trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [(compact, mv)] = moments
+    assert table >= 20 * compact
+    assert peak < table + mv
+
+
 def test_xlingual_teacher_frozen(tmp_path):
     teacher, pairs = _teacher_and_pairs(tmp_path)
     snapshot = checkpoint_to_bytes(teacher)
@@ -1003,9 +1035,9 @@ def test_each_regime_trains_on_its_layout(regime, small_setup, small_world, tmp_
 
     real_fit, seen = trainer._fit, []
 
-    def recorder(params, config, texts, plans, *args, **kwargs):
+    def recorder(source, config, texts, plans, *args, **kwargs):
         seen.append((list(texts), plans))
-        return real_fit(params, config, texts, plans, *args, **kwargs)
+        return real_fit(source, config, texts, plans, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "_fit", recorder)
     run()
