@@ -287,12 +287,15 @@ def cmd_train(args) -> int:
             raise UsageError(f"--pca-dim must be at most {limit} with teacher output_dim "
                              f"{teacher.config.output_dim} and {len(kg)} concepts")
         _, targets = trainer.build_targets(teacher, kg, k=args.pca_dim)
+        del teacher  # each distillation trains on its targets alone
         ckpt, stats = trainer.train_self_distill(base, targets, kg, cfg)
     else:  # xlingual
         teacher = _load_input(args.teacher, inputs)[0]
         pairs = onto.load_parallel_pairs(args.pairs)
         student_cfg = enc.config_from_mapping(mapping, teacher.config, args.config)
-        ckpt, stats = trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
+        targets = trainer.pivot_targets(teacher, pairs)
+        del teacher
+        ckpt, stats = trainer.train_xlingual(targets, student_cfg, pairs, cfg)
 
     inputs.update(_inputs(args))
     enc.save_checkpoint(args.out, ckpt)

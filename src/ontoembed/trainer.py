@@ -339,9 +339,10 @@ def _fit(source, config, texts, plans, objective, cfg: TrainConfig, regime: str,
     rows; with None, whole. Every call must give the same values.
     ``texts`` are tokenized once; their ids name every token row the run
     can reach. The steps train ``compact``, ``source`` of those rows. Only
-    after the steps, with the moments and the gradient freed, is the whole
-    table made, by ``source(None)``: the trained rows and tensors are
-    written into it, and every other row gets the decay the steps gave it
+    after the steps, with the moments, the gradient and each step's arrays
+    freed, is the whole table made, by ``source(None)``: the trained rows
+    and tensors are written into it, ``compact`` is dropped, and only then
+    does every other row get the decay the steps gave it
     (``_replay_decay``): bit for bit what full-table AdamW would leave.
 
     Epoch losses are the mean step loss of each epoch, or, with
@@ -359,10 +360,13 @@ def _fit(source, config, texts, plans, objective, cfg: TrainConfig, regime: str,
     compact = source(reached)
     head, step_texts = compact.has_head, np.array(texts, dtype=object)
     total_steps = sum(len(plan) for plan in plans)
+    # the replay's rates are made before the moments and no step's arrays
+    # outlive it, so the whole table can take the memory the steps free
+    rates = [warmup_linear(step, total_steps, cfg.learning_rate, cfg.warmup_fraction)
+             for step in range(total_steps)]
     state = init_adamw(compact)
     # one gradient for the whole run, rewritten by each step's backward
     grad = enc.Params(np.zeros_like(compact.flat), compact.shapes)
-    rates = []
 
     def outputs(index):
         f = enc.forward_tokens(compact, ids.take(index))
@@ -372,6 +376,16 @@ def _fit(source, config, texts, plans, objective, cfg: TrainConfig, regime: str,
         every = np.arange(len(texts))
         return objective(outputs(every)[1], every)[0]
 
+    def step(index):
+        f, y = outputs(index)
+        loss, gy = objective(y, index)
+        enc.backward_batch(compact, config, step_texts[index],
+                           gy @ compact.head_w.T if head else gy, f, grad)
+        if head:
+            grad.head_w, grad.head_b = f.out.T @ gy, gy.sum(axis=0)
+        adamw_step(compact, grad, state, rates[state.step], cfg.weight_decay)
+        return loss
+
     where = "before epoch 1"
     try:
         epoch_losses = [full_set_loss()] if full_loss else []
@@ -379,17 +393,7 @@ def _fit(source, config, texts, plans, objective, cfg: TrainConfig, regime: str,
             step_losses = []
             for index in plan:
                 where = f"at epoch {epoch}, step {state.step + 1}"
-                lr = warmup_linear(state.step, total_steps, cfg.learning_rate,
-                                   cfg.warmup_fraction)
-                f, y = outputs(index)
-                loss, gy = objective(y, index)
-                grad = enc.backward_batch(compact, config, step_texts[index],
-                                          gy @ compact.head_w.T if head else gy, f, grad)
-                if head:
-                    grad.head_w, grad.head_b = f.out.T @ gy, gy.sum(axis=0)
-                adamw_step(compact, grad, state, lr, cfg.weight_decay)
-                rates.append(lr)
-                step_losses.append(loss)
+                step_losses.append(step(index))
             where = f"after epoch {epoch}"
             epoch_losses.append(full_set_loss() if full_loss else float(np.mean(step_losses)))
     except (ValueError, FloatingPointError) as exc:
@@ -401,9 +405,10 @@ def _fit(source, config, texts, plans, objective, cfg: TrainConfig, regime: str,
     del state, grad
     params = source(None)
     table = params.token_table
-    _replay_decay(table, reached, rates, cfg.weight_decay)
     table[reached] = compact.token_table
     params.flat[table.size:] = compact.flat[compact.token_table.size:]
+    del compact  # the replay writes only the rows outside ``reached``
+    _replay_decay(table, reached, rates, cfg.weight_decay)
     return params, stats
 
 
@@ -518,29 +523,42 @@ def train_self_distill(
     return enc.derive(base, params, "self_distilled"), stats
 
 
+def _pivot_rows(pairs: list[onto.ParallelPair]) -> tuple[list[str], np.ndarray]:
+    """The distinct source texts of ``pairs`` in order of first appearance,
+    and each pair's index into them."""
+    rows: dict[str, int] = {}
+    row_of = np.array([rows.setdefault(p.source_text, len(rows)) for p in pairs])
+    return list(rows), row_of
+
+
+def pivot_targets(teacher: enc.Checkpoint, pairs: list[onto.ParallelPair]) -> np.ndarray:
+    """Cross-lingual targets: the teacher's embedding of each distinct source
+    text of ``pairs``, one row each in order of first appearance."""
+    return enc.encode_batch(teacher.params, teacher.config, _pivot_rows(pairs)[0])
+
+
 def train_xlingual(
-    teacher: enc.Checkpoint,
+    targets: np.ndarray,
     student_cfg: enc.EncoderConfig,
     pairs: list[onto.ParallelPair],
     cfg: TrainConfig,
 ) -> tuple[enc.Checkpoint, TrainStats]:
-    """Cross-lingual distillation into a fresh student.
+    """Cross-lingual distillation into a fresh student, onto ``targets``, the
+    ``pivot_targets`` of a teacher over ``pairs``.
 
     Per pair (e, f): loss = 0.5 * (||S(e) - T(e)||^2 + ||S(f) - T(e)||^2),
-    averaged over the batch, with the teacher frozen throughout. Both terms
-    are kept so the student reproduces the teacher on the pivot language as
-    well as on translations.
+    averaged over the batch, where T(e) is the row of e in ``targets``. Both
+    terms are kept so the student reproduces the teacher on the pivot
+    language as well as on translations.
     """
     if not pairs:
         raise TrainError("empty parallel corpus")
-    if student_cfg.output_dim != teacher.config.output_dim:
+    sources, target_of = _pivot_rows(pairs)
+    if np.ndim(targets) != 2 or len(targets) != len(sources):
+        raise TrainError(f"targets need one row per distinct source ({len(sources)}), "
+                         f"got {np.shape(targets)}")
+    if student_cfg.output_dim != targets.shape[1]:
         raise TrainError("student output_dim must match the teacher's")
-
-    # each distinct source is encoded once; a pair's target is its row
-    source_rows: dict[str, int] = {}
-    target_of = np.array([source_rows.setdefault(p.source_text, len(source_rows))
-                          for p in pairs])
-    targets = enc.encode_batch(teacher.params, teacher.config, list(source_rows))
 
     batches = _shuffled_batches(len(pairs), cfg, np.random.default_rng(cfg.seed))
 
@@ -568,6 +586,6 @@ def translation_gap(
     teacher embeddings of the pivot texts."""
     if not pairs:
         raise ValueError("no pairs")
-    t = enc.encode_batch(teacher.params, teacher.config, [p.source_text for p in pairs])
+    t = pivot_targets(teacher, pairs)[_pivot_rows(pairs)[1]]
     s = enc.encode_batch(student.params, student.config, [p.target_text for p in pairs])
     return float(((s - t) ** 2).sum()) / len(pairs)

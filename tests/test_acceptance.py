@@ -282,7 +282,7 @@ def test_criterion_7_cross_lingual(demo_run, bundled):
                                     output_dim=96, hash_seed=29, init_seed=101)
     pairs = bundled["parallel"]
     student, _ = trainer.train_xlingual(
-        teacher, student_cfg, pairs,
+        trainer.pivot_targets(teacher, pairs), student_cfg, pairs,
         trainer.TrainConfig(learning_rate=4e-3, epochs=10, batch_size=128, seed=1))
 
     fresh = enc.Checkpoint(config=student_cfg, phase="xlingual_student",

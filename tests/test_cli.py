@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -630,6 +631,60 @@ def test_train_xlingual_cli(small_world, tmp_path):
                 "--config", cfg, "--out", str(out)])
     assert code == 0
     assert enc.load_checkpoint(out).phase == "xlingual_student"
+
+
+@pytest.mark.parametrize("phase", ["self-distill", "xlingual"])
+def test_distillation_trains_with_its_teacher_dropped(phase, small_world, tmp_path,
+                                                      monkeypatch):
+    # the teacher is read only for the targets: by the first step its
+    # params are gone
+    w = small_world
+    config = enc.EncoderConfig(vocab_buckets=64, embed_dim=4, hidden_dim=4, output_dim=4)
+    base, teacher = str(tmp_path / "base.ckpt"), str(tmp_path / "teacher.ckpt")
+    for path in (base, teacher):
+        enc.save_checkpoint(path, enc.Checkpoint(config=config, phase="sts_adapted",
+                                                 params=enc.init_params(config)))
+    cfg = write_text(tmp_path / "train.cfg", "epochs = 1\nbatch_size = 16\n")
+    inputs = {"self-distill": ["--base", base, "--ontology", f"{w}/ontology.jsonl",
+                               "--templates", f"{w}/templates.tsv", "--pca-dim", "2"],
+              "xlingual": ["--pairs", f"{w}/parallel.tsv"]}[phase]
+    real_load, real_fit, flats, alive = cli._load_input, trainer._fit, [], []
+
+    def spy_load(path, inputs):
+        ckpt, head = real_load(path, inputs)
+        if path == teacher:
+            flats.append(weakref.ref(ckpt.params.flat))
+        return ckpt, head
+
+    def spy_fit(*args, **kwargs):
+        alive.append(flats[0]() is not None)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_load_input", spy_load)
+    monkeypatch.setattr(trainer, "_fit", spy_fit)
+    assert run(["train", phase, "--teacher", teacher, *inputs, "--config", cfg,
+                "--out", str(tmp_path / "out.ckpt")]) == 0
+    assert len(flats) == 1 and alive == [False]
+
+
+@pytest.mark.parametrize("config, pairs, message", [
+    ("output_dim = 8\n", None, "student output_dim must match the teacher's"),
+    ("", "", "empty parallel corpus"),
+], ids=["output-dim", "empty-pairs"])
+def test_xlingual_refusal_exits_2_and_writes_nothing(small_world, tmp_path, capsys,
+                                                     config, pairs, message):
+    teacher_cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=4, hidden_dim=4, output_dim=4)
+    teacher = str(tmp_path / "teacher.ckpt")
+    enc.save_checkpoint(teacher, enc.Checkpoint(config=teacher_cfg, phase="contrastive",
+                                                params=enc.init_params(teacher_cfg)))
+    cfg = write_text(tmp_path / "student.cfg", config + "epochs = 1\n")
+    pairs = (f"{small_world}/parallel.tsv" if pairs is None
+             else write_text(tmp_path / "pairs.tsv", pairs))
+    before = sorted(os.listdir(tmp_path))
+    assert run(["train", "xlingual", "--teacher", teacher, "--pairs", pairs, "--config", cfg,
+                "--out", str(tmp_path / "student.ckpt")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 # A valid value of each training key, unlike the value the default run of

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -717,7 +718,8 @@ def test_xlingual_identity_corpus_loss_terms_coincide(tmp_path):
     student_cfg = enc.EncoderConfig(vocab_buckets=512, embed_dim=16, hidden_dim=24,
                                     output_dim=20, init_seed=77)
     cfg = trainer.TrainConfig(learning_rate=1e-4, epochs=1, batch_size=6, seed=0)
-    _, stats = trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
+    targets = trainer.pivot_targets(teacher, pairs)
+    _, stats = trainer.train_xlingual(targets, student_cfg, pairs, cfg)
     fresh = enc.Checkpoint(config=student_cfg, phase="xlingual_student",
                            params=enc.init_params(student_cfg))
     # with f = e the two loss terms coincide; the first (full) batch loss is
@@ -733,7 +735,8 @@ def test_xlingual_reduces_translation_gap(tmp_path):
     student_cfg = enc.EncoderConfig(vocab_buckets=512, embed_dim=16, hidden_dim=24,
                                     output_dim=20, init_seed=77)
     cfg = trainer.TrainConfig(learning_rate=1e-2, epochs=120, batch_size=4, seed=0)
-    student, _ = trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
+    targets = trainer.pivot_targets(teacher, pairs)
+    student, _ = trainer.train_xlingual(targets, student_cfg, pairs, cfg)
     fresh = enc.Checkpoint(config=student_cfg, phase="xlingual_student",
                            params=enc.init_params(student_cfg))
     before = trainer.translation_gap(fresh, teacher, pairs)
@@ -765,7 +768,7 @@ def test_xlingual_holds_no_student_table_while_training(monkeypatch):
     table = 8 * student_cfg.vocab_buckets * student_cfg.embed_dim
     tracemalloc.start()
     try:
-        trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
+        trainer.train_xlingual(trainer.pivot_targets(teacher, pairs), student_cfg, pairs, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -774,12 +777,61 @@ def test_xlingual_holds_no_student_table_while_training(monkeypatch):
     assert peak < table + mv
 
 
+def test_fit_drops_the_compact_params_before_the_decay_replay(tmp_path, monkeypatch):
+    # the replay writes only rows outside the compact table, so the trained
+    # rows are written first and the compact params are not held under it
+    teacher, pairs = _teacher_and_pairs(tmp_path)
+    student_cfg = enc.EncoderConfig(vocab_buckets=1024, embed_dim=16, hidden_dim=24,
+                                    output_dim=20, init_seed=77)
+    cfg = trainer.TrainConfig(learning_rate=1e-3, weight_decay=0.05, epochs=1,
+                              batch_size=6, seed=0)
+    real_init, real_replay, compact, alive = trainer.init_adamw, trainer._replay_decay, [], []
+
+    def spy_init(params):
+        compact.append(weakref.ref(params.flat))
+        return real_init(params)
+
+    def spy_replay(*args):
+        alive.append(compact[0]() is not None)
+        return real_replay(*args)
+
+    monkeypatch.setattr(trainer, "init_adamw", spy_init)
+    monkeypatch.setattr(trainer, "_replay_decay", spy_replay)
+    trainer.train_xlingual(trainer.pivot_targets(teacher, pairs), student_cfg, pairs, cfg)
+    assert alive == [False]
+
+
+def test_pivot_targets_encode_each_distinct_source_once(tmp_path):
+    # repeated sources share one row, in order of first appearance, and the
+    # gap indexed from those rows is the gap over one teacher row per pair
+    teacher, pairs = _teacher_and_pairs(tmp_path)
+    pairs = [pairs[i] for i in (3, 0, 3, 5, 0, 1, 1, 3, 7)]
+    sources = ["word3 term3", "word0 term0", "word5 term5", "word1 term1", "word7 term7"]
+    targets = trainer.pivot_targets(teacher, pairs)
+    assert targets.tobytes() == enc.encode_batch(teacher.params, teacher.config,
+                                                 sources).tobytes()
+    student = enc.Checkpoint(config=teacher.config, phase="xlingual_student",
+                             params=enc.init_params(dataclasses.replace(teacher.config,
+                                                                        init_seed=9)))
+    t = enc.encode_batch(teacher.params, teacher.config, [p.source_text for p in pairs])
+    s = enc.encode_batch(student.params, student.config, [p.target_text for p in pairs])
+    assert trainer.translation_gap(student, teacher, pairs) == float(((s - t) ** 2).sum()) / 9
+
+
+def test_xlingual_rejects_targets_of_other_pairs(tmp_path):
+    teacher, pairs = _teacher_and_pairs(tmp_path)
+    cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=1)
+    with pytest.raises(trainer.TrainError, match="one row per distinct source"):
+        trainer.train_xlingual(trainer.pivot_targets(teacher, pairs[:3]), teacher.config,
+                               pairs, cfg)
+
+
 def test_xlingual_teacher_frozen(tmp_path):
     teacher, pairs = _teacher_and_pairs(tmp_path)
     snapshot = checkpoint_to_bytes(teacher)
     student_cfg = enc.EncoderConfig(vocab_buckets=512, embed_dim=16, hidden_dim=24,
                                     output_dim=20, init_seed=77)
-    trainer.train_xlingual(teacher, student_cfg, pairs,
+    trainer.train_xlingual(trainer.pivot_targets(teacher, pairs), student_cfg, pairs,
                            trainer.TrainConfig(learning_rate=5e-3, epochs=2,
                                                batch_size=6, seed=0))
     assert checkpoint_to_bytes(teacher) == snapshot
@@ -789,11 +841,11 @@ def test_xlingual_rejects_empty_pairs_and_dim_mismatch(tmp_path):
     teacher, pairs = _teacher_and_pairs(tmp_path)
     cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=1)
     with pytest.raises(trainer.TrainError):
-        trainer.train_xlingual(teacher, teacher.config, [], cfg)
+        trainer.train_xlingual(trainer.pivot_targets(teacher, []), teacher.config, [], cfg)
     bad_cfg = enc.EncoderConfig(vocab_buckets=512, embed_dim=16, hidden_dim=24,
                                 output_dim=24, init_seed=1)
     with pytest.raises(trainer.TrainError):
-        trainer.train_xlingual(teacher, bad_cfg, pairs, cfg)
+        trainer.train_xlingual(trainer.pivot_targets(teacher, pairs), bad_cfg, pairs, cfg)
 
 
 def test_xlingual_deterministic_per_seed(tmp_path):
@@ -801,8 +853,8 @@ def test_xlingual_deterministic_per_seed(tmp_path):
     student_cfg = enc.EncoderConfig(vocab_buckets=512, embed_dim=16, hidden_dim=24,
                                     output_dim=20, init_seed=77)
     cfg = trainer.TrainConfig(learning_rate=2e-3, epochs=2, batch_size=6, seed=4)
-    a, _ = trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
-    b, _ = trainer.train_xlingual(teacher, student_cfg, pairs, cfg)
+    a, _ = trainer.train_xlingual(trainer.pivot_targets(teacher, pairs), student_cfg, pairs, cfg)
+    b, _ = trainer.train_xlingual(trainer.pivot_targets(teacher, pairs), student_cfg, pairs, cfg)
     assert checkpoint_to_bytes(a) == checkpoint_to_bytes(b)
 
 
@@ -887,7 +939,8 @@ def test_each_step_runs_the_forward_once(regime, small_setup, small_world, tmp_p
         teacher, pairs = _teacher_and_pairs(tmp_path)
         student_cfg = enc.EncoderConfig(vocab_buckets=512, embed_dim=16, hidden_dim=24,
                                         output_dim=20, init_seed=77)
-        run = lambda: trainer.train_xlingual(teacher, student_cfg, pairs, cfg)  # noqa: E731
+        run = lambda: trainer.train_xlingual(  # noqa: E731
+            trainer.pivot_targets(teacher, pairs), student_cfg, pairs, cfg)
 
     # every forward, of a step or of texts, runs through forward_tokens
     calls = []
@@ -979,7 +1032,8 @@ def test_regime_equals_full_table_training_byte_for_byte(regime, small_setup, sm
         teacher, pairs = _teacher_and_pairs(tmp_path)
         student_cfg = enc.EncoderConfig(vocab_buckets=1024, embed_dim=16, hidden_dim=24,
                                         output_dim=20, init_seed=77)
-        run = lambda: trainer.train_xlingual(teacher, student_cfg, pairs, cfg)  # noqa: E731
+        run = lambda: trainer.train_xlingual(  # noqa: E731
+            trainer.pivot_targets(teacher, pairs), student_cfg, pairs, cfg)
 
     got, got_stats = run()
     monkeypatch.setattr(trainer, "_fit", dense_fit)
@@ -1031,7 +1085,8 @@ def test_each_regime_trains_on_its_layout(regime, small_setup, small_world, tmp_
                                         output_dim=20, init_seed=77)
         texts = [p.source_text for p in pairs] + [p.target_text for p in pairs]
         plans = paired(shuffled(len(pairs)), len(pairs))
-        run = lambda: trainer.train_xlingual(teacher, student_cfg, pairs, cfg)  # noqa: E731
+        run = lambda: trainer.train_xlingual(  # noqa: E731
+            trainer.pivot_targets(teacher, pairs), student_cfg, pairs, cfg)
 
     real_fit, seen = trainer._fit, []
 
