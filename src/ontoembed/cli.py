@@ -88,47 +88,26 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-class _HashingReader:
-    """The binary file ``fh``, whose reads feed SHA-256 the bytes they
-    return, in order; ``head`` keeps those of ``read`` and ``readline``.
-    ``read_checkpoint`` reads the magic and the header line with these, and
-    then the parameter block in place, which is hashed as a view of the
-    array it was read into; ``seek`` and ``tell`` are the file's own."""
-
-    def __init__(self, fh):
-        self._fh, self.sha256, self.head = fh, hashlib.sha256(), b""
-        self.seek, self.tell = fh.seek, fh.tell
-
-    def read(self, size=-1) -> bytes:
-        return self._hashed(self._fh.read(size))
-
-    def readline(self) -> bytes:
-        return self._hashed(self._fh.readline())
-
-    def _hashed(self, data: bytes) -> bytes:
-        self.sha256.update(data)
-        self.head += data
-        return data
-
-    def readinto(self, buffer) -> int:
-        count = self._fh.readinto(buffer)
-        self.sha256.update(memoryview(buffer).cast("B")[:count])
-        return count
-
-
 def _load_input(path: str, inputs: dict[str, str]) -> tuple[enc.Checkpoint, bytes]:
-    """``load_checkpoint`` of ``path``, which also records in ``inputs`` the
-    SHA-256 of the bytes it read, with the magic and header line it read.
-    ``read_checkpoint`` accepts a file only once it has read every byte of
-    it, each once and in order, so this is the digest of the whole file."""
+    """``load_checkpoint`` of ``path``, and the magic and header line the
+    file begins with; records the file's SHA-256 in ``inputs``.
+    ``read_checkpoint`` accepts a file only when it is that line and then
+    exactly the parameter block it loaded, with no byte after it, so the
+    file is the line, read again, and the loaded block in its file layout,
+    whichever reads ``read_checkpoint`` made."""
     with open(path, "rb") as fh:
-        reader = _HashingReader(fh)
         try:
-            ckpt = enc.read_checkpoint(reader)
+            ckpt = enc.read_checkpoint(fh)
         except enc.CheckpointError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
-    inputs[path] = reader.sha256.hexdigest()
-    return ckpt, reader.head
+        block = ckpt.params.flat.astype("<f8", copy=False)
+        size = fh.seek(0, os.SEEK_END) - block.nbytes
+        fh.seek(0)
+        head = fh.read(size)
+    sha256 = hashlib.sha256(head)
+    sha256.update(block)
+    inputs[path] = sha256.hexdigest()
+    return ckpt, head
 
 
 def _write_manifest(primary_output: str, command: str, config: dict,
@@ -214,7 +193,7 @@ def vars_snapshot(args) -> dict:
 def _inputs(args) -> dict[str, str]:
     """The SHA-256 of each file named by an input option of ``args`` that is
     set, but a checkpoint's (``--base``, ``--teacher``, ``--model``), which
-    ``_load_input`` hashes as it loads it; a command takes them once its
+    ``_load_input`` hashes when it loads it; a command takes them once its
     checks pass, before it writes."""
     return {path: _sha256_file(path) for path in
             [getattr(args, key) for key in ("config", "corpus", "data", "pairs", "ontology",

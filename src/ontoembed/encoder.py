@@ -189,7 +189,7 @@ class Params:
             raise IndexError(f"token rows out of range for a table of {len(table)} rows")
         size = n * table.shape[1]
         flat = np.empty(size + self.flat.size - table.size)
-        np.take(table, rows, axis=0, out=flat[:size].reshape(n, -1), mode="wrap")
+        np.take(table, rows, axis=0, out=flat[:size].reshape(n, table.shape[1]), mode="wrap")
         flat[size:] = self.flat[table.size:]
         return Params(flat, [(n, table.shape[1])] + self.shapes[1:])
 

@@ -981,20 +981,33 @@ def _sha256_of(path):
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("command", ["eval", "embed", "train", "soup"])
+@pytest.mark.parametrize("command", [f"{command}{peek}" for peek in ("", "-peeking")
+                                     for command in ("eval", "embed", "train", "soup")])
 def test_each_checkpoint_is_hashed_as_it_loads(small_world, tmp_path, monkeypatch, command):
     # each checkpoint used to be read once for its manifest digest and once
     # more to load it, and eval serialized the model again for model_digest;
-    # soup reads a candidate again for each soup it goes into
+    # soup reads a candidate again for each soup it goes into. The digest
+    # must not depend on the reads read_checkpoint makes: a peeking one
+    # reads the magic, seeks back and then reads the file as before
+    command, _, peek = command.partition("-")
     argv, checkpoints, out = _checkpoint_command(command, small_world, tmp_path)
     digests = {path: _sha256_of(path) for path in checkpoints}
     hashed, opened, digested = [], [], []
     sha256_file, real_open, model_digest = cli._sha256_file, open, ev.model_digest
+    read_checkpoint = enc.read_checkpoint
 
     def spy_open(file, *args, **kwargs):
         opened.append(file)
         return real_open(file, *args, **kwargs)
 
+    def peeking_read(fh):
+        start = fh.tell()
+        fh.read(len(enc.CHECKPOINT_MAGIC))
+        fh.seek(start)
+        return read_checkpoint(fh)
+
+    if peek:
+        monkeypatch.setattr(enc, "read_checkpoint", peeking_read)
     monkeypatch.setattr(cli, "_sha256_file", lambda path: hashed.append(path) or sha256_file(path))
     monkeypatch.setattr(ev, "model_digest", lambda ckpt: digested.append(ckpt) or model_digest(ckpt))
     monkeypatch.setattr("builtins.open", spy_open)

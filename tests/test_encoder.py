@@ -418,6 +418,19 @@ def test_flatten_roundtrip_bit_exact(tiny_config):
     assert params_equal(enc.unflatten(tiny_config, enc.flatten(params)), params)
 
 
+@pytest.mark.parametrize("rows", [[3, 0, 3], [-1], []], ids=["repeated", "negative", "empty"])
+def test_take_rows_gathers_the_rows_it_names(tiny_config, rows):
+    # the rows in the order given, and every other tensor as it was; an
+    # empty index gives a table of no rows of the table's width
+    params = enc.attach_head(enc.init_params(tiny_config), tiny_config, 3, seed=1)
+    taken = params.take_rows(np.array(rows, dtype=np.intp))
+    assert taken.token_table.shape == (len(rows), tiny_config.embed_dim)
+    assert np.array_equal(taken.token_table, params.token_table[rows])
+    assert taken.shapes[1:] == params.shapes[1:]
+    assert np.array_equal(taken.flat[taken.token_table.size:],
+                          params.flat[params.token_table.size:])
+
+
 def test_default_parameter_count():
     assert enc.EncoderConfig().base_param_count() == 2_121_984
 
@@ -591,7 +604,7 @@ def _peak_per_param_byte(call, config):
 
 def test_checkpoint_io_and_init_make_no_full_size_copies(tmp_path):
     # at the student size the token table is 12 MB: init and load hold one
-    # parameter vector, and so does a load that hashes the bytes it reads;
+    # parameter vector, and so does a load that hashes the file it loads;
     # save and digest make no copy of it at all
     config = enc.EncoderConfig(vocab_buckets=32768, embed_dim=48)
     path = tmp_path / "m.ckpt"

@@ -1011,11 +1011,13 @@ def test_reused_gradient_buffer_carries_no_stale_rows(regime, small_setup, small
 # training the reachable token rows against training the full table
 
 
-@pytest.mark.parametrize("regime", ["contrastive", "sts", "self-distill", "xlingual"])
+@pytest.mark.parametrize("regime", ["contrastive", "sts", "sts-token-free", "self-distill",
+                                    "xlingual", "xlingual-token-free"])
 def test_regime_equals_full_table_training_byte_for_byte(regime, small_setup, small_world,
                                                          tmp_path, monkeypatch):
     # the same regime once with trainer._fit and once with the full-table
-    # loop it replaced; the xlingual student has twice the teacher's buckets
+    # loop it replaced; the xlingual student has twice the teacher's buckets.
+    # A token-free corpus reaches no token row, so _fit's table has none
     kg, corpus, base = small_setup
     cfg = trainer.TrainConfig(learning_rate=5e-3, weight_decay=0.05, epochs=2, batch_size=16,
                               seed=4)
@@ -1024,12 +1026,17 @@ def test_regime_equals_full_table_training_byte_for_byte(regime, small_setup, sm
     elif regime == "sts":
         sts = ev.load_sts_dataset(os.path.join(small_world, "sts_train.tsv"))
         run = lambda: trainer.adapt_sts(base, sts, cfg)  # noqa: E731
+    elif regime == "sts-token-free":
+        sts = ev.StsDataset((("-", "+", 1.0), ("?", "!", 4.0)))
+        run = lambda: trainer.adapt_sts(base, sts, cfg)  # noqa: E731
     elif regime == "self-distill":
         teacher = enc.Checkpoint(config=base.config, phase="sts_adapted", params=base.params)
         _, targets = trainer.build_targets(teacher, kg, k=4)
         run = lambda: trainer.train_self_distill(base, targets, kg, cfg)  # noqa: E731
     else:
         teacher, pairs = _teacher_and_pairs(tmp_path)
+        if regime == "xlingual-token-free":
+            pairs = [onto.ParallelPair("-" * i, "+" * i, "es") for i in range(1, 4)]
         student_cfg = enc.EncoderConfig(vocab_buckets=1024, embed_dim=16, hidden_dim=24,
                                         output_dim=20, init_seed=77)
         run = lambda: trainer.train_xlingual(  # noqa: E731
