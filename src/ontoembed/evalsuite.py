@@ -11,6 +11,10 @@ Dataset files, TSVs read through ``config.read_records``:
   STS / BCR  text_a <TAB> text_b <TAB> gold
   NEL        mention <TAB> concept_id
   NLI        anchor <TAB> entailed <TAB> contradicted
+Each row is checked by the row function the reader calls (``_scored``,
+``_sts_scored`` or ``_filled``), so a bad row names its line. The two
+records, ``PairDataset`` (STS, BCR) and ``Dataset`` (NEL, NLI), check
+only what needs every row.
 """
 
 from __future__ import annotations
@@ -52,61 +56,33 @@ class DatasetError(EvalError):
 
 
 @dataclass(frozen=True)
-class StsDataset:
-    """Sentence pairs with gold similarity in [0, 5]."""
+class PairDataset:
+    """STS or BCR rows ``(text_a, text_b, gold)``. Only the checks that need
+    every row are here; the reader checks each row."""
 
     rows: tuple[tuple[str, str, float], ...]
 
     def __post_init__(self):
-        _check_pair_rows(self.rows)
-        for a, b, g in self.rows:
-            if not (0.0 <= g <= 5.0):
-                raise DatasetError(f"STS gold {g} outside [0, 5]")
+        if len(self.rows) < 2:
+            raise DatasetError("need at least 2 rows for a correlation")
+        golds = [g for _, _, g in self.rows]
+        if max(golds) == min(golds):
+            raise DatasetError("gold scores have zero variance")
 
 
 @dataclass(frozen=True)
-class BcrDataset:
-    """Concept-mention pairs with gold relatedness on any real scale."""
+class Dataset:
+    """NEL rows ``(mention, concept_id)`` or NLI rows ``(anchor, entailed,
+    contradicted)``."""
 
-    rows: tuple[tuple[str, str, float], ...]
-
-    def __post_init__(self):
-        _check_pair_rows(self.rows)
-
-
-@dataclass(frozen=True)
-class NelDataset:
-    rows: tuple[tuple[str, str], ...]
+    rows: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         if not self.rows:
-            raise DatasetError("empty NEL dataset")
-        for mention, cid in self.rows:
-            if not mention or not cid:
-                raise DatasetError("NEL rows need a mention and a concept id")
+            raise DatasetError("empty dataset")
 
 
-@dataclass(frozen=True)
-class NliTripleDataset:
-    rows: tuple[tuple[str, str, str], ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise DatasetError("empty NLI dataset")
-        for row in self.rows:
-            if any(not t for t in row):
-                raise DatasetError("NLI rows need three non-empty texts")
-
-
-def _check_pair_rows(rows) -> None:
-    if len(rows) < 2:
-        raise DatasetError("need at least 2 rows for a correlation")
-    golds = [g for _, _, g in rows]
-    if max(golds) == min(golds):
-        raise DatasetError("gold scores have zero variance")
-
-
-def _load(dataset_cls, path, columns: int, row=lambda *fields: fields):
+def _load(dataset_cls, path, columns: int, row):
     """``dataset_cls`` over the rows ``row`` makes from the lines of the TSV
     at ``path``; every error names the file, and a malformed line its line."""
     try:
@@ -132,20 +108,26 @@ def _sts_scored(a: str, b: str, gold: str) -> tuple[str, str, float]:
     return row
 
 
-def load_sts_dataset(path) -> StsDataset:
-    return _load(StsDataset, path, 3, _sts_scored)
+def _filled(*fields: str) -> tuple[str, ...]:
+    if "" in fields:
+        raise ValueError(f"column {fields.index('') + 1} is empty")
+    return fields
 
 
-def load_bcr_dataset(path) -> BcrDataset:
-    return _load(BcrDataset, path, 3, _scored)
+def load_sts_dataset(path) -> PairDataset:
+    return _load(PairDataset, path, 3, _sts_scored)
 
 
-def load_nel_dataset(path) -> NelDataset:
-    return _load(NelDataset, path, 2)
+def load_bcr_dataset(path) -> PairDataset:
+    return _load(PairDataset, path, 3, _scored)
 
 
-def load_nli_dataset(path) -> NliTripleDataset:
-    return _load(NliTripleDataset, path, 3)
+def load_nel_dataset(path) -> Dataset:
+    return _load(Dataset, path, 2, _filled)
+
+
+def load_nli_dataset(path) -> Dataset:
+    return _load(Dataset, path, 3, _filled)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +215,12 @@ def _eval_correlation(model: enc.Checkpoint, rows, benchmark: str, metric: str,
     return EvalReport(benchmark, metric, correlation(preds, gold), len(rows))
 
 
-def eval_sts(model: enc.Checkpoint, dataset: StsDataset) -> EvalReport:
+def eval_sts(model: enc.Checkpoint, dataset: PairDataset) -> EvalReport:
     """Pearson correlation between embedding cosines and gold similarity."""
     return _eval_correlation(model, dataset.rows, "sts", "pearson", pearson)
 
 
-def eval_bcr(model: enc.Checkpoint, dataset: BcrDataset) -> EvalReport:
+def eval_bcr(model: enc.Checkpoint, dataset: PairDataset) -> EvalReport:
     """Spearman correlation between embedding cosines and gold relatedness."""
     return _eval_correlation(model, dataset.rows, "bcr", "spearman", spearman)
 
@@ -338,7 +320,7 @@ def _gold_ranks(best: np.ndarray, gold: np.ndarray) -> np.ndarray:
 def eval_nel(
     model: enc.Checkpoint,
     kg: onto.KnowledgeGraph,
-    dataset: NelDataset,
+    dataset: Dataset,
     k_list: list[int] = (1,),
 ) -> list[EvalReport]:
     """Top-k linking accuracy, one report per k.
@@ -348,13 +330,13 @@ def eval_nel(
     A mention hits at k when fewer than k concepts rank above its gold
     concept.
     """
-    for _, gold in dataset.rows:
-        if gold not in kg:
-            raise EvalError(f"gold concept id {gold!r} does not resolve in the graph")
     k_list = sorted(set(int(k) for k in k_list))
     if not k_list or k_list[0] < 1:
         raise ValueError("k values must be >= 1")
     index = build_nel_index(model, kg)
+    for _, gold in dataset.rows:
+        if gold not in kg:
+            raise EvalError(f"gold concept id {gold!r} does not resolve in the graph")
     mentions = enc.encode_batch(model.params, model.config, [m for m, _ in dataset.rows])
     gold = np.searchsorted(index.concepts, [g for _, g in dataset.rows])
     ranks = np.concatenate([_gold_ranks(best, gold[first:first + len(best)])
@@ -364,7 +346,7 @@ def eval_nel(
             for k in k_list]
 
 
-def eval_nli_triplets(model: enc.Checkpoint, dataset: NliTripleDataset) -> EvalReport:
+def eval_nli_triplets(model: enc.Checkpoint, dataset: Dataset) -> EvalReport:
     """Fraction of rows where the anchor is strictly closer to the entailed
     statement than to the contradicted one; exact ties count as failures."""
     anchors = enc.encode_batch(model.params, model.config, [a for a, _, _ in dataset.rows])

@@ -198,6 +198,18 @@ def test_eval_nel_with_an_empty_ontology_path_exits_1_in_one_line(small_world, t
         "i/o error: [Errno 2] No such file or directory: ''"]
 
 
+def test_eval_nel_on_an_empty_ontology_names_the_graph(small_world, tmp_path, capsys):
+    # the gold ids used to be resolved first, so the error blamed the first
+    # gold id of the dataset
+    code = run(["eval", "nel", "--model", _tiny_model(tmp_path / "m.ckpt"),
+                "--data", os.path.join(small_world, "nel.tsv"),
+                "--ontology", write_text(tmp_path / "o.jsonl", ""),
+                "--out", str(tmp_path / "r.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: empty knowledge graph"]
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 def test_unknown_flag_is_usage_error():
     assert run(["verbalize", "--does-not-exist", "x"]) == 64
 

@@ -119,6 +119,21 @@ def test_bcr_loader_accepts_any_scale(tmp_path):
             ev.load_bcr_dataset(path)
 
 
+@pytest.mark.parametrize("name, text, line_no", [
+    ("nel", "a\tC1\n\tC2\n", 2),
+    ("nel", "a\tC1\nb\t\n", 2),
+    ("nli", "a\t\tc\n", 1),
+], ids=["nel-empty-mention", "nel-empty-concept-id", "nli-empty-column"])
+def test_nel_and_nli_loaders_name_the_line_of_an_empty_field(tmp_path, name, text, line_no):
+    # an empty field used to be caught only once the whole file was read,
+    # with a message that named the file but not the line
+    path = write_text(tmp_path / f"{name}.tsv", text)
+    load = {"nel": ev.load_nel_dataset, "nli": ev.load_nli_dataset}[name]
+    with pytest.raises(ev.DatasetError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}:{line_no}: ")
+
+
 # ---------------------------------------------------------------------------
 # eval_sts / eval_bcr
 
@@ -132,7 +147,7 @@ def _model(seed=0):
 def test_eval_sts_degenerate_model_error():
     model = _model()
     rows = tuple((f"text {i}", f"text {i}", float(i % 6)) for i in range(6))
-    dataset = ev.StsDataset(rows=rows)
+    dataset = ev.PairDataset(rows=rows)
     with pytest.raises(ev.DegenerateModelError):
         ev.eval_sts(model, dataset)
 
@@ -141,7 +156,7 @@ def test_eval_sts_matches_hand_pearson():
     model = _model()
     rows = (("alpha beta", "alpha beta", 5.0), ("alpha beta", "gamma delta", 1.0),
             ("epsilon", "zeta eta", 0.0), ("theta iota", "theta kappa", 3.0))
-    dataset = ev.StsDataset(rows=rows)
+    dataset = ev.PairDataset(rows=rows)
     report = ev.eval_sts(model, dataset)
     cos = []
     for a, b, _ in rows:
@@ -159,8 +174,8 @@ def test_eval_sts_gold_scale_invariance():
     model = _model()
     rows = (("alpha beta", "alpha beta", 2.5), ("alpha beta", "gamma delta", 0.5),
             ("epsilon", "zeta eta", 0.0), ("theta iota", "theta kappa", 1.5))
-    base = ev.eval_sts(model, ev.StsDataset(rows=rows)).value
-    doubled = ev.eval_sts(model, ev.StsDataset(
+    base = ev.eval_sts(model, ev.PairDataset(rows=rows)).value
+    doubled = ev.eval_sts(model, ev.PairDataset(
         rows=tuple((a, b, 2.0 * g) for a, b, g in rows))).value
     assert doubled == pytest.approx(base, abs=1e-12)
 
@@ -172,7 +187,7 @@ def test_eval_bcr_matches_independent_rank_pipeline():
              "dizzy", "weak"]
     rows = tuple((words[i], words[(i + 3) % 10] + " pain", float(rng.integers(0, 5)))
                  for i in range(10))
-    dataset = ev.BcrDataset(rows=rows)
+    dataset = ev.PairDataset(rows=rows)
     report = ev.eval_bcr(model, dataset)
     cos = []
     for a, b, _ in rows:
@@ -198,10 +213,10 @@ def test_eval_bcr_monotone_fixtures():
     order = np.argsort(cos)
     rows = tuple((pairs[i][0], pairs[i][1], float(rank))
                  for rank, i in enumerate(order))
-    assert ev.eval_bcr(model, ev.BcrDataset(rows=rows)).value == pytest.approx(1.0)
+    assert ev.eval_bcr(model, ev.PairDataset(rows=rows)).value == pytest.approx(1.0)
     rows_rev = tuple((pairs[i][0], pairs[i][1], float(-rank))
                      for rank, i in enumerate(order))
-    assert ev.eval_bcr(model, ev.BcrDataset(rows=rows_rev)).value == pytest.approx(-1.0)
+    assert ev.eval_bcr(model, ev.PairDataset(rows=rows_rev)).value == pytest.approx(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +252,7 @@ def test_nel_index_keeps_duplicate_surface_strings(tmp_path):
 
 def test_nel_exact_synonym_match_is_top1(nel_kg):
     model = _model()
-    dataset = ev.NelDataset(rows=(("sweet tart", "c1"), ("star field", "c3"),
+    dataset = ev.Dataset(rows=(("sweet tart", "c1"), ("star field", "c3"),
                                   ("water edge", "c2")))
     report = ev.eval_nel(model, nel_kg, dataset, [1])[0]
     assert report.value == 1.0
@@ -250,9 +265,9 @@ def test_nel_tie_goes_to_smaller_id(tmp_path):
     ]
     kg = onto.load_ontology(write_jsonl(tmp_path / "kg.jsonl", rows))
     model = _model()
-    ok = ev.eval_nel(model, kg, ev.NelDataset(rows=(("shared name", "a_small"),)), [1])[0]
+    ok = ev.eval_nel(model, kg, ev.Dataset(rows=(("shared name", "a_small"),)), [1])[0]
     assert ok.value == 1.0
-    lost = ev.eval_nel(model, kg, ev.NelDataset(rows=(("shared name", "b_big"),)), [1])[0]
+    lost = ev.eval_nel(model, kg, ev.Dataset(rows=(("shared name", "b_big"),)), [1])[0]
     assert lost.value == 0.0
 
 
@@ -275,7 +290,7 @@ def test_nel_shared_name_ties_wherever_its_rows_fall(tmp_path):
         assert index.names == ["shared name", "alpha", "beta", "gamma", "shared name"]
         assert len(index.embeddings) == 4
         for gold, hit in (("a_small", 1.0), ("z_big", 0.0)):
-            dataset = ev.NelDataset(rows=(("shared name", gold),))
+            dataset = ev.Dataset(rows=(("shared name", gold),))
             assert ev.eval_nel(model, kg, dataset, [1])[0].value == hit, seed
 
 
@@ -312,7 +327,7 @@ def test_nel_topk_monotone_in_k(small_kg, small_datasets):
 
 def test_nel_unresolvable_gold_id(nel_kg):
     with pytest.raises(ev.EvalError):
-        ev.eval_nel(_model(), nel_kg, ev.NelDataset(rows=(("x", "zzz"),)), [1])
+        ev.eval_nel(_model(), nel_kg, ev.Dataset(rows=(("x", "zzz"),)), [1])
 
 
 class _FixedScores:
@@ -415,7 +430,7 @@ def trained_nel(small_kg):
         text = rng.choice(list(concept.names) + [d.text for d in concept.definitions])
         gold = concept.id if rng.random() < 2 / 3 else ids[int(rng.integers(len(ids)))]
         rows.append((f"{text} {rng.choice(['acute', 'left', 'of', 'type'])}", gold))
-    return model, ev.NelDataset(rows=tuple(rows))
+    return model, ev.Dataset(rows=tuple(rows))
 
 
 def test_nel_over_several_blocks_matches_dict_loop(small_kg, trained_nel):
@@ -499,13 +514,13 @@ def test_nel_token_swapped_names_tie_wherever_their_rows_fall():
 def test_nli_anchor_equals_entailed_wins():
     model = _model()
     rows = (("alpha beta", "alpha beta", "gamma delta"),)
-    assert ev.eval_nli_triplets(model, ev.NliTripleDataset(rows=rows)).value == 1.0
+    assert ev.eval_nli_triplets(model, ev.Dataset(rows=rows)).value == 1.0
 
 
 def test_nli_tie_counts_as_failure():
     model = _model()
     rows = (("alpha beta", "same text", "same text"),)
-    assert ev.eval_nli_triplets(model, ev.NliTripleDataset(rows=rows)).value == 0.0
+    assert ev.eval_nli_triplets(model, ev.Dataset(rows=rows)).value == 0.0
 
 
 def test_nli_matches_scripted_oracle():
@@ -513,7 +528,7 @@ def test_nli_matches_scripted_oracle():
     words = ["ache", "burn", "chill", "daze", "edge", "flux", "glow", "haze"]
     rows = tuple((words[i] + " one", words[(i + 1) % 8] + " two",
                   words[(i + 3) % 8] + " three") for i in range(8))
-    dataset = ev.NliTripleDataset(rows=rows)
+    dataset = ev.Dataset(rows=rows)
     report = ev.eval_nli_triplets(model, dataset)
     triples = []
     for a, e, c in rows:

@@ -544,14 +544,20 @@ def mutated_json_line(draw, line: bytes):
 
 @st.composite
 def mutated_tsv_line(draw, line: bytes):
-    """``(line, False)``: ``line`` with a tab added at any place or one of
-    its tabs removed."""
-    if draw(st.booleans()):
+    """``(line, may_load)``: ``line`` with a tab added at any place or one
+    of its tabs removed, which may not load, or with one of its fields
+    emptied, which may: an empty text is valid in some formats."""
+    kind = draw(st.sampled_from(["add", "remove", "empty"]))
+    if kind == "add":
         at = draw(st.integers(0, len(line)))
         return line[:at] + b"\t" + line[at:], False
-    tabs = [i for i, byte in enumerate(line) if byte == ord("\t")]
-    at = draw(st.sampled_from(tabs))
-    return line[:at] + line[at + 1:], False
+    if kind == "remove":
+        tabs = [i for i, byte in enumerate(line) if byte == ord("\t")]
+        at = draw(st.sampled_from(tabs))
+        return line[:at] + line[at + 1:], False
+    fields = line.split(b"\t")
+    fields[draw(st.integers(0, len(fields) - 1))] = b""
+    return b"\t".join(fields), True
 
 
 @st.composite
@@ -593,10 +599,11 @@ def reader_inputs(small_world, small_kg):
 @given(data=st.data())
 def test_mutated_input_line_loads_or_fails_naming_the_line(reader_inputs, name, data):
     # One line of a fixture file gets a wrong JSON kind, a null, a dropped
-    # key or item, a tab too many or too few, or bytes that are not UTF-8;
-    # a config or a text file gets only the bytes that are not UTF-8.
-    # The loader raises its documented error with one line that names the
-    # file and that line; only a file with a dropped key or item may load.
+    # key or item, a tab too many or too few, an empty field, or bytes that
+    # are not UTF-8; a config or a text file gets only the bytes that are
+    # not UTF-8. The loader raises its documented error with one line that
+    # names the file and that line; only a file with a dropped key or item
+    # or an empty field may load.
     lines, load, error = reader_inputs[name]
     line_no = data.draw(st.integers(1, len(lines)), label="line_no")
     mutate = data.draw(st.sampled_from(

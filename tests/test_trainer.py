@@ -1027,7 +1027,7 @@ def test_regime_equals_full_table_training_byte_for_byte(regime, small_setup, sm
         sts = ev.load_sts_dataset(os.path.join(small_world, "sts_train.tsv"))
         run = lambda: trainer.adapt_sts(base, sts, cfg)  # noqa: E731
     elif regime == "sts-token-free":
-        sts = ev.StsDataset((("-", "+", 1.0), ("?", "!", 4.0)))
+        sts = ev.PairDataset((("-", "+", 1.0), ("?", "!", 4.0)))
         run = lambda: trainer.adapt_sts(base, sts, cfg)  # noqa: E731
     elif regime == "self-distill":
         teacher = enc.Checkpoint(config=base.config, phase="sts_adapted", params=base.params)
