@@ -222,12 +222,14 @@ class Tokens:
         return np.diff(self.offsets)
 
     def take(self, index) -> "Tokens":
-        """The token lists of the texts ``index`` names, in that order."""
+        """The token lists of the texts ``index`` names, in that order; each
+        index is in range(number of texts)."""
         index = np.asarray(index, dtype=np.intp)
-        lengths = self.lengths[index]
+        starts = self.offsets[index]
+        lengths = self.offsets[index + 1] - starts
         offsets = np.zeros(len(index) + 1, dtype=np.intp)
         np.cumsum(lengths, out=offsets[1:])
-        shift = np.repeat(self.offsets[index] - offsets[:-1], lengths)
+        shift = np.repeat(starts - offsets[:-1], lengths)
         return Tokens(self.ids[np.arange(offsets[-1]) + shift], offsets)
 
 

@@ -17,6 +17,7 @@ batch order, which is what makes that guarantee hold.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -103,9 +104,12 @@ def adamw_step(
     """One decoupled-weight-decay Adam update of ``params.flat``, ``state.m``
     and ``state.v`` in place; returns the same (params, state) objects.
 
-    theta <- theta - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * theta),
-    with the decay term skipped for bias vectors. Each element sees the same
-    float operations in the same order as the textbook per-tensor update.
+    In ``torch.optim.AdamW``'s form, which ``tests/oracles.adamw_reference``
+    states tensor by tensor: theta <- theta * (1 - lr * weight_decay),
+    skipped for bias vectors, then theta <- theta - m / (sqrt(v) /
+    sqrt(1 - beta2**t) + eps) * (lr / (1 - beta1**t)). The two scalars are
+    numpy float64, so a rate that overflows one raises under the caller's
+    ``np.errstate``.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
@@ -119,8 +123,13 @@ def adamw_step(
             row = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
         raise NonFiniteGradient(name, row)
     t = state.step + 1
+    shrink = 1.0 - np.float64(lr) * weight_decay
+    step_size = np.float64(lr) / (1.0 - BETA1**t)
     theta, m, v = params.flat, state.m, state.v
     a, b = state.scratch
+    if weight_decay != 0.0:
+        for s in state.decay:
+            np.multiply(theta[s], shrink, out=theta[s])
     np.multiply(m, BETA1, out=m)
     np.multiply(g, 1.0 - BETA1, out=a)
     np.add(m, a, out=m)
@@ -128,16 +137,11 @@ def adamw_step(
     np.multiply(g, g, out=a)
     np.multiply(a, 1.0 - BETA2, out=a)
     np.add(v, a, out=v)
-    np.divide(m, 1.0 - BETA1**t, out=a)
-    np.divide(v, 1.0 - BETA2**t, out=b)
-    np.sqrt(b, out=b)
+    np.sqrt(v, out=b)
+    np.divide(b, math.sqrt(1.0 - BETA2**t), out=b)
     np.add(b, EPSILON, out=b)
-    np.divide(a, b, out=a)  # the Adam update
-    if weight_decay != 0.0:
-        for s in state.decay:
-            np.multiply(theta[s], weight_decay, out=b[s])
-            np.add(a[s], b[s], out=a[s])
-    np.multiply(a, lr, out=a)
+    np.divide(m, b, out=a)  # the Adam update
+    np.multiply(a, step_size, out=a)
     np.subtract(theta, a, out=theta)
     state.step = t
     return params, state
@@ -291,37 +295,26 @@ def _replay_decay(table: np.ndarray, reached: np.ndarray, rates: list[float],
     """Apply to every row of ``table`` outside ``reached`` the AdamW steps at
     the finite learning rates ``rates``, in place.
 
-    No batch touches such a row, so its gradient is +0.0 at every step and
-    its moments stay +0.0. ``adamw_step`` then computes the Adam update as
-    +0.0 / (sqrt(+0.0) + eps) = +0.0, adds the decay term to it and subtracts
-    lr times the sum: theta <- theta - lr * (0.0 + weight_decay * theta).
-    That is replayed here in three passes, without the ``0.0 +``, which
-    changes only a decay term of -0.0 (theta -0.0, or a tiny negative theta
-    whose product underflows) into +0.0. For a nonzero theta, subtracting
-    either zero leaves theta as it is; for a -0.0 theta, the step keeps -0.0
-    where the three passes make +0.0, and neither ever makes -0.0 from
-    another value (x - x is +0.0). So the entries that were -0.0 before the
-    replay are set to -0.0 after it, and every bit is what the steps give.
+    No batch touches such a row, so its gradient and moments stay +0.0, its
+    Adam term is +0.0 / eps = +0.0, and x - (+0.0) is x for every x, -0.0
+    included: ``adamw_step`` changes it only by its decay multiply, theta <-
+    theta * (1 - lr * weight_decay), which is replayed here, one per rate.
     Each element's update reads only that element and lr, so replaying every
     step on one cache-sized block before the next gives the bits the
-    interleaved steps give; with no weight decay the update subtracts +0.0
-    and changes nothing.
+    interleaved steps give; with no weight decay the steps leave the row as
+    it is.
     """
     if weight_decay == 0.0:
         return
+    shrinks = [1.0 - lr * weight_decay for lr in rates]
     untouched = np.ones(len(table), dtype=bool)
     untouched[reached] = False
     rows = max(1, _REPLAY_BLOCK // table.shape[1])
     for start in range(0, len(table), rows):
         block, keep = table[start:start + rows], untouched[start:start + rows]
         theta = block[keep]
-        negative_zero = (theta == 0.0) & np.signbit(theta)
-        decay = np.empty_like(theta)
-        for lr in rates:
-            np.multiply(theta, weight_decay, out=decay)
-            np.multiply(decay, lr, out=decay)
-            np.subtract(theta, decay, out=theta)
-        theta[negative_zero] = -0.0
+        for shrink in shrinks:
+            np.multiply(theta, shrink, out=theta)
         block[keep] = theta
 
 

@@ -8,6 +8,7 @@ checkpoints bit for bit, through the package's one writer and one reader.
 """
 
 import io
+import math
 
 import numpy as np
 
@@ -137,7 +138,9 @@ def brute_greedy_soup(values, scores, labels, evaluate):
 
 
 def adamw_reference(tensors, grads, m, v, step, lr, weight_decay):
-    """One functional AdamW step, tensor by tensor, on fresh arrays.
+    """One functional AdamW step, tensor by tensor, on fresh arrays, in the
+    form ``torch.optim.AdamW`` takes: decay first, as one multiply, then
+    the Adam term with its bias corrections moved onto the scalars.
 
     tensors, grads, m, v: lists of (name, array) in the same order; step is
     the 1-based step number. Returns (new tensors, new m, new v) as lists of
@@ -146,14 +149,12 @@ def adamw_reference(tensors, grads, m, v, step, lr, weight_decay):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     new_p, new_m, new_v = [], [], []
     for (name, theta), (_, g), (_, m0), (_, v0) in zip(tensors, grads, m, v):
+        if weight_decay != 0.0 and name not in ("b1", "b2", "head_b"):
+            theta = theta * (1.0 - lr * weight_decay)
         m2 = beta1 * m0 + (1.0 - beta1) * g
         v2 = beta2 * v0 + (1.0 - beta2) * (g * g)
-        mhat = m2 / (1.0 - beta1**step)
-        vhat = v2 / (1.0 - beta2**step)
-        update = mhat / (np.sqrt(vhat) + eps)
-        if weight_decay != 0.0 and name not in ("b1", "b2", "head_b"):
-            update = update + weight_decay * theta
-        new_p.append((name, theta - lr * update))
+        denom = np.sqrt(v2) / math.sqrt(1.0 - beta2**step) + eps
+        new_p.append((name, theta - (m2 / denom) * (lr / (1.0 - beta1**step))))
         new_m.append((name, m2))
         new_v.append((name, v2))
     return new_p, new_m, new_v

@@ -1679,7 +1679,7 @@ def _eight_wide_teacher(path):
 
 
 @pytest.mark.parametrize("probe, code, message", [
-    ("learning-rate", 2, "error: sts training failed at epoch 1, step 2: overflow "),
+    ("learning-rate", 2, "error: sts training failed at epoch 1, step 1: overflow "),
     ("vocab-buckets", 2, "error: cannot allocate the 64000000024832 parameters of "
                          "vocab_buckets 1000000000000, embed_dim 64, hidden_dim 128, "
                          "output_dim 128"),

@@ -407,8 +407,9 @@ _REPLAY_RATES = st.sampled_from([0.0, 1e-3, 0.04, 1.0, 30.0, 1e3]) | st.floats(0
        block=st.sampled_from([1, 3, 8, 1 << 15]))
 def test_replay_decay_equals_the_per_step_update_bit_for_bit(data, rows, width, weight_decay,
                                                              rates, reached_kind, block):
-    # the reference is adamw_step on a row it never trains: at each rate,
-    # theta <- theta - (0.0 + theta * wd) * lr, over every row outside reached
+    # the reference is adamw_step itself, at each rate with a zero gradient,
+    # over params that hold the table: every row outside reached is a row no
+    # batch touches
     table = np.array(data.draw(st.lists(_REPLAY_VALUES, min_size=rows * width,
                                         max_size=rows * width))).reshape(rows, width)
     if reached_kind == "mixed":
@@ -416,15 +417,15 @@ def test_replay_decay_equals_the_per_step_update_bit_for_bit(data, rows, width, 
     else:
         mask = np.full(rows, reached_kind == "full")
     reached = np.flatnonzero(mask)
+    config = enc.EncoderConfig(vocab_buckets=rows, embed_dim=width, hidden_dim=1, output_dim=1)
+    params = enc.unflatten(config, np.concatenate([table.ravel(), np.zeros(width + 3)]))
+    zero = enc.Params(np.zeros_like(params.flat), params.shapes)
+    state = trainer.init_adamw(params)
     want = table.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = want[~mask]
         for lr in rates:
-            decay = theta * weight_decay
-            decay = 0.0 + decay
-            decay = decay * lr
-            theta = theta - decay
-        want[~mask] = theta
+            trainer.adamw_step(params, zero, state, lr, weight_decay)
+        want[~mask] = params.token_table[~mask]
         got = table.copy()
         with mock.patch.object(trainer, "_REPLAY_BLOCK", block):
             trainer._replay_decay(got, reached, rates, weight_decay)
