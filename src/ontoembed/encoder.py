@@ -16,6 +16,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -212,12 +213,13 @@ def tokenize(config: EncoderConfig, text: str) -> list[int]:
 class Tokens:
     """The token ids of a list of texts in CSR layout: text i's ids, in
     token order, are ``ids[offsets[i]:offsets[i + 1]]``. ``ids`` index the
-    rows of the token table they are pooled from."""
+    rows of the token table they are pooled from. ``lengths``, each text's
+    token count, is computed once, on first use."""
 
     ids: np.ndarray
     offsets: np.ndarray
 
-    @property
+    @cached_property
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
 

@@ -37,6 +37,11 @@ EPSILON = 1e-8
 # Bias vectors are exempt from decoupled weight decay.
 _NO_DECAY = {"b1", "b2", "head_b"}
 
+# Elements per block of an AdamW step and of the decay replay: 256 KB of
+# float64, small enough that a step's blocks of params, gradient, moments
+# and scratch, or a replay block through every step, stay in cache.
+_REPLAY_BLOCK = 1 << 15
+
 
 class TrainError(DomainError):
     pass
@@ -50,25 +55,31 @@ class PhaseError(TrainError):
 @dataclass
 class AdamWState:
     """Optimizer state. ``m`` and ``v`` are flat vectors in the params'
-    flatten order; ``decay`` lists the slices of that order that take weight
-    decay; ``scratch`` holds two vectors of the same length that each step
-    writes its intermediates into, so a step allocates nothing of that size."""
+    flatten order holding Adam's moments as running sums, M = m / (1 -
+    beta1) and V = v / (1 - beta2); ``decay`` lists the slices of that
+    order that take weight decay; ``scratch`` is one vector of
+    ``min(_REPLAY_BLOCK, n)`` elements that each step writes its
+    intermediates into, one block at a time, so a step allocates nothing
+    of the params' length."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
     decay: list[slice]
-    scratch: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    scratch: np.ndarray = field(repr=False)
 
 
 def init_adamw(params: enc.Params) -> AdamWState:
+    """Step 0: zero moments, the decay slices of ``params`` and a scratch
+    block of ``min(_REPLAY_BLOCK, params.flat.size)`` elements."""
     decay, pos = [], 0
     for name, arr in params.tensor_items():
         if name not in _NO_DECAY:
             decay.append(slice(pos, pos + arr.size))
         pos += arr.size
-    m, v, a, b = (np.zeros_like(params.flat) for _ in range(4))
-    return AdamWState(step=0, m=m, v=v, decay=decay, scratch=(a, b))
+    n = params.flat.size
+    return AdamWState(step=0, m=np.zeros(n), v=np.zeros(n), decay=decay,
+                      scratch=np.zeros(min(_REPLAY_BLOCK, n)))
 
 
 def warmup_linear(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -> float:
@@ -104,12 +115,18 @@ def adamw_step(
     """One decoupled-weight-decay Adam update of ``params.flat``, ``state.m``
     and ``state.v`` in place; returns the same (params, state) objects.
 
-    In ``torch.optim.AdamW``'s form, which ``tests/oracles.adamw_reference``
-    states tensor by tensor: theta <- theta * (1 - lr * weight_decay),
-    skipped for bias vectors, then theta <- theta - m / (sqrt(v) /
-    sqrt(1 - beta2**t) + eps) * (lr / (1 - beta1**t)). The two scalars are
-    numpy float64, so a rate that overflows one raises under the caller's
-    ``np.errstate``.
+    With the moments kept as running sums (``AdamWState``), which
+    ``tests/oracles.adamw_reference`` states tensor by tensor: theta <-
+    theta * (1 - lr * weight_decay), skipped for bias vectors; then M <-
+    beta1 * M + g, V <- beta2 * V + g * g and theta <- theta - M /
+    (sqrt(V) + eps_t) * step_size, where c2 = sqrt(1 - beta2**t) /
+    sqrt(1 - beta2), eps_t = eps * c2 and step_size = lr / (1 - beta1**t)
+    * ((1 - beta1) * c2): torch.optim.AdamW's update with every constant
+    moved onto the scalars. The moment and parameter updates run one
+    scratch-sized block at a time, so a block's arrays stay in cache. The
+    scalars are numpy float64, so a rate that overflows one raises under
+    the caller's ``np.errstate``. A non-finite gradient is refused before
+    anything is written.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
@@ -124,25 +141,28 @@ def adamw_step(
         raise NonFiniteGradient(name, row)
     t = state.step + 1
     shrink = 1.0 - np.float64(lr) * weight_decay
-    step_size = np.float64(lr) / (1.0 - BETA1**t)
-    theta, m, v = params.flat, state.m, state.v
-    a, b = state.scratch
+    c2 = math.sqrt(1.0 - BETA2**t) / math.sqrt(1.0 - BETA2)
+    eps_t = EPSILON * c2
+    step_size = np.float64(lr) / (1.0 - BETA1**t) * ((1.0 - BETA1) * c2)
+    theta, scratch = params.flat, state.scratch
     if weight_decay != 0.0:
         for s in state.decay:
             np.multiply(theta[s], shrink, out=theta[s])
-    np.multiply(m, BETA1, out=m)
-    np.multiply(g, 1.0 - BETA1, out=a)
-    np.add(m, a, out=m)
-    np.multiply(v, BETA2, out=v)
-    np.multiply(g, g, out=a)
-    np.multiply(a, 1.0 - BETA2, out=a)
-    np.add(v, a, out=v)
-    np.sqrt(v, out=b)
-    np.divide(b, math.sqrt(1.0 - BETA2**t), out=b)
-    np.add(b, EPSILON, out=b)
-    np.divide(m, b, out=a)  # the Adam update
-    np.multiply(a, step_size, out=a)
-    np.subtract(theta, a, out=theta)
+    block = len(scratch)
+    for start in range(0, len(theta), block):
+        s = slice(start, start + block)
+        gs, m, v, p = g[s], state.m[s], state.v[s], theta[s]
+        a = scratch[:len(gs)]
+        np.multiply(m, BETA1, out=m)
+        np.add(m, gs, out=m)
+        np.multiply(v, BETA2, out=v)
+        np.multiply(gs, gs, out=a)
+        np.add(v, a, out=v)
+        np.sqrt(v, out=a)
+        np.add(a, eps_t, out=a)
+        np.divide(m, a, out=a)  # the Adam update
+        np.multiply(a, step_size, out=a)
+        np.subtract(p, a, out=p)
     state.step = t
     return params, state
 
@@ -285,20 +305,17 @@ def _require_no_head(params: enc.Params, regime: str) -> None:
         raise TrainError(f"{regime} expects a head-free base; strip the head first")
 
 
-# Elements of the token table per block of the decay replay: 256 KB of
-# float64, small enough that a block stays in cache through every step.
-_REPLAY_BLOCK = 1 << 15
-
-
 def _replay_decay(table: np.ndarray, reached: np.ndarray, rates: list[float],
                   weight_decay: float) -> None:
     """Apply to every row of ``table`` outside ``reached`` the AdamW steps at
     the finite learning rates ``rates``, in place.
 
     No batch touches such a row, so its gradient and moments stay +0.0, its
-    Adam term is +0.0 / eps = +0.0, and x - (+0.0) is x for every x, -0.0
-    included: ``adamw_step`` changes it only by its decay multiply, theta <-
-    theta * (1 - lr * weight_decay), which is replayed here, one per rate.
+    Adam term is +0.0 / eps_t * step_size = +0.0 (eps_t is positive and, at
+    a finite rate, step_size is finite and not negative), and x - (+0.0) is
+    x for every x, -0.0 included: ``adamw_step`` changes it only by its
+    decay multiply, theta <- theta * (1 - lr * weight_decay), which is
+    replayed here, one per rate.
     Each element's update reads only that element and lr, so replaying every
     step on one cache-sized block before the next gives the bits the
     interleaved steps give; with no weight decay the steps leave the row as

@@ -138,23 +138,27 @@ def brute_greedy_soup(values, scores, labels, evaluate):
 
 
 def adamw_reference(tensors, grads, m, v, step, lr, weight_decay):
-    """One functional AdamW step, tensor by tensor, on fresh arrays, in the
-    form ``torch.optim.AdamW`` takes: decay first, as one multiply, then
-    the Adam term with its bias corrections moved onto the scalars.
+    """One functional AdamW step, tensor by tensor, on fresh arrays, with
+    the moments kept as running sums: decay first, as one multiply, then
+    m <- beta1 * m + g, v <- beta2 * v + g * g and the Adam term with every
+    constant moved onto its two scalars, eps_t and step_size.
 
     tensors, grads, m, v: lists of (name, array) in the same order; step is
     the 1-based step number. Returns (new tensors, new m, new v) as lists of
     (name, array). The bias tensors b1, b2 and head_b skip weight decay.
     """
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    c2 = math.sqrt(1.0 - beta2**step) / math.sqrt(1.0 - beta2)
+    eps_t = eps * c2
+    step_size = lr / (1.0 - beta1**step) * ((1.0 - beta1) * c2)
     new_p, new_m, new_v = [], [], []
     for (name, theta), (_, g), (_, m0), (_, v0) in zip(tensors, grads, m, v):
         if weight_decay != 0.0 and name not in ("b1", "b2", "head_b"):
             theta = theta * (1.0 - lr * weight_decay)
-        m2 = beta1 * m0 + (1.0 - beta1) * g
-        v2 = beta2 * v0 + (1.0 - beta2) * (g * g)
-        denom = np.sqrt(v2) / math.sqrt(1.0 - beta2**step) + eps
-        new_p.append((name, theta - (m2 / denom) * (lr / (1.0 - beta1**step))))
+        m2 = beta1 * m0 + g
+        v2 = beta2 * v0 + g * g
+        denom = np.sqrt(v2) + eps_t
+        new_p.append((name, theta - (m2 / denom) * step_size))
         new_m.append((name, m2))
         new_v.append((name, v2))
     return new_p, new_m, new_v

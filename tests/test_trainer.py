@@ -121,19 +121,42 @@ def test_adamw_rejects_nonfinite_grads(tiny_config):
         trainer.adamw_step(params, grads, trainer.init_adamw(params), lr=0.1)
 
 
+def _state_bytes(params, state):
+    return params.flat.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step
+
+
 def test_adamw_nonfinite_error_names_tensor_and_bucket_row(tiny_config):
     params = enc.init_params(tiny_config)
+    # one step first, so the refused step has nonzero moments to keep
+    state, first = trainer.init_adamw(params), _zero_gradient(params)
+    first.flat[:] = 0.5
+    trainer.adamw_step(params, first, state, lr=0.1, weight_decay=0.01)
     grads = _zero_gradient(params)
     grads.token_table[40, 0] = np.inf
     grads.token_table[17, 2] = np.nan
-    before = params.flat.copy()
+    before = _state_bytes(params, state)
     with pytest.raises(ValueError, match=r"non-finite gradient for token_table row 17$"):
-        trainer.adamw_step(params, grads, trainer.init_adamw(params), lr=0.1)
-    assert np.array_equal(params.flat, before)
+        trainer.adamw_step(params, grads, state, lr=0.1, weight_decay=0.01)
+    assert _state_bytes(params, state) == before
     grads = _zero_gradient(params)
     grads.b2[0] = -np.inf
     with pytest.raises(ValueError, match=r"non-finite gradient for b2$"):
-        trainer.adamw_step(params, grads, trainer.init_adamw(params), lr=0.1)
+        trainer.adamw_step(params, grads, state, lr=0.1, weight_decay=0.01)
+    assert _state_bytes(params, state) == before
+
+
+def test_adamw_nonfinite_entry_in_the_last_block_changes_nothing():
+    # the vector spans several blocks and only its last one holds the NaN:
+    # the check runs before the first block is written
+    params, grads = _demo_sized_params_and_grads(np.random.default_rng(14))
+    state = trainer.init_adamw(params)
+    assert params.flat.size > len(state.scratch)
+    trainer.adamw_step(params, grads, state, 1e-3, weight_decay=0.01)
+    grads.head_b[-1] = np.nan
+    before = _state_bytes(params, state)
+    with pytest.raises(ValueError, match=r"non-finite gradient for head_b$"):
+        trainer.adamw_step(params, grads, state, 1e-3, weight_decay=0.01)
+    assert _state_bytes(params, state) == before
 
 
 @pytest.mark.parametrize("rows", [[5, 5], [7, 3], [-1], [64]],
@@ -194,6 +217,27 @@ def test_adamw_matches_per_tensor_reference_bit_exact():
         assert state.step == step
         for got, want in ((params.flat, tensors), (state.m, m), (state.v, v)):
             assert got.tobytes() == np.concatenate([a.ravel() for _, a in want]).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, "longer"])
+def test_adamw_step_is_the_same_at_every_block_size(block):
+    # a state's scratch sets the step's block size; every size, down to one
+    # element, or more than the vector, gives the bytes of a one-block step
+    config = enc.EncoderConfig(vocab_buckets=641, embed_dim=16, hidden_dim=8,
+                               output_dim=8, init_seed=5)
+    base = enc.attach_head(enc.init_params(config), config, 5, seed=6)
+    n = base.flat.size
+    runs = []
+    for size in (n, n + 3 if block == "longer" else block):
+        params, rng = base.copy(), np.random.default_rng(15)
+        state = trainer.init_adamw(params)
+        state.scratch = np.zeros(size)
+        for step in range(1, 5):
+            grads = enc.Params(rng.normal(size=n), params.shapes)
+            grads.flat[rng.random(n) < 0.2] = -0.0
+            trainer.adamw_step(params, grads, state, 1e-2 * step, weight_decay=0.05)
+        runs.append(_state_bytes(params, state))
+    assert runs[0] == runs[1]
 
 
 def test_adamw_step_allocates_no_full_length_temporaries():
