@@ -158,7 +158,7 @@ def _load_kg(ontology_path, templates_path=None, glossary_path=None):
     kg, stats = onto.load_ontology(ontology_path), None
     if templates_path is not None:
         kg = kg.with_templates(onto.load_templates(templates_path))
-    if glossary_path:
+    if glossary_path is not None:
         kg, stats = onto.merge_glossary(kg, glossary_path)
     return kg, stats
 
@@ -261,7 +261,7 @@ def cmd_train(args) -> int:
         base = _base_checkpoint(args, mapping, enc_cfg, inputs)
         teacher = _load_input(args.teacher, inputs)[0]
         kg, _ = _load_kg(args.ontology, args.templates, args.glossary)
-        limit = trainer.pca_dim_limit(len(kg), teacher.config.output_dim)
+        limit = trainer.pca_dim_limit(len(kg), teacher.config.output_dim, args.ontology)
         if args.pca_dim > limit:
             raise UsageError(f"--pca-dim must be at most {limit} with teacher output_dim "
                              f"{teacher.config.output_dim} and {len(kg)} concepts")

@@ -32,8 +32,7 @@ KIND_HUMAN_DEF = "human_definition"
 KIND_GENERATED_DEF = "generated_definition"
 KIND_TEMPLATED = "templated_description"
 DESCRIPTION_KINDS = (KIND_NAME, KIND_HUMAN_DEF, KIND_GENERATED_DEF, KIND_TEMPLATED)
-
-DEF_SOURCES = ("human", "generated")
+_DEFINITION_KINDS = {"human": KIND_HUMAN_DEF, "generated": KIND_GENERATED_DEF}
 
 # is-a parent edges are verbalized through this reserved relation type.
 IS_A = "is_a"
@@ -62,29 +61,16 @@ class UnknownConceptError(OntologyError):
 
 
 @dataclass(frozen=True)
-class Definition:
-    text: str
-    source: str = "human"
-    language: str = "en"
-
-    def __post_init__(self):
-        if not self.text:
-            raise ValueError("definition text must be non-empty")
-        if self.source not in DEF_SOURCES:
-            raise ValueError(f"definition source must be one of {DEF_SOURCES}")
-
-
-@dataclass(frozen=True)
 class Concept:
     """One node: surface names (first is canonical), is-a parents, typed
-    relations and textual definitions."""
+    relations and definitions, each a Description of a definition kind."""
 
     id: str
     names: tuple[str, ...]
     semantic_type: str = ""
     parents: tuple[str, ...] = ()
     relations: tuple[tuple[str, str], ...] = ()
-    definitions: tuple[Definition, ...] = ()
+    definitions: tuple[Description, ...] = ()
 
     def __post_init__(self):
         if not self.id:
@@ -95,22 +81,6 @@ class Concept:
     @property
     def canonical_name(self) -> str:
         return self.names[0]
-
-
-@dataclass(frozen=True)
-class RelationTemplate:
-    relation_type: str
-    template: str
-
-    def __post_init__(self):
-        if self.template.count("{SOURCE}") != 1 or self.template.count("{TARGET}") != 1:
-            raise ValueError(
-                f"template for {self.relation_type!r} must contain exactly one "
-                "{SOURCE} and one {TARGET}"
-            )
-
-    def render(self, source_name: str, target_name: str) -> str:
-        return self.template.replace("{SOURCE}", source_name).replace("{TARGET}", target_name)
 
 
 @dataclass(frozen=True)
@@ -163,7 +133,7 @@ class KnowledgeGraph:
     """
 
     def __init__(self, concepts: dict[str, Concept],
-                 templates: dict[str, RelationTemplate] | None = None):
+                 templates: dict[str, str] | None = None):
         self._concepts = dict(concepts)
         self._templates = dict(templates or {})
 
@@ -179,7 +149,7 @@ class KnowledgeGraph:
         return list(self._concepts)
 
     @property
-    def templates(self) -> dict[str, RelationTemplate]:
+    def templates(self) -> dict[str, str]:
         return dict(self._templates)
 
     def get(self, concept_id: str) -> Concept:
@@ -191,21 +161,33 @@ class KnowledgeGraph:
     def concepts(self) -> list[Concept]:
         return list(self._concepts.values())
 
-    def with_templates(self, templates: dict[str, RelationTemplate]) -> "KnowledgeGraph":
+    def with_templates(self, templates: dict[str, str]) -> "KnowledgeGraph":
         return KnowledgeGraph(self._concepts, templates)
 
 
+def _definition(concept_id: str, text: str, source: str, language: str) -> Description:
+    """The definition ``text`` of ``source`` "human" or "generated" as a
+    Description of its kind."""
+    if not text:
+        raise ValueError("definition text must be non-empty")
+    kind = _DEFINITION_KINDS.get(source)
+    if kind is None:
+        raise ValueError(f"definition source must be one of {tuple(_DEFINITION_KINDS)}")
+    return Description(concept_id, text, kind, language)
+
+
 def _parse_concept(obj: dict) -> Concept:
+    cid = json_field(obj, "id")
     return Concept(
-        id=json_field(obj, "id"),
+        id=cid,
         names=tuple(n.strip() for n in json_field(obj, "names", (str,))),
         semantic_type=json_field(obj, "semantic_type", default=""),
         parents=tuple(json_field(obj, "parents", (str,), ())),
         relations=tuple((json_field(r, "type"), json_field(r, "target"))
                         for r in json_field(obj, "relations", (dict,), ())),
-        definitions=tuple(Definition(json_field(d, "text"),
-                                     json_field(d, "source", default="human"),
-                                     json_field(d, "language", default="en"))
+        definitions=tuple(_definition(cid, json_field(d, "text"),
+                                      json_field(d, "source", default="human"),
+                                      json_field(d, "language", default="en"))
                           for d in json_field(obj, "definitions", (dict,), ())),
     )
 
@@ -286,14 +268,18 @@ def load_ontology(path) -> KnowledgeGraph:
     return KnowledgeGraph(concepts)
 
 
-def load_templates(path) -> dict[str, RelationTemplate]:
-    """Load relation templates from a two-column TSV."""
-    templates: dict[str, RelationTemplate] = {}
+def load_templates(path) -> dict[str, str]:
+    """Load relation templates from a two-column TSV: each relation type
+    once, its template with exactly one {SOURCE} and one {TARGET}."""
+    templates: dict[str, str] = {}
 
     def add(rtype: str, template: str) -> None:
         if rtype in templates:
             raise ValueError(f"duplicate template for relation {rtype!r}")
-        templates[rtype] = RelationTemplate(rtype, template)
+        if template.count("{SOURCE}") != 1 or template.count("{TARGET}") != 1:
+            raise ValueError(f"template for {rtype!r} must contain exactly one "
+                             "{SOURCE} and one {TARGET}")
+        templates[rtype] = template
 
     read_records(path, add, columns=2)
     return templates
@@ -305,23 +291,23 @@ class GlossaryMergeStats:
     skipped_unknown: int
 
 
-def _glossary_entry(obj: dict) -> tuple[str, Definition]:
-    return json_field(obj, "id"), Definition(json_field(obj, "definition"), "generated",
-                                             json_field(obj, "language", default="en"))
+def _glossary_entry(obj: dict) -> Description:
+    return _definition(json_field(obj, "id"), json_field(obj, "definition"), "generated",
+                       json_field(obj, "language", default="en"))
 
 
 def merge_glossary(kg: KnowledgeGraph, path) -> tuple[KnowledgeGraph, GlossaryMergeStats]:
-    """Append glossary definitions (source=generated) to their concepts.
+    """Append glossary definitions (kind generated_definition) to their concepts.
 
     Entries whose id is not in the graph are counted and skipped, never
     fatal; existing definitions are left untouched. Running the merge twice
     therefore doubles the generated definitions.
     """
-    extra: dict[str, list[Definition]] = {}
+    extra: dict[str, list[Description]] = {}
     skipped = 0
-    for cid, definition in read_records(path, _glossary_entry):
-        if cid in kg:
-            extra.setdefault(cid, []).append(definition)
+    for definition in read_records(path, _glossary_entry):
+        if definition.concept_id in kg:
+            extra.setdefault(definition.concept_id, []).append(definition)
         else:
             skipped += 1
 
@@ -339,8 +325,8 @@ def _templated_candidates(kg: KnowledgeGraph, concept: Concept) -> list[Descript
     templates = kg.templates
     edges = list(concept.relations) + [(IS_A, p) for p in concept.parents]
     name = concept.canonical_name
-    return [Description(concept.id, templates[rtype].render(name, kg.get(target).canonical_name),
-                        KIND_TEMPLATED)
+    return [Description(concept.id, templates[rtype].replace("{SOURCE}", name)
+                        .replace("{TARGET}", kg.get(target).canonical_name), KIND_TEMPLATED)
             for rtype, target in edges if rtype in templates]
 
 
@@ -364,14 +350,6 @@ def verbalize_relations(
     return [full[i] for i in sorted(int(i) for i in chosen)]
 
 
-def definition_descriptions(concept: Concept) -> list[Description]:
-    kinds = {"human": KIND_HUMAN_DEF, "generated": KIND_GENERATED_DEF}
-    return [
-        Description(concept.id, d.text, kinds[d.source], d.language)
-        for d in concept.definitions
-    ]
-
-
 def build_corpus(
     kg: KnowledgeGraph, per_concept_templated: int, rng_seed: int
 ) -> list[TrainingPair]:
@@ -383,7 +361,7 @@ def build_corpus(
     for cid in kg.concept_ids:
         concept = kg.get(cid)
         concept_seed = int(master.integers(0, 2**63))
-        positives = definition_descriptions(concept)
+        positives = list(concept.definitions)
         if per_concept_templated > 0:
             positives += verbalize_relations(kg, cid, per_concept_templated, concept_seed)
         if not positives:
@@ -416,9 +394,9 @@ def canonical_definition(kg: KnowledgeGraph, concept_id: str) -> str:
     name itself.
     """
     concept = kg.get(concept_id)
-    for source in ("human", "generated"):
+    for kind in (KIND_HUMAN_DEF, KIND_GENERATED_DEF):
         for d in concept.definitions:
-            if d.source == source:
+            if d.kind == kind:
                 return d.text
     templated = _templated_candidates(kg, concept)
     if templated:
@@ -431,7 +409,7 @@ def all_descriptions(kg: KnowledgeGraph, concept_id: str) -> list[Description]:
     templated substitution set."""
     concept = kg.get(concept_id)
     out = [Description(concept_id, n, KIND_NAME) for n in concept.names]
-    out += definition_descriptions(concept)
+    out += concept.definitions
     out += _templated_candidates(kg, concept)
     return out
 

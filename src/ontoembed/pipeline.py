@@ -98,7 +98,7 @@ class PipelinePlan:
         self.kg, gloss_stats = _load_kg(paths["ontology"], paths["templates"],
                                         paths.get("glossary"))
         self.glossary_added = gloss_stats.added if gloss_stats else 0
-        limit = trainer.pca_dim_limit(len(self.kg), self.encoder.output_dim)
+        limit = trainer.pca_dim_limit(len(self.kg), self.encoder.output_dim, paths["ontology"])
         if cfg.pca_dim > limit:
             raise ConfigError(f"{path}: pca_dim: must be at most {limit} with output_dim "
                               f"{self.encoder.output_dim} and {len(self.kg)} concepts")

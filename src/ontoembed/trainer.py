@@ -239,10 +239,14 @@ def pca_project(model: PCAModel, x: np.ndarray) -> np.ndarray:
     return (x - model.mean) @ model.components.T
 
 
-def pca_dim_limit(concepts: int, output_dim: int) -> int:
+def pca_dim_limit(concepts: int, output_dim: int, ontology) -> int:
     """The largest ``k`` that ``build_targets`` can fit over ``concepts``
     concepts with a teacher of ``output_dim`` outputs: ``pca_fit``'s
-    min(N - 1, D)."""
+    min(N - 1, D). A graph of fewer than 2 concepts has none, and raises
+    ValidationError naming its file ``ontology``."""
+    if concepts < 2:
+        raise onto.ValidationError(
+            f"{ontology}: self-distillation needs at least 2 concepts, got {concepts}")
     return min(concepts - 1, output_dim)
 
 

@@ -119,6 +119,17 @@ _MALFORMED = {
                                  _CONCEPT + "[" * 100000 + "\n", 2),
     "ontology-parents-string": ("verbalize", "--ontology", "kg.jsonl",
                                 _CONCEPT + '{"id": "A", "names": ["a"], "parents": "R"}\n', 2),
+    "ontology-definition-source-unknown": (
+        "verbalize", "--ontology", "kg.jsonl",
+        _CONCEPT + '{"id": "A", "names": ["a"], "definitions": [{"text": "x", "source": "llm"}]}\n', 2),
+    "ontology-definition-text-empty": (
+        "verbalize", "--ontology", "kg.jsonl",
+        _CONCEPT + '{"id": "A", "names": ["a"], "definitions": [{"text": ""}]}\n', 2),
+    "glossary-definition-empty": ("verbalize", "--glossary", "glossary.jsonl",
+                                  '{"id": "R", "definition": ""}\n', 1),
+    "templates-two-sources": ("verbalize", "--templates", "templates.tsv",
+                              "is_a\t{SOURCE} is a {TARGET}\n"
+                              "part_of\t{SOURCE} and {SOURCE} in {TARGET}\n", 2),
     "corpus-text-number": ("contrastive", "--corpus", "corpus.jsonl",
                            _bad_corpus(anchor={"text": 5, "kind": "name"}), 2),
     "corpus-concept-id-list": ("contrastive", "--corpus", "corpus.jsonl",
@@ -468,6 +479,34 @@ def test_verbalize_per_concept_zero_only_definition_pairs(small_world, tmp_path)
     assert pairs
     assert all(p.positive.kind in (onto.KIND_HUMAN_DEF, onto.KIND_GENERATED_DEF)
                for p in pairs)
+
+
+def test_verbalize_writes_the_demo_corpus_byte_for_byte(fixtures_dir, tmp_path):
+    # the corpus the demo pipeline trains on; pure text, so the pin holds
+    # whatever BLAS kernel the process picks
+    out = tmp_path / "corpus.jsonl"
+    assert run(["verbalize", "--ontology", os.path.join(fixtures_dir, "ontology.jsonl"),
+                "--templates", os.path.join(fixtures_dir, "templates.tsv"),
+                "--glossary", os.path.join(fixtures_dir, "glossary.jsonl"),
+                "--seed", "7", "--per-concept", "2", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1494
+    assert hashlib.sha256(data).hexdigest() == (
+        "1be4786672950c96b9930c7e12f688ebe5c680f1d99059b8e5746033e75f698b")
+
+
+def test_verbalize_with_an_empty_glossary_path_exits_1_in_one_line(small_world, tmp_path,
+                                                                   capsys):
+    # an empty --glossary used to be taken for no glossary at all, and the
+    # corpus was written without its definitions
+    out = tmp_path / "corpus.jsonl"
+    assert run(["verbalize", "--ontology", os.path.join(small_world, "ontology.jsonl"),
+                "--templates", os.path.join(small_world, "templates.tsv"),
+                "--glossary", "", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["i/o error: [Errno 2] No such file or directory: ''"]
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1734,6 +1773,22 @@ def test_train_self_distill_checks_pca_dim_before_encoding(small_world, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("concepts", [1, 0])
+def test_train_self_distill_refuses_a_graph_of_fewer_than_2_concepts(small_world, tmp_path,
+                                                                     capsys, concepts):
+    # such a graph has no --pca-dim to fit, and used to be told to ask for
+    # one of at most 0 (or -1), with the usage exit code
+    ontology = write_text(tmp_path / "kg.jsonl", _CONCEPT * concepts)
+    teacher = _eight_wide_teacher(tmp_path / "teacher.ckpt")
+    out = tmp_path / "distill.ckpt"
+    assert run(["train", "self-distill", "--base", teacher, "--teacher", teacher,
+                "--ontology", ontology, "--templates", os.path.join(small_world, "templates.tsv"),
+                "--pca-dim", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {ontology}: self-distillation needs at least 2 concepts, got {concepts}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("form", ["models", "manifest"])
 def test_soup_repeated_label_exits_2_before_reading_a_candidate(small_world, tmp_path, capsys,
                                                                  monkeypatch, form):
@@ -1933,6 +1988,19 @@ def test_pipeline_bad_value_exits_64_naming_the_key_before_training(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"{cfg}: {key}: " in err[0]
     assert sorted(os.listdir(tmp_path)) == ["demo.cfg"]
+
+
+def test_pipeline_refuses_a_graph_of_one_concept_before_training(small_world, tmp_path, capsys,
+                                                                 monkeypatch):
+    # the graph is the fault, not pca_dim, which used to be asked to be at
+    # most 0 with the usage exit code
+    _no_training(monkeypatch)
+    ontology = write_text(tmp_path / "kg.jsonl", _CONCEPT)
+    cfg = _mini_pipeline_cfg(small_world, tmp_path, ontology=ontology)
+    assert run(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {ontology}: self-distillation needs at least 2 concepts, got 1"]
+    assert sorted(os.listdir(tmp_path)) == ["demo.cfg", "kg.jsonl"]
 
 
 @pytest.mark.parametrize("overrides, key", [

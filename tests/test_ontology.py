@@ -90,6 +90,28 @@ def test_load_rejects_empty_names(tmp_path):
         onto.load_ontology(path)
 
 
+@pytest.mark.parametrize("reader, line, message", [
+    ("ontology", '{"id": "A", "names": ["a"], "definitions": [{"text": "", "source": "llm"}]}',
+     "definition text must be non-empty"),
+    ("ontology", '{"id": "A", "names": ["a"], "definitions": [{"text": "x", "source": "llm"}]}',
+     "definition source must be one of ('human', 'generated')"),
+    ("glossary", '{"id": "A", "definition": ""}', "definition text must be non-empty"),
+    ("templates", "part_of\t{SOURCE} in {TARGET} of {TARGET}",
+     "template for 'part_of' must contain exactly one {SOURCE} and one {TARGET}"),
+    ("templates", "is_a\t{SOURCE} is a {TARGET}\nis_a\t{SOURCE} and {SOURCE}",
+     "duplicate template for relation 'is_a'"),
+], ids=["empty-text-first", "unknown-source", "glossary-empty", "two-targets",
+        "duplicate-before-form"])
+def test_text_checks_name_the_line_in_their_own_words(tmp_path, reader, line, message):
+    path = write_text(tmp_path / "input", line + "\n")
+    read = {"ontology": onto.load_ontology, "templates": onto.load_templates,
+            "glossary": lambda path: onto.merge_glossary(onto.KnowledgeGraph({}), path)}[reader]
+    with pytest.raises(config.ParseError) as err:
+        read(path)
+    line_no = line.count("\n") + 1
+    assert str(err.value) == f"{path}:{line_no}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # merge_glossary
 
@@ -108,7 +130,7 @@ def test_glossary_appends_generated_definition(tmp_path):
     merged, stats = onto.merge_glossary(kg, gpath)
     defs = merged.get("A").definitions
     assert len(defs) == 2
-    assert {d.source for d in defs} == {"human", "generated"}
+    assert {d.kind for d in defs} == {onto.KIND_HUMAN_DEF, onto.KIND_GENERATED_DEF}
     assert stats.added == 1 and stats.skipped_unknown == 0
     # original graph untouched
     assert len(kg.get("A").definitions) == 1
@@ -135,7 +157,7 @@ def test_glossary_merge_twice_doubles_generated(tmp_path):
     gpath = write_jsonl(tmp_path / "g.jsonl", [{"id": "A", "definition": "generated def"}])
     once, _ = onto.merge_glossary(kg, gpath)
     twice, _ = onto.merge_glossary(once, gpath)
-    generated = [d for d in twice.get("A").definitions if d.source == "generated"]
+    generated = [d for d in twice.get("A").definitions if d.kind == onto.KIND_GENERATED_DEF]
     assert len(generated) == 2
 
 
