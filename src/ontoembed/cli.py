@@ -198,7 +198,7 @@ def _inputs(args) -> dict[str, str]:
     return {path: _sha256_file(path) for path in
             [getattr(args, key) for key in ("config", "corpus", "data", "pairs", "ontology",
                                             "templates", "glossary", "infile", "val", "manifest")
-             if getattr(args, key, None)]}
+             if getattr(args, key, None) is not None]}
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def _base_checkpoint(args, mapping: dict[str, str], config: enc.EncoderConfig,
     """The ``--base`` checkpoint, its digest put in ``inputs``, or a fresh
     base of ``config`` without one. Each encoder key the config file sets
     must repeat the base's value."""
-    if not args.base:
+    if args.base is None:
         return enc.Checkpoint(config=config, phase="base", params=enc.init_params(config))
     base = _load_input(args.base, inputs)[0]
     for key in enc.ENCODER_CONFIG_KEYS:
@@ -242,7 +242,7 @@ def cmd_train(args) -> int:
 
     started = time.time()
     # every key is read and checked before anything is loaded or trained
-    mapping = read_config(args.config, TRAIN_KEYS) if args.config else {}
+    mapping = read_config(args.config, TRAIN_KEYS) if args.config is not None else {}
     cfg = _train_config(args.phase, mapping, args.config)
     enc_cfg = enc.config_from_mapping(mapping, source=args.config)
     overrides = {"seed": args.seed, "epochs": args.epochs}
@@ -314,23 +314,24 @@ def cmd_soup(args) -> int:
     from . import soup as soup_mod
 
     started = time.time()
-    if not args.val and (args.models or args.strategy == "greedy" or args.metric or args.ontology):
+    if args.val is None and (args.models or args.strategy == "greedy" or args.metric
+                             or args.ontology is not None):
         raise UsageError("--models, --metric, --ontology and --strategy greedy require --val")
-    metric = (args.metric or "pearson") if args.val else None
-    if args.ontology and metric != "nel-top1":
+    metric = (args.metric or "pearson") if args.val is not None else None
+    if args.ontology is not None and metric != "nel-top1":
         raise UsageError("--ontology goes only with --metric nel-top1")
-    if metric == "nel-top1" and not args.ontology:
+    if metric == "nel-top1" and args.ontology is None:
         raise UsageError("--ontology is required with --metric nel-top1")
     inputs = _inputs(args)
     kg = _load_kg(args.ontology)[0]
-    score = _scorer(_SOUP_METRICS[metric], args.val, kg)[1] if args.val else None
+    score = _scorer(_SOUP_METRICS[metric], args.val, kg)[1] if args.val is not None else None
 
     # a tentative soup is named by the file the soup is written to
     def evaluate(ckpt: enc.Checkpoint, name: str = args.out) -> float:
         return score(ckpt, name)[0].value
 
     # a --models candidate carries no score, so it is scored on --val
-    listing = (_read_listing(args.manifest) if args.manifest
+    listing = (_read_listing(args.manifest) if args.manifest is not None
                else [(path, None, "") for path in args.models])
     labels = [label or os.path.basename(path) for path, _, label in listing]
     # the report keys scores by label, so a repeated label would merge two candidates
@@ -352,7 +353,7 @@ def cmd_soup(args) -> int:
     else:
         result, kept = soup_mod.greedy_soup(candidates, evaluate)
 
-    soup_score = evaluate(result) if args.val else None
+    soup_score = evaluate(result) if args.val is not None else None
     enc.save_checkpoint(args.out, result)
     report = {
         "strategy": args.strategy,

@@ -84,7 +84,7 @@ def read_records(path, parse, columns: int | None = None) -> list:
 
 
 _REQUIRED = object()
-_JSON_KINDS = {str: "a string", dict: "an object", float: "a number",
+_JSON_KINDS = {str: "a string", dict: "an object", int: "an integer", float: "a number",
                (str,): "a list of strings", (dict,): "a list of objects"}
 
 
@@ -96,10 +96,10 @@ def _is_kind(value, kind) -> bool:
 
 def json_field(obj, key: str, kind=str, default=_REQUIRED):
     """``obj[key]`` of the decoded JSON object ``obj``, which must be of
-    ``kind``: ``str``, ``dict``, ``float`` for any number, or ``(str,)`` and
-    ``(dict,)`` for a list of strings or objects. A missing key gives
-    ``default``, or ValueError when there is none; a value of another kind
-    raises TypeError. Nothing is coerced."""
+    ``kind``: ``str``, ``dict``, ``int`` (not ``true`` or ``1.0``), ``float``
+    for any number, or ``(str,)`` and ``(dict,)`` for a list of strings or
+    objects. A missing key gives ``default``, or ValueError when there is
+    none; a value of another kind raises TypeError. Nothing is coerced."""
     if type(obj) is not dict:
         raise TypeError("expected a JSON object")
     if key not in obj:
@@ -173,6 +173,8 @@ def _to_float(text: str) -> float:
 # Keyed by ``field.type``, a string: the config classes' modules use
 # ``from __future__ import annotations``.
 _CASTS = {"int": int, "float": _to_float, "str": str, "str | None": str}
+# The ``json_field`` kind of each field type, to read a field from JSON.
+FIELD_KINDS = {"int": int, "float": float, "str": str}
 
 
 def config_keys(cls) -> tuple[str, ...]:

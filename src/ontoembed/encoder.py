@@ -15,12 +15,13 @@ import io
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from .config import DomainError, atomic_output, build_config, config_keys
+from .config import (FIELD_KINDS, DomainError, atomic_output, build_config, config_keys,
+                     json_field)
 
 CHECKPOINT_MAGIC = b"OEMBCKPT"
 CHECKPOINT_VERSION = 1
@@ -103,9 +104,10 @@ class EncoderConfig:
     def soup_compatible(self, other: "EncoderConfig") -> bool:
         return replace(self, init_seed=other.init_seed) == other
 
-    def base_param_count(self) -> int:
+    def param_count(self, head_dim: int | None = None) -> int:
+        """The number of parameters, with a distillation head of width ``head_dim`` when given."""
         v, e, h, o = self.vocab_buckets, self.embed_dim, self.hidden_dim, self.output_dim
-        return v * e + e * h + h + h * o + o
+        return v * e + e * h + h + h * o + o + (head_dim or 0) * (o + 1)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -302,9 +304,9 @@ def init_params(config: EncoderConfig) -> Params:
     s = config.init_scale
     v, e, h, o = config.vocab_buckets, config.embed_dim, config.hidden_dim, config.output_dim
     try:
-        flat = np.zeros(config.base_param_count())
+        flat = np.zeros(config.param_count())
     except MemoryError:
-        raise ValueError(f"cannot allocate the {config.base_param_count()} parameters of "
+        raise ValueError(f"cannot allocate the {config.param_count()} parameters of "
                          f"vocab_buckets {v}, embed_dim {e}, hidden_dim {h}, "
                          f"output_dim {o}") from None
     # token_table and w1 are adjacent in the flat layout: one draw fills both.
@@ -486,7 +488,7 @@ def unflatten(config: EncoderConfig, vector: np.ndarray) -> Params:
     vector = np.ascontiguousarray(vector, dtype=float)
     if vector.ndim != 1:
         raise ValueError("expected a 1-d vector")
-    base = config.base_param_count()
+    base = config.param_count()
     o = config.output_dim
     head_dim = None
     if vector.size != base:
@@ -553,43 +555,35 @@ def checkpoint_pieces(ckpt: Checkpoint) -> tuple[bytes, memoryview]:
 
 
 def _config_from_header(header) -> EncoderConfig:
-    """Validate a decoded header's shape, keys and value types against
-    format v1, including that param_count fits the config and head_dim;
-    return its encoder config."""
-    def require(ok: bool, what: str) -> None:
-        if not ok:
-            raise CheckpointFormatError(f"malformed checkpoint header: {what}")
-
-    def is_int(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool)
-
-    require(isinstance(header, dict), "expected a JSON object")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(f"unsupported checkpoint version {header.get('version')} "
-                                     f"(expected {CHECKPOINT_VERSION})")
-    cfg = header.get("config")
-    require(isinstance(cfg, dict) and sorted(cfg) == sorted(ENCODER_CONFIG_KEYS),
-            f"config must be an object with the keys {', '.join(ENCODER_CONFIG_KEYS)}")
-    require(all(is_int(cfg[k]) for k in ENCODER_CONFIG_KEYS if k != "init_scale"),
-            "config sizes and seeds must be integers")
-    scale = cfg["init_scale"]
-    require(is_int(scale) or (isinstance(scale, float) and np.isfinite(scale)),
-            "config init_scale must be a finite number")
-    require(header.get("phase") in PHASES, f"phase must be one of {', '.join(PHASES)}")
-    history = header.get("history", [])
-    require(isinstance(history, list) and all(h in PHASES for h in history),
-            "history must be a list of phase names")
-    require(not history or history[-1] == header["phase"], "history must end with the phase")
-    head_dim = header.get("head_dim")
-    require(head_dim is None or (is_int(head_dim) and head_dim >= 1),
-            "head_dim must be null or a positive integer")
+    """Check a decoded header against format v1, each field read with
+    ``json_field`` and each config entry as the kind of its ``EncoderConfig``
+    field's type, param_count included; return its encoder config."""
     try:
-        config = EncoderConfig(**cfg)
-    except ValueError as exc:
+        version = json_field(header, "version", int, None)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(f"unsupported checkpoint version {version} "
+                                         f"(expected {CHECKPOINT_VERSION})")
+        cfg = json_field(header, "config", dict)
+        if sorted(cfg) != sorted(ENCODER_CONFIG_KEYS):
+            raise ValueError(f"config must have the keys {', '.join(ENCODER_CONFIG_KEYS)}")
+        config = EncoderConfig(**{f.name: json_field(cfg, f.name, FIELD_KINDS[f.type])
+                                  for f in fields(EncoderConfig)})
+        phase = json_field(header, "phase")
+        if phase not in PHASES:
+            raise ValueError(f"phase must be one of {', '.join(PHASES)}")
+        history = json_field(header, "history", (str,), [])
+        if not set(history) <= set(PHASES):
+            raise ValueError("history must be a list of phase names")
+        if history and history[-1] != phase:
+            raise ValueError("history must end with the phase")
+        head_dim = header.get("head_dim")
+        if head_dim is not None and json_field(header, "head_dim", int) < 1:
+            raise ValueError("head_dim must be null or a positive integer")
+        expected = config.param_count(head_dim)
+        if json_field(header, "param_count", int) != expected:
+            raise ValueError(f"param_count must be {expected} for this config and head_dim")
+    except (TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint header: {exc}") from exc
-    expected = config.base_param_count() + (head_dim or 0) * (config.output_dim + 1)
-    require(is_int(header.get("param_count")) and header["param_count"] == expected,
-            f"param_count must be {expected} for this config and head_dim")
     return config
 
 

@@ -509,6 +509,31 @@ def test_verbalize_with_an_empty_glossary_path_exits_1_in_one_line(small_world, 
     assert os.listdir(tmp_path) == []
 
 
+# an empty path option names a file that is missing, never the option left
+# out: no fresh base, no default keys, no usage message about --val
+_EMPTY_PATHS = {
+    "train-base": ["train", "sts", "--base", "", "--data", "STS", "--config", "CFG"],
+    "train-config": ["train", "sts", "--config", "", "--data", "STS"],
+    "soup-manifest": ["soup", "--manifest", "", "--strategy", "uniform"],
+    "soup-val": ["soup", "--models", "GOOD", "--val", ""],
+    "soup-ontology": ["soup", "--models", "GOOD", "--val", "NEL", "--metric", "nel-top1",
+                      "--ontology", ""],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EMPTY_PATHS))
+def test_an_empty_path_option_exits_1_in_one_line(small_world, tmp_path, case):
+    names = {"STS": os.path.join(small_world, "sts_train.tsv"), "CFG": _mini_train_cfg(tmp_path),
+             "GOOD": _tiny_model(tmp_path / "good.ckpt"),
+             "NEL": os.path.join(small_world, "nel.tsv")}
+    made = sorted(os.listdir(tmp_path))
+    proc = run_child([names.get(a, a) for a in _EMPTY_PATHS[case]]
+                     + ["--out", str(tmp_path / "out")])
+    assert _one_error_line(proc, 1) == "i/o error: [Errno 2] No such file or directory: ''"
+    assert proc.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == made
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -1560,6 +1585,10 @@ def _drop(key):
     return lambda header: {k: v for k, v in header.items() if k != key}
 
 
+def _with(key, value):
+    return lambda header: {**header, key: value}
+
+
 def _with_config(key, value):
     return lambda header: {**header, "config": {**header["config"], key: value}}
 
@@ -1569,12 +1598,25 @@ def _with_config(key, value):
     _drop("phase"),
     _with_config("colour", 1),
     _with_config("vocab_buckets", "64"),
-    lambda header: {**header, "history": 5},
+    _with("history", 5),
     lambda header: {**header, "phase": "souped", "history": ["base", "contrastive"]},
     lambda header: [header],
+    _with_config("vocab_buckets", True),
+    _with_config("vocab_buckets", 8.0),
+    _with_config("init_scale", "0.05"),
+    _with_config("init_scale", float("nan")),
+    _with("head_dim", 0),
+    _with("head_dim", False),
+    _with("param_count", True),
+    _with("history", [1, "base"]),
+    _with("version", True),
+    _with("version", 1.0),
+    _with("version", "1"),
 ], ids=["missing-config", "missing-phase", "unknown-config-key",
         "string-vocab-buckets", "non-list-history", "history-not-ending-in-phase",
-        "list-header"])
+        "list-header", "bool-vocab-buckets", "float-vocab-buckets", "string-init-scale",
+        "nan-init-scale", "zero-head-dim", "bool-head-dim", "bool-param-count",
+        "non-string-history-entry", "bool-version", "float-version", "string-version"])
 def test_embed_malformed_checkpoint_header_exits_2(tmp_path, mutate):
     cfg = enc.EncoderConfig(vocab_buckets=64, embed_dim=8, hidden_dim=8, output_dim=8)
     data = oracles.checkpoint_to_bytes(

@@ -412,7 +412,7 @@ def test_backward_takes_the_forward_it_is_given(tiny_config):
 
 def test_flatten_roundtrip_bit_exact(tiny_config):
     rng = np.random.default_rng(2)
-    vec = rng.normal(size=tiny_config.base_param_count())
+    vec = rng.normal(size=tiny_config.param_count())
     assert np.array_equal(enc.flatten(enc.unflatten(tiny_config, vec)), vec)
     params = enc.init_params(tiny_config)
     assert params_equal(enc.unflatten(tiny_config, enc.flatten(params)), params)
@@ -432,7 +432,7 @@ def test_take_rows_gathers_the_rows_it_names(tiny_config, rows):
 
 
 def test_default_parameter_count():
-    assert enc.EncoderConfig().base_param_count() == 2_121_984
+    assert enc.EncoderConfig().param_count() == 2_121_984
 
 
 def test_head_changes_flatten_length(tiny_config):
@@ -445,7 +445,7 @@ def test_head_changes_flatten_length(tiny_config):
 
 def test_unflatten_rejects_wrong_length(tiny_config):
     with pytest.raises(ValueError):
-        enc.unflatten(tiny_config, np.zeros(tiny_config.base_param_count() + 1))
+        enc.unflatten(tiny_config, np.zeros(tiny_config.param_count() + 1))
 
 
 def test_unflatten_infers_head(tiny_config):
@@ -599,7 +599,7 @@ def _peak_per_param_byte(call, config):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (8 * config.base_param_count())
+    return peak / (8 * config.param_count())
 
 
 def test_checkpoint_io_and_init_make_no_full_size_copies(tmp_path):

@@ -375,14 +375,16 @@ def test_read_records_blank_lines_and_line_endings(tmp_path):
 
 
 def test_json_field_checks_kinds_and_never_coerces():
-    obj = {"s": "x", "n": 5, "b": True, "z": None, "ls": ["a"], "lo": [{}], "mixed": ["a", 1]}
+    obj = {"s": "x", "n": 5, "i": 1, "f": 1.0, "b": True, "z": None, "ls": ["a"], "lo": [{}],
+           "mixed": ["a", 1]}
     assert config.json_field(obj, "s") == "x"
     assert config.json_field(obj, "n", float) == 5
+    assert config.json_field(obj, "i", int) == 1
     assert config.json_field(obj, "ls", (str,)) == ["a"]
     assert config.json_field(obj, "lo", (dict,)) == [{}]
     assert config.json_field(obj, "absent", default="d") == "d"
-    for key, kind in [("n", str), ("z", str), ("b", float), ("s", (str,)), ("mixed", (str,)),
-                      ("ls", (dict,))]:
+    for key, kind in [("n", str), ("z", str), ("b", float), ("b", int), ("f", int),
+                      ("s", (str,)), ("mixed", (str,)), ("ls", (dict,))]:
         with pytest.raises(TypeError, match=f"^'{key}' must be "):
             config.json_field(obj, key, kind)
     with pytest.raises(ValueError, match="^missing 'absent'$"):

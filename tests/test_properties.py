@@ -167,7 +167,7 @@ def test_damaged_checkpoint_file_fails_as_its_bytes(tmp_path, cut, error, messag
     with open(path, "wb") as fh:
         fh.write(cut(data))
     exc = assert_file_reads_as_bytes(cut(data), path)
-    n = 8 * config.base_param_count()
+    n = 8 * config.param_count()
     assert type(exc) is error and str(exc) == message.format(n=n, short=n - 1)
 
 

@@ -143,7 +143,7 @@ def test_greedy_constant_metric_keeps_everything(config, cand):
 def test_greedy_matches_brute_force_simulation(config, cand):
     # scalar parameters, evaluate favours parameters near zero; the kept set
     # must match an exhaustive simulation of the greedy acceptance rule
-    flat_len = config.base_param_count()
+    flat_len = config.param_count()
     values = [1.0, -2.0, 0.5, 3.0, -0.25]
     scores = [0.8, 0.6, 0.9, 0.1, 0.3]
     labels = [f"m{i}" for i in range(len(values))]
@@ -168,7 +168,7 @@ def test_greedy_result_never_below_best_single(config, cand):
     # the merge decisions use, which is how the CLI and pipeline call this
     rng = np.random.default_rng(0)
     for trial in range(5):
-        weights = rng.normal(size=config.base_param_count())
+        weights = rng.normal(size=config.param_count())
 
         def evaluate(ckpt):
             return float(np.tanh(enc.flatten(ckpt.params) @ weights))
@@ -242,7 +242,7 @@ def test_soup_memory_does_not_grow_with_the_candidates(cand, make_soup):
     # parameter vectors: the greedy soup so far, the running mean of the
     # tentative one and the candidate just read
     config = enc.EncoderConfig(vocab_buckets=4096, embed_dim=16, hidden_dim=16, output_dim=16)
-    vector = 8 * config.base_param_count()
+    vector = 8 * config.param_count()
     models = [_model(config, init_seed=i) for i in range(8)]
     pool = [cand(m, float(i), f"m{i}") for i, m in enumerate(models)]
     del models
